@@ -84,8 +84,8 @@ def _cmd_bsum(args) -> int:
         s = polytope_sum_demazure(rs, lam)
         _emit(args, s.to_json_obj(), _sum_table(s))
         return 0
-    oracle = polytope_sum_oracle(rs, lam).sum
     formula = polytope_sum_demazure(rs, lam)
+    oracle = polytope_sum_oracle(rs, lam).sum
     diff = formula - oracle
     match = diff.is_zero()
     payload = {
@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="polychar",
         description=(
             "Exact characters and weight-polytope lattice sums for simple "
-            "Lie algebras, with brute-force and numeric cross-checks."
+            "Lie algebras, with enumerated and numeric cross-checks."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

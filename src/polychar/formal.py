@@ -20,7 +20,7 @@ class FormalSum:
     __slots__ = ("_rank", "_terms")
 
     def __init__(self, rank: int, terms=()):
-        if not isinstance(rank, int) or rank < 1:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict = {}
@@ -28,7 +28,7 @@ class FormalSum:
             w = tuple(weight)
             if len(w) != rank:
                 raise ValueError(f"exponent {w} has length {len(w)}, expected rank {rank}")
-            if not isinstance(coeff, int):
+            if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
             c = acc.get(w, 0) + coeff
             if c:
@@ -94,7 +94,7 @@ class FormalSum:
         return out
 
     def scale(self, factor: int) -> "FormalSum":
-        if not isinstance(factor, int):
+        if not isinstance(factor, int) or isinstance(factor, bool):
             raise TypeError("scale factor must be an integer")
         if factor == 0:
             return FormalSum.zero(self._rank)

@@ -109,6 +109,22 @@ def test_eval_single_case(capsys):
     assert payload["brion_max_rel_err"] < 1e-9
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_eval_sigma_count_below_one_exits_2(capsys, count):
+    argv = ["eval", "--algebra", "A2", "--lam", "1", "1", "--sigma-count", count]
+    assert run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bsum_both_without_formula_exits_2_before_enumerating(capsys, monkeypatch):
+    def unreachable(rs, lam):
+        raise AssertionError("the enumerator ran for an algebra without a formula")
+
+    monkeypatch.setattr(cli, "polytope_sum_oracle", unreachable)
+    assert run(["bsum", "B3", "3", "3", "3", "--method", "both"]) == 2
+    assert "no operator polytope-sum formula for B3" in capsys.readouterr().err
+
+
 def test_eval_needs_both_flags(capsys):
     code = run(["eval", "--algebra", "A2"])
     assert code == 2
@@ -127,9 +143,17 @@ def test_vertices_sorted(capsys):
 
 
 def test_deterministic_output(capsys):
-    _, first = _capture(capsys, ["char", "G2", "2", "1"])
-    _, second = _capture(capsys, ["char", "G2", "2", "1"])
-    assert first == second
+    for argv in (
+        ["char", "G2", "2", "1"],
+        ["bsum", "B2", "2", "1", "--method", "both"],
+        ["verify", "--algebra", "A2", "--max-label", "2"],
+        ["eval", "--algebra", "A2", "--lam", "1", "1", "--sigma-count", "3"],
+        ["expand", "B2", "2", "2"],
+        ["vertices", "G2", "1", "1"],
+    ):
+        _, first = _capture(capsys, argv)
+        _, second = _capture(capsys, argv)
+        assert first == second, argv
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,15 @@ def test_constructor_merges_nothing_but_validates():
         FormalSum(0, {})
 
 
+def test_bools_rejected():
+    with pytest.raises(ValueError):
+        FormalSum(True, {(1,): 1})
+    with pytest.raises(TypeError):
+        FormalSum(1, {(1,): True})
+    with pytest.raises(TypeError):
+        FormalSum.exp((1,)).scale(True)
+
+
 def test_add_and_cancellation():
     s = FormalSum.exp((1, 1))
     t = FormalSum(2, {(1, 1): -1, (0, 0): 2})

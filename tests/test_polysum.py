@@ -4,9 +4,13 @@ cross-checks, Freudenthal, and the character-to-polytope expansion.
 The G2 operator formula carries a (1 + e^{gamma_2}) factor on its long-root
 term (docs/g2.md); besides the enumerator comparisons it is checked for Weyl
 invariance without the oracle, and at weights outside the acceptance grid.
+
+The oracle enumerates Weyl orbits of the dominant weights below lam; the
+bounding-box scan below is kept as the reference that certifies it.
 """
 
 import math
+from itertools import product
 
 import pytest
 
@@ -15,6 +19,7 @@ from polychar import (
     FormalSum,
     GenericityError,
     PolytopeSizeError,
+    PolytopeSum,
     apply_d_root,
     apply_r_root,
     apply_r_simple,
@@ -27,6 +32,7 @@ from polychar import (
     evaluate,
     gamma_sequence,
     numeric_formula_check,
+    orbit,
     polytope_expansion,
     polytope_member,
     polytope_sum_a3,
@@ -38,6 +44,56 @@ from polychar import (
     weyl_character_eval,
     weyl_dimension,
 )
+
+# (algebra, max label) grids on which the oracle must equal the box scan
+_REFERENCE_GRIDS = (
+    ("A1", 12), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 3), ("B3", 2), ("C3", 2),
+)
+
+
+def _box_scan_oracle(rs, lam) -> PolytopeSum:
+    """Reference enumerator: every point of the vertex orbit's per-label
+    bounding box, kept iff `polytope_member` accepts it."""
+    verts = orbit(rs, lam)
+    r = rs.rank
+    lows = [min(v[i] for v in verts) for i in range(r)]
+    highs = [max(v[i] for v in verts) for i in range(r)]
+    terms = {}
+    for cand in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        if polytope_member(rs, lam, cand):
+            terms[cand] = 1
+    return PolytopeSum(FormalSum(r, terms), frozenset(verts))
+
+
+def _box_scan_dominant_below(rs, lam) -> list:
+    """Reference for `dominant_weights_below`: scan the dominant part of the
+    bounding box, keep the weights under lam, sort by (depth, weight)."""
+    verts = orbit(rs, lam)
+    highs = [max(v[i] for v in verts) for i in range(rs.rank)]
+    found = []
+    for cand in product(*(range(0, h + 1) for h in highs)):
+        gap = rs.root_coords_of_weight(tuple(l - c for l, c in zip(lam, cand)))
+        if gap is not None and all(g >= 0 for g in gap):
+            found.append((sum(gap), cand))
+    found.sort()
+    return [cand for _, cand in found]
+
+
+@pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
+def test_oracle_matches_box_scan(name, max_label):
+    rs = build_root_system(name)
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        ref = _box_scan_oracle(rs, lam)
+        out = polytope_sum_oracle(rs, lam)
+        assert out.sum == ref.sum, lam
+        assert out.vertex_set == ref.vertex_set, lam
+
+
+@pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
+def test_dominant_weights_below_matches_box_scan(name, max_label):
+    rs = build_root_system(name)
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        assert dominant_weights_below(rs, lam) == _box_scan_dominant_below(rs, lam), lam
 
 
 def test_membership(a2):
@@ -244,7 +300,7 @@ def test_verification_reports(b2):
     assert all(r.match for r in reports)
     blob = reports[0].to_json_obj()
     assert set(blob) == {
-        "formula", "algebra", "lambda", "match", "diff", "n_points", "millis",
+        "formula", "algebra", "lambda", "match", "diff", "n_points",
     }
     assert blob["formula"] == "demazure_rank2"
     assert blob["algebra"] == "B2"
@@ -261,3 +317,9 @@ def test_numeric_check_shape(a2):
     assert out["brion_max_rel_err"] < 1e-9
     assert out["weyl_max_rel_err"] < 1e-9
     assert out["lambda"] == [1, 0]
+
+
+def test_numeric_check_needs_a_sample(a2):
+    for count in (0, -3):
+        with pytest.raises(ValueError):
+            numeric_formula_check(a2, (1, 1), sigma_count=count)
