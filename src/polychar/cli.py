@@ -25,7 +25,7 @@ from .polysum import (
     polytope_sum_oracle,
     verify_polytope_formula,
 )
-from .rootsys import build_root_system
+from .rootsys import build_root_system, check_weight
 from .weyl import orbit
 
 _EVAL_DEFAULTS = (
@@ -39,13 +39,6 @@ _EVAL_DEFAULTS = (
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _labels(rs, labels) -> tuple:
-    lam = tuple(labels)
-    if len(lam) != rs.rank:
-        raise ValueError(f"{rs.name} takes {rs.rank} labels, got {len(lam)}")
-    return lam
 
 
 def _emit(args, payload, table: str) -> None:
@@ -68,24 +61,23 @@ def _sum_table(s: FormalSum) -> str:
 
 def _cmd_char(args) -> int:
     rs = build_root_system(args.algebra)
-    s = character_demazure(rs, _labels(rs, args.labels))
+    s = character_demazure(rs, args.labels)
     _emit(args, s.to_json_obj(), _sum_table(s))
     return 0
 
 
 def _cmd_bsum(args) -> int:
     rs = build_root_system(args.algebra)
-    lam = _labels(rs, args.labels)
     if args.method == "oracle":
-        s = polytope_sum_oracle(rs, lam).sum
+        s = polytope_sum_oracle(rs, args.labels).sum
         _emit(args, s.to_json_obj(), _sum_table(s))
         return 0
     if args.method == "demazure":
-        s = polytope_sum_demazure(rs, lam)
+        s = polytope_sum_demazure(rs, args.labels)
         _emit(args, s.to_json_obj(), _sum_table(s))
         return 0
-    formula = polytope_sum_demazure(rs, lam)
-    oracle = polytope_sum_oracle(rs, lam).sum
+    formula = polytope_sum_demazure(rs, args.labels)
+    oracle = polytope_sum_oracle(rs, args.labels).sum
     diff = formula - oracle
     match = diff.is_zero()
     payload = {
@@ -132,7 +124,7 @@ def _cmd_eval(args) -> int:
     for name, lam in cases:
         rs = build_root_system(name)
         results.append(
-            numeric_formula_check(rs, _labels(rs, lam), args.sigma_count, args.seed)
+            numeric_formula_check(rs, lam, args.sigma_count, args.seed)
         )
     payload = results[0] if args.algebra is not None else results
     lines = ["algebra lambda brion_err weyl_err pass"]
@@ -147,7 +139,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_expand(args) -> int:
     rs = build_root_system(args.algebra)
-    expansion = polytope_expansion(rs, _labels(rs, args.labels))
+    expansion = polytope_expansion(rs, args.labels)
     lines = ["dominant weight -> coeff"]
     for entry in expansion.to_json_obj():
         lines.append(f"{entry['w']} -> {entry['c']}")
@@ -157,10 +149,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_vertices(args) -> int:
     rs = build_root_system(args.algebra)
-    lam = _labels(rs, args.labels)
-    if any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    verts = sorted(orbit(rs, lam))
+    verts = sorted(orbit(rs, check_weight(rs, args.labels, dominant=True)))
     payload = [list(v) for v in verts]
     lines = [str(list(v)) for v in verts]
     lines.append(f"({len(verts)} vertices)")

@@ -13,7 +13,7 @@ identity.  Compositions act rightmost-first throughout this module.
 """
 
 from .formal import FormalSum
-from .rootsys import Root, RootSystem, Weight
+from .rootsys import Root, RootSystem, check_weight
 from .weyl import weyl_group
 
 
@@ -24,89 +24,39 @@ def _check_sum(rs: RootSystem, s: FormalSum) -> None:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
 
 
-def _check_index(rs: RootSystem, i: int) -> None:
+def _simple_root(rs: RootSystem, i: int) -> Root:
     if not 1 <= i <= rs.rank:
         raise ValueError(f"operator index {i} out of range 1..{rs.rank}")
+    return rs.simple_roots[i - 1]
 
 
-def _require_dominant(rs: RootSystem, weight) -> Weight:
-    lam = tuple(weight)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight {lam} has length {len(lam)}, expected {rs.rank}")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return lam
-
-
-def _demazure_terms(terms, coroot, step, keep_identity):
-    """String-sum core shared by the D and d flavors (d drops the k=0 term
-    and subtracts the identity on the negative side)."""
+def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:
+    """String operator of a positive root: D with ``keep_identity``, else
+    d = D - 1 (which drops the k=0 term and subtracts the identity on the
+    negative side).  The coroot of a simple root is its unit vector."""
+    _check_sum(rs, s)
+    coroot = rs.coroot_labels(root)
+    step = root.weight_coords
     out: dict = {}
-    for lam, coeff in terms.items():
+    for lam, coeff in s.terms.items():
         n = 0
         for cv, x in zip(coroot, lam):
             if cv:
                 n += cv * x
         if n >= 0:
             for k in range(0 if keep_identity else 1, n + 1):
-                mu = tuple(x - k * s for x, s in zip(lam, step))
+                mu = tuple(x - k * a for x, a in zip(lam, step))
                 out[mu] = out.get(mu, 0) + coeff
         else:
             if not keep_identity:
                 out[lam] = out.get(lam, 0) - coeff
             for k in range(1, -n):
-                mu = tuple(x + k * s for x, s in zip(lam, step))
+                mu = tuple(x + k * a for x, a in zip(lam, step))
                 out[mu] = out.get(mu, 0) - coeff
-    return out
-
-
-def _unit(rank: int, i: int) -> tuple[int, ...]:
-    return tuple(int(k == i - 1) for k in range(rank))
-
-
-def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
-    """Demazure operator of the i-th simple root (string formula above)."""
-    _check_index(rs, i)
-    _check_sum(rs, s)
-    alpha = rs.simple_roots[i - 1].weight_coords
-    return FormalSum(rs.rank, _demazure_terms(s.terms, _unit(rs.rank, i), alpha, True))
-
-
-def apply_d_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
-    """The identity-subtracted Demazure operator of the i-th simple root."""
-    _check_index(rs, i)
-    _check_sum(rs, s)
-    alpha = rs.simple_roots[i - 1].weight_coords
-    return FormalSum(rs.rank, _demazure_terms(s.terms, _unit(rs.rank, i), alpha, False))
-
-
-def apply_D_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
-    """Demazure operator attached to an arbitrary positive root."""
-    _check_sum(rs, s)
-    coroot = rs.coroot_labels(root)
-    return FormalSum(rs.rank, _demazure_terms(s.terms, coroot, root.weight_coords, True))
-
-
-def apply_d_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
-    """Identity-subtracted Demazure operator of an arbitrary positive root."""
-    _check_sum(rs, s)
-    coroot = rs.coroot_labels(root)
-    return FormalSum(rs.rank, _demazure_terms(s.terms, coroot, root.weight_coords, False))
-
-
-def apply_r_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
-    """Reflect every exponent with the i-th simple reflection."""
-    _check_index(rs, i)
-    _check_sum(rs, s)
-    alpha = rs.simple_roots[i - 1].weight_coords
-    out = {}
-    for lam, coeff in s.terms.items():
-        n = lam[i - 1]
-        out[tuple(x - n * a for x, a in zip(lam, alpha))] = coeff
     return FormalSum(rs.rank, out)
 
 
-def apply_r_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
+def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
     """Reflect every exponent in the hyperplane of a positive root."""
     _check_sum(rs, s)
     coroot = rs.coroot_labels(root)
@@ -116,6 +66,36 @@ def apply_r_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
         n = sum(cv * x for cv, x in zip(coroot, lam))
         out[tuple(x - n * a for x, a in zip(lam, step))] = coeff
     return FormalSum(rs.rank, out)
+
+
+def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
+    """Demazure operator of the i-th simple root (string formula above)."""
+    return _demazure(rs, _simple_root(rs, i), s, True)
+
+
+def apply_d_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
+    """The identity-subtracted Demazure operator of the i-th simple root."""
+    return _demazure(rs, _simple_root(rs, i), s, False)
+
+
+def apply_D_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
+    """Demazure operator attached to an arbitrary positive root."""
+    return _demazure(rs, root, s, True)
+
+
+def apply_d_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
+    """Identity-subtracted Demazure operator of an arbitrary positive root."""
+    return _demazure(rs, root, s, False)
+
+
+def apply_r_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
+    """Reflect every exponent with the i-th simple reflection."""
+    return _reflect(rs, _simple_root(rs, i), s)
+
+
+def apply_r_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
+    """Reflect every exponent in the hyperplane of a positive root."""
+    return _reflect(rs, root, s)
 
 
 def apply_word(rs: RootSystem, word, s: FormalSum, flavor: str = "D") -> FormalSum:
@@ -141,7 +121,7 @@ def apply_word(rs: RootSystem, word, s: FormalSum, flavor: str = "D") -> FormalS
 def character_demazure(rs: RootSystem, weight) -> FormalSum:
     """Character of the irreducible highest-weight module, built by applying
     the longest element's reduced D-word to e^weight."""
-    lam = _require_dominant(rs, weight)
+    lam = check_weight(rs, weight, dominant=True)
     table = weyl_group(rs)
     return apply_word(rs, table.longest.word, FormalSum.exp(lam), flavor="D")
 
@@ -154,7 +134,7 @@ def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
     the reduced word of a child extends its parent's on the left, so one
     more d operator finishes the job.
     """
-    lam = _require_dominant(rs, weight)
+    lam = check_weight(rs, weight, dominant=True)
     table = weyl_group(rs)
     memo = {(): FormalSum.exp(lam)}
     total = FormalSum.zero(rs.rank)

@@ -143,7 +143,14 @@ class FormalSum:
 
     @classmethod
     def from_json_obj(cls, obj, rank: int | None = None) -> "FormalSum":
-        entries = [(tuple(item["w"]), int(item["c"])) for item in obj]
+        """Inverse of `to_json_obj`.  Exponent entries must be integers (not
+        bools); coefficients pass through to the constructor's check."""
+        entries = []
+        for item in obj:
+            w = tuple(item["w"])
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in w):
+                raise TypeError(f"exponent {w} has a non-integer entry")
+            entries.append((w, item["c"]))
         if rank is None:
             if not entries:
                 raise ValueError("cannot infer rank of an empty serialized sum")

@@ -5,7 +5,8 @@ Four independent routes live here:
 * an enumerator (the oracle) that takes the union of the Weyl orbits of
   the dominant weights below lam, found by a downward walk by positive roots,
 * operator formulas that assemble the same sums from root-indexed Demazure
-  operators walking the positive roots in angular order (rank 2 and A3),
+  operators, one bracket per segment of the angular order of the positive
+  roots (A1, the rank-2 algebras and A3),
 * numeric evaluation of the vertex-cone rational expression and of the Weyl
   character quotient at generic points,
 * a Freudenthal-recursion character builder, plus the expansion of a
@@ -20,7 +21,7 @@ from itertools import product
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, evaluate
-from .rootsys import RootSystem, Weight, gamma_sequence
+from .rootsys import RootSystem, Weight, check_weight, gamma_sequence
 from .weyl import dominant_representative, orbit, weyl_group
 
 import math
@@ -85,19 +86,15 @@ class VerificationReport:
         }
 
 
-def _require_dominant(rs: RootSystem, weight) -> Weight:
-    lam = tuple(weight)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight {lam} has length {len(lam)}, expected {rs.rank}")
-    if any(x < 0 for x in lam):
-        raise ValueError(f"weight {lam} is not dominant")
-    return lam
-
-
 def _check_sigma(rs: RootSystem, sigma) -> tuple[float, ...]:
     if len(sigma) != rs.rank:
         raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
     return tuple(float(x) for x in sigma)
+
+
+def _dominates(rs: RootSystem, hi, lo) -> bool:
+    gap = rs.root_coords_of_weight(tuple(h - l for h, l in zip(hi, lo)))
+    return gap is not None and all(g >= 0 for g in gap)
 
 
 def polytope_member(rs: RootSystem, lam, mu) -> bool:
@@ -107,17 +104,13 @@ def polytope_member(rs: RootSystem, lam, mu) -> bool:
     dominant representative lies under lam in dominance order.  Both checks
     are integer arithmetic; no geometry is built.
     """
-    lam = _require_dominant(rs, lam)
-    mu = tuple(mu)
-    if len(mu) != rs.rank:
-        raise ValueError(f"weight {mu} has length {len(mu)}, expected {rs.rank}")
+    lam = check_weight(rs, lam, dominant=True)
+    mu = check_weight(rs, mu)
     diff = tuple(m - l for m, l in zip(mu, lam))
     if rs.root_coords_of_weight(diff) is None:
         return False
     dom, _ = dominant_representative(rs, mu)
-    gap = rs.root_coords_of_weight(tuple(l - d for l, d in zip(lam, dom)))
-    assert gap is not None
-    return all(g >= 0 for g in gap)
+    return _dominates(rs, lam, dom)
 
 
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
@@ -128,7 +121,7 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     per-label bounding box of the vertex orbit must hold at most the
     candidate cap, or PolytopeSizeError is raised.  All coefficients are 1.
     """
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     if rs.rank > 3:
         raise ValueError("polytope enumeration is desk-scale: rank <= 3")
     verts = orbit(rs, lam)
@@ -148,80 +141,63 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     return PolytopeSum(FormalSum(r, terms), frozenset(verts))
 
 
-def _edge_bracket(rs: RootSystem, segment, s: FormalSum, shifts=None) -> FormalSum:
-    """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
-    to ``s`` for a segment (b_1, ..., b_m) of roots, rightmost factors first.
+# Operator formulas by (family, rank): the report name, the lengths of the
+# segments that cut gamma_sequence into brackets (the first bracket acts
+# first), and the factors: gamma index k -> gamma index f, meaning the term
+# of gamma_{k+1} is multiplied by (1 + e^{gamma_{f+1}}).
+#
+# On G2 the long root gamma_3 = 2a1+3a2 steps by 2 in Q / Z alpha_2 while
+# every other bracketed root steps by 1, so the final alpha_2 sweep would miss
+# every other line along that edge.  Its term is multiplied by
+# (1 + e^{gamma_2}), which tops each skipped line with one lattice point
+# (docs/g2.md).
+_FORMULAS = {
+    ("A", 1): ("demazure_a1", (1,), {}),
+    ("A", 2): ("demazure_rank2", (2, 1), {}),
+    ("B", 2): ("demazure_rank2", (3, 1), {}),
+    ("G", 2): ("demazure_rank2", (5, 1), {2: 1}),
+    ("A", 3): ("demazure_a3", (3, 2, 1), {}),
+}
 
-    ``shifts`` maps a 0-based position k to a weight mu: the term of b_{k+1}
-    is then multiplied by (1 + e^mu)."""
+
+def _formula(rs: RootSystem) -> tuple:
+    try:
+        return _FORMULAS[(rs.id.family, rs.rank)]
+    except KeyError:
+        raise ValueError(f"no operator polytope-sum formula for {rs.name}") from None
+
+
+def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
+                  factors: dict) -> FormalSum:
+    """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
+    to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
+    factors first; ``factors`` is the table entry's (1 + e^mu) data."""
     total = s
     staged = s
-    for pos, root in enumerate(segment):
+    for k in range(start, stop):
+        root = gammas[k]
         term = apply_d_root(rs, root, staged)
-        if shifts and pos in shifts:
-            term = term.add(term.mul_exp(shifts[pos]))
+        if k in factors:
+            term = term.add(term.mul_exp(gammas[factors[k]].weight_coords))
         total = total.add(term)
-        if pos + 1 < len(segment):
+        if k + 1 < stop:
             staged = apply_r_root(rs, root, staged)
     return total
 
 
-def polytope_sum_rank2(rs: RootSystem, lam) -> FormalSum:
-    """Weight-polytope lattice sum of a rank-2 algebra assembled from
-    root-indexed Demazure operators along the angular order of the positive
-    roots: the bracket over the first p-1 roots, then [d(gamma_p) + 1].
-
-    On G2 the long root gamma_3 = 2a1+3a2 steps by 2 in Q / Z alpha_2 while
-    every other bracketed root steps by 1, so the final alpha_2 sweep would
-    miss every other line along that edge.  Its term is multiplied by
-    (1 + e^{gamma_2}), which tops each skipped line with one lattice point
-    (docs/g2.md)."""
-    if (rs.id.family, rs.rank) not in (("A", 2), ("B", 2), ("G", 2)):
-        raise ValueError(f"the rank-2 polytope formula needs A2, B2 or G2; got {rs.name}")
-    lam = _require_dominant(rs, lam)
-    gammas = gamma_sequence(rs).roots
-    shifts = {2: gammas[1].weight_coords} if rs.id.family == "G" else None
-    inner_part = _edge_bracket(rs, gammas[:-1], FormalSum.exp(lam), shifts)
-    return _edge_bracket(rs, gammas[-1:], inner_part)
-
-
-def polytope_sum_a3(rs: RootSystem, lam) -> FormalSum:
-    """Weight-polytope lattice sum of A3 as a product of three edge-walk
-    brackets, one per segment of the angular root order, rightmost bracket
-    acting first."""
-    if (rs.id.family, rs.rank) != ("A", 3):
-        raise ValueError(f"the A3 polytope formula needs A3; got {rs.name}")
-    lam = _require_dominant(rs, lam)
-    g = gamma_sequence(rs).roots
-    out = FormalSum.exp(lam)
-    for segment in (g[0:3], g[3:5], g[5:6]):
-        out = _edge_bracket(rs, segment, out)
-    return out
-
-
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
-    """Operator-formula route to the polytope sum, dispatched by algebra
-    (A1, A2, B2, G2 or A3)."""
-    key = (rs.id.family, rs.rank)
-    if key == ("A", 1):
-        lam = _require_dominant(rs, lam)
-        return _edge_bracket(rs, gamma_sequence(rs).roots, FormalSum.exp(lam))
-    if key in (("A", 2), ("B", 2), ("G", 2)):
-        return polytope_sum_rank2(rs, lam)
-    if key == ("A", 3):
-        return polytope_sum_a3(rs, lam)
-    raise ValueError(f"no operator polytope-sum formula for {rs.name}")
-
-
-def _formula_name(rs: RootSystem) -> str:
-    key = (rs.id.family, rs.rank)
-    if key == ("A", 1):
-        return "demazure_a1"
-    if key in (("A", 2), ("B", 2), ("G", 2)):
-        return "demazure_rank2"
-    if key == ("A", 3):
-        return "demazure_a3"
-    raise ValueError(f"no operator polytope-sum formula for {rs.name}")
+    """Operator-formula route to the polytope sum (A1, A2, B2, G2 or A3): one
+    edge-walk bracket per segment of the angular root order, applied to
+    e^lam in turn."""
+    _name, segments, factors = _formula(rs)
+    lam = check_weight(rs, lam, dominant=True)
+    gammas = gamma_sequence(rs)
+    out = FormalSum.exp(lam)
+    start = 0
+    for length in segments:
+        out = _edge_bracket(rs, gammas, start, start + length, out, factors)
+        start += length
+    return out
 
 
 def brion_eval(rs: RootSystem, lam, sigma) -> float:
@@ -231,7 +207,7 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
 
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     sig = _check_sigma(rs, sigma)
     table = weyl_group(rs)
     simples = [root.weight_coords for root in rs.simple_roots]
@@ -260,7 +236,7 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     sum over the shifted Weyl action divided by the denominator product and
     as the manifestly invariant sum of vertex-cone terms over all positive
     roots.  The two must agree to 1e-9 relative; the first is returned."""
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     sig = _check_sigma(rs, sigma)
     table = weyl_group(rs)
     pos = [root.weight_coords for root in rs.positive_roots]
@@ -304,7 +280,7 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     (Stembridge, The partial order of dominant weights, 1998).  A weight's
     depth is the height of lam - mu.
     """
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
     depth = {lam: 0}
     frontier = [lam]
@@ -329,7 +305,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     right-hand side is already known; each value must come out a positive
     integer, which is asserted.
     """
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
@@ -374,7 +350,7 @@ def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible module: the product over positive roots
     of (lam + rho, alpha) / (rho, alpha), exactly."""
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
     value = Fraction(1)
@@ -386,11 +362,6 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return int(value)
 
 
-def _dominates(rs: RootSystem, hi, lo) -> bool:
-    gap = rs.root_coords_of_weight(tuple(h - l for h, l in zip(hi, lo)))
-    return gap is not None and all(g >= 0 for g in gap)
-
-
 def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
     """Integer coefficients expanding the irreducible character as a
     combination of polytope lattice sums over dominant weights below lam.
@@ -398,7 +369,7 @@ def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
     Every dominant weight under a dominant weight lies inside its polytope,
     so peeling from lam downward determines each coefficient: the weight's
     multiplicity minus the coefficients already fixed above it."""
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     mult = dominant_weight_multiplicities(rs, lam)
     coeffs: dict = {}
     for mu in dominant_weights_below(rs, lam):
@@ -433,7 +404,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     the operator formula against the enumerator exactly."""
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
-    name = _formula_name(rs)
+    name = _formula(rs)[0]
     reports = []
     for labels in product(range(max_label + 1), repeat=rs.rank):
         t0 = time.perf_counter()
@@ -461,7 +432,7 @@ def numeric_formula_check(
     """Max relative errors, over seeded generic points, of the vertex-cone
     expression against the enumerated polytope sum and of the Weyl character
     value against the Demazure character."""
-    lam = _require_dominant(rs, lam)
+    lam = check_weight(rs, lam, dominant=True)
     if sigma_count < 1:
         raise ValueError(f"sigma_count must be at least 1, got {sigma_count}")
     lattice_sum = polytope_sum_oracle(rs, lam).sum

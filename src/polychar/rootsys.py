@@ -17,6 +17,7 @@ Fixed conventions, asserted throughout the test suite:
   (``<alpha_1, alpha_2^vee> = -3``).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,19 +72,6 @@ class Root:
     @property
     def height(self) -> int:
         return sum(self.root_coords)
-
-
-@dataclass(frozen=True)
-class GammaSequence:
-    """Positive roots in the angular order walked by the polytope formulas."""
-
-    roots: tuple[Root, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-    def __iter__(self):
-        return iter(self.roots)
 
 
 @dataclass(frozen=True)
@@ -156,8 +144,26 @@ class RootSystem:
         return tuple(tuple(float(x) for x in row) for row in self.quadratic_form)
 
     @cached_property
-    def _coroot_cache(self) -> dict:
-        return {}
+    def _coroots(self) -> dict:
+        """Simple-root coordinates -> coroot labels, for every positive root.
+
+        For beta = sum c_i alpha_i the j-th label is c_j |alpha_j|^2 / |beta|^2,
+        and |beta|^2 = sum c_i (|alpha_i|^2 / 2) <beta, alpha_i^vee>; squared
+        lengths are scaled to integers, since only their ratios matter."""
+        scale = math.lcm(*(n.denominator for n in self.root_lengths_sq))
+        lengths = [int(n * scale) for n in self.root_lengths_sq]
+        out = {}
+        for root in self.positive_roots:
+            coords = root.root_coords
+            twice_norm = sum(c * n * w for c, n, w in zip(coords, lengths, root.weight_coords))
+            labels = []
+            for c, n in zip(coords, lengths):
+                label, rem = divmod(2 * c * n, twice_norm)
+                if rem:
+                    raise AssertionError("coroot pairing must be integral")
+                labels.append(label)
+            out[coords] = tuple(labels)
+        return out
 
     def root(self, root_coords) -> Root:
         """The positive root with the given simple-root coordinates."""
@@ -179,11 +185,6 @@ class RootSystem:
             if stored is not None and stored.weight_coords == tuple(wc):
                 return True
         return False
-
-    def weight_of_root_coords(self, coords) -> Weight:
-        A = self.cartan
-        r = self.rank
-        return tuple(sum(A[i][j] * coords[j] for j in range(r)) for i in range(r))
 
     def root_coords_of_weight(self, weight):
         """Simple-root coordinates of a weight-lattice vector, or None when the
@@ -233,26 +234,10 @@ class RootSystem:
 
     def coroot_labels(self, root: Root) -> tuple[int, ...]:
         """Pairings <Lambda^j, root^vee> for j = 1..rank; requires a positive root."""
-        cached = self._coroot_cache.get(root.root_coords)
-        if cached is not None:
-            stored = self._root_by_coords[root.root_coords]
-            if stored != root:
-                raise ValueError(f"inconsistent root data for {root}")
-            return cached
         stored = self.root(root.root_coords)
-        if stored != root:
+        if stored is not root and stored != root:
             raise ValueError(f"inconsistent root data for {root}")
-        den = self.inner(root.weight_coords, root.weight_coords)
-        labels = []
-        for j in range(self.rank):
-            unit = tuple(int(k == j) for k in range(self.rank))
-            val = 2 * self.inner(unit, root.weight_coords) / den
-            if val.denominator != 1:
-                raise AssertionError("coroot pairing must be integral")
-            labels.append(int(val))
-        out = tuple(labels)
-        self._coroot_cache[root.root_coords] = out
-        return out
+        return self._coroots[root.root_coords]
 
 
 def _invert(matrix):
@@ -384,11 +369,21 @@ def build_root_system(algebra) -> RootSystem:
     )
 
 
+def check_weight(rs: RootSystem, weight, dominant: bool = False) -> Weight:
+    """The weight as a tuple of rs.rank labels; with ``dominant``, every
+    label must also be nonnegative.  Raises ValueError otherwise."""
+    lam = tuple(weight)
+    if len(lam) != rs.rank:
+        raise ValueError(f"weight {lam} has length {len(lam)}, expected {rs.rank}")
+    if dominant and any(x < 0 for x in lam):
+        raise ValueError(f"weight {lam} is not dominant")
+    return lam
+
+
 def pairing(rs: RootSystem, weight, root: Root) -> int:
     """Integer coroot pairing of a weight against a root: twice their inner
     product divided by the root's squared length."""
-    if len(weight) != rs.rank:
-        raise ValueError(f"weight {tuple(weight)} has wrong length for {rs.name}")
+    weight = check_weight(rs, weight)
     if not rs.is_root(root):
         raise ValueError(f"{root} is not a root of {rs.name}")
     num = rs.inner(weight, root.weight_coords)
@@ -409,7 +404,7 @@ _GAMMA_COORDS = {
 }
 
 
-def gamma_sequence(rs: RootSystem) -> GammaSequence:
+def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
     """The ordered walk of all positive roots used by the polytope-sum
     operator formulas; defined for A1, A2, B2, G2 and A3."""
     coords = _GAMMA_COORDS.get((rs.id.family, rs.rank))
@@ -420,4 +415,4 @@ def gamma_sequence(rs: RootSystem) -> GammaSequence:
     roots = tuple(rs.root(c) for c in coords)
     if len(roots) != len(rs.positive_roots):
         raise AssertionError("gamma sequence must enumerate all positive roots")
-    return GammaSequence(roots)
+    return roots

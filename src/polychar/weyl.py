@@ -4,33 +4,23 @@ representatives, and fully enumerated group tables for rank <= 3."""
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootsys import Root, RootSystem, Weight, gamma_sequence, pairing
+from .rootsys import Root, RootSystem, Weight, check_weight, gamma_sequence, pairing
 
 _ENUM_RANK_CAP = 3
 
 
-def _check_weight(rs: RootSystem, weight) -> Weight:
-    lam = tuple(weight)
-    if len(lam) != rs.rank:
-        raise ValueError(f"weight {lam} has length {len(lam)}, expected {rs.rank}")
-    return lam
+def reflect_at_root(rs: RootSystem, root: Root, weight) -> Weight:
+    """Reflect a weight in the hyperplane orthogonal to an arbitrary root."""
+    lam = check_weight(rs, weight)
+    n = pairing(rs, lam, root)
+    return tuple(x - n * a for x, a in zip(lam, root.weight_coords))
 
 
 def reflect_simple(rs: RootSystem, i: int, weight) -> Weight:
     """Reflect a weight in the hyperplane of the i-th simple root (1-based)."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-    lam = _check_weight(rs, weight)
-    n = lam[i - 1]
-    alpha = rs.simple_roots[i - 1].weight_coords
-    return tuple(x - n * a for x, a in zip(lam, alpha))
-
-
-def reflect_at_root(rs: RootSystem, root: Root, weight) -> Weight:
-    """Reflect a weight in the hyperplane orthogonal to an arbitrary root."""
-    lam = _check_weight(rs, weight)
-    n = pairing(rs, lam, root)
-    return tuple(x - n * a for x, a in zip(lam, root.weight_coords))
+    return reflect_at_root(rs, rs.simple_roots[i - 1], weight)
 
 
 def dominant_representative(rs: RootSystem, weight):
@@ -40,7 +30,7 @@ def dominant_representative(rs: RootSystem, weight):
     Ties are broken by always reflecting at the smallest negative index, so
     the returned word is deterministic.
     """
-    lam = _check_weight(rs, weight)
+    lam = check_weight(rs, weight)
     applied = []
     while True:
         neg = next((k for k, x in enumerate(lam) if x < 0), None)
@@ -54,7 +44,7 @@ def dominant_representative(rs: RootSystem, weight):
 
 def orbit(rs: RootSystem, weight) -> frozenset:
     """The full Weyl orbit of a weight, by closure under simple reflections."""
-    lam = _check_weight(rs, weight)
+    lam = check_weight(rs, weight)
     cols = [root.weight_coords for root in rs.simple_roots]
     seen = {lam}
     frontier = [lam]
@@ -114,10 +104,6 @@ def _matmul(a, b):
     )
 
 
-def _matvec(m, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> WeylGroupTable:
     """Enumerate the whole Weyl group by BFS over simple reflections.
@@ -151,7 +137,7 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
             el = elements[idx]
             for i in range(r):
                 mat = _matmul(refl[i], el.matrix)
-                fp = _matvec(mat, rho)
+                fp = tuple(sum(row) for row in mat)  # the image of rho = (1, ..., 1)
                 if fp in index:
                     continue
                 index[fp] = len(elements)
@@ -174,10 +160,10 @@ def longest_element_via_gammas(rs: RootSystem):
     For the algebras carrying a gamma sequence this composite equals the
     longest Weyl group element.
     """
-    roots = gamma_sequence(rs).roots
+    roots = gamma_sequence(rs)
 
     def act(weight) -> Weight:
-        lam = _check_weight(rs, weight)
+        lam = check_weight(rs, weight)
         for root in roots:
             lam = reflect_at_root(rs, root, lam)
         return lam

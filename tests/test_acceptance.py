@@ -33,9 +33,8 @@ from polychar import (
     longest_element_via_gammas,
     numeric_formula_check,
     polytope_expansion,
-    polytope_sum_a3,
     polytope_sum_oracle,
-    polytope_sum_rank2,
+    polytope_sum_demazure,
     weyl_dimension,
     weyl_group,
 )
@@ -64,7 +63,7 @@ def _rank2_sweep():
         for labels in product(range(5), repeat=2):
             table[(name, labels)] = (
                 polytope_sum_oracle(rs, labels),
-                polytope_sum_rank2(rs, labels),
+                polytope_sum_demazure(rs, labels),
             )
     return table, time.perf_counter() - t0
 
@@ -74,7 +73,7 @@ def _a3_sweep():
     t0 = time.perf_counter()
     rs = _rs("A3")
     table = {
-        labels: (polytope_sum_oracle(rs, labels), polytope_sum_a3(rs, labels))
+        labels: (polytope_sum_oracle(rs, labels), polytope_sum_demazure(rs, labels))
         for labels in product(range(4), repeat=3)
     }
     return table, time.perf_counter() - t0

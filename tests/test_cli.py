@@ -20,7 +20,7 @@ def _uncorrected_g2_sweep(rs, lam):
     """The G2 sweep without the (1 + e^{gamma_2}) factor on its long-root
     term.  It misses 3a^2 + 2ab points of lam = (a, b), so it drives the
     mismatch path of the commands that compare against the enumerator."""
-    gammas = gamma_sequence(rs).roots
+    gammas = gamma_sequence(rs)
     total = staged = FormalSum.exp(tuple(lam))
     for root in gammas[:-1]:
         total = total + apply_d_root(rs, root, staged)
@@ -159,7 +159,9 @@ def test_deterministic_output(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["char", "A2", "1"], ["char", "E6", "1", "1"], ["bsum", "A2", "1", "1", "1"],
-     ["vertices", "A2", "-1", "0"]],
+     ["vertices", "A2", "-1", "0"], ["expand", "A2", "1"], ["bsum", "A2", "-1", "0"],
+     ["vertices", "A2", "1"], ["eval", "--algebra", "A2", "--lam", "1"],
+     ["verify", "--algebra", "B3"]],
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert run(argv) == 2

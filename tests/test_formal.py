@@ -79,6 +79,18 @@ def test_json_roundtrip(s):
     assert back == s
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"w": [1, 0], "c": 1.7}, {"w": [1, 0], "c": True}, {"w": [1, 0], "c": "3"},
+     {"w": [0.5, 0], "c": 1}, {"w": [True, 0], "c": 1}, {"w": ["1", 0], "c": 1}],
+)
+def test_from_json_rejects_non_integers(entry):
+    with pytest.raises(TypeError):
+        FormalSum.from_json_obj([entry], rank=2)
+    with pytest.raises(TypeError):
+        FormalSum.from_json_obj([entry])
+
+
 def test_json_is_lex_sorted():
     s = FormalSum(2, {(1, -1): 1, (0, 2): 1, (1, 0): 1})
     ws = [tuple(e["w"]) for e in s.to_json_obj()]

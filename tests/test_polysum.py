@@ -35,10 +35,8 @@ from polychar import (
     orbit,
     polytope_expansion,
     polytope_member,
-    polytope_sum_a3,
     polytope_sum_demazure,
     polytope_sum_oracle,
-    polytope_sum_rank2,
     sample_generic_sigmas,
     verify_polytope_formula,
     weyl_character_eval,
@@ -142,14 +140,14 @@ def test_rank2_formula_a2_b2_full_grid(a2, b2):
     for rs in (a2, b2):
         for a in range(5):
             for b in range(5):
-                assert polytope_sum_rank2(rs, (a, b)) == polytope_sum_oracle(rs, (a, b)).sum
+                assert polytope_sum_demazure(rs, (a, b)) == polytope_sum_oracle(rs, (a, b)).sum
 
 
 def test_rank2_formula_g2_splits_by_first_label(g2):
     # the long-root term d(gamma_3) r(gamma_2) r(gamma_1) e^lam walks an edge
     # of length a: it is empty when a = 0, and for a >= 1 its (1 + e^{gamma_2})
     # factor fills the alpha_2-lines that the edge's double step skips
-    gammas = gamma_sequence(g2).roots
+    gammas = gamma_sequence(g2)
 
     def long_root_term(lam):
         staged = apply_r_root(g2, gammas[1], apply_r_root(g2, gammas[0], FormalSum.exp(lam)))
@@ -157,16 +155,16 @@ def test_rank2_formula_g2_splits_by_first_label(g2):
 
     for b in range(5):
         assert long_root_term((0, b)).is_zero()
-        assert polytope_sum_rank2(g2, (0, b)) == polytope_sum_oracle(g2, (0, b)).sum
+        assert polytope_sum_demazure(g2, (0, b)) == polytope_sum_oracle(g2, (0, b)).sum
     for a in range(1, 5):
         for b in range(5):
             assert not long_root_term((a, b)).is_zero()
-            assert polytope_sum_rank2(g2, (a, b)) == polytope_sum_oracle(g2, (a, b)).sum
+            assert polytope_sum_demazure(g2, (a, b)) == polytope_sum_oracle(g2, (a, b)).sum
     # the points the sweep without the factor used to miss are now present
-    formula = polytope_sum_rank2(g2, (1, 0))
+    formula = polytope_sum_demazure(g2, (1, 0))
     for w in ((-1, 2), (0, 0), (1, -2)):
         assert formula.coefficient(w) == 1
-    formula = polytope_sum_rank2(g2, (1, 1))
+    formula = polytope_sum_demazure(g2, (1, 1))
     for w in ((-2, 4), (-1, 2), (0, 0), (1, -2), (2, -4)):
         assert formula.coefficient(w) == 1
 
@@ -176,26 +174,22 @@ def test_rank2_formula_g2_weyl_invariant(g2):
     # this grid reaches past the [0..4]^2 acceptance grid
     for a in range(9):
         for b in range(9):
-            formula = polytope_sum_rank2(g2, (a, b))
+            formula = polytope_sum_demazure(g2, (a, b))
             for i in (1, 2):
                 assert apply_r_simple(g2, i, formula) == formula, ((a, b), i)
 
 
 def test_rank2_formula_g2_beyond_acceptance_grid(g2):
     for lam in ((8, 8), (7, 2), (3, 8), (5, 0)):
-        assert polytope_sum_rank2(g2, lam) == polytope_sum_oracle(g2, lam).sum
+        assert polytope_sum_demazure(g2, lam) == polytope_sum_oracle(g2, lam).sum
 
 
 def test_a3_formula_spot_checks(a3):
     for lam in ((1, 1, 1), (1, 2, 3), (2, 0, 2), (0, 3, 1)):
-        assert polytope_sum_a3(a3, lam) == polytope_sum_oracle(a3, lam).sum
+        assert polytope_sum_demazure(a3, lam) == polytope_sum_oracle(a3, lam).sum
 
 
-def test_formula_wrong_algebra(a2, a3):
-    with pytest.raises(ValueError):
-        polytope_sum_rank2(a3, (1, 0, 0))
-    with pytest.raises(ValueError):
-        polytope_sum_a3(a2, (1, 0))
+def test_formula_wrong_algebra():
     with pytest.raises(ValueError):
         polytope_sum_demazure(build_root_system("B3"), (1, 0, 0))
 
@@ -294,16 +288,24 @@ def test_expansion_reconstructs(b2, g2):
         assert total == character_freudenthal(rs, lam)
 
 
-def test_verification_reports(b2):
-    reports = verify_polytope_formula(b2, 2)
-    assert len(reports) == 9
+@pytest.mark.parametrize(
+    "name,max_label,formula",
+    [("A1", 4, "demazure_a1"), ("A2", 2, "demazure_rank2"), ("B2", 2, "demazure_rank2"),
+     ("G2", 2, "demazure_rank2"), ("A3", 1, "demazure_a3")],
+    ids=["A1", "A2", "B2", "G2", "A3"],
+)
+def test_verification_reports(name, max_label, formula):
+    rs = build_root_system(name)
+    reports = verify_polytope_formula(rs, max_label)
+    assert len(reports) == (max_label + 1) ** rs.rank
     assert all(r.match for r in reports)
-    blob = reports[0].to_json_obj()
-    assert set(blob) == {
-        "formula", "algebra", "lambda", "match", "diff", "n_points",
-    }
-    assert blob["formula"] == "demazure_rank2"
-    assert blob["algebra"] == "B2"
+    for report in reports:
+        blob = report.to_json_obj()
+        assert set(blob) == {
+            "formula", "algebra", "lambda", "match", "diff", "n_points",
+        }
+        assert blob["formula"] == formula
+        assert blob["algebra"] == name
 
 
 def test_sampler_deterministic(g2):

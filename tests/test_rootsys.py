@@ -5,6 +5,14 @@ from fractions import Fraction
 import pytest
 
 from polychar import AlgebraId, Root, build_root_system, gamma_sequence, pairing
+from polychar.rootsys import check_weight
+
+_SUPPORTED = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{family}{r}" for family in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(3, 9)]
+    + ["G2"]
+)
 
 
 def test_parse_roundtrip():
@@ -130,6 +138,33 @@ def test_root_coords_of_weight(a2, b2):
     # B2 root lattice has index 2: Lambda2 is not in it, Lambda1 is
     assert b2.root_coords_of_weight((0, 1)) is None
     assert b2.root_coords_of_weight((1, 0)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", _SUPPORTED)
+def test_coroot_labels(name):
+    rs = build_root_system(name)
+    units = [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
+    for root, unit in zip(rs.simple_roots, units):
+        assert rs.coroot_labels(root) == unit
+    # independent route: the Fraction pairing against each fundamental weight
+    for root in rs.positive_roots:
+        assert rs.coroot_labels(root) == tuple(pairing(rs, lam, root) for lam in units)
+    top = rs.positive_roots[-1]
+    shifted = tuple(x + 1 for x in top.weight_coords)
+    with pytest.raises(ValueError):
+        rs.coroot_labels(Root(weight_coords=shifted, root_coords=top.root_coords))
+    negative = tuple(-c for c in top.root_coords)
+    with pytest.raises(ValueError):
+        rs.coroot_labels(Root(weight_coords=top.weight_coords, root_coords=negative))
+
+
+def test_check_weight(a2):
+    assert check_weight(a2, [1, -2]) == (1, -2)
+    assert check_weight(a2, (0, 3), dominant=True) == (0, 3)
+    with pytest.raises(ValueError, match=r"has length 1, expected 2"):
+        check_weight(a2, (1,))
+    with pytest.raises(ValueError, match=r"is not dominant"):
+        check_weight(a2, (1, -2), dominant=True)
 
 
 def test_gamma_sequences(a1, a2, b2, g2, a3):
