@@ -16,14 +16,12 @@ from .demazure import (
     character_demazure,
     character_demazure_sum,
 )
-from .formal import EvalPoint, FormalSum, evaluate
+from .formal import FormalSum, evaluate
 from .polysum import (
     DEFAULT_SEED,
     GenericityError,
-    PolytopeExpansion,
     PolytopeSizeError,
     PolytopeSum,
-    VerificationReport,
     brion_eval,
     character_freudenthal,
     dominant_weight_multiplicities,
@@ -42,14 +40,12 @@ from .rootsys import (
     AlgebraId,
     Root,
     RootSystem,
-    Weight,
     build_root_system,
     gamma_sequence,
     pairing,
 )
 from .weyl import (
     WeylElement,
-    WeylGroupTable,
     dominant_representative,
     longest_element_via_gammas,
     orbit,
@@ -63,18 +59,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraId",
     "DEFAULT_SEED",
-    "EvalPoint",
     "FormalSum",
     "GenericityError",
-    "PolytopeExpansion",
     "PolytopeSizeError",
     "PolytopeSum",
     "Root",
     "RootSystem",
-    "VerificationReport",
-    "Weight",
     "WeylElement",
-    "WeylGroupTable",
     "apply_D_root",
     "apply_D_simple",
     "apply_d_root",

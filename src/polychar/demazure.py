@@ -113,8 +113,7 @@ def apply_word(rs: RootSystem, word, s: FormalSum, flavor: str = "D") -> FormalS
         raise ValueError(f"unknown operator flavor {flavor!r} (use 'D' or 'd')")
     _check_sum(rs, s)
     for i in reversed(tuple(word)):
-        op_s = op(rs, i, s)
-        s = op_s
+        s = op(rs, i, s)
     return s
 
 

@@ -2,16 +2,14 @@
 
 A FormalSum is an element of the group ring Z[P]: a dict from exponent
 tuples to nonzero integer coefficients.  All algebra here is exact; the only
-numeric door is `evaluate`, which substitutes a real point for the exponent
-pairing.
+numeric door is `evaluate`, which substitutes a real point, checked by
+`check_point`, for the exponent pairing.
 """
 
 import math
 from types import MappingProxyType
 
-from .rootsys import RootSystem, Weight
-
-EvalPoint = tuple[float, ...]
+from .rootsys import RootSystem
 
 
 class FormalSum:
@@ -158,6 +156,13 @@ class FormalSum:
         return cls(rank, entries)
 
 
+def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
+    """An evaluation point of ``rs`` as floats, after checking its length."""
+    if len(sigma) != rs.rank:
+        raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
+    return tuple(float(x) for x in sigma)
+
+
 def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
     """Numeric value of ``s`` at ``sigma``: sum of coeff * exp(<w, sigma>).
 
@@ -167,9 +172,7 @@ def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
     """
     if s.rank != rs.rank:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
-    if len(sigma) != rs.rank:
-        raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
-    sig = tuple(float(x) for x in sigma)
+    sig = check_point(rs, sigma)
     total = 0.0
     for w, c in s.items_sorted():
         total += c * math.exp(rs.inner_float(w, sig))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, evaluate
+from .formal import FormalSum, check_point, evaluate
 from .rootsys import RootSystem, Weight, check_weight, gamma_sequence
 from .weyl import dominant_representative, orbit, weyl_group
 
@@ -84,12 +84,6 @@ class VerificationReport:
             "diff": self.diff.to_json_obj(),
             "n_points": self.n_points,
         }
-
-
-def _check_sigma(rs: RootSystem, sigma) -> tuple[float, ...]:
-    if len(sigma) != rs.rank:
-        raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
-    return tuple(float(x) for x in sigma)
 
 
 def _dominates(rs: RootSystem, hi, lo) -> bool:
@@ -200,6 +194,38 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
     return out
 
 
+# Every root is a Weyl image of a simple root, so the pairings <w alpha, sigma>
+# over W x simple roots, and over W x positive roots, take exactly the values
+# +-<beta, sigma> over the positive roots beta, in floats too: el.apply(alpha)
+# is the integer tuple +-beta and inner_float is sign-symmetric.  One scan of
+# the positive roots therefore sees every vertex-cone denominator.
+def _near_pole(rs: RootSystem, sig, margin: float) -> bool:
+    return any(
+        abs(rs.inner_float(root.weight_coords, sig)) <= margin
+        for root in rs.positive_roots
+    )
+
+
+def _check_generic(rs: RootSystem, sig) -> None:
+    if _near_pole(rs, sig, _POLE_TOLERANCE):
+        raise GenericityError(
+            f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
+        )
+
+
+def _cone_sum(rs: RootSystem, elements, lam, sig, roots) -> float:
+    """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
+    product of (1 - e^{-<w alpha, sigma>}) over ``roots``."""
+    coords = [root.weight_coords for root in roots]
+    total = 0.0
+    for el in elements:
+        term = math.exp(rs.inner_float(el.apply(lam), sig))
+        for alpha in coords:
+            term /= 1.0 - math.exp(-rs.inner_float(el.apply(alpha), sig))
+        total += term
+    return total
+
+
 def brion_eval(rs: RootSystem, lam, sigma) -> float:
     """Numeric value at sigma of the vertex-cone rational expression for the
     polytope lattice sum: one exponential per Weyl image of lam, divided by
@@ -208,27 +234,10 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
     lam = check_weight(rs, lam, dominant=True)
-    sig = _check_sigma(rs, sigma)
-    table = weyl_group(rs)
-    simples = [root.weight_coords for root in rs.simple_roots]
-    staged = []
-    for el in table.elements:
-        pairs = []
-        for alpha in simples:
-            x = rs.inner_float(el.apply(alpha), sig)
-            if abs(x) <= _POLE_TOLERANCE:
-                raise GenericityError(
-                    f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
-                )
-            pairs.append(x)
-        staged.append((el, pairs))
-    total = 0.0
-    for el, pairs in staged:
-        term = math.exp(rs.inner_float(el.apply(lam), sig))
-        for x in pairs:
-            term /= 1.0 - math.exp(-x)
-        total += term
-    return total
+    sig = check_point(rs, sigma)
+    elements = weyl_group(rs).elements
+    _check_generic(rs, sig)
+    return _cone_sum(rs, elements, lam, sig, rs.simple_roots)
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
@@ -237,31 +246,19 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     as the manifestly invariant sum of vertex-cone terms over all positive
     roots.  The two must agree to 1e-9 relative; the first is returned."""
     lam = check_weight(rs, lam, dominant=True)
-    sig = _check_sigma(rs, sigma)
-    table = weyl_group(rs)
-    pos = [root.weight_coords for root in rs.positive_roots]
-    for alpha in pos:
-        for el in table.elements:
-            x = rs.inner_float(el.apply(alpha), sig)
-            if abs(x) <= _POLE_TOLERANCE:
-                raise GenericityError(
-                    f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
-                )
+    sig = check_point(rs, sigma)
+    elements = weyl_group(rs).elements
+    _check_generic(rs, sig)
     lam_rho = tuple(x + 1 for x in lam)
     num = 0.0
-    for el in table.elements:
+    for el in elements:
         shifted = tuple(x - 1 for x in el.apply(lam_rho))
         num += el.sign * math.exp(rs.inner_float(shifted, sig))
     den = 1.0
-    for alpha in pos:
-        den *= 1.0 - math.exp(-rs.inner_float(alpha, sig))
+    for root in rs.positive_roots:
+        den *= 1.0 - math.exp(-rs.inner_float(root.weight_coords, sig))
     alternating = num / den
-    invariant = 0.0
-    for el in table.elements:
-        term = math.exp(rs.inner_float(el.apply(lam), sig))
-        for alpha in pos:
-            term /= 1.0 - math.exp(-rs.inner_float(el.apply(alpha), sig))
-        invariant += term
+    invariant = _cone_sum(rs, elements, lam, sig, rs.positive_roots)
     scale = max(abs(alternating), abs(invariant), 1e-300)
     if abs(alternating - invariant) / scale > _CROSS_CHECK_TOL:
         raise ArithmeticError(
@@ -369,11 +366,9 @@ def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
     Every dominant weight under a dominant weight lies inside its polytope,
     so peeling from lam downward determines each coefficient: the weight's
     multiplicity minus the coefficients already fixed above it."""
-    lam = check_weight(rs, lam, dominant=True)
     mult = dominant_weight_multiplicities(rs, lam)
     coeffs: dict = {}
-    for mu in dominant_weights_below(rs, lam):
-        value = mult[mu]
+    for mu, value in mult.items():  # walk order: lam downward
         for nu, c in coeffs.items():
             if _dominates(rs, nu, mu):
                 value -= c
@@ -386,7 +381,6 @@ def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) 
     """Seeded evaluation points, uniform per coordinate in [0.1, 1.1],
     resampled until every root pairing clears the sampler margin."""
     rng = random.Random(seed)
-    pos = [root.weight_coords for root in rs.positive_roots]
     out = []
     attempts = 0
     while len(out) < count:
@@ -394,7 +388,7 @@ def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) 
         if attempts > 1000 * max(count, 1):
             raise GenericityError("could not sample generic evaluation points")
         sig = tuple(rng.uniform(0.1, 1.1) for _ in range(rs.rank))
-        if all(abs(rs.inner_float(alpha, sig)) > _SAMPLER_MARGIN for alpha in pos):
+        if not _near_pole(rs, sig, _SAMPLER_MARGIN):
             out.append(sig)
     return out
 

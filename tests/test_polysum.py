@@ -222,11 +222,23 @@ def test_brion_matches_oracle_numerically(a2):
         )
 
 
-def test_brion_pole_detection(a2):
-    # sigma orthogonal to alpha1 - alpha2's pairing difference: the image of
-    # alpha1 under one Weyl element pairs to zero with this sigma
-    with pytest.raises(GenericityError):
-        brion_eval(a2, (1, 1), (0.5, -0.5))
+_EVALUATORS = pytest.mark.parametrize(
+    "evaluator", [brion_eval, weyl_character_eval], ids=lambda f: f.__name__
+)
+
+
+@_EVALUATORS
+def test_brion_pole_detection(a2, evaluator):
+    # sigma is orthogonal to the non-simple root alpha1 + alpha2, which is the
+    # image of a simple root under a Weyl element; no simple root pairs to zero
+    with pytest.raises(GenericityError, match="pole hyperplane"):
+        evaluator(a2, (1, 1), (0.5, -0.5))
+
+
+@_EVALUATORS
+def test_evaluator_rejects_wrong_length_sigma(a2, evaluator):
+    with pytest.raises(ValueError, match="wrong length for A2"):
+        evaluator(a2, (1, 1), (0.5, 0.25, 0.125))
 
 
 def test_weyl_character_eval(a1, a2):

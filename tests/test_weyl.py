@@ -71,6 +71,22 @@ def test_group_orders():
         assert weyl_group(build_root_system(name)).order == order
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
+)
+def test_weyl_images_of_roots_are_all_roots(name):
+    # The numeric pole test scans only the positive roots; it sees every
+    # vertex-cone denominator because W x simple roots, and W x positive
+    # roots, both land exactly on the roots +-beta.
+    rs = build_root_system(name)
+    roots = {root.weight_coords for root in rs.positive_roots}
+    roots |= {tuple(-x for x in beta) for beta in roots}
+    elements = weyl_group(rs).elements
+    for source in (rs.simple_roots, rs.positive_roots):
+        images = {el.apply(root.weight_coords) for el in elements for root in source}
+        assert images == roots
+
+
 def test_longest_element(a2, b2, g2, a3):
     for rs, length in ((a2, 3), (b2, 4), (g2, 6), (a3, 6)):
         table = weyl_group(rs)
