@@ -41,14 +41,16 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(args, payload, table: str) -> None:
+def _emit(args, payload, render) -> None:
+    """Write the JSON payload; ``render()`` builds the ``--table`` text, so
+    it runs only when that text is printed."""
     text = _canon(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         if not args.table:
             return
-    print(table if args.table else text)
+    print(render() if args.table else text)
 
 
 def _sum_table(s: FormalSum) -> str:
@@ -62,7 +64,7 @@ def _sum_table(s: FormalSum) -> str:
 def _cmd_char(args) -> int:
     rs = build_root_system(args.algebra)
     s = character_demazure(rs, args.labels)
-    _emit(args, s.to_json_obj(), _sum_table(s))
+    _emit(args, s.to_json_obj(), lambda: _sum_table(s))
     return 0
 
 
@@ -70,11 +72,11 @@ def _cmd_bsum(args) -> int:
     rs = build_root_system(args.algebra)
     if args.method == "oracle":
         s = polytope_sum_oracle(rs, args.labels).sum
-        _emit(args, s.to_json_obj(), _sum_table(s))
+        _emit(args, s.to_json_obj(), lambda: _sum_table(s))
         return 0
     if args.method == "demazure":
         s = polytope_sum_demazure(rs, args.labels)
-        _emit(args, s.to_json_obj(), _sum_table(s))
+        _emit(args, s.to_json_obj(), lambda: _sum_table(s))
         return 0
     formula = polytope_sum_demazure(rs, args.labels)
     oracle = polytope_sum_oracle(rs, args.labels).sum
@@ -86,13 +88,16 @@ def _cmd_bsum(args) -> int:
         "diff": diff.to_json_obj(),
         "match": match,
     }
-    table = "\n".join(
-        [
-            f"match: {match}",
-            f"oracle points: {oracle.coefficient_sum()}",
-            f"demazure coefficient sum: {formula.coefficient_sum()}",
-        ]
-    )
+
+    def table() -> str:
+        return "\n".join(
+            [
+                f"match: {match}",
+                f"oracle points: {oracle.coefficient_sum()}",
+                f"demazure coefficient sum: {formula.coefficient_sum()}",
+            ]
+        )
+
     _emit(args, payload, table)
     return 0 if match else 1
 
@@ -101,15 +106,19 @@ def _cmd_verify(args) -> int:
     rs = build_root_system(args.algebra)
     reports = verify_polytope_formula(rs, args.max_label)
     payload = [r.to_json_obj() for r in reports]
-    lines = ["formula algebra lambda match n_points millis"]
-    for r in reports:
-        lines.append(
-            f"{r.formula} {r.algebra} {list(r.lam)} "
-            f"{'ok' if r.match else 'MISMATCH'} {r.n_points} {r.millis:.1f}"
-        )
     n_bad = sum(1 for r in reports if not r.match)
-    lines.append(f"{len(reports)} comparisons, {n_bad} mismatches")
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        lines = ["formula algebra lambda match n_points millis"]
+        for r in reports:
+            lines.append(
+                f"{r.formula} {r.algebra} {list(r.lam)} "
+                f"{'ok' if r.match else 'MISMATCH'} {r.n_points} {r.millis:.1f}"
+            )
+        lines.append(f"{len(reports)} comparisons, {n_bad} mismatches")
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return 0 if n_bad == 0 else 1
 
 
@@ -127,23 +136,31 @@ def _cmd_eval(args) -> int:
             numeric_formula_check(rs, lam, args.sigma_count, args.seed)
         )
     payload = results[0] if args.algebra is not None else results
-    lines = ["algebra lambda brion_err weyl_err pass"]
-    for r in results:
-        lines.append(
-            f"{r['algebra']} {r['lambda']} {r['brion_max_rel_err']:.3e} "
-            f"{r['weyl_max_rel_err']:.3e} {r['pass']}"
-        )
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        lines = ["algebra lambda brion_err weyl_err pass"]
+        for r in results:
+            lines.append(
+                f"{r['algebra']} {r['lambda']} {r['brion_max_rel_err']:.3e} "
+                f"{r['weyl_max_rel_err']:.3e} {r['pass']}"
+            )
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return 0 if all(r["pass"] for r in results) else 1
 
 
 def _cmd_expand(args) -> int:
     rs = build_root_system(args.algebra)
-    expansion = polytope_expansion(rs, args.labels)
-    lines = ["dominant weight -> coeff"]
-    for entry in expansion.to_json_obj():
-        lines.append(f"{entry['w']} -> {entry['c']}")
-    _emit(args, expansion.to_json_obj(), "\n".join(lines))
+    payload = polytope_expansion(rs, args.labels).to_json_obj()
+
+    def table() -> str:
+        lines = ["dominant weight -> coeff"]
+        for entry in payload:
+            lines.append(f"{entry['w']} -> {entry['c']}")
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return 0
 
 
@@ -151,9 +168,13 @@ def _cmd_vertices(args) -> int:
     rs = build_root_system(args.algebra)
     verts = sorted(orbit(rs, check_weight(rs, args.labels, dominant=True)))
     payload = [list(v) for v in verts]
-    lines = [str(list(v)) for v in verts]
-    lines.append(f"({len(verts)} vertices)")
-    _emit(args, payload, "\n".join(lines))
+
+    def table() -> str:
+        lines = [str(v) for v in payload]
+        lines.append(f"({len(verts)} vertices)")
+        return "\n".join(lines)
+
+    _emit(args, payload, table)
     return 0
 
 

@@ -300,19 +300,20 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
 
     Processing runs from lam downward so every multiplicity needed on the
     right-hand side is already known; each value must come out a positive
-    integer, which is asserted.
+    integer, which is asserted.  Inner products are ``inner_scaled``
+    integers: the form's scale cancels in 2 acc / denom.
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
-    top = rs.inner(lam_rho, lam_rho)
+    top = rs.inner_scaled(lam_rho, lam_rho)
     mult: dict = {}
     for mu in doms:
         if mu == lam:
             mult[mu] = 1
             continue
-        acc = Fraction(0)
+        acc = 0
         for root in rs.positive_roots:
             wc = root.weight_coords
             k = 1
@@ -322,14 +323,16 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
                 m_nu = mult.get(dom_nu)
                 if m_nu is None:
                     break
-                acc += m_nu * rs.inner(nu, wc)
+                acc += m_nu * rs.inner_scaled(nu, wc)
                 k += 1
         mu_rho = tuple(m + d for m, d in zip(mu, rho))
-        denom = top - rs.inner(mu_rho, mu_rho)
-        value = 2 * acc / denom
-        if value.denominator != 1 or value <= 0:
-            raise ArithmeticError(f"multiplicity recursion broke at {mu}: {value}")
-        mult[mu] = int(value)
+        denom = top - rs.inner_scaled(mu_rho, mu_rho)
+        value, rem = divmod(2 * acc, denom)
+        if rem or value <= 0:
+            raise ArithmeticError(
+                f"multiplicity recursion broke at {mu}: {Fraction(2 * acc, denom)}"
+            )
+        mult[mu] = value
     return mult
 
 
@@ -346,17 +349,23 @@ def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
     """Dimension of the irreducible module: the product over positive roots
-    of (lam + rho, alpha) / (rho, alpha), exactly."""
+    of (lam + rho, alpha) / (rho, alpha), exactly.  Numerator and
+    denominator are products of as many ``inner_scaled`` factors, so the
+    form's scale cancels."""
     lam = check_weight(rs, lam, dominant=True)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
-    value = Fraction(1)
+    num = den = 1
     for root in rs.positive_roots:
         wc = root.weight_coords
-        value *= rs.inner(lam_rho, wc) / rs.inner(rho, wc)
-    if value.denominator != 1 or value <= 0:
-        raise ArithmeticError(f"dimension product is not a positive integer: {value}")
-    return int(value)
+        num *= rs.inner_scaled(lam_rho, wc)
+        den *= rs.inner_scaled(rho, wc)
+    value, rem = divmod(num, den)
+    if rem or value <= 0:
+        raise ArithmeticError(
+            f"dimension product is not a positive integer: {Fraction(num, den)}"
+        )
+    return value
 
 
 def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:

@@ -3,9 +3,11 @@
 Weights are plain tuples of Dynkin labels (integer coordinates with respect
 to the fundamental weights).  Each root additionally carries its coordinates
 over the simple-root basis, so root-lattice membership, dominance gaps and
-reflection strings reduce to integer checks.  Lattice data stays in integer
-arithmetic and the quadratic form on weight space is exact
-(`fractions.Fraction`); no floating point originates in this module.
+reflection strings reduce to integer checks.  The quadratic form on weight
+space is exact: it is kept as an integer Gram matrix plus one scale (the lcm
+of its denominators), so every exact inner product is an integer loop, and
+``inner`` divides by the scale only at the end.  No floating point
+originates in this module.
 
 Fixed conventions, asserted throughout the test suite:
 
@@ -74,7 +76,11 @@ class Root:
         return sum(self.root_coords)
 
 
-@dataclass(frozen=True)
+# eq=False: a root system is a function of its AlgebraId, so it compares and
+# hashes by id alone.  The generated hash would walk every nested tuple of
+# Fractions and Roots on each call, and weyl_group's cache hashes its key on
+# every hit.
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Static data of one simple Lie algebra.
 
@@ -95,6 +101,14 @@ class RootSystem:
     quadratic_form: tuple[tuple[Fraction, ...], ...]
     root_lengths_sq: tuple[Fraction, ...]
     weyl_vector: Weight
+
+    def __eq__(self, other):
+        if not isinstance(other, RootSystem):
+            return NotImplemented
+        return self.id == other.id
+
+    def __hash__(self) -> int:
+        return hash(self.id)
 
     @property
     def rank(self) -> int:
@@ -140,8 +154,24 @@ class RootSystem:
         return tuple(rows)
 
     @cached_property
+    def _gram_scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(scale, scale * quadratic_form) with scale the lcm of the form's
+        denominators, so the scaled Gram matrix is integral."""
+        form = self.quadratic_form
+        scale = math.lcm(*(x.denominator for row in form for x in row))
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in form)
+
+    @property
+    def form_scale(self) -> int:
+        """The positive integer by which ``inner_scaled`` multiplies ``inner``."""
+        return self._gram_scaled[0]
+
+    @cached_property
     def _gram_float(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(x) for x in row) for row in self.quadratic_form)
+        # int / int rounds correctly, like float(Fraction), so these are the
+        # nearest floats to the exact entries
+        scale, gram = self._gram_scaled
+        return tuple(tuple(x / scale for x in row) for row in gram)
 
     @cached_property
     def _coroots(self) -> dict:
@@ -200,23 +230,27 @@ class RootSystem:
             out.append(v // det)
         return tuple(out)
 
-    def inner(self, mu, nu) -> Fraction:
-        """Exact inner product of two vectors given in Dynkin labels."""
+    def inner_scaled(self, mu, nu) -> int:
+        """``form_scale`` times the inner product of two vectors given in
+        Dynkin labels, an exact integer."""
         r = self.rank
         if len(mu) != r or len(nu) != r:
             raise ValueError("weight length mismatch")
-        G = self.quadratic_form
-        total = Fraction(0)
+        G = self._gram_scaled[1]
+        total = 0
         for i in range(r):
             mi = mu[i]
             if mi:
                 row = G[i]
-                acc = Fraction(0)
+                acc = 0
                 for j in range(r):
-                    if nu[j]:
-                        acc += row[j] * nu[j]
+                    acc += row[j] * nu[j]
                 total += mi * acc
         return total
+
+    def inner(self, mu, nu) -> Fraction:
+        """Exact inner product of two vectors given in Dynkin labels."""
+        return Fraction(self.inner_scaled(mu, nu), self.form_scale)
 
     def inner_float(self, mu, nu) -> float:
         r = self.rank
@@ -386,12 +420,11 @@ def pairing(rs: RootSystem, weight, root: Root) -> int:
     weight = check_weight(rs, weight)
     if not rs.is_root(root):
         raise ValueError(f"{root} is not a root of {rs.name}")
-    num = rs.inner(weight, root.weight_coords)
-    den = rs.inner(root.weight_coords, root.weight_coords)
-    val = 2 * num / den
-    if val.denominator != 1:
+    wc = root.weight_coords
+    val, rem = divmod(2 * rs.inner_scaled(weight, wc), rs.inner_scaled(wc, wc))
+    if rem:
         raise AssertionError("coroot pairing must be integral on the weight lattice")
-    return int(val)
+    return val
 
 
 # Angular orderings of the positive roots, in simple-root coordinates.

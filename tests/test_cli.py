@@ -1,8 +1,10 @@
 """CLI behavior: canonical JSON, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,10 +191,14 @@ def test_table_mode(capsys):
 
 
 def test_module_entry_point():
+    # pytest's pythonpath setting reaches this process only, not a child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "polychar", "char", "A2", "0", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == '[{"c":1,"w":[0,0]}]\n'

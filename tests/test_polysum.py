@@ -269,6 +269,27 @@ def test_freudenthal_matches_demazure(b2, g2, a3):
 
 
 @pytest.mark.parametrize(
+    "name,max_label",
+    [("A2", 4), ("B2", 4), ("G2", 4), ("A3", 2), ("B3", 2), ("C3", 2)],
+)
+def test_freudenthal_matches_demazure_grid(name, max_label):
+    rs = build_root_system(name)
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        assert character_freudenthal(rs, lam) == character_demazure(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4"])
+def test_freudenthal_dimension_rank4(name):
+    # the Demazure character needs the full Weyl group, capped at rank 3;
+    # orbit sizes and the Weyl dimension formula need no group table
+    rs = build_root_system(name)
+    for lam in product(range(2), repeat=4):
+        mult = dominant_weight_multiplicities(rs, lam)
+        total = sum(m * len(orbit(rs, mu)) for mu, m in mult.items())
+        assert total == weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize(
     "name,lam,dim",
     [("A1", (0,), 1), ("A2", (1, 1), 8), ("A3", (1, 0, 0), 4),
      ("G2", (1, 0), 14), ("B2", (0, 1), 4), ("A3", (1, 1, 1), 64),

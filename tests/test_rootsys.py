@@ -1,10 +1,20 @@
 """Cartan data, root generation, and the exact quadratic form."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polychar import AlgebraId, Root, build_root_system, gamma_sequence, pairing
+from polychar import (
+    AlgebraId,
+    Root,
+    build_root_system,
+    gamma_sequence,
+    pairing,
+    weyl_dimension,
+)
 from polychar.rootsys import check_weight
 
 _SUPPORTED = (
@@ -107,6 +117,44 @@ def test_quadratic_form_values(a2, b2, g2, a3):
         (2 * quarter, 4 * quarter, 2 * quarter),
         (quarter, 2 * quarter, 3 * quarter),
     )
+
+
+_cached_root_system = cache(build_root_system)
+
+
+def _fraction_inner(rs, mu, nu) -> Fraction:
+    """Reference: the inner product summed in Fractions over quadratic_form."""
+    total = Fraction(0)
+    for mi, row in zip(mu, rs.quadratic_form):
+        if mi:
+            total += mi * sum((g * n for g, n in zip(row, nu) if n), Fraction(0))
+    return total
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_SUPPORTED), st.data())
+def test_integer_form_matches_fraction_form(name, data):
+    rs = _cached_root_system(name)
+    r = rs.rank
+    labels = st.lists(st.integers(-6, 6), min_size=r, max_size=r).map(tuple)
+    mu, nu = data.draw(labels), data.draw(labels)
+    assert rs.inner(mu, nu) == _fraction_inner(rs, mu, nu)
+    units = [tuple(int(k == j) for k in range(r)) for j in range(r)]
+    for i, row in enumerate(rs.quadratic_form):
+        for j, entry in enumerate(row):
+            assert rs.inner_float(units[i], units[j]).hex() == float(entry).hex()
+    root = data.draw(st.sampled_from(rs.positive_roots))
+    wc = root.weight_coords
+    expected = 2 * _fraction_inner(rs, mu, wc) / _fraction_inner(rs, wc, wc)
+    assert expected.denominator == 1
+    assert pairing(rs, mu, root) == expected
+    lam = data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r).map(tuple))
+    lam_rho = tuple(x + 1 for x in lam)
+    dim = Fraction(1)
+    for beta in rs.positive_roots:
+        wc = beta.weight_coords
+        dim *= _fraction_inner(rs, lam_rho, wc) / _fraction_inner(rs, rs.weyl_vector, wc)
+    assert weyl_dimension(rs, lam) == dim
 
 
 def test_root_lengths_normalized(b2, g2):

@@ -112,6 +112,13 @@ def test_word_replay_equals_matrix(g2):
             assert out == el.apply(w)
 
 
+def test_weyl_group_shared_by_rebuilt_root_systems():
+    # root systems compare and hash by algebra, so a rebuilt one hits the cache
+    assert weyl_group(build_root_system("A3")) is weyl_group(build_root_system("A3"))
+    assert build_root_system("B2") != build_root_system("C2")
+    assert weyl_group(build_root_system("B2")) is not weyl_group(build_root_system("C2"))
+
+
 def test_rank_cap():
     with pytest.raises(ValueError):
         weyl_group(build_root_system("A4"))
