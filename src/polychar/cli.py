@@ -132,9 +132,13 @@ def _cmd_eval(args) -> int:
     results = []
     for name, lam in cases:
         rs = build_root_system(name)
-        results.append(
-            numeric_formula_check(rs, lam, args.sigma_count, args.seed)
-        )
+        try:
+            results.append(numeric_formula_check(rs, lam, args.sigma_count, args.seed))
+        except OverflowError as exc:
+            # large labels push e^{<mu, sigma>} past the float range: bad input
+            raise ValueError(
+                f"numeric checks of {rs.name} lambda {list(lam)} overflow floats ({exc})"
+            ) from exc
     payload = results[0] if args.algebra is not None else results
 
     def table() -> str:

@@ -9,7 +9,7 @@ numeric door is `evaluate`, which substitutes a real point, checked by
 import math
 from types import MappingProxyType
 
-from .rootsys import RootSystem
+from .rootsys import RootSystem, dot_float
 
 
 class FormalSum:
@@ -167,13 +167,14 @@ def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
     """Numeric value of ``s`` at ``sigma``: sum of coeff * exp(<w, sigma>).
 
     ``sigma`` lives in fundamental-weight coordinates and the pairing runs
-    through the algebra's quadratic form.  Terms accumulate in lexicographic
+    through the algebra's quadratic form, whose float row sums at ``sigma``
+    are computed once for all terms.  Terms accumulate in lexicographic
     exponent order, so equal inputs give bit-equal outputs.
     """
     if s.rank != rs.rank:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
-    sig = check_point(rs, sigma)
+    covector = rs.form_float(check_point(rs, sigma))
     total = 0.0
     for w, c in s.items_sorted():
-        total += c * math.exp(rs.inner_float(w, sig))
+        total += c * math.exp(dot_float(w, covector))
     return total

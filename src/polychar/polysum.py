@@ -21,7 +21,7 @@ from itertools import product
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate
-from .rootsys import RootSystem, Weight, check_weight, gamma_sequence
+from .rootsys import RootSystem, Weight, check_weight, dot_float, gamma_sequence
 from .weyl import dominant_representative, orbit, weyl_group
 
 import math
@@ -195,33 +195,57 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 
 
 # Every root is a Weyl image of a simple root, so the pairings <w alpha, sigma>
-# over W x simple roots, and over W x positive roots, take exactly the values
-# +-<beta, sigma> over the positive roots beta, in floats too: el.apply(alpha)
-# is the integer tuple +-beta and inner_float is sign-symmetric.  One scan of
-# the positive roots therefore sees every vertex-cone denominator.
-def _near_pole(rs: RootSystem, sig, margin: float) -> bool:
-    return any(
-        abs(rs.inner_float(root.weight_coords, sig)) <= margin
-        for root in rs.positive_roots
-    )
+# over W x simple roots, and over W x positive roots, are exactly the values
+# +-p_k, p_k = <beta_k, sigma> over the positive roots beta_k, in floats too:
+# el.apply(alpha) is the integer tuple +-beta_k and inner_float is
+# sign-symmetric (negation is exact, and p_k = 0 is a pole).  So each point
+# gets one table: the pole test reads the p_k, and every vertex-cone
+# denominator is one of the 2|Phi+| factors in _RootFactors, looked up
+# through weyl_group's root permutation.
+def _root_pairings(rs: RootSystem, sig) -> list:
+    return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
 
-def _check_generic(rs: RootSystem, sig) -> None:
-    if _near_pole(rs, sig, _POLE_TOLERANCE):
+def _near_pole(pairings, margin: float) -> bool:
+    return any(abs(p) <= margin for p in pairings)
+
+
+def _check_generic(pairings) -> None:
+    if _near_pole(pairings, _POLE_TOLERANCE):
         raise GenericityError(
             f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
         )
 
 
-def _cone_sum(rs: RootSystem, elements, lam, sig, roots) -> float:
+class _RootFactors(dict):
+    """The denominator factors of one point, keyed by the root permutation's
+    signed entries: +(k+1) gives 1 - e^{-p_k} and -(k+1) gives 1 - e^{p_k}.
+
+    Each factor is computed at its first lookup, so an exponential that
+    overflows raises where the element loop first needs it, after the terms
+    before it."""
+
+    def __init__(self, pairings):
+        super().__init__()
+        self._pairings = pairings
+
+    def __missing__(self, key: int) -> float:
+        p = self._pairings[abs(key) - 1]
+        value = self[key] = 1.0 - math.exp(-p if key > 0 else p)
+        return value
+
+
+def _cone_sum(group, lam, covector, factors: _RootFactors, count: int) -> float:
     """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
-    product of (1 - e^{-<w alpha, sigma>}) over ``roots``."""
-    coords = [root.weight_coords for root in roots]
+    product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
+    roots (the simple roots, or all of them).  ``covector`` is
+    ``form_float(sigma)``; the factors come from the point's table, divided
+    in root order."""
     total = 0.0
-    for el in elements:
-        term = math.exp(rs.inner_float(el.apply(lam), sig))
-        for alpha in coords:
-            term /= 1.0 - math.exp(-rs.inner_float(el.apply(alpha), sig))
+    for el, row in zip(group.elements, group.root_permutation):
+        term = math.exp(dot_float(el.apply(lam), covector))
+        for k in row[:count]:
+            term /= factors[k]
         total += term
     return total
 
@@ -235,9 +259,10 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
     """
     lam = check_weight(rs, lam, dominant=True)
     sig = check_point(rs, sigma)
-    elements = weyl_group(rs).elements
-    _check_generic(rs, sig)
-    return _cone_sum(rs, elements, lam, sig, rs.simple_roots)
+    group = weyl_group(rs)
+    pairings = _root_pairings(rs, sig)
+    _check_generic(pairings)
+    return _cone_sum(group, lam, rs.form_float(sig), _RootFactors(pairings), rs.rank)
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
@@ -247,18 +272,22 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     roots.  The two must agree to 1e-9 relative; the first is returned."""
     lam = check_weight(rs, lam, dominant=True)
     sig = check_point(rs, sigma)
-    elements = weyl_group(rs).elements
-    _check_generic(rs, sig)
+    group = weyl_group(rs)
+    pairings = _root_pairings(rs, sig)
+    _check_generic(pairings)
+    covector = rs.form_float(sig)
     lam_rho = tuple(x + 1 for x in lam)
     num = 0.0
-    for el in elements:
+    for el in group.elements:
         shifted = tuple(x - 1 for x in el.apply(lam_rho))
-        num += el.sign * math.exp(rs.inner_float(shifted, sig))
+        num += el.sign * math.exp(dot_float(shifted, covector))
+    factors = _RootFactors(pairings)
+    count = len(pairings)
     den = 1.0
-    for root in rs.positive_roots:
-        den *= 1.0 - math.exp(-rs.inner_float(root.weight_coords, sig))
+    for k in range(1, count + 1):
+        den *= factors[k]
     alternating = num / den
-    invariant = _cone_sum(rs, elements, lam, sig, rs.positive_roots)
+    invariant = _cone_sum(group, lam, covector, factors, count)
     scale = max(abs(alternating), abs(invariant), 1e-300)
     if abs(alternating - invariant) / scale > _CROSS_CHECK_TOL:
         raise ArithmeticError(
@@ -397,7 +426,7 @@ def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) 
         if attempts > 1000 * max(count, 1):
             raise GenericityError("could not sample generic evaluation points")
         sig = tuple(rng.uniform(0.1, 1.1) for _ in range(rs.rank))
-        if not _near_pole(rs, sig, _SAMPLER_MARGIN):
+        if not _near_pole(_root_pairings(rs, sig), _SAMPLER_MARGIN):
             out.append(sig)
     return out
 

@@ -6,8 +6,8 @@ over the simple-root basis, so root-lattice membership, dominance gaps and
 reflection strings reduce to integer checks.  The quadratic form on weight
 space is exact: it is kept as an integer Gram matrix plus one scale (the lcm
 of its denominators), so every exact inner product is an integer loop, and
-``inner`` divides by the scale only at the end.  No floating point
-originates in this module.
+``inner`` divides by the scale only at the end.  Floats serve only the
+numeric checks, through ``form_float``, ``inner_float`` and ``dot_float``.
 
 Fixed conventions, asserted throughout the test suite:
 
@@ -252,19 +252,26 @@ class RootSystem:
         """Exact inner product of two vectors given in Dynkin labels."""
         return Fraction(self.inner_scaled(mu, nu), self.form_scale)
 
+    def form_float(self, nu) -> tuple[float, ...]:
+        """The float Gram row sums G nu: ``dot_float(mu, form_float(nu))`` is
+        ``inner_float(mu, nu)``, so a caller pairing many mu with one nu
+        computes them once."""
+        gram = self._gram_float
+        if len(nu) != len(gram):
+            raise ValueError("weight length mismatch")
+        out = []
+        for row in gram:
+            acc = 0.0
+            for g, x in zip(row, nu):
+                acc += g * x
+            out.append(acc)
+        return tuple(out)
+
     def inner_float(self, mu, nu) -> float:
-        r = self.rank
-        G = self._gram_float
-        total = 0.0
-        for i in range(r):
-            mi = mu[i]
-            if mi:
-                row = G[i]
-                acc = 0.0
-                for j in range(r):
-                    acc += row[j] * nu[j]
-                total += mi * acc
-        return total
+        covector = self.form_float(nu)
+        if len(mu) != len(covector):
+            raise ValueError("weight length mismatch")
+        return dot_float(mu, covector)
 
     def coroot_labels(self, root: Root) -> tuple[int, ...]:
         """Pairings <Lambda^j, root^vee> for j = 1..rank; requires a positive root."""
@@ -272,6 +279,18 @@ class RootSystem:
         if stored is not root and stored != root:
             raise ValueError(f"inconsistent root data for {root}")
         return self._coroots[root.root_coords]
+
+
+def dot_float(mu, covector) -> float:
+    """Sum of m * x over the nonzero entries m of ``mu``, in order, with
+    ``covector`` from ``RootSystem.form_float``; both have the rank's length.
+    Zero entries are skipped, so an infinite or NaN entry of the covector
+    reaches only the labels that use it."""
+    total = 0.0
+    for m, x in zip(mu, covector):
+        if m:
+            total += m * x
+    return total
 
 
 def _invert(matrix):

@@ -2,7 +2,8 @@
 representatives, and fully enumerated group tables for rank <= 3."""
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .rootsys import Root, RootSystem, Weight, check_weight, gamma_sequence, pairing
 
@@ -75,17 +76,19 @@ class WeylElement:
     matrix: tuple[tuple[int, ...], ...]
 
     def apply(self, weight) -> Weight:
-        return tuple(
-            sum(row[j] * weight[j] for j in range(len(row))) for row in self.matrix
-        )
+        """The image of a weight of the rank's length, in exact integers."""
+        return tuple([sum(map(mul, row, weight)) for row in self.matrix])
 
 
 @dataclass(frozen=True)
 class WeylGroupTable:
-    """All Weyl group elements in BFS discovery order (identity first)."""
+    """All Weyl group elements in BFS discovery order (identity first), and
+    the positive roots (Dynkin labels, in the root system's order) they
+    permute up to sign."""
 
     elements: tuple[WeylElement, ...]
     longest_index: int
+    positive_roots: tuple[Weight, ...]
 
     @property
     def order(self) -> int:
@@ -94,6 +97,20 @@ class WeylGroupTable:
     @property
     def longest(self) -> WeylElement:
         return self.elements[self.longest_index]
+
+    @cached_property
+    def root_permutation(self) -> tuple[tuple[int, ...], ...]:
+        """One row per element: entry k is +(j+1) when the element maps the
+        k-th positive root to the j-th, and -(j+1) when it maps it to minus
+        the j-th.  Built on first use, not by ``weyl_group``."""
+        index = {}
+        for j, beta in enumerate(self.positive_roots):
+            index[beta] = j + 1
+            index[tuple(-x for x in beta)] = -(j + 1)
+        return tuple(
+            tuple(index[el.apply(beta)] for beta in self.positive_roots)
+            for el in self.elements
+        )
 
 
 def _matmul(a, b):
@@ -150,7 +167,8 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
     longest = [k for k, el in enumerate(elements) if el.length == top]
     if len(longest) != 1:
         raise AssertionError("longest element is not unique")
-    return WeylGroupTable(tuple(elements), longest[0])
+    roots = tuple(root.weight_coords for root in rs.positive_roots)
+    return WeylGroupTable(tuple(elements), longest[0], roots)
 
 
 def longest_element_via_gammas(rs: RootSystem):

@@ -1,12 +1,13 @@
 """The traced benchmark binds library functions and methods by name
 (`benchmarks/tracing.py`) and raises on a missing one.  Installing and
 restoring its tracer here makes a rename that would break the traced run
-fail the test suite instead."""
+fail the test suite instead, and one traced `eval` shows that the numeric
+checks still go through the names the tracer counts."""
 
 import importlib.util
 from pathlib import Path
 
-import polychar.cli  # noqa: F401  (imports every module the tracer rebinds)
+import polychar.cli  # imports every module the tracer rebinds
 from polychar import demazure, polysum, rootsys, weyl
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -38,3 +39,19 @@ def test_tracer_binds_every_name():
         polysum.apply_d_root, weyl.weyl_group, vars(rootsys.RootSystem)["coroot_labels"],
     ) == originals
     assert hasattr(weyl.weyl_group, "cache_clear")
+
+
+def test_traced_eval_reaches_every_numeric_layer(capsys):
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = polychar.cli.run(["eval", "--algebra", "A2", "--lam", "1", "1", "--sigma-count", "2"])
+    finally:
+        tracing.restore(undo)
+    assert code == 0
+    assert '"pass":true' in capsys.readouterr().out
+    spans = {name for _sid, _parent, name, *_rest in tracer.spans}
+    assert {"polysum.brion_eval", "polysum.weyl_char_eval", "formal.evaluate"} <= spans
+    assert tracer.counts["weyl.element_apply.calls"] > 0
+    assert tracer.counts["rootsys.inner_float.calls"] > 0

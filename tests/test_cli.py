@@ -190,15 +190,36 @@ def test_table_mode(capsys):
     assert "[0] -> 1" in out
 
 
-def test_module_entry_point():
+def _child_pythonpath() -> str:
     # pytest's pythonpath setting reaches this process only, not a child
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polychar", "char", "A2", "0", "0"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": _child_pythonpath()},
     )
     assert proc.returncode == 0
     assert proc.stdout == '[{"c":1,"w":[0,0]}]\n'
+
+
+def test_eval_float_overflow_exits_2():
+    # e^{<mu, sigma>} leaves the float range at these labels; that is bad
+    # input (exit 2), not a failed check (exit 1).  A child process shows
+    # what a user sees, traceback included.
+    proc = subprocess.run(
+        [sys.executable, "-m", "polychar", "eval", "--algebra", "A1", "--lam", "2000",
+         "--sigma-count", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _child_pythonpath()},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "A1 lambda [2000]" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -10,9 +10,13 @@ bounding-box scan below is kept as the reference that certifies it.
 """
 
 import math
+import random
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychar import (
     DEFAULT_SEED,
@@ -41,7 +45,10 @@ from polychar import (
     verify_polytope_formula,
     weyl_character_eval,
     weyl_dimension,
+    weyl_group,
 )
+from polychar.formal import check_point
+from polychar.rootsys import check_weight
 
 # (algebra, max label) grids on which the oracle must equal the box scan
 _REFERENCE_GRIDS = (
@@ -253,6 +260,153 @@ def test_weyl_character_eval(a1, a2):
             evaluate(a2, ch, sigma), rel=1e-9
         )
         assert weyl_character_eval(a2, (0, 0), sigma) == pytest.approx(1.0)
+
+
+# Reference numeric evaluators with no per-point table: every pairing runs
+# the float Gram loop, and every denominator factor is recomputed for each
+# (element, root) pair.  The library must match them bit for bit.
+@cache
+def _ref_gram(rs):
+    return tuple(tuple(float(x) for x in row) for row in rs.quadratic_form)
+
+
+def _ref_inner_float(rs, mu, nu):
+    gram = _ref_gram(rs)
+    total = 0.0
+    for i in range(rs.rank):
+        if mu[i]:
+            acc = 0.0
+            for j in range(rs.rank):
+                acc += gram[i][j] * nu[j]
+            total += mu[i] * acc
+    return total
+
+
+def _ref_apply(el, weight):
+    return tuple(sum(row[j] * weight[j] for j in range(len(row))) for row in el.matrix)
+
+
+def _ref_near_pole(rs, sig, margin):
+    return any(
+        abs(_ref_inner_float(rs, root.weight_coords, sig)) <= margin
+        for root in rs.positive_roots
+    )
+
+
+def _ref_cone_sum(rs, elements, lam, sig, roots):
+    total = 0.0
+    for el in elements:
+        term = math.exp(_ref_inner_float(rs, _ref_apply(el, lam), sig))
+        for root in roots:
+            term /= 1.0 - math.exp(-_ref_inner_float(rs, _ref_apply(el, root.weight_coords), sig))
+        total += term
+    return total
+
+
+def _ref_prelude(rs, lam, sigma):
+    lam = check_weight(rs, lam, dominant=True)
+    sig = check_point(rs, sigma)
+    elements = weyl_group(rs).elements
+    if _ref_near_pole(rs, sig, 1e-6):
+        raise GenericityError("sigma is within 1e-06 of a pole hyperplane; resample")
+    return lam, sig, elements
+
+
+def _ref_brion(rs, lam, sigma):
+    lam, sig, elements = _ref_prelude(rs, lam, sigma)
+    return _ref_cone_sum(rs, elements, lam, sig, rs.simple_roots)
+
+
+def _ref_weyl_character(rs, lam, sigma):
+    lam, sig, elements = _ref_prelude(rs, lam, sigma)
+    lam_rho = tuple(x + 1 for x in lam)
+    num = 0.0
+    for el in elements:
+        shifted = tuple(x - 1 for x in _ref_apply(el, lam_rho))
+        num += el.sign * math.exp(_ref_inner_float(rs, shifted, sig))
+    den = 1.0
+    for root in rs.positive_roots:
+        den *= 1.0 - math.exp(-_ref_inner_float(rs, root.weight_coords, sig))
+    alternating = num / den
+    invariant = _ref_cone_sum(rs, elements, lam, sig, rs.positive_roots)
+    scale = max(abs(alternating), abs(invariant), 1e-300)
+    if abs(alternating - invariant) / scale > 1e-9:
+        raise ArithmeticError(
+            "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
+        )
+    return alternating
+
+
+def _ref_evaluate(rs, s, sigma):
+    sig = check_point(rs, sigma)
+    total = 0.0
+    for w, c in s.items_sorted():
+        total += c * math.exp(_ref_inner_float(rs, w, sig))
+    return total
+
+
+def _ref_sample(rs, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sig = tuple(rng.uniform(0.1, 1.1) for _ in range(rs.rank))
+        if not _ref_near_pole(rs, sig, 1e-2):
+            out.append(sig)
+    return out
+
+
+def _outcome(fn, *args):
+    """The float's bits, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+_NUMERIC_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
+_cached_root_system = cache(build_root_system)
+_cached_character = cache(character_demazure)
+
+
+@st.composite
+def _evaluation_points(draw, rs):
+    """A seeded uniform point of [-1.5, 1.5]^rank, or one moved to within
+    1e-9..1e-3 of (or onto) a root hyperplane along a fundamental-weight
+    coordinate."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sig = [rng.uniform(-1.5, 1.5) for _ in range(rs.rank)]
+    if draw(st.booleans()):
+        beta = draw(st.sampled_from(rs.positive_roots)).weight_coords
+        units = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+        i = draw(st.integers(0, rs.rank - 1))
+        slope = _ref_inner_float(rs, beta, units[i])
+        if slope:
+            gap = draw(st.just(0.0) | st.floats(-9, -3).map(lambda e: 10.0**e))
+            gap *= draw(st.sampled_from([1.0, -1.0]))
+            sig[i] -= (_ref_inner_float(rs, beta, sig) - gap) / slope
+    return tuple(sig)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(_NUMERIC_ALGEBRAS), st.data())
+def test_numeric_evaluators_bit_identical_to_reference(name, data):
+    rs = _cached_root_system(name)
+    labels = st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank).map(tuple)
+    lam = data.draw(labels)
+    sigma = data.draw(_evaluation_points(rs))
+    for fn, ref in ((brion_eval, _ref_brion), (weyl_character_eval, _ref_weyl_character)):
+        assert _outcome(fn, rs, lam, sigma) == _outcome(ref, rs, lam, sigma)
+    for s in (_cached_character(rs, lam), polytope_sum_oracle(rs, lam).sum):
+        assert _outcome(evaluate, rs, s, sigma) == _outcome(_ref_evaluate, rs, s, sigma)
+    seed = data.draw(st.integers(0, 2**32))
+    assert sample_generic_sigmas(rs, 3, seed) == _ref_sample(rs, 3, seed)
+
+
+@_EVALUATORS
+def test_evaluator_group_cap_comes_before_pole_test(evaluator):
+    # sigma = 0 lies on every root hyperplane; rank 4 fails on the group first
+    with pytest.raises(ValueError, match="capped at rank 3"):
+        evaluator(build_root_system("A4"), (1, 0, 0, 0), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_freudenthal_a2(a2):

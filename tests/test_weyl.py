@@ -87,6 +87,27 @@ def test_weyl_images_of_roots_are_all_roots(name):
         assert images == roots
 
 
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
+)
+def test_root_permutation_table(name):
+    rs = build_root_system(name)
+    table = weyl_group(rs)
+    roots = [root.weight_coords for root in rs.positive_roots]
+    n = len(roots)
+    rows = table.root_permutation
+    assert len(rows) == table.order
+    for el, row in zip(table.elements, rows):
+        assert sorted(abs(k) for k in row) == list(range(1, n + 1))
+        for beta, k in zip(roots, row):
+            image = roots[abs(k) - 1]
+            assert el.apply(beta) == (image if k > 0 else tuple(-x for x in image))
+        # l(w) = #{beta > 0 : w beta < 0}
+        assert sum(1 for k in row if k < 0) == el.length
+    assert rows[0] == tuple(range(1, n + 1))
+    assert all(k < 0 for k in rows[table.longest_index])
+
+
 def test_longest_element(a2, b2, g2, a3):
     for rs, length in ((a2, 3), (b2, 4), (g2, 6), (a3, 6)):
         table = weyl_group(rs)
