@@ -26,6 +26,8 @@ from .polysum import (
     character_freudenthal,
     dominant_weight_multiplicities,
     dominant_weights_below,
+    gamma_sequence,
+    longest_element_via_gammas,
     numeric_formula_check,
     polytope_expansion,
     polytope_member,
@@ -41,13 +43,11 @@ from .rootsys import (
     Root,
     RootSystem,
     build_root_system,
-    gamma_sequence,
     pairing,
 )
 from .weyl import (
     WeylElement,
     dominant_representative,
-    longest_element_via_gammas,
     orbit,
     reflect_at_root,
     reflect_simple,

@@ -10,6 +10,7 @@ a comparison or tolerance check fails, 2 on usage errors or bad input.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,6 +183,8 @@ def _cmd_vertices(args) -> int:
     return 0
 
 
+# Built on the first run and kept: parse_args leaves the parser unchanged.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polychar",

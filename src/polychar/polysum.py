@@ -5,26 +5,25 @@ Four independent routes live here:
 * an enumerator (the oracle) that takes the union of the Weyl orbits of
   the dominant weights below lam, found by a downward walk by positive roots,
 * operator formulas that assemble the same sums from root-indexed Demazure
-  operators, one bracket per segment of the angular order of the positive
-  roots (A1, the rank-2 algebras and A3),
+  operators, one bracket per factor of a reduced word of w0 (A1, the rank-2
+  algebras and A3),
 * numeric evaluation of the vertex-cone rational expression and of the Weyl
   character quotient at generic points,
 * a Freudenthal-recursion character builder, plus the expansion of a
   character into polytope sums over dominant weights.
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate
-from .rootsys import RootSystem, Weight, check_weight, dot_float, gamma_sequence
-from .weyl import dominant_representative, orbit, weyl_group
-
-import math
+from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
+from .weyl import dominant_representative, orbit, reflect_at_root, weyl_group
 
 _POINT_CAP = 10**6
 _POLE_TOLERANCE = 1e-6
@@ -135,22 +134,21 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     return PolytopeSum(FormalSum(r, terms), frozenset(verts))
 
 
-# Operator formulas by (family, rank): the report name, the lengths of the
-# segments that cut gamma_sequence into brackets (the first bracket acts
-# first), and the factors: gamma index k -> gamma index f, meaning the term
-# of gamma_{k+1} is multiplied by (1 + e^{gamma_{f+1}}).
+# Operator formulas by (family, rank): the report name, a reduced word of w0
+# cut into factors, one bracket each (the first acts first) along the word's
+# inversion sequence gamma, and the factors: gamma index k -> gamma index f,
+# meaning the term of gamma_{k+1} is multiplied by (1 + e^{gamma_{f+1}}).
 #
-# On G2 the long root gamma_3 = 2a1+3a2 steps by 2 in Q / Z alpha_2 while
-# every other bracketed root steps by 1, so the final alpha_2 sweep would miss
-# every other line along that edge.  Its term is multiplied by
-# (1 + e^{gamma_2}), which tops each skipped line with one lattice point
-# (docs/g2.md).
+# On G2 the long root gamma_3 = 2a1+3a2 steps by 2 in Q / Z alpha_2, every
+# other bracketed root by 1, so the final alpha_2 sweep would miss every other
+# line along its edge.  The factor (1 + e^{gamma_2}) on its term tops each
+# skipped line with one lattice point (docs/g2.md).
 _FORMULAS = {
-    ("A", 1): ("demazure_a1", (1,), {}),
-    ("A", 2): ("demazure_rank2", (2, 1), {}),
-    ("B", 2): ("demazure_rank2", (3, 1), {}),
-    ("G", 2): ("demazure_rank2", (5, 1), {2: 1}),
-    ("A", 3): ("demazure_a3", (3, 2, 1), {}),
+    ("A", 1): ("demazure_a1", ((1,),), {}),
+    ("A", 2): ("demazure_rank2", ((1, 2), (1,)), {}),
+    ("B", 2): ("demazure_rank2", ((1, 2, 1), (2,)), {}),
+    ("G", 2): ("demazure_rank2", ((1, 2, 1, 2, 1), (2,)), {2: 1}),
+    ("A", 3): ("demazure_a3", ((1, 2, 3), (1, 2), (1,)), {}),
 }
 
 
@@ -159,6 +157,45 @@ def _formula(rs: RootSystem) -> tuple:
         return _FORMULAS[(rs.id.family, rs.rank)]
     except KeyError:
         raise ValueError(f"no operator polytope-sum formula for {rs.name}") from None
+
+
+def inversion_sequence(rs: RootSystem, word) -> tuple[Root, ...]:
+    """The roots beta_k = s_{i_1} ... s_{i_{k-1}} alpha_{i_k} of a word of
+    1-based simple reflections: each positive root once for a reduced word of
+    w0 (Papi, 1994).  Any other word raises: ValueError when some beta_k is
+    not a positive root, AssertionError when the roots are not all of them."""
+    word = tuple(word)
+    roots = []
+    for k, i in enumerate(word):
+        coords = [int(j == i - 1) for j in range(rs.rank)]
+        for m in reversed(word[:k]):
+            # s_m c = c - <c, alpha_m^vee> alpha_m, in simple-root coordinates
+            coords[m - 1] -= sum(a * c for a, c in zip(rs.cartan[m - 1], coords))
+        roots.append(rs.root(coords))
+    if len(set(roots)) != len(rs.positive_roots):
+        raise AssertionError(f"{word} is not a reduced word of w0 for {rs.name}")
+    return tuple(roots)
+
+
+def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
+    """The inversion sequence of the operator formula's reduced word of w0:
+    the positive roots in bracket order (A1, A2, B2, G2 and A3)."""
+    return inversion_sequence(rs, chain.from_iterable(_formula(rs)[1]))
+
+
+def longest_element_via_gammas(rs: RootSystem):
+    """Composite of the reflections at the gamma-sequence roots, first root
+    acting first, as a callable on weights: the longest Weyl group element
+    (s_beta_N ... s_beta_1 = w0 for any inversion sequence of w0)."""
+    roots = gamma_sequence(rs)
+
+    def act(weight) -> Weight:
+        lam = check_weight(rs, weight)
+        for root in roots:
+            lam = reflect_at_root(rs, root, lam)
+        return lam
+
+    return act
 
 
 def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
@@ -181,16 +218,16 @@ def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
     """Operator-formula route to the polytope sum (A1, A2, B2, G2 or A3): one
-    edge-walk bracket per segment of the angular root order, applied to
-    e^lam in turn."""
-    _name, segments, factors = _formula(rs)
+    edge-walk bracket per factor of the formula's reduced word of w0,
+    applied to e^lam in turn."""
+    _name, word, factors = _formula(rs)
     lam = check_weight(rs, lam, dominant=True)
     gammas = gamma_sequence(rs)
     out = FormalSum.exp(lam)
     start = 0
-    for length in segments:
-        out = _edge_bracket(rs, gammas, start, start + length, out, factors)
-        start += length
+    for segment in word:
+        out = _edge_bracket(rs, gammas, start, start + len(segment), out, factors)
+        start += len(segment)
     return out
 
 

@@ -444,27 +444,3 @@ def pairing(rs: RootSystem, weight, root: Root) -> int:
     if rem:
         raise AssertionError("coroot pairing must be integral on the weight lattice")
     return val
-
-
-# Angular orderings of the positive roots, in simple-root coordinates.
-_GAMMA_COORDS = {
-    ("A", 1): ((1,),),
-    ("A", 2): ((1, 0), (1, 1), (0, 1)),
-    ("B", 2): ((1, 0), (1, 1), (1, 2), (0, 1)),
-    ("G", 2): ((1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1)),
-    ("A", 3): ((1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)),
-}
-
-
-def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
-    """The ordered walk of all positive roots used by the polytope-sum
-    operator formulas; defined for A1, A2, B2, G2 and A3."""
-    coords = _GAMMA_COORDS.get((rs.id.family, rs.rank))
-    if coords is None:
-        raise ValueError(
-            f"no gamma sequence defined for {rs.name} (available: A1, A2, B2, G2, A3)"
-        )
-    roots = tuple(rs.root(c) for c in coords)
-    if len(roots) != len(rs.positive_roots):
-        raise AssertionError("gamma sequence must enumerate all positive roots")
-    return roots

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .rootsys import Root, RootSystem, Weight, check_weight, gamma_sequence, pairing
+from .rootsys import Root, RootSystem, Weight, check_weight, pairing
 
 _ENUM_RANK_CAP = 3
 
@@ -77,6 +77,8 @@ class WeylElement:
 
     def apply(self, weight) -> Weight:
         """The image of a weight of the rank's length, in exact integers."""
+        if len(weight) != len(self.matrix):
+            raise ValueError("weight length mismatch")
         return tuple([sum(map(mul, row, weight)) for row in self.matrix])
 
 
@@ -169,21 +171,3 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
         raise AssertionError("longest element is not unique")
     roots = tuple(root.weight_coords for root in rs.positive_roots)
     return WeylGroupTable(tuple(elements), longest[0], roots)
-
-
-def longest_element_via_gammas(rs: RootSystem):
-    """Composite of the reflections at the gamma-sequence roots, first root
-    acting first; returned as a callable on weights.
-
-    For the algebras carrying a gamma sequence this composite equals the
-    longest Weyl group element.
-    """
-    roots = gamma_sequence(rs)
-
-    def act(weight) -> Weight:
-        lam = check_weight(rs, weight)
-        for root in roots:
-            lam = reflect_at_root(rs, root, lam)
-        return lam
-
-    return act

@@ -158,6 +158,17 @@ def test_deterministic_output(capsys):
         assert first == second, argv
 
 
+def test_usage_error_between_identical_runs(capsys):
+    # the parser is built once per process; a usage error must not change it
+    argv = ["bsum", "B2", "2", "1", "--method", "both"]
+    code_1, first = _capture(capsys, argv)
+    assert run(["bsum", "B2", "2", "1", "--method", "sideways"]) == 2
+    capsys.readouterr()
+    code_2, second = _capture(capsys, argv)
+    assert code_1 == code_2 == 0
+    assert first == second
+
+
 @pytest.mark.parametrize(
     "argv",
     [["char", "A2", "1"], ["char", "E6", "1", "1"], ["bsum", "A2", "1", "1", "1"],

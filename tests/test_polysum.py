@@ -48,6 +48,7 @@ from polychar import (
     weyl_group,
 )
 from polychar.formal import check_point
+from polychar.polysum import inversion_sequence
 from polychar.rootsys import check_weight
 
 # (algebra, max label) grids on which the oracle must equal the box scan
@@ -199,6 +200,30 @@ def test_a3_formula_spot_checks(a3):
 def test_formula_wrong_algebra():
     with pytest.raises(ValueError):
         polytope_sum_demazure(build_root_system("B3"), (1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "name, word",
+    [
+        ("A4", (1, 2, 3, 4, 1, 2, 3, 1, 2, 1)),
+        ("B3", (1, 2, 3, 2, 1, 2, 3, 2, 3)),
+        ("C3", (1, 2, 3, 2, 1, 2, 3, 2, 3)),
+        ("B4", (1, 2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2, 3, 4, 3, 4)),
+    ],
+)
+def test_inversion_sequence_beyond_formula_table(name, word):
+    # reduced words of w0 on algebras without a formula row
+    rs = build_root_system(name)
+    roots = inversion_sequence(rs, word)
+    assert len(roots) == len(rs.positive_roots)
+    assert set(roots) == set(rs.positive_roots)
+
+
+def test_inversion_sequence_rejects_other_words(a2):
+    with pytest.raises(ValueError, match="not a positive root"):
+        inversion_sequence(a2, (1, 1, 2))  # s1 alpha_1 = -alpha_1
+    with pytest.raises(AssertionError, match="not a reduced word of w0"):
+        inversion_sequence(a2, (1, 2))
 
 
 def test_dispatcher_a1(a1):

@@ -1,5 +1,5 @@
 """Reflections, orbits, the enumerated Weyl group, and the long-element
-factorization through the angular root order."""
+factorization through the operator formula's root order."""
 
 import random
 
@@ -131,6 +131,13 @@ def test_word_replay_equals_matrix(g2):
             for i in reversed(el.word):
                 out = reflect_simple(g2, i, out)
             assert out == el.apply(w)
+
+
+def test_apply_rejects_wrong_length(a2):
+    el = weyl_group(a2).elements[1]
+    for w in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError, match="weight length mismatch"):
+            el.apply(w)
 
 
 def test_weyl_group_shared_by_rebuilt_root_systems():
