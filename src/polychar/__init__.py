@@ -49,6 +49,7 @@ from .weyl import (
     WeylElement,
     dominant_representative,
     orbit,
+    orbit_size,
     reflect_at_root,
     reflect_simple,
     weyl_group,
@@ -86,6 +87,7 @@ __all__ = [
     "longest_element_via_gammas",
     "numeric_formula_check",
     "orbit",
+    "orbit_size",
     "pairing",
     "polytope_expansion",
     "polytope_member",

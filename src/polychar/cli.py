@@ -17,6 +17,7 @@ import sys
 from .demazure import character_demazure
 from .formal import FormalSum
 from .polysum import (
+    _POINT_CAP,
     DEFAULT_SEED,
     GenericityError,
     PolytopeSizeError,
@@ -27,7 +28,7 @@ from .polysum import (
     verify_polytope_formula,
 )
 from .rootsys import build_root_system, check_weight
-from .weyl import orbit
+from .weyl import orbit, orbit_size
 
 _EVAL_DEFAULTS = (
     ("A2", (1, 0)),
@@ -171,7 +172,12 @@ def _cmd_expand(args) -> int:
 
 def _cmd_vertices(args) -> int:
     rs = build_root_system(args.algebra)
-    verts = sorted(orbit(rs, check_weight(rs, args.labels, dominant=True)))
+    lam = check_weight(rs, args.labels, dominant=True)
+    if (size := orbit_size(rs, lam)) > _POINT_CAP:
+        raise PolytopeSizeError(
+            f"the orbit of {list(lam)} has {size} points; cap is {_POINT_CAP}"
+        )
+    verts = sorted(orbit(rs, lam))
     payload = [list(v) for v in verts]
 
     def table() -> str:

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 Weight = tuple[int, ...]
 
@@ -91,7 +92,8 @@ class RootSystem:
     positive_roots : all positive roots, sorted by height then by coordinates
         (the first ``rank`` entries are the simple roots alpha_1..alpha_r)
     quadratic_form : exact Gram matrix of the fundamental weights
-    root_lengths_sq : squared length of each simple root
+    coroots : simple-root coordinates -> coroot labels, per positive root
+        (the coordinates of beta^vee over the simple coroots)
     weyl_vector : rho = (1, ..., 1)
     """
 
@@ -99,7 +101,7 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     quadratic_form: tuple[tuple[Fraction, ...], ...]
-    root_lengths_sq: tuple[Fraction, ...]
+    coroots: dict
     weyl_vector: Weight
 
     def __eq__(self, other):
@@ -172,28 +174,6 @@ class RootSystem:
         # nearest floats to the exact entries
         scale, gram = self._gram_scaled
         return tuple(tuple(x / scale for x in row) for row in gram)
-
-    @cached_property
-    def _coroots(self) -> dict:
-        """Simple-root coordinates -> coroot labels, for every positive root.
-
-        For beta = sum c_i alpha_i the j-th label is c_j |alpha_j|^2 / |beta|^2,
-        and |beta|^2 = sum c_i (|alpha_i|^2 / 2) <beta, alpha_i^vee>; squared
-        lengths are scaled to integers, since only their ratios matter."""
-        scale = math.lcm(*(n.denominator for n in self.root_lengths_sq))
-        lengths = [int(n * scale) for n in self.root_lengths_sq]
-        out = {}
-        for root in self.positive_roots:
-            coords = root.root_coords
-            twice_norm = sum(c * n * w for c, n, w in zip(coords, lengths, root.weight_coords))
-            labels = []
-            for c, n in zip(coords, lengths):
-                label, rem = divmod(2 * c * n, twice_norm)
-                if rem:
-                    raise AssertionError("coroot pairing must be integral")
-                labels.append(label)
-            out[coords] = tuple(labels)
-        return out
 
     def root(self, root_coords) -> Root:
         """The positive root with the given simple-root coordinates."""
@@ -278,7 +258,7 @@ class RootSystem:
         stored = self.root(root.root_coords)
         if stored is not root and stored != root:
             raise ValueError(f"inconsistent root data for {root}")
-        return self._coroots[root.root_coords]
+        return self.coroots[root.root_coords]
 
 
 def dot_float(mu, covector) -> float:
@@ -358,45 +338,41 @@ def _half_norms(aid: AlgebraId) -> tuple[Fraction, ...]:
     return (one, Fraction(1, 3))
 
 
-def _positive_roots(cartan) -> tuple[Root, ...]:
-    """Root-string closure upward from the simple roots."""
+def _positive_roots(cartan) -> dict:
+    """Simple-root coordinates -> coroot labels of every positive root, sorted
+    by height, then by coordinates descending.  Closure under simple
+    reflections from the simple roots: s_i raises beta (coordinates c) when
+    n = <beta, alpha_i^vee> = sum_j cartan[i][j] c_j < 0, to c - n e_i, and
+    takes its coroot labels c^vee to c^vee - m e_i, m = <alpha_i, beta^vee>
+    = sum_j cartan[j][i] c^vee_j.  Every positive root is reached so."""
     rank = len(cartan)
-
-    def labels_of(c):
-        return tuple(sum(cartan[i][j] * c[j] for j in range(rank)) for i in range(rank))
-
     units = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    known = set(units)
-    level = list(units)
-    while level:
+    coroots = {u: u for u in units}
+    frontier = units
+    while frontier:
         nxt = []
-        for c in level:
-            labels = labels_of(c)
-            for j in range(rank):
-                if c == units[j]:
-                    continue
-                p = 0
-                probe = tuple(x - int(k == j) for k, x in enumerate(c))
-                while probe in known:
-                    p += 1
-                    probe = tuple(x - int(k == j) for k, x in enumerate(probe))
-                if p - labels[j] >= 1:
-                    up = tuple(x + int(k == j) for k, x in enumerate(c))
-                    if up not in known:
-                        known.add(up)
-                        nxt.append(up)
-        level = nxt
-    ordered = sorted(known, key=lambda c: (sum(c), tuple(-x for x in c)))
-    return tuple(Root(labels_of(c), c) for c in ordered)
+        for c in frontier:
+            cv = coroots[c]
+            for i, row in enumerate(cartan):
+                n = sum(map(mul, row, c))
+                up = c[:i] + (c[i] - n,) + c[i + 1:]
+                if n < 0 and up not in coroots:
+                    m = sum(cartan[j][i] * cv[j] for j in range(rank))
+                    coroots[up] = cv[:i] + (cv[i] - m,) + cv[i + 1:]
+                    nxt.append(up)
+        frontier = nxt
+    ordered = sorted(coroots, key=lambda c: (sum(c), tuple(-x for x in c)))
+    return {c: coroots[c] for c in ordered}
 
 
 def build_root_system(algebra) -> RootSystem:
     """All static data of a simple Lie algebra.
 
     ``algebra`` may be an :class:`AlgebraId` or a name such as ``"A2"``
-    (case-insensitive).  Positive roots come from root-string closure over
-    the simple roots; the quadratic form solves G * cartan = diag of the
-    half squared lengths, which pins (Lambda^i, Lambda^j) exactly.
+    (case-insensitive).  Positive roots and their coroots come from one
+    closure under simple reflections; the quadratic form solves
+    G * cartan = diag of the half squared lengths, which pins
+    (Lambda^i, Lambda^j) exactly.
     """
     aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
     cartan = _cartan_matrix(aid)
@@ -412,22 +388,28 @@ def build_root_system(algebra) -> RootSystem:
         for j in range(i):
             if gram[i][j] != gram[j][i]:
                 raise AssertionError("quadratic form is not symmetric")
+    coroots = _positive_roots(cartan)
     return RootSystem(
         id=aid,
         cartan=cartan,
-        positive_roots=_positive_roots(cartan),
+        positive_roots=tuple(
+            Root(tuple(sum(map(mul, row, c)) for row in cartan), c) for c in coroots
+        ),
         quadratic_form=gram,
-        root_lengths_sq=tuple(2 * h for h in halves),
+        coroots=coroots,
         weyl_vector=(1,) * r,
     )
 
 
 def check_weight(rs: RootSystem, weight, dominant: bool = False) -> Weight:
-    """The weight as a tuple of rs.rank labels; with ``dominant``, every
-    label must also be nonnegative.  Raises ValueError otherwise."""
+    """The weight as a tuple of rs.rank labels, each of type int (not bool);
+    with ``dominant``, each also nonnegative.  Raises ValueError otherwise."""
     lam = tuple(weight)
     if len(lam) != rs.rank:
         raise ValueError(f"weight {lam} has length {len(lam)}, expected {rs.rank}")
+    for x in lam:
+        if type(x) is not int:
+            raise ValueError(f"weight {lam} has a label that is not an int: {x!r}")
     if dominant and any(x < 0 for x in lam):
         raise ValueError(f"weight {lam} is not dominant")
     return lam

@@ -63,6 +63,22 @@ def orbit(rs: RootSystem, weight) -> frozenset:
     return frozenset(seen)
 
 
+def orbit_size(rs: RootSystem, lam) -> int:
+    """|W| / |W_lam|, the orbit's size, for a dominant weight.  Both orders
+    are products of (ht beta + 1) / ht beta over positive roots (|W_lam| over
+    those on lam's zero labels), so this runs over the rest."""
+    lam = check_weight(rs, lam, dominant=True)
+    num = den = 1
+    for root in rs.positive_roots:
+        if any(c and x for c, x in zip(root.root_coords, lam)):
+            num *= root.height + 1
+            den *= root.height
+    size, rem = divmod(num, den)
+    if rem:
+        raise AssertionError("orbit size must be an integer")
+    return size
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """One group element: fingerprint = image of rho, a reduced word
@@ -115,14 +131,6 @@ class WeylGroupTable:
         )
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 @lru_cache(maxsize=None)
 def weyl_group(rs: RootSystem) -> WeylGroupTable:
     """Enumerate the whole Weyl group by BFS over simple reflections.
@@ -137,15 +145,7 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
         )
     r = rs.rank
     identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    refl = []
-    for i in range(r):
-        alpha = rs.simple_roots[i].weight_coords
-        refl.append(
-            tuple(
-                tuple(int(a == b) - (alpha[a] if b == i else 0) for b in range(r))
-                for a in range(r)
-            )
-        )
+    cols = [root.weight_coords for root in rs.simple_roots]
     rho = rs.weyl_vector
     elements = [WeylElement(rho, (), 0, 1, identity)]
     index = {rho: 0}
@@ -154,11 +154,18 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
         nxt = []
         for idx in frontier:
             el = elements[idx]
-            for i in range(r):
-                mat = _matmul(refl[i], el.matrix)
-                fp = tuple(sum(row) for row in mat)  # the image of rho = (1, ..., 1)
+            for i, alpha in enumerate(cols):
+                # s_i x = x - x_i alpha_i: the fingerprint first, the matrix
+                # (row a minus alpha_i[a] times row i) only for a new element
+                n = el.fingerprint[i]
+                fp = tuple(x - n * a for x, a in zip(el.fingerprint, alpha))
                 if fp in index:
                     continue
+                pivot = el.matrix[i]
+                mat = tuple(
+                    tuple(x - a * p for x, p in zip(row, pivot)) if a else row
+                    for row, a in zip(el.matrix, alpha)
+                )
                 index[fp] = len(elements)
                 nxt.append(len(elements))
                 elements.append(

@@ -55,3 +55,20 @@ def test_traced_eval_reaches_every_numeric_layer(capsys):
     assert {"polysum.brion_eval", "polysum.weyl_char_eval", "formal.evaluate"} <= spans
     assert tracer.counts["weyl.element_apply.calls"] > 0
     assert tracer.counts["rootsys.inner_float.calls"] > 0
+
+
+def test_traced_bsum_both_reaches_the_operator_layers(capsys):
+    # the verify-sweep trace reads rootsys.coroot_labels.calls and
+    # demazure.op.calls; a refactor must not route around either
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        code = polychar.cli.run(["bsum", "A2", "1", "1", "--method", "both"])
+    finally:
+        tracing.restore(undo)
+    assert code == 0
+    assert '"match":true' in capsys.readouterr().out
+    spans = {name for _sid, _parent, name, *_rest in tracer.spans}
+    assert {"polysum.oracle", "polysum.formula", "demazure.op"} <= spans
+    assert tracer.counts["rootsys.coroot_labels.calls"] > 0

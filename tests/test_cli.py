@@ -144,6 +144,19 @@ def test_vertices_sorted(capsys):
     assert json.loads(out) == [[-1, 1], [0, -1], [1, 0]]
 
 
+def test_vertices_orbit_cap_boundary(capsys, monkeypatch):
+    # G2 (1, 1) has a 12-point orbit: allowed at a cap of 12, refused at 11
+    monkeypatch.setattr(cli, "_POINT_CAP", 12)
+    code, out = _capture(capsys, ["vertices", "G2", "1", "1"])
+    assert code == 0
+    assert len(json.loads(out)) == 12
+    monkeypatch.setattr(cli, "_POINT_CAP", 11)
+    assert run(["vertices", "G2", "1", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the orbit of [1, 1] has 12 points; cap is 11\n"
+
+
 def test_deterministic_output(capsys):
     for argv in (
         ["char", "G2", "2", "1"],
@@ -174,7 +187,9 @@ def test_usage_error_between_identical_runs(capsys):
     [["char", "A2", "1"], ["char", "E6", "1", "1"], ["bsum", "A2", "1", "1", "1"],
      ["vertices", "A2", "-1", "0"], ["expand", "A2", "1"], ["bsum", "A2", "-1", "0"],
      ["vertices", "A2", "1"], ["eval", "--algebra", "A2", "--lam", "1"],
-     ["verify", "--algebra", "B3"]],
+     ["verify", "--algebra", "B3"],
+     # 10,321,920 orbit points: refused before the orbit is built
+     ["vertices", "B8", "1", "1", "1", "1", "1", "1", "1", "1"]],
 )
 def test_usage_errors_exit_2(capsys, argv):
     assert run(argv) == 2

@@ -132,6 +132,12 @@ def test_oracle_a2_hexagon(a2):
     assert len(out.vertex_set) == 6
 
 
+def test_oracle_rejects_non_integer_labels(a2):
+    for lam in ((0.5, 0.5), (1.0, 0), (True, True)):
+        with pytest.raises(ValueError, match="not an int"):
+            polytope_sum_oracle(a2, lam)
+
+
 def test_oracle_zero_weight(g2):
     assert polytope_sum_oracle(g2, (0, 0)).sum == FormalSum.exp((0, 0))
 

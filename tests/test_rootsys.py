@@ -57,10 +57,13 @@ def test_positive_root_sets(a2, b2, g2):
     }
 
 
+def _closed_form_count(name):
+    family, n = name[0], int(name[1:])
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1), "G": 6}[family]
+
+
 @pytest.mark.parametrize(
-    "name,count",
-    [("A1", 1), ("A5", 15), ("A8", 36), ("B2", 4), ("B5", 25), ("B8", 64),
-     ("C3", 9), ("C8", 64), ("D3", 6), ("D5", 20), ("D8", 56), ("G2", 6)],
+    "name,count", [(name, _closed_form_count(name)) for name in _SUPPORTED]
 )
 def test_positive_root_counts(name, count):
     rs = build_root_system(name)
@@ -213,6 +216,10 @@ def test_check_weight(a2):
         check_weight(a2, (1,))
     with pytest.raises(ValueError, match=r"is not dominant"):
         check_weight(a2, (1, -2), dominant=True)
+    for bad in ((0.5, 0), (1.0, 0), (True, 0)):
+        for dominant in (False, True):
+            with pytest.raises(ValueError, match=r"not an int"):
+                check_weight(a2, bad, dominant=dominant)
 
 
 def test_gamma_sequences(a1, a2, b2, g2, a3):

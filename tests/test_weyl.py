@@ -2,6 +2,7 @@
 factorization through the operator formula's root order."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -10,10 +11,14 @@ from polychar import (
     dominant_representative,
     longest_element_via_gammas,
     orbit,
+    orbit_size,
     reflect_at_root,
     reflect_simple,
     weyl_group,
 )
+
+# every algebra whose full Weyl group table is enumerated (rank <= 3)
+_SMALL = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 
 
 def test_simple_reflection_examples(a2):
@@ -65,15 +70,29 @@ def test_orbit_sizes(a2, g2):
     assert len(orbit(g2, (1, 1))) == 12
 
 
+@pytest.mark.parametrize(
+    "name,top",
+    [(name, 2) for name in _SMALL]
+    + [(name, 1) for name in ("A4", "B4", "C4", "D4", "A5", "D5")],
+)
+def test_orbit_size_counts_the_orbit(name, top):
+    rs = build_root_system(name)
+    for lam in product(range(top + 1), repeat=rs.rank):
+        assert orbit_size(rs, lam) == len(orbit(rs, lam)), lam
+
+
+def test_orbit_size_needs_a_dominant_weight(a2):
+    with pytest.raises(ValueError, match="not dominant"):
+        orbit_size(a2, (1, -1))
+
+
 def test_group_orders():
     for name, order in (("A1", 2), ("A2", 6), ("B2", 8), ("C2", 8),
                         ("G2", 12), ("A3", 24), ("B3", 48), ("D3", 24)):
         assert weyl_group(build_root_system(name)).order == order
 
 
-@pytest.mark.parametrize(
-    "name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
-)
+@pytest.mark.parametrize("name", _SMALL)
 def test_weyl_images_of_roots_are_all_roots(name):
     # The numeric pole test scans only the positive roots; it sees every
     # vertex-cone denominator because W x simple roots, and W x positive
@@ -87,9 +106,7 @@ def test_weyl_images_of_roots_are_all_roots(name):
         assert images == roots
 
 
-@pytest.mark.parametrize(
-    "name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
-)
+@pytest.mark.parametrize("name", _SMALL)
 def test_root_permutation_table(name):
     rs = build_root_system(name)
     table = weyl_group(rs)
@@ -123,14 +140,18 @@ def test_sign_matches_length(b2):
         assert el.sign == (-1) ** el.length
 
 
-def test_word_replay_equals_matrix(g2):
-    table = weyl_group(g2)
-    for el in table.elements:
-        for w in ((1, 0), (2, 3), (-1, 2)):
-            out = w
-            for i in reversed(el.word):
-                out = reflect_simple(g2, i, out)
-            assert out == el.apply(w)
+def test_word_replay_equals_matrix():
+    # reflect_simple goes through pairing and the quadratic form, not the
+    # row operation that builds each table matrix
+    for name in _SMALL:
+        rs = build_root_system(name)
+        for el in weyl_group(rs).elements:
+            for w in ((1, 0, 0), (2, 3, -1), (-1, 2, 4)):
+                w = w[: rs.rank]
+                out = w
+                for i in reversed(el.word):
+                    out = reflect_simple(rs, i, out)
+                assert out == el.apply(w)
 
 
 def test_apply_rejects_wrong_length(a2):
