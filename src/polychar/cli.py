@@ -48,8 +48,11 @@ def _emit(args, payload, render) -> None:
     it runs only when that text is printed."""
     text = _canon(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}") from exc
         if not args.table:
             return
     print(render() if args.table else text)

@@ -23,7 +23,7 @@ from itertools import chain, product
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
-from .weyl import dominant_representative, orbit, reflect_at_root, weyl_group
+from .weyl import dominant_representative, orbit, orbit_size, reflect_at_root, weyl_group
 
 _POINT_CAP = 10**6
 _POLE_TOLERANCE = 1e-6
@@ -33,7 +33,7 @@ DEFAULT_SEED = 20240914
 
 
 class PolytopeSizeError(RuntimeError):
-    """Enumeration request exceeds the configured candidate cap."""
+    """Enumeration request exceeds the point cap."""
 
 
 class GenericityError(RuntimeError):
@@ -110,28 +110,29 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     """Enumerated lattice sum over the weight polytope of a dominant weight.
 
     The lattice points are exactly the weights `polytope_member` accepts:
-    the union of the Weyl orbits of the dominant weights below lam.  The
-    per-label bounding box of the vertex orbit must hold at most the
-    candidate cap, or PolytopeSizeError is raised.  All coefficients are 1.
+    the union of the Weyl orbits of the dominant weights below lam, which
+    are disjoint, so their sizes add up to the point count.  The walk that
+    finds those weights stops, and PolytopeSizeError is raised, as soon as
+    that count passes the point cap; no orbit is built before then.  All
+    coefficients are 1.
     """
     lam = check_weight(rs, lam, dominant=True)
-    if rs.rank > 3:
-        raise ValueError("polytope enumeration is desk-scale: rank <= 3")
+    below = []
+    points = 0
+    for depth, mu in _walk_below(rs, lam):
+        points += orbit_size(rs, mu)
+        if points > _POINT_CAP:
+            raise PolytopeSizeError(
+                f"the polytope of {list(lam)} has at least {points} points; "
+                f"cap is {_POINT_CAP}"
+            )
+        below.append((depth, mu))
+    # dominant_weights_below's order: it fixes the order `evaluate` sums in
     verts = orbit(rs, lam)
-    r = rs.rank
-    lows = [min(v[i] for v in verts) for i in range(r)]
-    highs = [max(v[i] for v in verts) for i in range(r)]
-    volume = 1
-    for lo, hi in zip(lows, highs):
-        volume *= hi - lo + 1
-    if volume > _POINT_CAP:
-        raise PolytopeSizeError(
-            f"bounding box holds {volume} candidates; cap is {_POINT_CAP}"
-        )
     terms = dict.fromkeys(verts, 1)
-    for mu in dominant_weights_below(rs, lam)[1:]:
+    for _depth, mu in sorted(below)[1:]:
         terms.update(dict.fromkeys(orbit(rs, mu), 1))
-    return PolytopeSum(FormalSum(r, terms), frozenset(verts))
+    return PolytopeSum(FormalSum(rs.rank, terms), frozenset(verts))
 
 
 # Operator formulas by (family, rank): the report name, a reduced word of w0
@@ -333,31 +334,37 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     return alternating
 
 
-def dominant_weights_below(rs: RootSystem, lam) -> list:
-    """Dominant weights of lam's root-lattice coset lying under lam in
-    dominance order, sorted from lam downward (then lexicographically).
+def _walk_below(rs: RootSystem, lam):
+    """Yield (depth, mu) for each dominant weight mu of lam's root-lattice
+    coset under lam in dominance order, lam first, where the depth is the
+    height of lam - mu.
 
     A downward walk: subtract each positive root and keep what stays
     dominant.  It misses nothing, because above every dominant mu < lam
     some positive root alpha leaves lam - alpha dominant with mu below it
-    (Stembridge, The partial order of dominant weights, 1998).  A weight's
-    depth is the height of lam - mu.
+    (Stembridge, The partial order of dominant weights, 1998).
     """
-    lam = check_weight(rs, lam, dominant=True)
     steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
-    depth = {lam: 0}
-    frontier = [lam]
+    seen = {lam}
+    frontier = [(0, lam)]
     while frontier:
+        yield from frontier
         nxt = []
-        for mu in frontier:
-            d = depth[mu]
+        for d, mu in frontier:
             for alpha, h in steps:
                 nu = tuple(m - a for m, a in zip(mu, alpha))
-                if nu not in depth and min(nu) >= 0:
-                    depth[nu] = d + h
-                    nxt.append(nu)
+                if nu not in seen and min(nu) >= 0:
+                    seen.add(nu)
+                    nxt.append((d + h, nu))
         frontier = nxt
-    return sorted(depth, key=lambda mu: (depth[mu], mu))
+
+
+def dominant_weights_below(rs: RootSystem, lam) -> list:
+    """Dominant weights of lam's root-lattice coset lying under lam in
+    dominance order, sorted from lam downward by depth, the height of
+    lam - mu (then lexicographically)."""
+    lam = check_weight(rs, lam, dominant=True)
+    return [mu for _depth, mu in sorted(_walk_below(rs, lam))]
 
 
 def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
@@ -504,6 +511,8 @@ def numeric_formula_check(
     lam = check_weight(rs, lam, dominant=True)
     if sigma_count < 1:
         raise ValueError(f"sigma_count must be at least 1, got {sigma_count}")
+    # the evaluators sum over the whole group: hit its cap before enumerating
+    weyl_group(rs)
     lattice_sum = polytope_sum_oracle(rs, lam).sum
     character = character_demazure(rs, lam)
     brion_err = 0.0

@@ -3,11 +3,13 @@
 Weights are plain tuples of Dynkin labels (integer coordinates with respect
 to the fundamental weights).  Each root additionally carries its coordinates
 over the simple-root basis, so root-lattice membership, dominance gaps and
-reflection strings reduce to integer checks.  The quadratic form on weight
-space is exact: it is kept as an integer Gram matrix plus one scale (the lcm
-of its denominators), so every exact inner product is an integer loop, and
-``inner`` divides by the scale only at the end.  Floats serve only the
-numeric checks, through ``form_float``, ``inner_float`` and ``dot_float``.
+reflection strings reduce to integer checks.  A root system is built in
+integers: one fraction-free elimination gives the Cartan determinant and
+adjugate, and the quadratic form on weight space is kept as an integer Gram
+matrix plus one scale (the lcm of its denominators), so every exact inner
+product is an integer loop, and ``inner`` divides by the scale only at the
+end.  Floats serve only the numeric checks, through
+``form_float``, ``inner_float`` and ``dot_float``.
 
 Fixed conventions, asserted throughout the test suite:
 
@@ -57,9 +59,10 @@ class AlgebraId:
     @classmethod
     def parse(cls, name: str) -> "AlgebraId":
         text = str(name).strip().upper()
-        if len(text) < 2 or not text[1:].isdigit():
+        digits = text[1:]
+        if len(text) < 2 or not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse algebra name {name!r}; expected e.g. 'A2' or 'g2'")
-        return cls(text[0], int(text[1:]))
+        return cls(text[0], int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -78,9 +81,8 @@ class Root:
 
 
 # eq=False: a root system is a function of its AlgebraId, so it compares and
-# hashes by id alone.  The generated hash would walk every nested tuple of
-# Fractions and Roots on each call, and weyl_group's cache hashes its key on
-# every hit.
+# hashes by id alone.  The generated hash would walk every nested tuple and
+# Root on each call, and weyl_group's cache hashes its key on every hit.
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Static data of one simple Lie algebra.
@@ -91,18 +93,25 @@ class RootSystem:
     cartan : rank x rank integer matrix, cartan[i][j] = <alpha_j, alpha_i^vee>
     positive_roots : all positive roots, sorted by height then by coordinates
         (the first ``rank`` entries are the simple roots alpha_1..alpha_r)
-    quadratic_form : exact Gram matrix of the fundamental weights
     coroots : simple-root coordinates -> coroot labels, per positive root
         (the coordinates of beta^vee over the simple coroots)
     weyl_vector : rho = (1, ..., 1)
+    cartan_det : det(cartan), a positive integer
+    cartan_adjugate : the integer matrix cartan_det * cartan^-1
+    form_scale : the positive integer by which ``inner_scaled`` multiplies
+        ``inner``: the lcm of the denominators of ``quadratic_form``
+    gram_scaled : form_scale * quadratic_form, an integer matrix
     """
 
     id: AlgebraId
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
-    quadratic_form: tuple[tuple[Fraction, ...], ...]
     coroots: dict
     weyl_vector: Weight
+    cartan_det: int
+    cartan_adjugate: tuple[tuple[int, ...], ...]
+    form_scale: int
+    gram_scaled: tuple[tuple[int, ...], ...]
 
     def __eq__(self, other):
         if not isinstance(other, RootSystem):
@@ -128,52 +137,19 @@ class RootSystem:
     def _root_by_coords(self) -> dict:
         return {root.root_coords: root for root in self.positive_roots}
 
-    @cached_property
-    def _inverse_and_det(self):
-        return _invert(self.cartan)
-
-    @cached_property
-    def cartan_det(self) -> int:
-        det = self._inverse_and_det[1]
-        if det.denominator != 1 or det <= 0:
-            raise AssertionError("Cartan determinant must be a positive integer")
-        return int(det)
-
-    @cached_property
-    def _cartan_adjugate(self) -> tuple[tuple[int, ...], ...]:
-        # integer adjugate keeps coset and dominance checks out of Fraction land
-        inverse = self._inverse_and_det[0]
-        det = self.cartan_det
-        rows = []
-        for row in inverse:
-            ints = []
-            for x in row:
-                v = x * det
-                if v.denominator != 1:
-                    raise AssertionError("adjugate entry is not integral")
-                ints.append(int(v))
-            rows.append(tuple(ints))
-        return tuple(rows)
-
-    @cached_property
-    def _gram_scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(scale, scale * quadratic_form) with scale the lcm of the form's
-        denominators, so the scaled Gram matrix is integral."""
-        form = self.quadratic_form
-        scale = math.lcm(*(x.denominator for row in form for x in row))
-        return scale, tuple(tuple(int(x * scale) for x in row) for row in form)
-
     @property
-    def form_scale(self) -> int:
-        """The positive integer by which ``inner_scaled`` multiplies ``inner``."""
-        return self._gram_scaled[0]
+    def quadratic_form(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Exact Gram matrix of the fundamental weights."""
+        return tuple(
+            tuple(Fraction(x, self.form_scale) for x in row) for row in self.gram_scaled
+        )
 
     @cached_property
     def _gram_float(self) -> tuple[tuple[float, ...], ...]:
         # int / int rounds correctly, like float(Fraction), so these are the
         # nearest floats to the exact entries
-        scale, gram = self._gram_scaled
-        return tuple(tuple(x / scale for x in row) for row in gram)
+        scale = self.form_scale
+        return tuple(tuple(x / scale for x in row) for row in self.gram_scaled)
 
     def root(self, root_coords) -> Root:
         """The positive root with the given simple-root coordinates."""
@@ -200,7 +176,7 @@ class RootSystem:
         """Simple-root coordinates of a weight-lattice vector, or None when the
         vector is not in the root lattice."""
         det = self.cartan_det
-        adj = self._cartan_adjugate
+        adj = self.cartan_adjugate
         r = self.rank
         out = []
         for i in range(r):
@@ -216,7 +192,7 @@ class RootSystem:
         r = self.rank
         if len(mu) != r or len(nu) != r:
             raise ValueError("weight length mismatch")
-        G = self._gram_scaled[1]
+        G = self.gram_scaled
         total = 0
         for i in range(r):
             mi = mu[i]
@@ -273,30 +249,26 @@ def dot_float(mu, covector) -> float:
     return total
 
 
-def _invert(matrix):
-    """Exact inverse and determinant of a small integer matrix."""
+def _det_and_adjugate(matrix):
+    """Determinant and adjugate of a Cartan matrix by one fraction-free
+    Gauss-Jordan elimination on [matrix | I] (Bareiss, 1968).  Every
+    division is exact, the k-th pivot is the k-th leading principal minor,
+    and the last step leaves det * I on the left and the adjugate on the
+    right.  A finite-type Cartan matrix has positive leading minors, so no
+    pivot search is needed."""
     n = len(matrix)
-    work = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
-        scale = work[col][col]
-        det *= scale
-        work[col] = [x / scale for x in work[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-                inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv), det
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        p = pivot_row[k]
+        if p <= 0:
+            raise AssertionError("Cartan matrix has a nonpositive leading minor")
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in rows)
 
 
 def _cartan_matrix(aid: AlgebraId) -> tuple[tuple[int, ...], ...]:
@@ -325,17 +297,16 @@ def _cartan_matrix(aid: AlgebraId) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in A)
 
 
-def _half_norms(aid: AlgebraId) -> tuple[Fraction, ...]:
-    """(alpha_i, alpha_i) / 2 per simple root, long roots normalized to 2."""
+def _squared_lengths(aid: AlgebraId) -> tuple[int, ...]:
+    """(alpha_i, alpha_i) per simple root, in units of the shortest root."""
     r = aid.rank
-    one = Fraction(1)
-    if aid.family in ("A", "D"):
-        return (one,) * r
     if aid.family == "B":
-        return (one,) * (r - 1) + (Fraction(1, 2),)
+        return (2,) * (r - 1) + (1,)
     if aid.family == "C":
-        return (Fraction(1, 2),) * (r - 1) + (one,)
-    return (one, Fraction(1, 3))
+        return (1,) * (r - 1) + (2,)
+    if aid.family == "G":
+        return (3, 1)
+    return (1,) * r
 
 
 def _positive_roots(cartan) -> dict:
@@ -366,24 +337,29 @@ def _positive_roots(cartan) -> dict:
 
 
 def build_root_system(algebra) -> RootSystem:
-    """All static data of a simple Lie algebra.
+    """All static data of a simple Lie algebra, in integers.
 
     ``algebra`` may be an :class:`AlgebraId` or a name such as ``"A2"``
     (case-insensitive).  Positive roots and their coroots come from one
-    closure under simple reflections; the quadratic form solves
-    G * cartan = diag of the half squared lengths, which pins
-    (Lambda^i, Lambda^j) exactly.
+    closure under simple reflections, and the Cartan determinant and
+    adjugate from one fraction-free elimination.  The quadratic form solves
+    G * cartan = diag of the half squared lengths l_i / max(l), which pins
+    (Lambda^i, Lambda^j) = l_i adj[i][j] / (max(l) det) exactly; dividing
+    those numerators and that denominator by their gcd gives
+    ``gram_scaled`` and ``form_scale``.
     """
     aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
     cartan = _cartan_matrix(aid)
-    halves = _half_norms(aid)
+    lengths = _squared_lengths(aid)
     r = aid.rank
     for i in range(r):
         for j in range(r):
-            if halves[i] * cartan[i][j] != halves[j] * cartan[j][i]:
+            if lengths[i] * cartan[i][j] != lengths[j] * cartan[j][i]:
                 raise AssertionError("length table inconsistent with the Cartan matrix")
-    inverse, _det = _invert(cartan)
-    gram = tuple(tuple(halves[i] * inverse[i][j] for j in range(r)) for i in range(r))
+    det, adj = _det_and_adjugate(cartan)
+    gram = [[lengths[i] * adj[i][j] for j in range(r)] for i in range(r)]
+    scale = max(lengths) * det
+    g = math.gcd(scale, *(x for row in gram for x in row))
     for i in range(r):
         for j in range(i):
             if gram[i][j] != gram[j][i]:
@@ -395,9 +371,12 @@ def build_root_system(algebra) -> RootSystem:
         positive_roots=tuple(
             Root(tuple(sum(map(mul, row, c)) for row in cartan), c) for c in coroots
         ),
-        quadratic_form=gram,
         coroots=coroots,
         weyl_vector=(1,) * r,
+        cartan_det=det,
+        cartan_adjugate=adj,
+        form_scale=scale // g,
+        gram_scaled=tuple(tuple(x // g for x in row) for row in gram),
     )
 
 

@@ -127,6 +127,15 @@ def test_bsum_both_without_formula_exits_2_before_enumerating(capsys, monkeypatc
     assert "no operator polytope-sum formula for B3" in capsys.readouterr().err
 
 
+def test_eval_rank_4_exits_2_before_enumerating(capsys, monkeypatch):
+    def unreachable(rs, lam):
+        raise AssertionError("the enumerator ran past the group cap")
+
+    monkeypatch.setattr(polysum, "polytope_sum_oracle", unreachable)
+    assert run(["eval", "--algebra", "A4", "--lam", "1", "0", "0", "0"]) == 2
+    assert "capped at rank 3" in capsys.readouterr().err
+
+
 def test_eval_needs_both_flags(capsys):
     code = run(["eval", "--algebra", "A2"])
     assert code == 2
@@ -207,6 +216,16 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text()) == [
         {"c": 1, "w": [-2]}, {"c": 1, "w": [0]}, {"c": 1, "w": [2]},
     ]
+
+
+@pytest.mark.parametrize("name", ["", "missing/char.json"], ids=["directory", "no-parent"])
+def test_out_unwritable_exits_2(tmp_path, capsys, name):
+    target = tmp_path / name
+    assert run(["char", "A1", "2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_table_mode(capsys):

@@ -37,6 +37,7 @@ from polychar import (
     gamma_sequence,
     numeric_formula_check,
     orbit,
+    polysum,
     polytope_expansion,
     polytope_member,
     polytope_sum_demazure,
@@ -54,6 +55,7 @@ from polychar.rootsys import check_weight
 # (algebra, max label) grids on which the oracle must equal the box scan
 _REFERENCE_GRIDS = (
     ("A1", 12), ("A2", 6), ("B2", 6), ("G2", 6), ("A3", 3), ("B3", 2), ("C3", 2),
+    ("A4", 1), ("D4", 1),
 )
 
 
@@ -142,12 +144,25 @@ def test_oracle_zero_weight(g2):
     assert polytope_sum_oracle(g2, (0, 0)).sum == FormalSum.exp((0, 0))
 
 
-def test_oracle_caps():
-    a3 = build_root_system("A3")
-    with pytest.raises(PolytopeSizeError):
-        polytope_sum_oracle(a3, (40, 40, 40))
-    with pytest.raises(ValueError):
-        polytope_sum_oracle(build_root_system("A4"), (1, 0, 0, 0))
+def test_oracle_point_cap_boundary(monkeypatch):
+    # A4 (1, 0, 0, 1): the 20 roots and 0, allowed at a cap of 21
+    a4 = build_root_system("A4")
+    monkeypatch.setattr(polysum, "_POINT_CAP", 21)
+    assert len(polytope_sum_oracle(a4, (1, 0, 0, 1)).sum) == 21
+    monkeypatch.setattr(polysum, "_POINT_CAP", 20)
+    message = r"^the polytope of \[1, 0, 0, 1\] has at least 21 points; cap is 20$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        polytope_sum_oracle(a4, (1, 0, 0, 1))
+
+
+def test_oracle_refuses_before_building_an_orbit(monkeypatch):
+    def unreachable(rs, mu):
+        raise AssertionError("an orbit was built")
+
+    # A3 (40, 40, 40) has 1,048,241 points
+    monkeypatch.setattr(polysum, "orbit", unreachable)
+    with pytest.raises(PolytopeSizeError, match=r"points; cap is 1000000$"):
+        polytope_sum_oracle(build_root_system("A3"), (40, 40, 40))
 
 
 def test_rank2_formula_a2_b2_full_grid(a2, b2):

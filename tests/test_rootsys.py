@@ -1,5 +1,6 @@
 """Cartan data, root generation, and the exact quadratic form."""
 
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -32,10 +33,13 @@ def test_parse_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["E6", "F4", "B1", "C1", "D2", "G3", "G1", "A9", "A0", "H2", "A", "2", "", "A-1"]
+    "bad",
+    ["E6", "F4", "B1", "C1", "D2", "G3", "G1", "A9", "A0", "H2", "A", "2", "", "A-1",
+     "A\u0662", "A\u00b2"],
 )
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    # non-ASCII digits (Arabic-Indic two, superscript two) are not a rank
+    with pytest.raises(ValueError, match=None if bad.isascii() else "cannot parse"):
         AlgebraId.parse(bad)
 
 
@@ -68,6 +72,37 @@ def _closed_form_count(name):
 def test_positive_root_counts(name, count):
     rs = build_root_system(name)
     assert len(rs.positive_roots) == count
+
+
+def _closed_form_det(name):
+    family, n = name[0], int(name[1:])
+    return {"A": n + 1, "B": 2, "C": 2, "D": 4, "G": 1}[family]
+
+
+@pytest.mark.parametrize("name", _SUPPORTED)
+def test_integer_kernel(name):
+    rs = build_root_system(name)
+    r = rs.rank
+    cartan, adj, form = rs.cartan, rs.cartan_adjugate, rs.quadratic_form
+    assert rs.cartan_det == _closed_form_det(name)
+    for i in range(r):
+        for j in range(r):
+            entry = sum(cartan[i][k] * adj[k][j] for k in range(r))
+            assert entry == rs.cartan_det * (i == j)
+    for root in rs.positive_roots:
+        assert rs.root_coords_of_weight(root.weight_coords) == root.root_coords
+    # (Lambda^i, alpha_j) = delta_ij (alpha_j, alpha_j) / 2, long roots at 1
+    halves = []
+    for i in range(r):
+        for j in range(r):
+            entry = sum(form[i][k] * cartan[k][j] for k in range(r))
+            if i == j:
+                halves.append(entry)
+            else:
+                assert entry == 0
+    assert set(halves) <= {1, Fraction(1, 2), Fraction(1, 3)}
+    assert max(halves) == 1
+    assert rs.form_scale == math.lcm(*(x.denominator for row in form for x in row))
 
 
 def test_weight_coords_consistent_with_cartan(g2, a3):
