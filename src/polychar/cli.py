@@ -6,12 +6,14 @@ swaps stdout to a readable rendering; ``--out FILE`` writes the JSON to a
 file either way.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
-a comparison or tolerance check fails, 2 on usage errors or bad input.
+a comparison or tolerance check fails, 2 on usage errors or bad input, and
+141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .demazure import character_demazure
@@ -272,4 +274,14 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (`| head`).  Point stdout at devnull so the
+        # interpreter's final flush of what is still buffered stays silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+    sys.exit(code)

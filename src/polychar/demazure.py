@@ -10,7 +10,18 @@ e^mu, with n the pairing of mu against beta's coroot, to
 
 extended Z-linearly.  The companion operator d = D - 1 subtracts the
 identity.  Compositions act rightmost-first throughout this module.
+
+The cores compute this as (f - e^{-beta} s_beta f) / (1 - e^{-beta})
+(Demazure, 1974): the numerator first, then one running sum down each
+beta-string.  A term c e^mu puts +c at the string point of pairing n (mu
+itself) and -c at pairing -n-2 (mu - (n+1) beta) into its string's table;
+for d the +c sits one step lower, at mu - beta.  Summing the table from
+the string's top down gives every output coefficient once, and the two
+entries cancel where the formula gives nothing (n = -1 for D, n = 0 for d).
+A string is keyed by its point of pairing 0 or 1.
 """
+
+from operator import sub
 
 from .formal import FormalSum
 from .rootsys import Root, RootSystem, check_weight
@@ -30,42 +41,63 @@ def _simple_root(rs: RootSystem, i: int) -> Root:
     return rs.simple_roots[i - 1]
 
 
+def _coroot_entries(rs: RootSystem, root: Root) -> tuple:
+    """(index, value) for each nonzero entry of the root's coroot labels, so
+    a pairing reads only the coordinates that count."""
+    return tuple((j, cv) for j, cv in enumerate(rs.coroot_labels(root)) if cv)
+
+
 def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:
     """String operator of a positive root: D with ``keep_identity``, else
-    d = D - 1 (which drops the k=0 term and subtracts the identity on the
-    negative side).  The coroot of a simple root is its unit vector."""
+    d = D - 1.  One running sum per beta-string (module docstring)."""
     _check_sum(rs, s)
-    coroot = rs.coroot_labels(root)
+    entries = _coroot_entries(rs, root)
     step = root.weight_coords
-    out: dict = {}
+    # level t of a string is its point key + t*beta; e^mu sits at level h
+    shift = 0 if keep_identity else 1
+    strings: dict = {}
     for lam, coeff in s.terms.items():
         n = 0
-        for cv, x in zip(coroot, lam):
-            if cv:
-                n += cv * x
-        if n >= 0:
-            for k in range(0 if keep_identity else 1, n + 1):
-                mu = tuple(x - k * a for x, a in zip(lam, step))
-                out[mu] = out.get(mu, 0) + coeff
-        else:
-            if not keep_identity:
-                out[lam] = out.get(lam, 0) - coeff
-            for k in range(1, -n):
-                mu = tuple(x + k * a for x, a in zip(lam, step))
-                out[mu] = out.get(mu, 0) - coeff
-    return FormalSum(rs.rank, out)
+        for j, cv in entries:
+            n += cv * lam[j]
+        h = n >> 1
+        key = tuple([x - h * a for x, a in zip(lam, step)]) if h else lam
+        table = strings.get(key)
+        if table is None:
+            strings[key] = table = {}
+        top, bottom = h - shift, h - n - 1
+        if top != bottom:
+            table[top] = table.get(top, 0) + coeff
+            table[bottom] = table.get(bottom, 0) - coeff
+    out: dict = {}
+    for key, table in strings.items():
+        total = 0
+        t = None
+        for level in sorted(table, reverse=True):
+            if total:
+                while t > level:
+                    out[mu] = total
+                    mu = tuple(map(sub, mu, step))
+                    t -= 1
+            elif t != level:
+                mu = tuple([x + level * a for x, a in zip(key, step)]) if level else key
+                t = level
+            total += table[level]
+    return FormalSum._of(rs.rank, out)
 
 
 def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
     """Reflect every exponent in the hyperplane of a positive root."""
     _check_sum(rs, s)
-    coroot = rs.coroot_labels(root)
+    entries = _coroot_entries(rs, root)
     step = root.weight_coords
     out = {}
     for lam, coeff in s.terms.items():
-        n = sum(cv * x for cv, x in zip(coroot, lam))
-        out[tuple(x - n * a for x, a in zip(lam, step))] = coeff
-    return FormalSum(rs.rank, out)
+        n = 0
+        for j, cv in entries:
+            n += cv * lam[j]
+        out[tuple([x - n * a for x, a in zip(lam, step)]) if n else lam] = coeff
+    return FormalSum._of(rs.rank, out)
 
 
 def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:

@@ -37,6 +37,15 @@ class FormalSum:
         self._terms = acc
 
     @classmethod
+    def _of(cls, rank: int, terms: dict) -> "FormalSum":
+        """Trusted constructor: takes ownership of ``terms``, which must map
+        rank-length tuples to nonzero ints.  Nothing is checked or copied."""
+        out = cls.__new__(cls)
+        out._rank = rank
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls, rank: int) -> "FormalSum":
         return cls(rank)
 
@@ -86,32 +95,23 @@ class FormalSum:
                 merged[w] = t
             elif w in merged:
                 del merged[w]
-        out = FormalSum.__new__(FormalSum)
-        out._rank = self._rank
-        out._terms = merged
-        return out
+        return FormalSum._of(self._rank, merged)
 
     def scale(self, factor: int) -> "FormalSum":
         if not isinstance(factor, int) or isinstance(factor, bool):
             raise TypeError("scale factor must be an integer")
         if factor == 0:
             return FormalSum.zero(self._rank)
-        out = FormalSum.__new__(FormalSum)
-        out._rank = self._rank
-        out._terms = {w: factor * c for w, c in self._terms.items()}
-        return out
+        return FormalSum._of(self._rank, {w: factor * c for w, c in self._terms.items()})
 
     def mul_exp(self, shift) -> "FormalSum":
         """Multiply by e^shift, i.e. translate every exponent."""
         s = tuple(shift)
         if len(s) != self._rank:
             raise ValueError(f"shift {s} has length {len(s)}, expected rank {self._rank}")
-        out = FormalSum.__new__(FormalSum)
-        out._rank = self._rank
-        out._terms = {
-            tuple(a + b for a, b in zip(w, s)): c for w, c in self._terms.items()
-        }
-        return out
+        return FormalSum._of(
+            self._rank, {tuple(a + b for a, b in zip(w, s)): c for w, c in self._terms.items()}
+        )
 
     def __add__(self, other):
         return self.add(other)

@@ -106,6 +106,15 @@ def polytope_member(rs: RootSystem, lam, mu) -> bool:
     return _dominates(rs, lam, dom)
 
 
+def _check_point_count(lam, points: int) -> None:
+    """Refuse a polytope known to have at least ``points`` lattice points
+    when that passes the cap."""
+    if points > _POINT_CAP:
+        raise PolytopeSizeError(
+            f"the polytope of {list(lam)} has at least {points} points; cap is {_POINT_CAP}"
+        )
+
+
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     """Enumerated lattice sum over the weight polytope of a dominant weight.
 
@@ -113,19 +122,20 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     the union of the Weyl orbits of the dominant weights below lam, which
     are disjoint, so their sizes add up to the point count.  The walk that
     finds those weights stops, and PolytopeSizeError is raised, as soon as
-    that count passes the point cap; no orbit is built before then.  All
-    coefficients are 1.
+    that count passes the point cap; no orbit is built before then.  A
+    cheap lower bound is checked before the walk starts: the polytope holds
+    lam's orbit and, for each positive root beta, the <lam, beta^vee> + 1
+    points of the beta-string from lam to s_beta(lam).  All coefficients
+    are 1.
     """
     lam = check_weight(rs, lam, dominant=True)
+    longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
+    _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
     below = []
     points = 0
     for depth, mu in _walk_below(rs, lam):
         points += orbit_size(rs, mu)
-        if points > _POINT_CAP:
-            raise PolytopeSizeError(
-                f"the polytope of {list(lam)} has at least {points} points; "
-                f"cap is {_POINT_CAP}"
-            )
+        _check_point_count(lam, points)
         below.append((depth, mu))
     # dominant_weights_below's order: it fixes the order `evaluate` sums in
     verts = orbit(rs, lam)

@@ -268,3 +268,20 @@ def test_eval_float_overflow_exits_2():
     assert proc.stderr.startswith("error: ")
     assert "A1 lambda [2000]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_closed_pipe_exits_141_quietly():
+    # `char B3 4 4 4` prints about 147 kB, more than a 64 kB pipe buffer can
+    # take, so a reader that stops after 10 bytes makes a later write fail.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polychar", "char", "B3", "4", "4", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": _child_pythonpath()},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

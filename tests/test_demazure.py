@@ -1,8 +1,9 @@
 """Demazure operators: string values, braid relations, both character
-formulas."""
+formulas.  The point-by-point string formula below is kept as the
+reference that certifies the running-sum cores."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychar import (
@@ -13,17 +14,73 @@ from polychar import (
     apply_d_simple,
     apply_r_simple,
     apply_word,
+    build_root_system,
     character_demazure,
     character_demazure_sum,
     character_freudenthal,
     weyl_group,
 )
-from polychar.demazure import apply_r_root
+from polychar.demazure import _demazure, _reflect, apply_r_root
 
 weights2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 sums2 = st.dictionaries(weights2, st.integers(-4, 4), max_size=6).map(
     lambda d: FormalSum(2, d)
 )
+
+_REFERENCE_ALGEBRAS = ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
+
+
+def _reference_demazure(rs, root, s, keep_identity):
+    """The string formula of the module docstring, one point at a time."""
+    coroot = rs.coroot_labels(root)
+    step = root.weight_coords
+    out = {}
+    for lam, coeff in s.terms.items():
+        n = sum(cv * x for cv, x in zip(coroot, lam))
+        if n >= 0:
+            for k in range(0 if keep_identity else 1, n + 1):
+                mu = tuple(x - k * a for x, a in zip(lam, step))
+                out[mu] = out.get(mu, 0) + coeff
+        else:
+            if not keep_identity:
+                out[lam] = out.get(lam, 0) - coeff
+            for k in range(1, -n):
+                mu = tuple(x + k * a for x, a in zip(lam, step))
+                out[mu] = out.get(mu, 0) - coeff
+    return FormalSum(rs.rank, out)
+
+
+def _reference_reflect(rs, root, s):
+    coroot = rs.coroot_labels(root)
+    step = root.weight_coords
+    out = {}
+    for lam, coeff in s.terms.items():
+        n = sum(cv * x for cv, x in zip(coroot, lam))
+        out[tuple(x - n * a for x, a in zip(lam, step))] = coeff
+    return FormalSum(rs.rank, out)
+
+
+def _assert_well_formed(rs, s):
+    assert all(c and isinstance(c, int) for c in s.terms.values())
+    assert all(len(w) == rs.rank for w in s.terms)
+
+
+@pytest.mark.parametrize("name", _REFERENCE_ALGEBRAS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_cores_match_point_by_point_reference(name, data):
+    rs = build_root_system(name)
+    weights = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    coeffs = st.integers(-3, 3).filter(bool)
+    s = FormalSum(rs.rank, data.draw(st.dictionaries(weights, coeffs, max_size=12)))
+    for root in rs.positive_roots:
+        for keep_identity in (True, False):
+            out = _demazure(rs, root, s, keep_identity)
+            assert out == _reference_demazure(rs, root, s, keep_identity)
+            _assert_well_formed(rs, out)
+        out = _reflect(rs, root, s)
+        assert out == _reference_reflect(rs, root, s)
+        _assert_well_formed(rs, out)
 
 
 def test_string_values_a1(a1):
@@ -72,8 +129,6 @@ def test_r_flavor_is_reflection(g2):
 
 @given(sums2, sums2)
 def test_operators_linear(x, y):
-    from polychar import build_root_system
-
     rs = build_root_system("B2")
     for i in (1, 2):
         assert apply_d_simple(rs, i, x + y) == apply_d_simple(rs, i, x) + apply_d_simple(rs, i, y)
@@ -81,8 +136,6 @@ def test_operators_linear(x, y):
 
 @given(sums2)
 def test_idempotence_relations(s):
-    from polychar import build_root_system
-
     rs = build_root_system("A2")
     for i in (1, 2):
         D = apply_D_simple(rs, i, s)
@@ -93,8 +146,6 @@ def test_idempotence_relations(s):
 
 @pytest.mark.parametrize("name,m", [("A2", 3), ("B2", 4), ("G2", 6)])
 def test_braid_relations(name, m):
-    from polychar import build_root_system
-
     rs = build_root_system(name)
     w1 = tuple(1 if k % 2 == 0 else 2 for k in range(m))
     w2 = tuple(2 if k % 2 == 0 else 1 for k in range(m))

@@ -155,6 +155,34 @@ def test_oracle_point_cap_boundary(monkeypatch):
         polytope_sum_oracle(a4, (1, 0, 0, 1))
 
 
+def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
+    def unreachable(rs, lam):
+        raise AssertionError("the walk was entered")
+
+    monkeypatch.setattr(polysum, "_walk_below", unreachable)
+    a1, a3 = build_root_system("A1"), build_root_system("A3")
+    # the string bound: A1 (10) has the 11 points of its alpha-string
+    monkeypatch.setattr(polysum, "_POINT_CAP", 10)
+    message = r"^the polytope of \[10\] has at least 11 points; cap is 10$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        polytope_sum_oracle(a1, (10,))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 11)
+    with pytest.raises(AssertionError, match="the walk was entered"):
+        polytope_sum_oracle(a1, (10,))
+    # the orbit bound: A3 (1, 1, 1) has 24 vertices and strings of 4 points
+    monkeypatch.setattr(polysum, "_POINT_CAP", 23)
+    with pytest.raises(PolytopeSizeError, match=r"has at least 24 points; cap is 23$"):
+        polytope_sum_oracle(a3, (1, 1, 1))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 24)
+    with pytest.raises(AssertionError, match="the walk was entered"):
+        polytope_sum_oracle(a3, (1, 1, 1))
+    # at the real cap, A1 (10**9) is refused at once
+    monkeypatch.setattr(polysum, "_POINT_CAP", 10**6)
+    message = r"^the polytope of \[1000000000\] has at least 1000000001 points; cap is 1000000$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        polytope_sum_oracle(a1, (10**9,))
+
+
 def test_oracle_refuses_before_building_an_orbit(monkeypatch):
     def unreachable(rs, mu):
         raise AssertionError("an orbit was built")
