@@ -3,7 +3,8 @@
 Every subcommand prints one canonical JSON payload (sorted keys, no
 whitespace) so identical inputs give byte-identical output.  ``--table``
 swaps stdout to a readable rendering; ``--out FILE`` writes the JSON to a
-file either way.
+file either way.  The handlers only compute: each returns its payload, and
+`run` writes it, the one place output leaves the program.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
@@ -49,7 +50,7 @@ def _emit(args, payload, render) -> None:
     """Write the JSON payload; ``render()`` builds the ``--table`` text, so
     it runs only when that text is printed."""
     text = _canon(payload)
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -68,23 +69,23 @@ def _sum_table(s: FormalSum) -> str:
     return "\n".join(lines)
 
 
-def _cmd_char(args) -> int:
+# Each handler returns (payload, render, code): the JSON object, the
+# zero-argument callable that builds the --table text, and the exit code.
+def _sum_result(s: FormalSum) -> tuple:
+    return s.to_json_obj(), lambda: _sum_table(s), 0
+
+
+def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
-    s = character_demazure(rs, args.labels)
-    _emit(args, s.to_json_obj(), lambda: _sum_table(s))
-    return 0
+    return _sum_result(character_demazure(rs, args.labels))
 
 
-def _cmd_bsum(args) -> int:
+def _cmd_bsum(args) -> tuple:
     rs = build_root_system(args.algebra)
     if args.method == "oracle":
-        s = polytope_sum_oracle(rs, args.labels).sum
-        _emit(args, s.to_json_obj(), lambda: _sum_table(s))
-        return 0
+        return _sum_result(polytope_sum_oracle(rs, args.labels).sum)
     if args.method == "demazure":
-        s = polytope_sum_demazure(rs, args.labels)
-        _emit(args, s.to_json_obj(), lambda: _sum_table(s))
-        return 0
+        return _sum_result(polytope_sum_demazure(rs, args.labels))
     formula = polytope_sum_demazure(rs, args.labels)
     oracle = polytope_sum_oracle(rs, args.labels).sum
     diff = formula - oracle
@@ -105,14 +106,12 @@ def _cmd_bsum(args) -> int:
             ]
         )
 
-    _emit(args, payload, table)
-    return 0 if match else 1
+    return payload, table, 0 if match else 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     rs = build_root_system(args.algebra)
     reports = verify_polytope_formula(rs, args.max_label)
-    payload = [r.to_json_obj() for r in reports]
     n_bad = sum(1 for r in reports if not r.match)
 
     def table() -> str:
@@ -125,11 +124,10 @@ def _cmd_verify(args) -> int:
         lines.append(f"{len(reports)} comparisons, {n_bad} mismatches")
         return "\n".join(lines)
 
-    _emit(args, payload, table)
-    return 0 if n_bad == 0 else 1
+    return [r.to_json_obj() for r in reports], table, 0 if n_bad == 0 else 1
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     if (args.algebra is None) != (args.lam is None):
         raise ValueError("--algebra and --lam must be given together")
     if args.algebra is not None:
@@ -157,11 +155,10 @@ def _cmd_eval(args) -> int:
             )
         return "\n".join(lines)
 
-    _emit(args, payload, table)
-    return 0 if all(r["pass"] for r in results) else 1
+    return payload, table, 0 if all(r["pass"] for r in results) else 1
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args) -> tuple:
     rs = build_root_system(args.algebra)
     payload = polytope_expansion(rs, args.labels).to_json_obj()
 
@@ -171,27 +168,24 @@ def _cmd_expand(args) -> int:
             lines.append(f"{entry['w']} -> {entry['c']}")
         return "\n".join(lines)
 
-    _emit(args, payload, table)
-    return 0
+    return payload, table, 0
 
 
-def _cmd_vertices(args) -> int:
+def _cmd_vertices(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
     if (size := orbit_size(rs, lam)) > _POINT_CAP:
         raise PolytopeSizeError(
             f"the orbit of {list(lam)} has {size} points; cap is {_POINT_CAP}"
         )
-    verts = sorted(orbit(rs, lam))
-    payload = [list(v) for v in verts]
+    payload = [list(v) for v in sorted(orbit(rs, lam))]
 
     def table() -> str:
         lines = [str(v) for v in payload]
-        lines.append(f"({len(verts)} vertices)")
+        lines.append(f"({len(payload)} vertices)")
         return "\n".join(lines)
 
-    _emit(args, payload, table)
-    return 0
+    return payload, table, 0
 
 
 # Built on the first run and kept: parse_args leaves the parser unchanged.
@@ -206,55 +200,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # --out and --table come last on every subcommand, after its own options
+    def common(p, handler):
         p.add_argument("--out", metavar="FILE", help="also write the JSON payload to FILE")
         p.add_argument(
             "--table", action="store_true", help="print a readable table instead of JSON"
         )
+        p.set_defaults(handler=handler)
+
+    def weight(p, algebra_help=None, labels_help=None):
+        p.add_argument("algebra", help=algebra_help)
+        p.add_argument("labels", nargs="+", type=int, help=labels_help)
 
     p = sub.add_parser("char", help="irreducible character as exact JSON")
-    p.add_argument("algebra", help="algebra name such as A2, B3, G2")
-    p.add_argument("labels", nargs="+", type=int, help="dominant weight labels")
-    common(p)
-    p.set_defaults(handler=_cmd_char)
+    weight(p, "algebra name such as A2, B3, G2", "dominant weight labels")
+    common(p, _cmd_char)
 
     p = sub.add_parser("bsum", help="lattice sum over the weight polytope")
-    p.add_argument("algebra")
-    p.add_argument("labels", nargs="+", type=int)
+    weight(p)
     p.add_argument(
         "--method",
         choices=("oracle", "demazure", "both"),
         default="demazure",
         help="enumerator, operator formula, or both with a comparison",
     )
-    common(p)
-    p.set_defaults(handler=_cmd_bsum)
+    common(p, _cmd_bsum)
 
     p = sub.add_parser("verify", help="sweep the operator formula against the enumerator")
     p.add_argument("--algebra", default="B2")
     p.add_argument("--max-label", type=int, default=3)
-    common(p)
-    p.set_defaults(handler=_cmd_verify)
+    common(p, _cmd_verify)
 
     p = sub.add_parser("eval", help="numeric cross-checks at seeded generic points")
     p.add_argument("--algebra")
     p.add_argument("--lam", nargs="+", type=int)
     p.add_argument("--sigma-count", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p)
-    p.set_defaults(handler=_cmd_eval)
+    common(p, _cmd_eval)
 
     p = sub.add_parser("expand", help="character as a combination of polytope sums")
-    p.add_argument("algebra")
-    p.add_argument("labels", nargs="+", type=int)
-    common(p)
-    p.set_defaults(handler=_cmd_expand)
+    weight(p)
+    common(p, _cmd_expand)
 
     p = sub.add_parser("vertices", help="Weyl orbit of a dominant weight")
-    p.add_argument("algebra")
-    p.add_argument("labels", nargs="+", type=int)
-    common(p)
-    p.set_defaults(handler=_cmd_vertices)
+    weight(p)
+    common(p, _cmd_vertices)
 
     return parser
 
@@ -267,7 +257,9 @@ def run(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        payload, render, code = args.handler(args)
+        _emit(args, payload, render)
+        return code
     except (ValueError, PolytopeSizeError, GenericityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

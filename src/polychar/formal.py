@@ -12,6 +12,15 @@ from types import MappingProxyType
 from .rootsys import RootSystem, dot_float
 
 
+def _check_exponent(weight) -> tuple:
+    """The exponent as a tuple, after checking each entry is of type int
+    (bools and floats are refused)."""
+    w = tuple(weight)
+    if not all(type(x) is int for x in w):
+        raise TypeError(f"exponent {w} has a non-integer entry")
+    return w
+
+
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned."""
 
@@ -23,7 +32,7 @@ class FormalSum:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict = {}
         for weight, coeff in items:
-            w = tuple(weight)
+            w = _check_exponent(weight)
             if len(w) != rank:
                 raise ValueError(f"exponent {w} has length {len(w)}, expected rank {rank}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
@@ -106,7 +115,7 @@ class FormalSum:
 
     def mul_exp(self, shift) -> "FormalSum":
         """Multiply by e^shift, i.e. translate every exponent."""
-        s = tuple(shift)
+        s = _check_exponent(shift)
         if len(s) != self._rank:
             raise ValueError(f"shift {s} has length {len(s)}, expected rank {self._rank}")
         return FormalSum._of(
@@ -141,14 +150,9 @@ class FormalSum:
 
     @classmethod
     def from_json_obj(cls, obj, rank: int | None = None) -> "FormalSum":
-        """Inverse of `to_json_obj`.  Exponent entries must be integers (not
-        bools); coefficients pass through to the constructor's check."""
-        entries = []
-        for item in obj:
-            w = tuple(item["w"])
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in w):
-                raise TypeError(f"exponent {w} has a non-integer entry")
-            entries.append((w, item["c"]))
+        """Inverse of `to_json_obj`; entries pass through to the
+        constructor's checks."""
+        entries = [(tuple(item["w"]), item["c"]) for item in obj]
         if rank is None:
             if not entries:
                 raise ValueError("cannot infer rank of an empty serialized sum")

@@ -133,16 +133,15 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
     below = []
     points = 0
-    for depth, mu in _walk_below(rs, lam):
+    for _depth, mu in _walk_below(rs, lam):
         points += orbit_size(rs, mu)
         _check_point_count(lam, points)
-        below.append((depth, mu))
-    # dominant_weights_below's order: it fixes the order `evaluate` sums in
-    verts = orbit(rs, lam)
+        below.append(mu)
+    verts = orbit(rs, lam)  # below[0] is lam
     terms = dict.fromkeys(verts, 1)
-    for _depth, mu in sorted(below)[1:]:
+    for mu in below[1:]:
         terms.update(dict.fromkeys(orbit(rs, mu), 1))
-    return PolytopeSum(FormalSum(rs.rank, terms), frozenset(verts))
+    return PolytopeSum(FormalSum._of(rs.rank, terms), verts)
 
 
 # Operator formulas by (family, rank): the report name, a reduced word of w0
@@ -248,8 +247,10 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # el.apply(alpha) is the integer tuple +-beta_k and inner_float is
 # sign-symmetric (negation is exact, and p_k = 0 is a pole).  So each point
 # gets one table: the pole test reads the p_k, and every vertex-cone
-# denominator is one of the 2|Phi+| factors in _RootFactors, looked up
-# through weyl_group's root permutation.
+# denominator is one of the 2|Phi+| factors `_at_point` computes, looked up
+# through weyl_group's root permutation.  Both evaluators read every factor:
+# w s_i sends alpha_i to -w alpha_i, so each signed key is some simple root's
+# image.
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -258,32 +259,30 @@ def _near_pole(pairings, margin: float) -> bool:
     return any(abs(p) <= margin for p in pairings)
 
 
-def _check_generic(pairings) -> None:
+def _at_point(rs: RootSystem, lam, sigma) -> tuple:
+    """What both evaluators need at one point: the checked dominant lam, the
+    Weyl group table, ``form_float(sigma)`` and the denominator factors keyed
+    by the root permutation's signed entries, +(k+1) giving 1 - e^{-p_k} and
+    -(k+1) giving 1 - e^{p_k}.
+
+    Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
+    """
+    lam = check_weight(rs, lam, dominant=True)
+    sig = check_point(rs, sigma)
+    group = weyl_group(rs)
+    pairings = _root_pairings(rs, sig)
     if _near_pole(pairings, _POLE_TOLERANCE):
         raise GenericityError(
             f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
         )
+    factors = {}
+    for k, p in enumerate(pairings, 1):
+        factors[k] = 1.0 - math.exp(-p)
+        factors[-k] = 1.0 - math.exp(p)
+    return lam, group, rs.form_float(sig), factors
 
 
-class _RootFactors(dict):
-    """The denominator factors of one point, keyed by the root permutation's
-    signed entries: +(k+1) gives 1 - e^{-p_k} and -(k+1) gives 1 - e^{p_k}.
-
-    Each factor is computed at its first lookup, so an exponential that
-    overflows raises where the element loop first needs it, after the terms
-    before it."""
-
-    def __init__(self, pairings):
-        super().__init__()
-        self._pairings = pairings
-
-    def __missing__(self, key: int) -> float:
-        p = self._pairings[abs(key) - 1]
-        value = self[key] = 1.0 - math.exp(-p if key > 0 else p)
-        return value
-
-
-def _cone_sum(group, lam, covector, factors: _RootFactors, count: int) -> float:
+def _cone_sum(group, lam, covector, factors: dict, count: int) -> float:
     """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
     product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
     roots (the simple roots, or all of them).  ``covector`` is
@@ -305,12 +304,8 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
 
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
-    lam = check_weight(rs, lam, dominant=True)
-    sig = check_point(rs, sigma)
-    group = weyl_group(rs)
-    pairings = _root_pairings(rs, sig)
-    _check_generic(pairings)
-    return _cone_sum(group, lam, rs.form_float(sig), _RootFactors(pairings), rs.rank)
+    lam, group, covector, factors = _at_point(rs, lam, sigma)
+    return _cone_sum(group, lam, covector, factors, rs.rank)
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
@@ -318,19 +313,13 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     sum over the shifted Weyl action divided by the denominator product and
     as the manifestly invariant sum of vertex-cone terms over all positive
     roots.  The two must agree to 1e-9 relative; the first is returned."""
-    lam = check_weight(rs, lam, dominant=True)
-    sig = check_point(rs, sigma)
-    group = weyl_group(rs)
-    pairings = _root_pairings(rs, sig)
-    _check_generic(pairings)
-    covector = rs.form_float(sig)
+    lam, group, covector, factors = _at_point(rs, lam, sigma)
     lam_rho = tuple(x + 1 for x in lam)
     num = 0.0
     for el in group.elements:
         shifted = tuple(x - 1 for x in el.apply(lam_rho))
         num += el.sign * math.exp(dot_float(shifted, covector))
-    factors = _RootFactors(pairings)
-    count = len(pairings)
+    count = len(rs.positive_roots)
     den = 1.0
     for k in range(1, count + 1):
         den *= factors[k]

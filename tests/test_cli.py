@@ -208,14 +208,34 @@ def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
 
 
-def test_out_flag(tmp_path, capsys):
-    target = tmp_path / "char.json"
-    code, out = _capture(capsys, ["char", "A1", "2", "--out", str(target)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["char", "A1", "2"],
+        ["bsum", "A2", "1", "0", "--method", "both"],
+        ["verify", "--algebra", "A1", "--max-label", "2"],
+        ["eval", "--algebra", "A1", "--lam", "2", "--sigma-count", "2"],
+        ["expand", "A2", "1", "1"],
+        ["vertices", "A2", "1", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_flag(tmp_path, capsys, argv):
+    """--out writes exactly the stdout JSON, with or without --table."""
+    code, stdout = _capture(capsys, argv)
+    assert code == 0
+    target = tmp_path / "out.json"
+    code, out = _capture(capsys, [*argv, "--out", str(target)])
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text()) == [
-        {"c": 1, "w": [-2]}, {"c": 1, "w": [0]}, {"c": 1, "w": [2]},
-    ]
+    assert target.read_text() == stdout
+    target.unlink()
+    code, table = _capture(capsys, [*argv, "--out", str(target), "--table"])
+    assert code == 0
+    assert target.read_text() == stdout
+    # the table itself (verify's millis column varies, so compare its header)
+    assert table != stdout
+    assert table.split("\n")[0] == _capture(capsys, [*argv, "--table"])[1].split("\n")[0]
 
 
 @pytest.mark.parametrize("name", ["", "missing/char.json"], ids=["directory", "no-parent"])

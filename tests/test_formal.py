@@ -38,6 +38,16 @@ def test_bools_rejected():
         FormalSum(1, {(1,): True})
     with pytest.raises(TypeError):
         FormalSum.exp((1,)).scale(True)
+    # exponent entries: bools and floats are refused on every way in
+    for bad in ((True, 0), (0, 0.5), (1.0, 0)):
+        with pytest.raises(TypeError, match="non-integer entry"):
+            FormalSum(2, {bad: 1})
+        with pytest.raises(TypeError, match="non-integer entry"):
+            FormalSum.exp(bad)
+        with pytest.raises(TypeError, match="non-integer entry"):
+            FormalSum.exp((0, 0)).mul_exp(bad)
+        with pytest.raises(TypeError, match="non-integer entry"):
+            FormalSum.from_json_obj([{"w": list(bad), "c": 1}])
 
 
 def test_add_and_cancellation():
