@@ -30,7 +30,8 @@ from operator import mul
 Weight = tuple[int, ...]
 
 _RANK_CAP = 8
-_FAMILIES = ("A", "B", "C", "D", "G")
+# each supported family and its lowest rank, in the order errors list them
+_LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ class AlgebraId:
     rank: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _LOWEST_RANK:
             raise ValueError(
-                f"unsupported family {self.family!r}: expected one of {', '.join(_FAMILIES)}"
+                f"unsupported family {self.family!r}: expected one of {', '.join(_LOWEST_RANK)}"
             )
         if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
             raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
@@ -51,10 +52,8 @@ class AlgebraId:
             raise ValueError(f"rank {self.rank} exceeds the desk-scale cap of {_RANK_CAP}")
         if self.family == "G" and self.rank != 2:
             raise ValueError("the G family only exists at rank 2")
-        if self.family in ("B", "C") and self.rank < 2:
-            raise ValueError(f"family {self.family} starts at rank 2")
-        if self.family == "D" and self.rank < 3:
-            raise ValueError("family D starts at rank 3")
+        if self.rank < _LOWEST_RANK[self.family]:
+            raise ValueError(f"family {self.family} starts at rank {_LOWEST_RANK[self.family]}")
 
     @classmethod
     def parse(cls, name: str) -> "AlgebraId":
@@ -271,42 +270,21 @@ def _det_and_adjugate(matrix):
     return prev, tuple(tuple(row[n:]) for row in rows)
 
 
-def _cartan_matrix(aid: AlgebraId) -> tuple[tuple[int, ...], ...]:
+def _dynkin(aid: AlgebraId) -> tuple[list, tuple[int, ...]]:
+    """The Dynkin diagram of ``aid``: its bonds, the pairs of joined simple
+    roots, and the squared simple-root lengths in units of the shortest root.
+    The bonds form the chain (i, i + 1), except that D_r branches at r - 3."""
     r = aid.rank
-    A = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    if aid.family == "A":
-        for i in range(r - 1):
-            A[i][i + 1] = A[i + 1][i] = -1
-    elif aid.family == "B":
-        for i in range(r - 2):
-            A[i][i + 1] = A[i + 1][i] = -1
-        A[r - 1][r - 2] = -2
-        A[r - 2][r - 1] = -1
-    elif aid.family == "C":
-        for i in range(r - 2):
-            A[i][i + 1] = A[i + 1][i] = -1
-        A[r - 1][r - 2] = -1
-        A[r - 2][r - 1] = -2
-    elif aid.family == "D":
-        for i in range(r - 2):
-            A[i][i + 1] = A[i + 1][i] = -1
-        A[r - 3][r - 1] = A[r - 1][r - 3] = -1
-    else:  # G2
-        A[0][1] = -1
-        A[1][0] = -3
-    return tuple(tuple(row) for row in A)
-
-
-def _squared_lengths(aid: AlgebraId) -> tuple[int, ...]:
-    """(alpha_i, alpha_i) per simple root, in units of the shortest root."""
-    r = aid.rank
+    bonds = [(i, i + 1) for i in range(r - 1)]
+    if aid.family == "D":
+        bonds[-1] = (r - 3, r - 1)
     if aid.family == "B":
-        return (2,) * (r - 1) + (1,)
+        return bonds, (2,) * (r - 1) + (1,)
     if aid.family == "C":
-        return (1,) * (r - 1) + (2,)
+        return bonds, (1,) * (r - 1) + (2,)
     if aid.family == "G":
-        return (3, 1)
-    return (1,) * r
+        return bonds, (3, 1)
+    return bonds, (1,) * r
 
 
 def _positive_roots(cartan) -> dict:
@@ -342,20 +320,24 @@ def build_root_system(algebra) -> RootSystem:
     ``algebra`` may be an :class:`AlgebraId` or a name such as ``"A2"``
     (case-insensitive).  Positive roots and their coroots come from one
     closure under simple reflections, and the Cartan determinant and
-    adjugate from one fraction-free elimination.  The quadratic form solves
-    G * cartan = diag of the half squared lengths l_i / max(l), which pins
+    adjugate from one fraction-free elimination.  The Cartan matrix follows
+    from the Dynkin bonds and the squared lengths l_i: across a bond (i, j),
+    cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) is -l_j / l_i
+    when alpha_j is the longer root and -1 otherwise, so l_i cartan[i][j]
+    is symmetric by construction.  The quadratic form solves G * cartan =
+    diag of the half squared lengths l_i / max(l), which pins
     (Lambda^i, Lambda^j) = l_i adj[i][j] / (max(l) det) exactly; dividing
     those numerators and that denominator by their gcd gives
     ``gram_scaled`` and ``form_scale``.
     """
     aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
-    cartan = _cartan_matrix(aid)
-    lengths = _squared_lengths(aid)
+    bonds, lengths = _dynkin(aid)
     r = aid.rank
-    for i in range(r):
-        for j in range(r):
-            if lengths[i] * cartan[i][j] != lengths[j] * cartan[j][i]:
-                raise AssertionError("length table inconsistent with the Cartan matrix")
+    rows = [[2 * (i == j) for j in range(r)] for i in range(r)]
+    for i, j in bonds:
+        rows[i][j] = -max(1, lengths[j] // lengths[i])
+        rows[j][i] = -max(1, lengths[i] // lengths[j])
+    cartan = tuple(map(tuple, rows))
     det, adj = _det_and_adjugate(cartan)
     gram = [[lengths[i] * adj[i][j] for j in range(r)] for i in range(r)]
     scale = max(lengths) * det

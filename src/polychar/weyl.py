@@ -172,9 +172,7 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
                     WeylElement(fp, (i + 1,) + el.word, el.length + 1, -el.sign, mat)
                 )
         frontier = nxt
-    top = max(el.length for el in elements)
-    longest = [k for k, el in enumerate(elements) if el.length == top]
-    if len(longest) != 1:
-        raise AssertionError("longest element is not unique")
+    # w0 rho = -rho, and fingerprints are faithful
+    longest = index[tuple(-x for x in rho)]
     roots = tuple(root.weight_coords for root in rs.positive_roots)
-    return WeylGroupTable(tuple(elements), longest[0], roots)
+    return WeylGroupTable(tuple(elements), longest, roots)

@@ -72,3 +72,23 @@ def test_traced_bsum_both_reaches_the_operator_layers(capsys):
     spans = {name for _sid, _parent, name, *_rest in tracer.spans}
     assert {"polysum.oracle", "polysum.formula", "demazure.op"} <= spans
     assert tracer.counts["rootsys.coroot_labels.calls"] > 0
+
+
+def test_traced_char_and_expand_reach_their_layers(capsys):
+    # the layers the char-expand workload reads; Freudenthal walks the
+    # dominant weights through weyl.dominant_representative
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer)
+    try:
+        codes = [polychar.cli.run([cmd, "A2", "2", "1"]) for cmd in ("char", "expand")]
+    finally:
+        tracing.restore(undo)
+    assert codes == [0, 0]
+    assert capsys.readouterr().out.count("\n") == 2
+    spans = {name for _sid, _parent, name, *_rest in tracer.spans}
+    assert {
+        "weyl.weyl_group", "demazure.character_demazure", "demazure.op",
+        "polysum.freudenthal", "polysum.dominant_below", "polysum.expansion",
+    } <= spans
+    assert tracer.counts["weyl.dominant_representative.calls"] > 0
