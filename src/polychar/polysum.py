@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
+from operator import add, ge, sub
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate
@@ -115,6 +116,15 @@ def _check_point_count(lam, points: int) -> None:
         )
 
 
+def _check_lower_bound(rs: RootSystem, lam) -> None:
+    """Refuse a dominant lam whose polytope is too large by a cheap lower
+    bound, before any walk: it holds lam's orbit and, for each positive root
+    beta, the <lam, beta^vee> + 1 points of the beta-string from lam to
+    s_beta(lam)."""
+    longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
+    _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
+
+
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     """Enumerated lattice sum over the weight polytope of a dominant weight.
 
@@ -122,15 +132,12 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     the union of the Weyl orbits of the dominant weights below lam, which
     are disjoint, so their sizes add up to the point count.  The walk that
     finds those weights stops, and PolytopeSizeError is raised, as soon as
-    that count passes the point cap; no orbit is built before then.  A
-    cheap lower bound is checked before the walk starts: the polytope holds
-    lam's orbit and, for each positive root beta, the <lam, beta^vee> + 1
-    points of the beta-string from lam to s_beta(lam).  All coefficients
+    that count passes the point cap; no orbit is built before then, and
+    `_check_lower_bound` refuses before the walk starts.  All coefficients
     are 1.
     """
     lam = check_weight(rs, lam, dominant=True)
-    longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
-    _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
+    _check_lower_bound(rs, lam)
     below = []
     points = 0
     for _depth, mu in _walk_below(rs, lam):
@@ -373,30 +380,42 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     Processing runs from lam downward so every multiplicity needed on the
     right-hand side is already known; each value must come out a positive
     integer, which is asserted.  Inner products are ``inner_scaled``
-    integers: the form's scale cancels in 2 acc / denom.
+    integers: the form's scale cancels in 2 acc / denom.  Along a string,
+    <mu + k beta, beta> = a + k b with a = <mu, beta> and b = <beta, beta>,
+    so each (mu, beta) costs one pairing.
+
+    Each weight nu = mu + k beta met on a string is looked up once, in a
+    memo from nu to the multiplicity of its dominant representative, 0
+    outside the module; a string ends at its first 0.  A stored 0 never
+    goes stale: dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than
+    mu and, if it is a weight of the module, was tabulated before mu.  The
+    memo holds about one entry per weight of the module, so the oracle's
+    lower bound on the point count runs first and refuses lam past the cap.
     """
     lam = check_weight(rs, lam, dominant=True)
+    _check_lower_bound(rs, lam)
     doms = dominant_weights_below(rs, lam)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
     top = rs.inner_scaled(lam_rho, lam_rho)
-    mult: dict = {}
-    for mu in doms:
-        if mu == lam:
-            mult[mu] = 1
-            continue
+    strings = [(root.weight_coords, rs.inner_scaled(root.weight_coords, root.weight_coords))
+               for root in rs.positive_roots]
+    mult: dict = {lam: 1}  # doms[0] is lam
+    memo: dict = {}
+    for mu in doms[1:]:
         acc = 0
-        for root in rs.positive_roots:
-            wc = root.weight_coords
-            k = 1
+        for wc, b in strings:
+            a = rs.inner_scaled(mu, wc)
+            nu = mu
             while True:
-                nu = tuple(m + k * a for m, a in zip(mu, wc))
-                dom_nu, _ = dominant_representative(rs, nu)
-                m_nu = mult.get(dom_nu)
+                nu = tuple(map(add, nu, wc))
+                m_nu = memo.get(nu)
                 if m_nu is None:
+                    m_nu = memo[nu] = mult.get(dominant_representative(rs, nu)[0], 0)
+                if not m_nu:
                     break
-                acc += m_nu * rs.inner_scaled(nu, wc)
-                k += 1
+                a += b
+                acc += m_nu * a
         mu_rho = tuple(m + d for m, d in zip(mu, rho))
         denom = top - rs.inner_scaled(mu_rho, mu_rho)
         value, rem = divmod(2 * acc, denom)
@@ -416,7 +435,7 @@ def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
     for mu, m in mult.items():
         for w in orbit(rs, mu):
             terms[w] = m
-    return FormalSum(rs.rank, terms)
+    return FormalSum._of(rs.rank, terms)
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
@@ -449,9 +468,11 @@ def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
     multiplicity minus the coefficients already fixed above it."""
     mult = dominant_weight_multiplicities(rs, lam)
     coeffs: dict = {}
+    gaps: dict = {}  # root coordinates of lam - mu: nu >= mu iff gap >= gaps[nu] entrywise
     for mu, value in mult.items():  # walk order: lam downward
+        gap = gaps[mu] = rs.root_coords_of_weight(tuple(map(sub, lam, mu)))
         for nu, c in coeffs.items():
-            if _dominates(rs, nu, mu):
+            if all(map(ge, gap, gaps[nu])):
                 value -= c
         if value:
             coeffs[mu] = value

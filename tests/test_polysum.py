@@ -37,6 +37,7 @@ from polychar import (
     gamma_sequence,
     numeric_formula_check,
     orbit,
+    orbit_size,
     polysum,
     polytope_expansion,
     polytope_member,
@@ -181,6 +182,40 @@ def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
     message = r"^the polytope of \[1000000000\] has at least 1000000001 points; cap is 1000000$"
     with pytest.raises(PolytopeSizeError, match=message):
         polytope_sum_oracle(a1, (10**9,))
+
+
+@pytest.mark.parametrize("entry", [dominant_weight_multiplicities, polytope_expansion])
+def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
+    # Freudenthal, and so expand, runs the oracle's preflight
+    def unreachable(rs, lam):
+        raise AssertionError("the walk was entered")
+
+    monkeypatch.setattr(polysum, "_walk_below", unreachable)
+    a1, a3 = build_root_system("A1"), build_root_system("A3")
+    # the string bound: A1 (10) has the 11 weights of its alpha-string
+    monkeypatch.setattr(polysum, "_POINT_CAP", 10)
+    message = r"^the polytope of \[10\] has at least 11 points; cap is 10$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        entry(a1, (10,))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 11)
+    with pytest.raises(AssertionError, match="the walk was entered"):
+        entry(a1, (10,))
+    # the orbit bound: A3 (1, 1, 1) has 24 vertices and strings of 4 points
+    monkeypatch.setattr(polysum, "_POINT_CAP", 23)
+    message = r"^the polytope of \[1, 1, 1\] has at least 24 points; cap is 23$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        entry(a3, (1, 1, 1))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 24)
+    with pytest.raises(AssertionError, match="the walk was entered"):
+        entry(a3, (1, 1, 1))
+    # at the real cap, B8 (1, ..., 1) is refused at once: |W(B8)| vertices
+    monkeypatch.setattr(polysum, "_POINT_CAP", 10**6)
+    message = (
+        r"^the polytope of \[1, 1, 1, 1, 1, 1, 1, 1\] has at least 10321920 points; "
+        r"cap is 1000000$"
+    )
+    with pytest.raises(PolytopeSizeError, match=message):
+        entry(build_root_system("B8"), (1,) * 8)
 
 
 def test_oracle_refuses_before_building_an_orbit(monkeypatch):
@@ -513,8 +548,16 @@ def test_freudenthal_dimension_rank4(name):
     rs = build_root_system(name)
     for lam in product(range(2), repeat=4):
         mult = dominant_weight_multiplicities(rs, lam)
-        total = sum(m * len(orbit(rs, mu)) for mu, m in mult.items())
+        total = sum(m * orbit_size(rs, mu) for mu, m in mult.items())
         assert total == weyl_dimension(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["A5", "B5", "C5", "D5"])
+def test_freudenthal_dimension_rank5(name):
+    rs, lam = build_root_system(name), (1,) * 5
+    mult = dominant_weight_multiplicities(rs, lam)
+    total = sum(m * orbit_size(rs, mu) for mu, m in mult.items())
+    assert total == weyl_dimension(rs, lam)
 
 
 @pytest.mark.parametrize(
@@ -547,6 +590,17 @@ def test_expansion_reconstructs(b2, g2):
         for mu, c in exp.coefficients.items():
             total = total + polytope_sum_oracle(rs, mu).sum.scale(c)
         assert total == character_freudenthal(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"])
+def test_expansion_reconstructs_grid(name):
+    # the root-coordinate peel against the Demazure character, an independent route
+    rs = build_root_system(name)
+    for lam in product(range(3), repeat=rs.rank):
+        total = FormalSum.zero(rs.rank)
+        for mu, c in polytope_expansion(rs, lam).coefficients.items():
+            total = total + polytope_sum_oracle(rs, mu).sum.scale(c)
+        assert total == character_demazure(rs, lam), lam
 
 
 @pytest.mark.parametrize(
