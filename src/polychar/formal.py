@@ -22,9 +22,12 @@ def _check_exponent(weight) -> tuple:
 
 
 class FormalSum:
-    """Immutable Z-linear combination of exponentials, zero terms pruned."""
+    """Immutable Z-linear combination of exponentials, zero terms pruned.
 
-    __slots__ = ("_rank", "_terms")
+    The canonical (lexicographic) term order is sorted on first use and kept:
+    the terms never change, so it cannot go stale."""
+
+    __slots__ = ("_rank", "_terms", "_sorted")
 
     def __init__(self, rank: int, terms=()):
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
@@ -44,6 +47,7 @@ class FormalSum:
                 del acc[w]
         self._rank = rank
         self._terms = acc
+        self._sorted = None
 
     @classmethod
     def _of(cls, rank: int, terms: dict) -> "FormalSum":
@@ -52,6 +56,7 @@ class FormalSum:
         out = cls.__new__(cls)
         out._rank = rank
         out._terms = terms
+        out._sorted = None
         return out
 
     @classmethod
@@ -88,9 +93,16 @@ class FormalSum:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def items_sorted(self):
-        """Terms in lexicographic exponent order (the canonical order)."""
-        return sorted(self._terms.items())
+    def _canonical(self) -> tuple:
+        """The terms in lexicographic exponent order, as a shared tuple."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._terms.items()))
+        return self._sorted
+
+    def items_sorted(self) -> list:
+        """Terms in lexicographic exponent order (the canonical order), as a
+        new list."""
+        return list(self._canonical())
 
     def add(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
@@ -139,14 +151,14 @@ class FormalSum:
         return self._rank == other._rank and self._terms == other._terms
 
     def __repr__(self):
-        body = ", ".join(f"{w}: {c}" for w, c in self.items_sorted()[:6])
+        body = ", ".join(f"{w}: {c}" for w, c in self._canonical()[:6])
         if len(self._terms) > 6:
             body += ", ..."
         return f"FormalSum(rank={self._rank}, {{{body}}})"
 
     def to_json_obj(self) -> list:
         """JSON form: [{"w": [...], "c": n}, ...] sorted lexicographically by w."""
-        return [{"w": list(w), "c": c} for w, c in self.items_sorted()]
+        return [{"w": list(w), "c": c} for w, c in self._canonical()]
 
     @classmethod
     def from_json_obj(cls, obj, rank: int | None = None) -> "FormalSum":
@@ -179,6 +191,6 @@ def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
     covector = rs.form_float(check_point(rs, sigma))
     total = 0.0
-    for w, c in s.items_sorted():
+    for w, c in s._canonical():
         total += c * math.exp(dot_float(w, covector))
     return total

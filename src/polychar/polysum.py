@@ -17,6 +17,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, product
 from operator import add, ge, sub
@@ -125,25 +126,39 @@ def _check_lower_bound(rs: RootSystem, lam) -> None:
     _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
 
 
+def _walk_counted(rs: RootSystem, lam):
+    """`_walk_below` from a checked dominant lam under the point cap.
+
+    The orbits of the dominant weights below lam are disjoint and cover its
+    polytope, so their sizes add up to the point count.  `_check_lower_bound`
+    refuses lam before the walk starts, and the walk stops with
+    PolytopeSizeError as soon as the running count passes the cap.  An
+    orbit's size |W| / |W_mu| depends only on which labels of mu are zero,
+    so it is computed once per zero pattern.
+    """
+    _check_lower_bound(rs, lam)
+    sizes: dict = {}
+    points = 0
+    for depth, mu in _walk_below(rs, lam):
+        support = tuple(map(bool, mu))
+        size = sizes.get(support)
+        if size is None:
+            size = sizes[support] = orbit_size(rs, mu)
+        points += size
+        _check_point_count(lam, points)
+        yield depth, mu
+
+
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     """Enumerated lattice sum over the weight polytope of a dominant weight.
 
     The lattice points are exactly the weights `polytope_member` accepts:
-    the union of the Weyl orbits of the dominant weights below lam, which
-    are disjoint, so their sizes add up to the point count.  The walk that
-    finds those weights stops, and PolytopeSizeError is raised, as soon as
-    that count passes the point cap; no orbit is built before then, and
-    `_check_lower_bound` refuses before the walk starts.  All coefficients
-    are 1.
+    the union of the Weyl orbits of the dominant weights below lam.  The
+    walk that finds those weights refuses lam past the point cap
+    (`_walk_counted`) before any orbit is built.  All coefficients are 1.
     """
     lam = check_weight(rs, lam, dominant=True)
-    _check_lower_bound(rs, lam)
-    below = []
-    points = 0
-    for _depth, mu in _walk_below(rs, lam):
-        points += orbit_size(rs, mu)
-        _check_point_count(lam, points)
-        below.append(mu)
+    below = [mu for _depth, mu in _walk_counted(rs, lam)]
     verts = orbit(rs, lam)  # below[0] is lam
     terms = dict.fromkeys(verts, 1)
     for mu in below[1:]:
@@ -253,11 +268,13 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # +-p_k, p_k = <beta_k, sigma> over the positive roots beta_k, in floats too:
 # el.apply(alpha) is the integer tuple +-beta_k and inner_float is
 # sign-symmetric (negation is exact, and p_k = 0 is a pole).  So each point
-# gets one table: the pole test reads the p_k, and every vertex-cone
-# denominator is one of the 2|Phi+| factors `_at_point` computes, looked up
-# through weyl_group's root permutation.  Both evaluators read every factor:
-# w s_i sends alpha_i to -w alpha_i, so each signed key is some simple root's
-# image.
+# gets one table (`_point_table`): the pole test reads the p_k, and every
+# vertex-cone denominator is one of its 2|Phi+| factors, looked up through
+# weyl_group's root permutation.  Both evaluators read every factor: w s_i
+# sends alpha_i to -w alpha_i, so each signed key is some simple root's image.
+# The Weyl images of lam depend on lam alone and get a table of their own
+# (`_weight_table`).  Each table keeps its last entry, which serves the run of
+# calls `numeric_formula_check` makes at one weight and at one point.
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -266,38 +283,60 @@ def _near_pole(pairings, margin: float) -> bool:
     return any(abs(p) <= margin for p in pairings)
 
 
-def _at_point(rs: RootSystem, lam, sigma) -> tuple:
-    """What both evaluators need at one point: the checked dominant lam, the
-    Weyl group table, ``form_float(sigma)`` and the denominator factors keyed
-    by the root permutation's signed entries, +(k+1) giving 1 - e^{-p_k} and
-    -(k+1) giving 1 - e^{p_k}.
-
-    Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
-    """
-    lam = check_weight(rs, lam, dominant=True)
-    sig = check_point(rs, sigma)
+@lru_cache(maxsize=1)
+def _weight_table(rs: RootSystem, lam) -> tuple:
+    """What the evaluators need of a checked dominant lam, one entry per Weyl
+    element in table order: the pairs (w lam, w's root-permutation row) and
+    the pairs (sign of w, w(lam + rho) - rho)."""
     group = weyl_group(rs)
+    lam_rho = tuple(x + 1 for x in lam)
+    images = tuple(zip([el.apply(lam) for el in group.elements], group.root_permutation))
+    shifted = tuple(
+        (el.sign, tuple(x - 1 for x in el.apply(lam_rho))) for el in group.elements
+    )
+    return images, shifted
+
+
+@lru_cache(maxsize=1)
+def _point_table(rs: RootSystem, sig) -> tuple:
+    """What the evaluators need of a checked point: ``form_float(sig)`` and
+    the denominator factors, indexed by the root permutation's signed
+    entries: index k gives 1 - e^{-p_k} and index -k, by Python's negative
+    indexing, 1 - e^{p_k} (index 0 is unused).
+
+    Raises GenericityError when sig is within 1e-6 of a pole hyperplane; a
+    raise is not kept, so a repeated call raises again.
+    """
     pairings = _root_pairings(rs, sig)
     if _near_pole(pairings, _POLE_TOLERANCE):
         raise GenericityError(
             f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
         )
-    factors = {}
-    for k, p in enumerate(pairings, 1):
-        factors[k] = 1.0 - math.exp(-p)
-        factors[-k] = 1.0 - math.exp(p)
-    return lam, group, rs.form_float(sig), factors
+    plus = [1.0 - math.exp(-p) for p in pairings]  # indices 1..N
+    minus = [1.0 - math.exp(p) for p in reversed(pairings)]  # indices -N..-1
+    return rs.form_float(sig), (None, *plus, *minus)
 
 
-def _cone_sum(group, lam, covector, factors: dict, count: int) -> float:
+def _at_point(rs: RootSystem, lam, sigma) -> tuple:
+    """What both evaluators need at one point: lam's Weyl images, then
+    ``form_float(sigma)`` and the factors, after checking lam, then sigma,
+    then the Weyl group cap, then the pole test."""
+    lam = check_weight(rs, lam, dominant=True)
+    sig = check_point(rs, sigma)
+    weyl_group(rs)
+    covector, factors = _point_table(rs, sig)
+    return _weight_table(rs, lam), covector, factors
+
+
+def _cone_sum(images, covector, factors, count: int) -> float:
     """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
     product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
-    roots (the simple roots, or all of them).  ``covector`` is
-    ``form_float(sigma)``; the factors come from the point's table, divided
-    in root order."""
+    roots (the simple roots, or all of them).  ``images`` holds the pairs
+    (w lam, root-permutation row) and ``covector`` is ``form_float(sigma)``;
+    the factors come from the point's table, divided in root order."""
     total = 0.0
-    for el, row in zip(group.elements, group.root_permutation):
-        term = math.exp(dot_float(el.apply(lam), covector))
+    for image, row in images:
+        term = math.exp(dot_float(image, covector))
         for k in row[:count]:
             term /= factors[k]
         total += term
@@ -311,8 +350,8 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
 
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
-    lam, group, covector, factors = _at_point(rs, lam, sigma)
-    return _cone_sum(group, lam, covector, factors, rs.rank)
+    (images, _shifted), covector, factors = _at_point(rs, lam, sigma)
+    return _cone_sum(images, covector, factors, rs.rank)
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
@@ -320,18 +359,16 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     sum over the shifted Weyl action divided by the denominator product and
     as the manifestly invariant sum of vertex-cone terms over all positive
     roots.  The two must agree to 1e-9 relative; the first is returned."""
-    lam, group, covector, factors = _at_point(rs, lam, sigma)
-    lam_rho = tuple(x + 1 for x in lam)
+    (images, shifted), covector, factors = _at_point(rs, lam, sigma)
     num = 0.0
-    for el in group.elements:
-        shifted = tuple(x - 1 for x in el.apply(lam_rho))
-        num += el.sign * math.exp(dot_float(shifted, covector))
+    for sign, mu in shifted:
+        num += sign * math.exp(dot_float(mu, covector))
     count = len(rs.positive_roots)
     den = 1.0
     for k in range(1, count + 1):
         den *= factors[k]
     alternating = num / den
-    invariant = _cone_sum(group, lam, covector, factors, count)
+    invariant = _cone_sum(images, covector, factors, count)
     scale = max(abs(alternating), abs(invariant), 1e-300)
     if abs(alternating - invariant) / scale > _CROSS_CHECK_TOL:
         raise ArithmeticError(
@@ -368,9 +405,12 @@ def _walk_below(rs: RootSystem, lam):
 def dominant_weights_below(rs: RootSystem, lam) -> list:
     """Dominant weights of lam's root-lattice coset lying under lam in
     dominance order, sorted from lam downward by depth, the height of
-    lam - mu (then lexicographically)."""
+    lam - mu (then lexicographically).
+
+    Raises PolytopeSizeError, as the oracle does, when lam's polytope has
+    more lattice points than the cap."""
     lam = check_weight(rs, lam, dominant=True)
-    return [mu for _depth, mu in sorted(_walk_below(rs, lam))]
+    return [mu for _depth, mu in sorted(_walk_counted(rs, lam))]
 
 
 def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
@@ -389,11 +429,11 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     outside the module; a string ends at its first 0.  A stored 0 never
     goes stale: dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than
     mu and, if it is a weight of the module, was tabulated before mu.  The
-    memo holds about one entry per weight of the module, so the oracle's
-    lower bound on the point count runs first and refuses lam past the cap.
+    memo holds about one entry per weight of the module, so the walk of
+    `dominant_weights_below` refuses lam past the point cap first, by the
+    oracle's exact count.
     """
     lam = check_weight(rs, lam, dominant=True)
-    _check_lower_bound(rs, lam)
     doms = dominant_weights_below(rs, lam)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))

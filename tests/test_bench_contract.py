@@ -42,6 +42,11 @@ def test_tracer_binds_every_name():
 
 
 def test_traced_eval_reaches_every_numeric_layer(capsys):
+    # each numeric table keeps its last entry: start cold, whatever ran
+    # before, so the traced run builds the weight table through
+    # WeylElement.apply
+    polysum._weight_table.cache_clear()
+    polysum._point_table.cache_clear()
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)

@@ -147,6 +147,22 @@ def test_expand_exact(capsys):
     assert out == '[{"c":1,"w":[0,0]},{"c":1,"w":[1,1]}]\n'
 
 
+def test_expand_point_cap_boundary(capsys, monkeypatch):
+    # A4 (1, 0, 0, 1): the 20 roots and 0.  The lower bound (20 vertices)
+    # passes at a cap of 20; the exact count during the walk refuses
+    monkeypatch.setattr(polysum, "_POINT_CAP", 21)
+    code, out = _capture(capsys, ["expand", "A4", "1", "0", "0", "1"])
+    assert code == 0
+    assert out == '[{"c":3,"w":[0,0,0,0]},{"c":1,"w":[1,0,0,1]}]\n'
+    monkeypatch.setattr(polysum, "_POINT_CAP", 20)
+    assert run(["expand", "A4", "1", "0", "0", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the polytope of [1, 0, 0, 1] has at least 21 points; cap is 20\n"
+    )
+
+
 def test_vertices_sorted(capsys):
     code, out = _capture(capsys, ["vertices", "A2", "1", "0"])
     assert code == 0

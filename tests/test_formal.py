@@ -107,6 +107,30 @@ def test_json_is_lex_sorted():
     assert ws == sorted(ws)
 
 
+def test_sorted_order_is_kept_and_not_shared():
+    base = FormalSum(2, {(1, 0): 3, (-1, 2): -1, (0, 0): 2})
+    sums = [
+        base,
+        FormalSum._of(2, {(2, -1): 1, (0, 1): 4, (-3, 0): -2}),
+        base.add(FormalSum(2, {(1, 0): -3, (5, -5): 1})),
+        base.scale(-2),
+        base.mul_exp((1, -1)),
+        FormalSum.from_json_obj(base.to_json_obj()),
+    ]
+    for s in sums:
+        expected = sorted(s.terms.items())
+        first = s.items_sorted()
+        assert first == expected
+        first.reverse()
+        first.append(((9, 9), 1))
+        assert s.items_sorted() == expected
+        assert s.to_json_obj() == [{"w": list(w), "c": c} for w, c in expected]
+    # filled by to_json_obj, then read by items_sorted
+    fresh = FormalSum(2, {(0, 1): 1, (0, -1): 1})
+    fresh.to_json_obj()
+    assert fresh.items_sorted() == [((0, -1), 1), ((0, 1), 1)]
+
+
 def test_from_json_needs_rank_when_empty():
     with pytest.raises(ValueError):
         FormalSum.from_json_obj([])

@@ -218,6 +218,20 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
         entry(build_root_system("B8"), (1,) * 8)
 
 
+@pytest.mark.parametrize("entry", [dominant_weights_below, dominant_weight_multiplicities])
+def test_dominant_walk_refuses_by_the_exact_count(monkeypatch, entry):
+    # A4 (1, 0, 0, 1) passes the lower bound (20 vertices) at a cap of 20;
+    # its 21 points are counted during the walk, as the oracle counts them
+    # (expand: tests/test_cli.py::test_expand_point_cap_boundary)
+    a4 = build_root_system("A4")
+    monkeypatch.setattr(polysum, "_POINT_CAP", 21)
+    entry(a4, (1, 0, 0, 1))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 20)
+    message = r"^the polytope of \[1, 0, 0, 1\] has at least 21 points; cap is 20$"
+    with pytest.raises(PolytopeSizeError, match=message):
+        entry(a4, (1, 0, 0, 1))
+
+
 def test_oracle_refuses_before_building_an_orbit(monkeypatch):
     def unreachable(rs, mu):
         raise AssertionError("an orbit was built")
@@ -509,6 +523,39 @@ def test_numeric_evaluators_bit_identical_to_reference(name, data):
         assert _outcome(evaluate, rs, s, sigma) == _outcome(_ref_evaluate, rs, s, sigma)
     seed = data.draw(st.integers(0, 2**32))
     assert sample_generic_sigmas(rs, 3, seed) == _ref_sample(rs, 3, seed)
+
+
+def test_numeric_memos_give_fresh_outcomes_in_any_order():
+    # the per-weight and per-point tables each keep their last entry; calls
+    # interleaved across algebras, weights and points, with a pole between
+    # good points and zeros of either sign, must match a fresh computation
+    a2, g2 = build_root_system("A2"), build_root_system("G2")
+    good, other, pole = (0.3, 0.8), (0.55, 0.21), (0.0, 0.7)  # <alpha_1, pole> = 0
+    calls = [
+        (brion_eval, a2, (1, 1), good),
+        (weyl_character_eval, a2, (1, 1), good),
+        (weyl_character_eval, a2, (2, 0), good),
+        (brion_eval, g2, (2, 0), good),  # same lam and point, other algebra
+        (brion_eval, a2, (2, 0), good),
+        (brion_eval, a2, (2, 0), pole),
+        (brion_eval, a2, (2, 0), pole),  # raised again, not remembered
+        (weyl_character_eval, a2, (2, 0), other),
+        (weyl_character_eval, g2, (1, 1), (-0.0, 0.7)),
+        (weyl_character_eval, g2, (1, 1), pole),
+        (brion_eval, g2, (1, 1), other),
+        (brion_eval, g2, (1, 1), [1, 2]),  # ints, checked to (1.0, 2.0)
+        (weyl_character_eval, g2, (1, 1), (1.0, 2.0)),
+        (brion_eval, a2, (1, 1), good),
+        (brion_eval, a2, (1, 1), good),
+    ]
+    refs = {brion_eval: _ref_brion, weyl_character_eval: _ref_weyl_character}
+    outcomes = []
+    for fn, rs, lam, sigma in calls:
+        outcome = _outcome(fn, rs, lam, sigma)
+        assert outcome == _outcome(refs[fn], rs, lam, sigma), (fn.__name__, rs.name, lam, sigma)
+        outcomes.append(outcome)
+    genericity = (GenericityError, "sigma is within 1e-06 of a pole hyperplane; resample")
+    assert [i for i, o in enumerate(outcomes) if o == genericity] == [5, 6, 8, 9]
 
 
 @_EVALUATORS
