@@ -24,6 +24,7 @@ from .polysum import (
     DEFAULT_SEED,
     GenericityError,
     PolytopeSizeError,
+    formula_against_oracle,
     numeric_formula_check,
     polytope_expansion,
     polytope_sum_demazure,
@@ -86,9 +87,7 @@ def _cmd_bsum(args) -> tuple:
         return _sum_result(polytope_sum_oracle(rs, args.labels).sum)
     if args.method == "demazure":
         return _sum_result(polytope_sum_demazure(rs, args.labels))
-    formula = polytope_sum_demazure(rs, args.labels)
-    oracle = polytope_sum_oracle(rs, args.labels).sum
-    diff = formula - oracle
+    formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()
     payload = {
         "oracle": oracle.to_json_obj(),

@@ -35,12 +35,6 @@ def _check_sum(rs: RootSystem, s: FormalSum) -> None:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
 
 
-def _simple_root(rs: RootSystem, i: int) -> Root:
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"operator index {i} out of range 1..{rs.rank}")
-    return rs.simple_roots[i - 1]
-
-
 def _coroot_entries(rs: RootSystem, root: Root) -> tuple:
     """(index, value) for each nonzero entry of the root's coroot labels, so
     a pairing reads only the coordinates that count."""
@@ -102,12 +96,12 @@ def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
 
 def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
     """Demazure operator of the i-th simple root (string formula above)."""
-    return _demazure(rs, _simple_root(rs, i), s, True)
+    return _demazure(rs, rs.simple_root(i), s, True)
 
 
 def apply_d_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
     """The identity-subtracted Demazure operator of the i-th simple root."""
-    return _demazure(rs, _simple_root(rs, i), s, False)
+    return _demazure(rs, rs.simple_root(i), s, False)
 
 
 def apply_D_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
@@ -122,7 +116,7 @@ def apply_d_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
 
 def apply_r_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
     """Reflect every exponent with the i-th simple reflection."""
-    return _reflect(rs, _simple_root(rs, i), s)
+    return _reflect(rs, rs.simple_root(i), s)
 
 
 def apply_r_root(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:

@@ -28,6 +28,7 @@ from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
 from .weyl import dominant_representative, orbit, orbit_size, reflect_at_root, weyl_group
 
 _POINT_CAP = 10**6
+_SIGMA_CAP = 10**4
 _POLE_TOLERANCE = 1e-6
 _SAMPLER_MARGIN = 1e-2
 _CROSS_CHECK_TOL = 1e-9
@@ -535,6 +536,17 @@ def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) 
     return out
 
 
+def formula_against_oracle(rs: RootSystem, lam) -> tuple:
+    """The operator formula's sum for a dominant lam, the oracle's sum and
+    their difference.  The formula is looked up first, so an algebra without
+    one is refused before any enumeration, and the oracle runs before the
+    formula, so its point cap refuses lam before the formula builds a sum."""
+    _formula(rs)
+    oracle = polytope_sum_oracle(rs, lam).sum
+    formula = polytope_sum_demazure(rs, lam)
+    return formula, oracle, formula - oracle
+
+
 def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     """Sweep every dominant weight with labels in [0..max_label], comparing
     the operator formula against the enumerator exactly."""
@@ -544,9 +556,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     reports = []
     for labels in product(range(max_label + 1), repeat=rs.rank):
         t0 = time.perf_counter()
-        oracle = polytope_sum_oracle(rs, labels)
-        formula = polytope_sum_demazure(rs, labels)
-        diff = formula - oracle.sum
+        _formula_sum, oracle, diff = formula_against_oracle(rs, labels)
         millis = (time.perf_counter() - t0) * 1000.0
         reports.append(
             VerificationReport(
@@ -555,7 +565,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
                 lam=labels,
                 match=diff.is_zero(),
                 diff=diff,
-                n_points=oracle.sum.coefficient_sum(),
+                n_points=oracle.coefficient_sum(),
                 millis=millis,
             )
         )
@@ -571,6 +581,8 @@ def numeric_formula_check(
     lam = check_weight(rs, lam, dominant=True)
     if sigma_count < 1:
         raise ValueError(f"sigma_count must be at least 1, got {sigma_count}")
+    if sigma_count > _SIGMA_CAP:
+        raise ValueError(f"sigma_count must be at most {_SIGMA_CAP}, got {sigma_count}")
     # the evaluators sum over the whole group: hit its cap before enumerating
     weyl_group(rs)
     lattice_sum = polytope_sum_oracle(rs, lam).sum

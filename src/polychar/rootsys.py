@@ -159,17 +159,11 @@ class RootSystem:
                 f"{tuple(root_coords)} is not a positive root of {self.name}"
             ) from None
 
-    def is_root(self, root: Root) -> bool:
-        """True when ``root`` (or its negative) matches a stored positive root."""
-        pairs = (
-            (root.root_coords, root.weight_coords),
-            (tuple(-c for c in root.root_coords), tuple(-x for x in root.weight_coords)),
-        )
-        for coords, wc in pairs:
-            stored = self._root_by_coords.get(coords)
-            if stored is not None and stored.weight_coords == tuple(wc):
-                return True
-        return False
+    def simple_root(self, i: int) -> Root:
+        """The i-th simple root, 1-based; ValueError outside 1..rank."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
+        return self.simple_roots[i - 1]
 
     def root_coords_of_weight(self, weight):
         """Simple-root coordinates of a weight-lattice vector, or None when the
@@ -377,13 +371,6 @@ def check_weight(rs: RootSystem, weight, dominant: bool = False) -> Weight:
 
 
 def pairing(rs: RootSystem, weight, root: Root) -> int:
-    """Integer coroot pairing of a weight against a root: twice their inner
-    product divided by the root's squared length."""
-    weight = check_weight(rs, weight)
-    if not rs.is_root(root):
-        raise ValueError(f"{root} is not a root of {rs.name}")
-    wc = root.weight_coords
-    val, rem = divmod(2 * rs.inner_scaled(weight, wc), rs.inner_scaled(wc, wc))
-    if rem:
-        raise AssertionError("coroot pairing must be integral on the weight lattice")
-    return val
+    """Integer pairing <weight, root^vee> of a weight against a positive
+    root's coroot: the weight's labels against the root's coroot labels."""
+    return sum(map(mul, check_weight(rs, weight), rs.coroot_labels(root)))

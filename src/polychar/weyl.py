@@ -11,7 +11,7 @@ _ENUM_RANK_CAP = 3
 
 
 def reflect_at_root(rs: RootSystem, root: Root, weight) -> Weight:
-    """Reflect a weight in the hyperplane orthogonal to an arbitrary root."""
+    """Reflect a weight in the hyperplane orthogonal to a positive root."""
     lam = check_weight(rs, weight)
     n = pairing(rs, lam, root)
     return tuple(x - n * a for x, a in zip(lam, root.weight_coords))
@@ -19,9 +19,7 @@ def reflect_at_root(rs: RootSystem, root: Root, weight) -> Weight:
 
 def reflect_simple(rs: RootSystem, i: int, weight) -> Weight:
     """Reflect a weight in the hyperplane of the i-th simple root (1-based)."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"reflection index {i} out of range 1..{rs.rank}")
-    return reflect_at_root(rs, rs.simple_roots[i - 1], weight)
+    return reflect_at_root(rs, rs.simple_root(i), weight)
 
 
 def dominant_representative(rs: RootSystem, weight):

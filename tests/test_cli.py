@@ -62,7 +62,7 @@ def test_bsum_both_match(capsys):
 
 def test_bsum_both_mismatch_exits_1(capsys, monkeypatch):
     # a formula that drops points surfaces as a nonzero exit with the diff
-    monkeypatch.setattr(cli, "polytope_sum_demazure", _uncorrected_g2_sweep)
+    monkeypatch.setattr(polysum, "polytope_sum_demazure", _uncorrected_g2_sweep)
     code, out = _capture(capsys, ["bsum", "G2", "1", "0", "--method", "both"])
     assert code == 1
     payload = json.loads(out)
@@ -118,13 +118,47 @@ def test_eval_sigma_count_below_one_exits_2(capsys, count):
     assert capsys.readouterr().out == ""
 
 
+def test_eval_sigma_count_cap_boundary(capsys, monkeypatch):
+    argv = ["eval", "--algebra", "A2", "--lam", "1", "1", "--sigma-count", "3"]
+    monkeypatch.setattr(polysum, "_SIGMA_CAP", 3)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["sigma_count"] == 3
+
+    def unreachable(rs, count, seed):
+        raise AssertionError("points were sampled past the sigma-count cap")
+
+    monkeypatch.setattr(polysum, "_SIGMA_CAP", 2)
+    monkeypatch.setattr(polysum, "sample_generic_sigmas", unreachable)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sigma_count must be at most 2, got 3\n"
+
+
 def test_bsum_both_without_formula_exits_2_before_enumerating(capsys, monkeypatch):
     def unreachable(rs, lam):
         raise AssertionError("the enumerator ran for an algebra without a formula")
 
-    monkeypatch.setattr(cli, "polytope_sum_oracle", unreachable)
+    monkeypatch.setattr(polysum, "polytope_sum_oracle", unreachable)
     assert run(["bsum", "B3", "3", "3", "3", "--method", "both"]) == 2
     assert "no operator polytope-sum formula for B3" in capsys.readouterr().err
+
+
+def test_bsum_both_past_the_point_cap_exits_2_before_the_formula(capsys, monkeypatch):
+    # the oracle's lower bound refuses first; the formula would build a sum
+    # of 10**8 + 1 terms
+    def unreachable(rs, lam):
+        raise AssertionError("the formula ran past the point cap")
+
+    monkeypatch.setattr(polysum, "polytope_sum_demazure", unreachable)
+    assert run(["bsum", "A1", "100000000", "--method", "both"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the polytope of [100000000] has at least 100000001 points; "
+        "cap is 1000000\n"
+    )
 
 
 def test_eval_rank_4_exits_2_before_enumerating(capsys, monkeypatch):

@@ -245,9 +245,11 @@ def test_root_lookup_and_membership(a2):
     alpha12 = a2.root((1, 1))
     assert alpha12.weight_coords == (1, 1)
     assert alpha12.height == 2
-    # negative roots recognized, non-roots rejected
-    assert a2.is_root(Root(weight_coords=(-1, -1), root_coords=(-1, -1)))
-    assert not a2.is_root(Root(weight_coords=(2, 2), root_coords=(2, 2)))
+    # pairing takes positive roots only: a negative root and a non-root raise
+    with pytest.raises(ValueError, match=r"\(-1, -1\) is not a positive root of A2"):
+        pairing(a2, (1, 0), Root(weight_coords=(-1, -1), root_coords=(-1, -1)))
+    with pytest.raises(ValueError, match=r"\(2, 2\) is not a positive root of A2"):
+        pairing(a2, (1, 0), Root(weight_coords=(2, 2), root_coords=(2, 2)))
     with pytest.raises(ValueError):
         a2.root((2, 0))
 
@@ -268,9 +270,11 @@ def test_coroot_labels(name):
     units = [tuple(int(k == j) for k in range(rs.rank)) for j in range(rs.rank)]
     for root, unit in zip(rs.simple_roots, units):
         assert rs.coroot_labels(root) == unit
-    # independent route: the Fraction pairing against each fundamental weight
+    # independent route: 2 (Lambda_j, beta) / (beta, beta) from the quadratic form
     for root in rs.positive_roots:
-        assert rs.coroot_labels(root) == tuple(pairing(rs, lam, root) for lam in units)
+        wc = root.weight_coords
+        norm = rs.inner(wc, wc)
+        assert rs.coroot_labels(root) == tuple(2 * rs.inner(lam, wc) / norm for lam in units)
     top = rs.positive_roots[-1]
     shifted = tuple(x + 1 for x in top.weight_coords)
     with pytest.raises(ValueError):

@@ -141,16 +141,21 @@ def test_sign_matches_length(b2):
 
 
 def test_word_replay_equals_matrix():
-    # reflect_simple goes through pairing and the quadratic form, not the
-    # row operation that builds each table matrix
+    # each letter reflects by s_i mu = mu - 2 (mu, alpha_i) / (alpha_i, alpha_i)
+    # alpha_i, straight from the quadratic form: neither the row operation
+    # that builds each table matrix nor the stored coroot labels
     for name in _SMALL:
         rs = build_root_system(name)
+        alphas = [root.weight_coords for root in rs.simple_roots]
         for el in weyl_group(rs).elements:
             for w in ((1, 0, 0), (2, 3, -1), (-1, 2, 4)):
                 w = w[: rs.rank]
                 out = w
                 for i in reversed(el.word):
-                    out = reflect_simple(rs, i, out)
+                    alpha = alphas[i - 1]
+                    n = 2 * rs.inner(out, alpha) / rs.inner(alpha, alpha)
+                    assert n.denominator == 1
+                    out = tuple(x - int(n) * a for x, a in zip(out, alpha))
                 assert out == el.apply(w)
 
 
