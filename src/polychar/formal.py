@@ -107,15 +107,18 @@ class FormalSum:
     def add(self, other: "FormalSum") -> "FormalSum":
         if not isinstance(other, FormalSum):
             raise TypeError(f"cannot add FormalSum and {type(other).__name__}")
+        return self._merge(other, 1)
+
+    def _merge(self, other: "FormalSum", sign: int) -> "FormalSum":
+        """self + sign * other in one pass over other's terms."""
         if other._rank != self._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
         merged = dict(self._terms)
+        pop = merged.pop
         for w, c in other._terms.items():
-            t = merged.get(w, 0) + c
+            t = pop(w, 0) + sign * c
             if t:
                 merged[w] = t
-            elif w in merged:
-                del merged[w]
         return FormalSum._of(self._rank, merged)
 
     def scale(self, factor: int) -> "FormalSum":
@@ -140,7 +143,7 @@ class FormalSum:
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return self.add(other.scale(-1))
+        return self._merge(other, -1)
 
     def __neg__(self):
         return self.scale(-1)

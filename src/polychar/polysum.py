@@ -25,7 +25,14 @@ from operator import add, ge, sub
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
-from .weyl import dominant_representative, orbit, orbit_size, reflect_at_root, weyl_group
+from .weyl import (
+    _orbit_size,
+    dominant_representative,
+    orbit,
+    orbit_size,
+    reflect_at_root,
+    weyl_group,
+)
 
 _POINT_CAP = 10**6
 _SIGMA_CAP = 10**4
@@ -134,18 +141,14 @@ def _walk_counted(rs: RootSystem, lam):
     polytope, so their sizes add up to the point count.  `_check_lower_bound`
     refuses lam before the walk starts, and the walk stops with
     PolytopeSizeError as soon as the running count passes the cap.  An
-    orbit's size |W| / |W_mu| depends only on which labels of mu are zero,
-    so it is computed once per zero pattern.
+    orbit's size |W| / |W_mu| depends only on which labels of mu are zero;
+    the walk's weights are dominant, so it reads `orbit_size`'s table, kept
+    per algebra and zero pattern, without checking each weight again.
     """
     _check_lower_bound(rs, lam)
-    sizes: dict = {}
     points = 0
     for depth, mu in _walk_below(rs, lam):
-        support = tuple(map(bool, mu))
-        size = sizes.get(support)
-        if size is None:
-            size = sizes[support] = orbit_size(rs, mu)
-        points += size
+        points += _orbit_size(rs, tuple([x > 0 for x in mu]))
         _check_point_count(lam, points)
         yield depth, mu
 
@@ -156,14 +159,15 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     The lattice points are exactly the weights `polytope_member` accepts:
     the union of the Weyl orbits of the dominant weights below lam.  The
     walk that finds those weights refuses lam past the point cap
-    (`_walk_counted`) before any orbit is built.  All coefficients are 1.
+    (`_walk_counted`) before any orbit is built.  Distinct dominant weights
+    have disjoint orbits, so the terms are built in one pass over all of
+    them, with no merge.  All coefficients are 1.
     """
     lam = check_weight(rs, lam, dominant=True)
     below = [mu for _depth, mu in _walk_counted(rs, lam)]
     verts = orbit(rs, lam)  # below[0] is lam
-    terms = dict.fromkeys(verts, 1)
-    for mu in below[1:]:
-        terms.update(dict.fromkeys(orbit(rs, mu), 1))
+    others = chain.from_iterable(orbit(rs, mu) for mu in below[1:])
+    terms = dict.fromkeys(chain(verts, others), 1)
     return PolytopeSum(FormalSum._of(rs.rank, terms), verts)
 
 
@@ -210,9 +214,11 @@ def inversion_sequence(rs: RootSystem, word) -> tuple[Root, ...]:
     return tuple(roots)
 
 
+@lru_cache(maxsize=None)
 def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
     """The inversion sequence of the operator formula's reduced word of w0:
-    the positive roots in bracket order (A1, A2, B2, G2 and A3)."""
+    the positive roots in bracket order (A1, A2, B2, G2 and A3).  Kept per
+    algebra; an algebra without a formula raises on every call."""
     return inversion_sequence(rs, chain.from_iterable(_formula(rs)[1]))
 
 
@@ -235,18 +241,20 @@ def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
                   factors: dict) -> FormalSum:
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
-    factors first; ``factors`` is the table entry's (1 + e^mu) data."""
-    total = s
+    factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
+    terms accumulate in one dict; those that cancel are dropped at the end."""
+    total = dict(s.terms)
     staged = s
     for k in range(start, stop):
         root = gammas[k]
         term = apply_d_root(rs, root, staged)
         if k in factors:
             term = term.add(term.mul_exp(gammas[factors[k]].weight_coords))
-        total = total.add(term)
+        for w, c in term.terms.items():
+            total[w] = total.get(w, 0) + c
         if k + 1 < stop:
             staged = apply_r_root(rs, root, staged)
-    return total
+    return FormalSum._of(rs.rank, {w: c for w, c in total.items() if c})
 
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:

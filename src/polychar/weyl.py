@@ -41,34 +41,57 @@ def dominant_representative(rs: RootSystem, weight):
         applied.append(neg + 1)
 
 
-def orbit(rs: RootSystem, weight) -> frozenset:
-    """The full Weyl orbit of a weight, by closure under simple reflections."""
-    lam = check_weight(rs, weight)
+def _orbit_points(rs: RootSystem, lam) -> list:
+    """Each point of the orbit of a dominant lam once, by reverse search
+    (Avis and Fukuda, 1996) on the tree in which a weight's parent is its
+    image under s_j at its first negative label j, the step
+    `dominant_representative` takes.  A child of nu is s_i nu for a label
+    nu_i > 0 whose image has no negative label before i.  Off the diagonal
+    the Cartan entries are <= 0, so s_i raises every other label: only the
+    labels negative in nu need the check."""
     cols = [root.weight_coords for root in rs.simple_roots]
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, alpha in enumerate(cols):
-                n = w[i]
-                if n:
-                    img = tuple(x - n * a for x, a in zip(w, alpha))
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-        frontier = nxt
-    return frozenset(seen)
+    points = [lam]
+    for nu in points:  # the list grows as the walk reaches new points
+        negs = []  # the negative labels of nu before i
+        for i, n in enumerate(nu):
+            if n > 0:
+                col = cols[i]
+                # label k of s_i nu is nu[k] - n * col[k]
+                for k in negs:
+                    if nu[k] < n * col[k]:
+                        break
+                else:
+                    points.append(tuple([x - n * a for x, a in zip(nu, col)]))
+            elif n < 0:
+                negs.append(i)
+    return points
+
+
+def orbit(rs: RootSystem, weight) -> frozenset:
+    """The full Weyl orbit of a weight, walked from its dominant
+    representative with each point reached once (`_orbit_points`)."""
+    lam = check_weight(rs, weight)
+    if min(lam) < 0:
+        lam = dominant_representative(rs, lam)[0]
+    return frozenset(_orbit_points(rs, lam))
 
 
 def orbit_size(rs: RootSystem, lam) -> int:
-    """|W| / |W_lam|, the orbit's size, for a dominant weight.  Both orders
-    are products of (ht beta + 1) / ht beta over positive roots (|W_lam| over
-    those on lam's zero labels), so this runs over the rest."""
+    """|W| / |W_lam|, the orbit's size, for a dominant weight.  It depends
+    only on which labels of lam are zero, so it is kept per algebra and
+    zero pattern (`_orbit_size`)."""
     lam = check_weight(rs, lam, dominant=True)
+    return _orbit_size(rs, tuple([x > 0 for x in lam]))
+
+
+@lru_cache(maxsize=None)
+def _orbit_size(rs: RootSystem, support: tuple) -> int:
+    """Both orders are products of (ht beta + 1) / ht beta over positive
+    roots (|W_lam| over those on lam's zero labels), so this runs over the
+    roots whose support meets a nonzero label."""
     num = den = 1
     for root in rs.positive_roots:
-        if any(c and x for c, x in zip(root.root_coords, lam)):
+        if any(c and x for c, x in zip(root.root_coords, support)):
             num *= root.height + 1
             den *= root.height
     size, rem = divmod(num, den)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,27 @@ def test_rank_mismatch_rejected():
         FormalSum.exp((1, 0)).add(FormalSum.exp((1, 0, 0)))
     with pytest.raises(TypeError):
         FormalSum.exp((1, 0)).add(7)
+
+
+def test_difference_is_one_pass_sum_of_negation():
+    rng = random.Random(5)
+    for _ in range(200):
+        a = FormalSum(2, {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-4, 4)
+                          for _ in range(rng.randint(0, 8))})
+        b = FormalSum(2, {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.randint(-4, 4)
+                          for _ in range(rng.randint(0, 8))})
+        diff = a - b
+        assert diff == a + b.scale(-1)
+        assert 0 not in diff.terms.values()
+        # full cancellation: a copy built apart from a
+        assert (a - FormalSum(2, dict(a.terms))).is_zero()
+        assert (diff - diff).to_json_obj() == []
+    a = FormalSum(2, {(1, 0): 2, (0, 1): -1})
+    assert (a - a).is_zero()
+    with pytest.raises(ValueError, match="rank mismatch"):
+        a - FormalSum.exp((1, 0, 0))
+    with pytest.raises(TypeError):
+        a - 3
 
 
 def test_mul_exp_translates():

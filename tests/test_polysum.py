@@ -300,6 +300,44 @@ def test_formula_wrong_algebra():
         polytope_sum_demazure(build_root_system("B3"), (1, 0, 0))
 
 
+def test_gamma_sequence_is_kept_per_algebra(monkeypatch):
+    gamma_sequence.cache_clear()
+    calls = []
+
+    def counted(rs, word):
+        calls.append(rs.name)
+        return inversion_sequence(rs, word)
+
+    monkeypatch.setattr(polysum, "inversion_sequence", counted)
+    first = gamma_sequence(build_root_system("G2"))
+    second = gamma_sequence(build_root_system("G2"))
+    assert first == second
+    assert [root.root_coords for root in first] == [
+        (1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1)
+    ]
+    assert calls == ["G2"]
+    # a raise is not kept: an algebra without a formula raises every time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="no operator polytope-sum formula for B3"):
+            gamma_sequence(build_root_system("B3"))
+
+
+def test_edge_bracket_drops_cancelled_terms(a1, a2):
+    # on A1, d e^{-1} = D e^{-1} - e^{-1} = -e^{-1}, so the bracket
+    # [d + 1] sends e^{-1} to 0 and must keep no zero term
+    out = polysum._edge_bracket(a1, gamma_sequence(a1), 0, 1, FormalSum.exp((-1,)), {})
+    assert out.is_zero() and out.to_json_obj() == []
+    # on A2 the first bracket cancels two of a signed input's terms
+    gammas = gamma_sequence(a2)
+    s = FormalSum(2, {(-1, 0): 1, (1, 1): 1, (0, -1): -1})
+    out = polysum._edge_bracket(a2, gammas, 0, 2, s, {})
+    assert 0 not in out.terms.values()
+    assert all(entry["c"] for entry in out.to_json_obj())
+    staged = polysum.apply_r_root(a2, gammas[0], s)
+    expected = s + apply_d_root(a2, gammas[0], s) + apply_d_root(a2, gammas[1], staged)
+    assert out == expected
+
+
 @pytest.mark.parametrize(
     "name, word",
     [

@@ -16,6 +16,8 @@ from polychar import (
     reflect_simple,
     weyl_group,
 )
+from polychar import weyl
+from polychar.weyl import _orbit_points
 
 # every algebra whose full Weyl group table is enumerated (rank <= 3)
 _SMALL = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -81,9 +83,82 @@ def test_orbit_size_counts_the_orbit(name, top):
         assert orbit_size(rs, lam) == len(orbit(rs, lam)), lam
 
 
+def _closure_orbit(rs, weight) -> frozenset:
+    """Reference orbit: the closure of the weight under the simple
+    reflections, kept in a visited set (the walk `orbit` replaced)."""
+    cols = [root.weight_coords for root in rs.simple_roots]
+    seen = {tuple(weight)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i, alpha in enumerate(cols):
+                img = tuple(x - w[i] * a for x, a in zip(w, alpha))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return frozenset(seen)
+
+
+# (algebra, max label) grids on which the reverse-search walk must equal the
+# closure: every dominant weight with labels in [0..max label]
+_ORBIT_GRIDS = (
+    ("A1", 12), ("A2", 7), ("B2", 7), ("C2", 7), ("G2", 7), ("A3", 4),
+    ("B3", 3), ("C3", 3), ("D4", 2), ("B5", 1),
+)
+
+
+@pytest.mark.parametrize("name,max_label", _ORBIT_GRIDS)
+def test_orbit_walk_matches_closure(name, max_label):
+    rs = build_root_system(name)
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        points = _orbit_points(rs, lam)
+        # reverse search reaches each point once: no duplicate to drop
+        assert len(points) == len(set(points)), lam
+        assert orbit(rs, lam) == frozenset(points) == _closure_orbit(rs, lam), lam
+        assert len(points) == orbit_size(rs, lam), lam
+
+
+@pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3", "C3", "D4"))
+def test_orbit_of_a_non_dominant_weight(name):
+    # the walk starts from the dominant representative, whose orbit it is
+    rs = build_root_system(name)
+    rng = random.Random(17)
+    for _ in range(20):
+        w = tuple(rng.randint(-4, 4) for _ in range(rs.rank))
+        if min(w) >= 0:
+            w = (-1,) + w[1:]
+        dom, _word = dominant_representative(rs, w)
+        assert orbit(rs, w) == orbit(rs, dom) == _closure_orbit(rs, w), w
+        assert w in orbit(rs, w)
+
+
 def test_orbit_size_needs_a_dominant_weight(a2):
     with pytest.raises(ValueError, match="not dominant"):
         orbit_size(a2, (1, -1))
+
+
+def test_orbit_size_checks_before_the_table(a2, monkeypatch):
+    calls = []
+    monkeypatch.setattr(weyl, "_orbit_size", lambda *key: calls.append(key))
+    with pytest.raises(ValueError, match="not dominant"):
+        orbit_size(a2, (1, -1))
+    with pytest.raises(ValueError, match="expected 2"):
+        orbit_size(a2, (1, 0, 0))
+    assert calls == []
+    orbit_size(a2, (2, 0))
+    assert calls == [(a2, (True, False))]
+
+
+def test_orbit_size_table_is_per_algebra_and_zero_pattern():
+    a3 = build_root_system("A3")
+    assert orbit_size(a3, (5, 0, 2)) == orbit_size(build_root_system("A3"), (1, 0, 7)) == 12
+    before = weyl._orbit_size.cache_info()
+    orbit_size(build_root_system("A3"), (3, 0, 3))
+    after = weyl._orbit_size.cache_info()
+    # a rebuilt algebra and other nonzero labels: the same entry
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_group_orders():
