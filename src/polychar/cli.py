@@ -4,7 +4,11 @@ Every subcommand prints one canonical JSON payload (sorted keys, no
 whitespace) so identical inputs give byte-identical output.  ``--table``
 swaps stdout to a readable rendering; ``--out FILE`` writes the JSON to a
 file either way.  The handlers only compute: each returns its payload, and
-`run` writes it, the one place output leaves the program.
+`run` writes it, the one place output leaves the program.  Lattice sums
+(``char``, ``bsum``, ``expand``) reach `_emit` as canonical text already
+written from their sorted terms (`FormalSum.to_json_text`), which must equal
+what ``json.dumps`` would print; the other payloads are objects that `_emit`
+passes through ``json.dumps``.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
@@ -48,9 +52,10 @@ def _canon(obj) -> str:
 
 
 def _emit(args, payload, render) -> None:
-    """Write the JSON payload; ``render()`` builds the ``--table`` text, so
-    it runs only when that text is printed."""
-    text = _canon(payload)
+    """Write the JSON payload, as it is when it is text already and through
+    `_canon` otherwise; ``render()`` builds the ``--table`` text, so it runs
+    only when that text is printed."""
+    text = payload if isinstance(payload, str) else _canon(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -70,10 +75,11 @@ def _sum_table(s: FormalSum) -> str:
     return "\n".join(lines)
 
 
-# Each handler returns (payload, render, code): the JSON object, the
-# zero-argument callable that builds the --table text, and the exit code.
+# Each handler returns (payload, render, code): the JSON object or its
+# canonical text, the zero-argument callable that builds the --table text,
+# and the exit code.
 def _sum_result(s: FormalSum) -> tuple:
-    return s.to_json_obj(), lambda: _sum_table(s), 0
+    return s.to_json_text(), lambda: _sum_table(s), 0
 
 
 def _cmd_char(args) -> tuple:
@@ -89,12 +95,15 @@ def _cmd_bsum(args) -> tuple:
         return _sum_result(polytope_sum_demazure(rs, args.labels))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()
-    payload = {
-        "oracle": oracle.to_json_obj(),
-        "demazure": formula.to_json_obj(),
-        "diff": diff.to_json_obj(),
-        "match": match,
-    }
+    oracle_text = oracle.to_json_text()
+    # the keys in sorted order, as _canon writes them; an equal formula sum
+    # has the oracle's text
+    payload = '{"demazure":%s,"diff":%s,"match":%s,"oracle":%s}' % (
+        oracle_text if match else formula.to_json_text(),
+        diff.to_json_text(),
+        "true" if match else "false",
+        oracle_text,
+    )
 
     def table() -> str:
         return "\n".join(
@@ -159,15 +168,15 @@ def _cmd_eval(args) -> tuple:
 
 def _cmd_expand(args) -> tuple:
     rs = build_root_system(args.algebra)
-    payload = polytope_expansion(rs, args.labels).to_json_obj()
+    expansion = polytope_expansion(rs, args.labels)
 
     def table() -> str:
         lines = ["dominant weight -> coeff"]
-        for entry in payload:
-            lines.append(f"{entry['w']} -> {entry['c']}")
+        for w, c in sorted(expansion.coefficients.items()):
+            lines.append(f"{list(w)} -> {c}")
         return "\n".join(lines)
 
-    return payload, table, 0
+    return expansion.to_json_text(), table, 0
 
 
 def _cmd_vertices(args) -> tuple:

@@ -21,6 +21,19 @@ def _check_exponent(weight) -> tuple:
     return w
 
 
+def terms_json_text(items) -> str:
+    """Canonical JSON text of a sequence of (exponent, coefficient) pairs,
+    whose exponents are integer tuples of one length, in the order given:
+    byte for byte what ``json.dumps([{"w": list(w), "c": c}, ...],
+    sort_keys=True, separators=(",", ":"))`` prints, without building the
+    dicts."""
+    if not items:
+        return "[]"
+    # one term, filled with (coefficient, *exponent): keys sorted, no spaces
+    fmt = '{"c":%d,"w":[' + ",".join(["%d"] * len(items[0][0])) + "]}"
+    return "[" + ",".join([fmt % ((c,) + w) for w, c in items]) + "]"
+
+
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
@@ -162,6 +175,11 @@ class FormalSum:
     def to_json_obj(self) -> list:
         """JSON form: [{"w": [...], "c": n}, ...] sorted lexicographically by w."""
         return [{"w": list(w), "c": c} for w, c in self._canonical()]
+
+    def to_json_text(self) -> str:
+        """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
+        written straight from the sorted terms."""
+        return terms_json_text(self._canonical())
 
     @classmethod
     def from_json_obj(cls, obj, rank: int | None = None) -> "FormalSum":

@@ -23,7 +23,7 @@ from itertools import chain, product
 from operator import add, ge, sub
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, check_point, evaluate
+from .formal import FormalSum, check_point, evaluate, terms_json_text
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
 from .weyl import (
     _orbit_size,
@@ -65,8 +65,10 @@ class PolytopeExpansion:
 
     coefficients: dict
 
-    def to_json_obj(self) -> list:
-        return [{"w": list(w), "c": c} for w, c in sorted(self.coefficients.items())]
+    def to_json_text(self) -> str:
+        """Canonical JSON text of the coefficients sorted by weight, in the
+        form of `FormalSum.to_json_text`."""
+        return terms_json_text(sorted(self.coefficients.items()))
 
 
 @dataclass(frozen=True)
@@ -548,10 +550,14 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
     """The operator formula's sum for a dominant lam, the oracle's sum and
     their difference.  The formula is looked up first, so an algebra without
     one is refused before any enumeration, and the oracle runs before the
-    formula, so its point cap refuses lam before the formula builds a sum."""
+    formula, so its point cap refuses lam before the formula builds a sum.
+    Equal sums are recognised by one dict comparison; the difference is
+    merged term by term only when they differ."""
     _formula(rs)
     oracle = polytope_sum_oracle(rs, lam).sum
     formula = polytope_sum_demazure(rs, lam)
+    if formula == oracle:
+        return formula, oracle, FormalSum.zero(rs.rank)
     return formula, oracle, formula - oracle
 
 

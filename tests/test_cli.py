@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from polychar import FormalSum, apply_d_root, apply_r_root, cli, gamma_sequence, polysum
+from polychar import (
+    FormalSum,
+    apply_d_root,
+    apply_r_root,
+    build_root_system,
+    cli,
+    gamma_sequence,
+    polysum,
+)
 from polychar.cli import run
 
 
@@ -76,6 +84,33 @@ def test_bsum_both_mismatch_exits_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["match"] is True
     assert payload["diff"] == []
+
+
+@pytest.mark.parametrize("drop_points", [True, False], ids=["mismatch", "match"])
+def test_bsum_both_bytes_equal_json_dumps(tmp_path, capsys, monkeypatch, drop_points):
+    # on a mismatch the formula's text is written apart from the oracle's;
+    # either way stdout and --out hold what json.dumps makes of the sums
+    rs = build_root_system("G2")
+    oracle = polysum.polytope_sum_oracle(rs, (1, 0)).sum
+    formula = polysum.polytope_sum_demazure(rs, (1, 0))
+    if drop_points:
+        monkeypatch.setattr(polysum, "polytope_sum_demazure", _uncorrected_g2_sweep)
+        formula = _uncorrected_g2_sweep(rs, (1, 0))
+    expected = cli._canon(
+        {
+            "oracle": oracle.to_json_obj(),
+            "demazure": formula.to_json_obj(),
+            "diff": (formula - oracle).to_json_obj(),
+            "match": formula == oracle,
+        }
+    )
+    argv = ["bsum", "G2", "1", "0", "--method", "both"]
+    code, out = _capture(capsys, argv)
+    assert code == (1 if drop_points else 0)
+    assert out == expected + "\n"
+    target = tmp_path / "out.json"
+    assert run([*argv, "--out", str(target)]) == code
+    assert target.read_bytes() == out.encode()
 
 
 def test_verify_clean_algebra(capsys):
@@ -278,11 +313,11 @@ def test_out_flag(tmp_path, capsys, argv):
     code, out = _capture(capsys, [*argv, "--out", str(target)])
     assert code == 0
     assert out == ""
-    assert target.read_text() == stdout
+    assert target.read_bytes() == stdout.encode()
     target.unlink()
     code, table = _capture(capsys, [*argv, "--out", str(target), "--table"])
     assert code == 0
-    assert target.read_text() == stdout
+    assert target.read_bytes() == stdout.encode()
     # the table itself (verify's millis column varies, so compare its header)
     assert table != stdout
     assert table.split("\n")[0] == _capture(capsys, [*argv, "--table"])[1].split("\n")[0]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychar import FormalSum, evaluate
+from polychar.polysum import PolytopeExpansion
 
 weights2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 sums2 = st.dictionaries(weights2, st.integers(-9, 9), max_size=8).map(
@@ -109,6 +110,47 @@ def test_json_roundtrip(s):
     blob = json.dumps(s.to_json_obj())
     back = FormalSum.from_json_obj(json.loads(blob), rank=2)
     assert back == s
+
+
+def _dumps(pairs) -> str:
+    """The reference text: json.dumps of the term dicts, as the CLI's
+    canonical form prints them."""
+    obj = [{"w": list(w), "c": c} for w, c in sorted(pairs)]
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# small ones, and ones past the 64-bit range on either side of zero
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**63 - 2, 2**63 + 2),
+    st.integers(-(2**63) - 2, -(2**63) + 2),
+    st.integers(-(2**100), 2**100),
+)
+
+
+@st.composite
+def ranked_terms(draw):
+    rank = draw(st.integers(1, 4))
+    weights = st.tuples(*[st.integers(-40, 40)] * rank)
+    return rank, draw(st.dictionaries(weights, coefficients, max_size=10))
+
+
+@given(ranked_terms())
+@settings(max_examples=200)
+def test_json_text_is_json_dumps(case):
+    rank, terms = case
+    s = FormalSum(rank, terms)
+    text = s.to_json_text()
+    assert text == _dumps(s.terms.items())
+    assert FormalSum.from_json_obj(json.loads(text), rank=rank) == s
+    expansion = PolytopeExpansion(terms)
+    assert expansion.to_json_text() == _dumps(terms.items())
+
+
+def test_json_text_of_the_empty_sum():
+    for rank in (1, 4):
+        assert FormalSum.zero(rank).to_json_text() == "[]"
+    assert PolytopeExpansion({}).to_json_text() == "[]"
 
 
 @pytest.mark.parametrize(
