@@ -7,6 +7,7 @@ numeric door is `evaluate`, which substitutes a real point, checked by
 """
 
 import math
+from functools import lru_cache
 from types import MappingProxyType
 
 from .rootsys import RootSystem, dot_float
@@ -194,24 +195,49 @@ class FormalSum:
 
 
 def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
-    """An evaluation point of ``rs`` as floats, after checking its length."""
+    """An evaluation point of ``rs`` as floats, after checking its length.
+    Finiteness is checked once per point, by `exp_table`."""
     if len(sigma) != rs.rank:
         raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
     return tuple(float(x) for x in sigma)
+
+
+@lru_cache(maxsize=1)
+def exp_table(rs: RootSystem, sig) -> tuple:
+    """The exponential table of a checked point ``sig`` of ``rs``: the pair
+    (``form_float(sig)``, a dict from integer weight w to
+    math.exp(dot_float(w, form_float(sig)))), the dict filled by its readers
+    on first lookup of each weight.
+
+    `evaluate` and the vertex-cone evaluators all read this one table, and
+    `eval` visits its points one at a time, so it keeps one point.  Raises
+    ValueError, and keeps nothing, when a coordinate of ``sig`` is NaN or
+    infinite.
+    """
+    if not all(map(math.isfinite, sig)):
+        raise ValueError(f"sigma {sig} has a non-finite coordinate")
+    return rs.form_float(sig), {}
 
 
 def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
     """Numeric value of ``s`` at ``sigma``: sum of coeff * exp(<w, sigma>).
 
     ``sigma`` lives in fundamental-weight coordinates and the pairing runs
-    through the algebra's quadratic form, whose float row sums at ``sigma``
-    are computed once for all terms.  Terms accumulate in lexicographic
-    exponent order, so equal inputs give bit-equal outputs.
+    through the algebra's quadratic form.  Each exponential comes from the
+    point's table (`exp_table`): a weight met before at this point, by
+    another sum or by the vertex-cone evaluators, costs one lookup, and an
+    exponential that overflows raises OverflowError and is not stored.
+    Terms accumulate in lexicographic exponent order, so equal inputs give
+    bit-equal outputs.
     """
     if s.rank != rs.rank:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
-    covector = rs.form_float(check_point(rs, sigma))
+    covector, exps = exp_table(rs, check_point(rs, sigma))
+    get = exps.get
     total = 0.0
     for w, c in s._canonical():
-        total += c * math.exp(dot_float(w, covector))
+        e = get(w)
+        if e is None:
+            e = exps[w] = math.exp(dot_float(w, covector))
+        total += c * e
     return total

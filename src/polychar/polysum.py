@@ -23,7 +23,7 @@ from itertools import chain, product
 from operator import add, ge, sub
 
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, check_point, evaluate, terms_json_text
+from .formal import FormalSum, check_point, evaluate, exp_table, terms_json_text
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
 from .weyl import (
     _orbit_size,
@@ -285,7 +285,12 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # sends alpha_i to -w alpha_i, so each signed key is some simple root's image.
 # The Weyl images of lam depend on lam alone and get a table of their own
 # (`_weight_table`).  Each table keeps its last entry, which serves the run of
-# calls `numeric_formula_check` makes at one weight and at one point.
+# calls `numeric_formula_check` makes at one weight and at one point.  The
+# exponentials at a point live in `formal.exp_table`, shared with
+# `evaluate`: every w lam is a lattice point of lam's polytope, so after the
+# lattice sum is evaluated the cone sums only look theirs up.  The pairings
+# p_k still go through `inner_float`, one covector per root, so the sampler
+# and the pole test pair exactly as before.
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -311,13 +316,16 @@ def _weight_table(rs: RootSystem, lam) -> tuple:
 @lru_cache(maxsize=1)
 def _point_table(rs: RootSystem, sig) -> tuple:
     """What the evaluators need of a checked point: ``form_float(sig)`` and
-    the denominator factors, indexed by the root permutation's signed
-    entries: index k gives 1 - e^{-p_k} and index -k, by Python's negative
-    indexing, 1 - e^{p_k} (index 0 is unused).
+    the dict of exponentials, both from `formal.exp_table`, and the
+    denominator factors, indexed by the root permutation's signed entries:
+    index k gives 1 - e^{-p_k} and index -k, by Python's negative indexing,
+    1 - e^{p_k} (index 0 is unused).
 
-    Raises GenericityError when sig is within 1e-6 of a pole hyperplane; a
-    raise is not kept, so a repeated call raises again.
+    Raises ValueError when a coordinate of sig is not finite, then
+    GenericityError when sig is within 1e-6 of a pole hyperplane; a raise is
+    not kept, so a repeated call raises again.
     """
+    covector, exps = exp_table(rs, sig)
     pairings = _root_pairings(rs, sig)
     if _near_pole(pairings, _POLE_TOLERANCE):
         raise GenericityError(
@@ -325,29 +333,35 @@ def _point_table(rs: RootSystem, sig) -> tuple:
         )
     plus = [1.0 - math.exp(-p) for p in pairings]  # indices 1..N
     minus = [1.0 - math.exp(p) for p in reversed(pairings)]  # indices -N..-1
-    return rs.form_float(sig), (None, *plus, *minus)
+    return covector, exps, (None, *plus, *minus)
 
 
 def _at_point(rs: RootSystem, lam, sigma) -> tuple:
-    """What both evaluators need at one point: lam's Weyl images, then
-    ``form_float(sigma)`` and the factors, after checking lam, then sigma,
-    then the Weyl group cap, then the pole test."""
+    """What both evaluators need at one point: lam's Weyl images, then the
+    point's exponential table and factors, after checking lam, then sigma,
+    then the Weyl group cap, then that sigma is finite, then the pole
+    test."""
     lam = check_weight(rs, lam, dominant=True)
     sig = check_point(rs, sigma)
     weyl_group(rs)
-    covector, factors = _point_table(rs, sig)
-    return _weight_table(rs, lam), covector, factors
+    covector, exps, factors = _point_table(rs, sig)
+    return _weight_table(rs, lam), covector, exps, factors
 
 
-def _cone_sum(images, covector, factors, count: int) -> float:
+def _cone_sum(images, covector, exps, factors, count: int) -> float:
     """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
     product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
     roots (the simple roots, or all of them).  ``images`` holds the pairs
-    (w lam, root-permutation row) and ``covector`` is ``form_float(sigma)``;
-    the factors come from the point's table, divided in root order."""
+    (w lam, root-permutation row); ``covector`` is ``form_float(sigma)``.
+    The exponentials come from the point's table ``exps``, computed and
+    stored only for an image not met before at this point, and the factors
+    from its factor table, divided in root order."""
+    get = exps.get
     total = 0.0
     for image, row in images:
-        term = math.exp(dot_float(image, covector))
+        term = get(image)
+        if term is None:
+            term = exps[image] = math.exp(dot_float(image, covector))
         for k in row[:count]:
             term /= factors[k]
         total += term
@@ -361,8 +375,8 @@ def brion_eval(rs: RootSystem, lam, sigma) -> float:
 
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
-    (images, _shifted), covector, factors = _at_point(rs, lam, sigma)
-    return _cone_sum(images, covector, factors, rs.rank)
+    (images, _shifted), covector, exps, factors = _at_point(rs, lam, sigma)
+    return _cone_sum(images, covector, exps, factors, rs.rank)
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
@@ -370,7 +384,9 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     sum over the shifted Weyl action divided by the denominator product and
     as the manifestly invariant sum of vertex-cone terms over all positive
     roots.  The two must agree to 1e-9 relative; the first is returned."""
-    (images, shifted), covector, factors = _at_point(rs, lam, sigma)
+    (images, shifted), covector, exps, factors = _at_point(rs, lam, sigma)
+    # only w = 1 gives a lattice point of the polytope, so the table would
+    # keep the others for nothing: each is exponentiated directly
     num = 0.0
     for sign, mu in shifted:
         num += sign * math.exp(dot_float(mu, covector))
@@ -379,9 +395,10 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     for k in range(1, count + 1):
         den *= factors[k]
     alternating = num / den
-    invariant = _cone_sum(images, covector, factors, count)
+    invariant = _cone_sum(images, covector, exps, factors, count)
     scale = max(abs(alternating), abs(invariant), 1e-300)
-    if abs(alternating - invariant) / scale > _CROSS_CHECK_TOL:
+    # written so that a NaN difference fails too
+    if not abs(alternating - invariant) / scale <= _CROSS_CHECK_TOL:
         raise ArithmeticError(
             "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
         )

@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import polychar.cli  # imports every module the tracer rebinds
-from polychar import demazure, polysum, rootsys, weyl
+from polychar import demazure, formal, polysum, rootsys, weyl
 
 _TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -44,9 +44,10 @@ def test_tracer_binds_every_name():
 def test_traced_eval_reaches_every_numeric_layer(capsys):
     # each numeric table keeps its last entry: start cold, whatever ran
     # before, so the traced run builds the weight table through
-    # WeylElement.apply
+    # WeylElement.apply and the point tables from scratch
     polysum._weight_table.cache_clear()
     polysum._point_table.cache_clear()
+    formal.exp_table.cache_clear()
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)

@@ -464,10 +464,16 @@ def _ref_cone_sum(rs, elements, lam, sig, roots):
     return total
 
 
+def _ref_finite(sig):
+    if not all(math.isfinite(x) for x in sig):
+        raise ValueError(f"sigma {sig} has a non-finite coordinate")
+
+
 def _ref_prelude(rs, lam, sigma):
     lam = check_weight(rs, lam, dominant=True)
     sig = check_point(rs, sigma)
     elements = weyl_group(rs).elements
+    _ref_finite(sig)
     if _ref_near_pole(rs, sig, 1e-6):
         raise GenericityError("sigma is within 1e-06 of a pole hyperplane; resample")
     return lam, sig, elements
@@ -491,7 +497,7 @@ def _ref_weyl_character(rs, lam, sigma):
     alternating = num / den
     invariant = _ref_cone_sum(rs, elements, lam, sig, rs.positive_roots)
     scale = max(abs(alternating), abs(invariant), 1e-300)
-    if abs(alternating - invariant) / scale > 1e-9:
+    if not abs(alternating - invariant) / scale <= 1e-9:
         raise ArithmeticError(
             "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
         )
@@ -500,6 +506,7 @@ def _ref_weyl_character(rs, lam, sigma):
 
 def _ref_evaluate(rs, s, sigma):
     sig = check_point(rs, sigma)
+    _ref_finite(sig)
     total = 0.0
     for w, c in s.items_sorted():
         total += c * math.exp(_ref_inner_float(rs, w, sig))
@@ -564,36 +571,84 @@ def test_numeric_evaluators_bit_identical_to_reference(name, data):
 
 
 def test_numeric_memos_give_fresh_outcomes_in_any_order():
-    # the per-weight and per-point tables each keep their last entry; calls
-    # interleaved across algebras, weights and points, with a pole between
-    # good points and zeros of either sign, must match a fresh computation
-    a2, g2 = build_root_system("A2"), build_root_system("G2")
+    # the per-weight and per-point tables each keep their last entry, and the
+    # exponentials at a point are shared by evaluate and both evaluators;
+    # calls interleaved across algebras, weights, sums and points, with a
+    # pole between good points, zeros of either sign and an overflow part
+    # way through a sum, must match a fresh computation
+    a1, a2, g2 = (build_root_system(name) for name in ("A1", "A2", "G2"))
     good, other, pole = (0.3, 0.8), (0.55, 0.21), (0.0, 0.7)  # <alpha_1, pole> = 0
+    lattice = {(rs, lam): polytope_sum_oracle(rs, lam).sum
+               for rs, lams in ((a1, [(2,), (3,), (2000,)]), (a2, [(1, 1), (2, 0)]), (g2, [(1, 1)]))
+               for lam in lams}
     calls = [
         (brion_eval, a2, (1, 1), good),
+        (evaluate, a2, lattice[a2, (1, 1)], good),
         (weyl_character_eval, a2, (1, 1), good),
+        (evaluate, g2, lattice[g2, (1, 1)], good),  # same point, other algebra
+        (evaluate, a2, lattice[a2, (1, 1)], good),
+        (evaluate, a2, lattice[a2, (2, 0)], good),  # weights not in the table yet
         (weyl_character_eval, a2, (2, 0), good),
         (brion_eval, g2, (2, 0), good),  # same lam and point, other algebra
         (brion_eval, a2, (2, 0), good),
         (brion_eval, a2, (2, 0), pole),
         (brion_eval, a2, (2, 0), pole),  # raised again, not remembered
+        (evaluate, a2, lattice[a2, (2, 0)], pole),  # no pole test here
         (weyl_character_eval, a2, (2, 0), other),
         (weyl_character_eval, g2, (1, 1), (-0.0, 0.7)),
         (weyl_character_eval, g2, (1, 1), pole),
         (brion_eval, g2, (1, 1), other),
         (brion_eval, g2, (1, 1), [1, 2]),  # ints, checked to (1.0, 2.0)
         (weyl_character_eval, g2, (1, 1), (1.0, 2.0)),
+        (evaluate, a1, lattice[a1, (2000,)], (1.0,)),  # overflows part way
+        (evaluate, a1, lattice[a1, (2,)], (1.0,)),  # all weights met before
+        (evaluate, a1, lattice[a1, (3,)], (1.0,)),  # none met before
+        # e^{<1420 omega, omega>} = e^710 is the first term past the float range
+        (evaluate, a1, FormalSum.exp((1420,)), (1.0,)),
+        (brion_eval, a1, (2,), (1.0,)),
+        (evaluate, a1, lattice[a1, (2000,)], (1.0,)),  # overflows again
         (brion_eval, a2, (1, 1), good),
-        (brion_eval, a2, (1, 1), good),
+        (evaluate, a2, lattice[a2, (1, 1)], good),
     ]
-    refs = {brion_eval: _ref_brion, weyl_character_eval: _ref_weyl_character}
+    refs = {
+        brion_eval: _ref_brion, weyl_character_eval: _ref_weyl_character,
+        evaluate: _ref_evaluate,
+    }
     outcomes = []
-    for fn, rs, lam, sigma in calls:
-        outcome = _outcome(fn, rs, lam, sigma)
-        assert outcome == _outcome(refs[fn], rs, lam, sigma), (fn.__name__, rs.name, lam, sigma)
+    for fn, rs, arg, sigma in calls:
+        outcome = _outcome(fn, rs, arg, sigma)
+        assert outcome == _outcome(refs[fn], rs, arg, sigma), (fn.__name__, rs.name, arg, sigma)
         outcomes.append(outcome)
     genericity = (GenericityError, "sigma is within 1e-06 of a pole hyperplane; resample")
-    assert [i for i, o in enumerate(outcomes) if o == genericity] == [5, 6, 8, 9]
+    assert [i for i, o in enumerate(outcomes) if o == genericity] == [9, 10, 13, 14]
+    assert [i for i, o in enumerate(outcomes) if o[0] is OverflowError] == [18, 21, 23]
+
+
+_NON_FINITE_POINTS = [(math.nan, 0.5), (math.inf, 0.5), (0.3, -math.inf)]
+
+
+@pytest.mark.parametrize("sigma", _NON_FINITE_POINTS, ids=str)
+def test_non_finite_points_are_refused(a2, sigma):
+    # each evaluator refuses the point, every time, rather than returning
+    # NaN; a good point right after evaluates as from scratch
+    calls = [
+        (brion_eval, (1, 1), _ref_brion),
+        (weyl_character_eval, (1, 1), _ref_weyl_character),
+        (evaluate, polytope_sum_oracle(a2, (1, 1)).sum, _ref_evaluate),
+    ]
+    message = f"sigma {check_point(a2, sigma)} has a non-finite coordinate"
+    for fn, arg, ref in calls:
+        for _ in range(2):
+            assert _outcome(fn, a2, arg, sigma) == (ValueError, message)
+        assert _outcome(fn, a2, arg, (0.3, 0.5)) == _outcome(ref, a2, arg, (0.3, 0.5))
+
+
+def test_character_cross_check_fails_on_nan(monkeypatch, a2):
+    # a NaN difference between the two character values is a failed check,
+    # not a vacuous pass
+    monkeypatch.setattr(polysum, "_cone_sum", lambda *args: math.nan)
+    with pytest.raises(ArithmeticError, match="disagree beyond 1e-9"):
+        weyl_character_eval(a2, (1, 1), (0.3, 0.5))
 
 
 @_EVALUATORS
