@@ -1,0 +1,44 @@
+"""The base of the package's immutable value classes.
+
+It does what ``dataclasses.dataclass(frozen=True)`` did for them without
+importing ``dataclasses`` (and with it ``inspect``), whose import and
+per-class code generation took longer than the rest of the package's import.
+A subclass names its fields in ``_fields``, also its ``__slots__``, and its
+``__init__`` stores them with `Frozen._store`.  It then compares and hashes
+as the tuple of its fields (an unhashable field makes it unhashable), shows
+the dataclass repr, pickles and copies by its constructor, and refuses
+attribute assignment and deletion with AttributeError.
+"""
+
+
+class Frozen:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -16,12 +16,11 @@ Four independent routes live here:
 import math
 import random
 import time
-from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from itertools import chain, product
 from operator import add, ge, sub
 
+from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate, exp_table, terms_json_text
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
@@ -50,20 +49,23 @@ class GenericityError(RuntimeError):
     """Evaluation point too close to a pole hyperplane; resample sigma."""
 
 
-@dataclass(frozen=True)
-class PolytopeSum:
+class PolytopeSum(Frozen):
     """Lattice sum over a weight polytope plus its vertex orbit."""
 
-    sum: FormalSum
-    vertex_set: frozenset
+    __slots__ = _fields = ("sum", "vertex_set")
+
+    def __init__(self, sum: FormalSum, vertex_set: frozenset):
+        self._store(sum, vertex_set)
 
 
-@dataclass(frozen=True)
-class PolytopeExpansion:
+class PolytopeExpansion(Frozen):
     """Nonzero coefficients expanding a character into polytope sums,
     keyed by dominant weight."""
 
-    coefficients: dict
+    __slots__ = _fields = ("coefficients",)
+
+    def __init__(self, coefficients: dict):
+        self._store(coefficients)
 
     def to_json_text(self) -> str:
         """Canonical JSON text of the coefficients sorted by weight, in the
@@ -71,20 +73,17 @@ class PolytopeExpansion:
         return terms_json_text(sorted(self.coefficients.items()))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of one formula-vs-oracle comparison.
 
     ``millis`` is wall-clock time, so only the table rendering shows it; the
     JSON form leaves it out and two identical runs print the same bytes."""
 
-    formula: str
-    algebra: str
-    lam: Weight
-    match: bool
-    diff: FormalSum
-    n_points: int
-    millis: float
+    __slots__ = _fields = ("formula", "algebra", "lam", "match", "diff", "n_points", "millis")
+
+    def __init__(self, formula: str, algebra: str, lam: Weight, match: bool, diff: FormalSum,
+                 n_points: int, millis: float):
+        self._store(formula, algebra, lam, match, diff, n_points, millis)
 
     def to_json_obj(self) -> dict:
         return {
@@ -488,6 +487,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
         denom = top - rs.inner_scaled(mu_rho, mu_rho)
         value, rem = divmod(2 * acc, denom)
         if rem or value <= 0:
+            from fractions import Fraction
+
             raise ArithmeticError(
                 f"multiplicity recursion broke at {mu}: {Fraction(2 * acc, denom)}"
             )
@@ -521,6 +522,8 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
         den *= rs.inner_scaled(rho, wc)
     value, rem = divmod(num, den)
     if rem or value <= 0:
+        from fractions import Fraction
+
         raise ArithmeticError(
             f"dimension product is not a positive integer: {Fraction(num, den)}"
         )

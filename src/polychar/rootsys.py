@@ -22,10 +22,10 @@ Fixed conventions, asserted throughout the test suite:
 """
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
+
+from ._frozen import Frozen
 
 Weight = tuple[int, ...]
 
@@ -34,26 +34,25 @@ _RANK_CAP = 8
 _LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
 
 
-@dataclass(frozen=True)
-class AlgebraId:
+class AlgebraId(Frozen):
     """Family letter plus rank, e.g. A2 or G2."""
 
-    family: str
-    rank: int
+    __slots__ = _fields = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in _LOWEST_RANK:
+    def __init__(self, family: str, rank: int):
+        if family not in _LOWEST_RANK:
             raise ValueError(
-                f"unsupported family {self.family!r}: expected one of {', '.join(_LOWEST_RANK)}"
+                f"unsupported family {family!r}: expected one of {', '.join(_LOWEST_RANK)}"
             )
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
-        if self.rank > _RANK_CAP:
-            raise ValueError(f"rank {self.rank} exceeds the desk-scale cap of {_RANK_CAP}")
-        if self.family == "G" and self.rank != 2:
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
+            raise ValueError(f"rank must be a positive integer, got {rank!r}")
+        if rank > _RANK_CAP:
+            raise ValueError(f"rank {rank} exceeds the desk-scale cap of {_RANK_CAP}")
+        if family == "G" and rank != 2:
             raise ValueError("the G family only exists at rank 2")
-        if self.rank < _LOWEST_RANK[self.family]:
-            raise ValueError(f"family {self.family} starts at rank {_LOWEST_RANK[self.family]}")
+        if rank < _LOWEST_RANK[family]:
+            raise ValueError(f"family {family} starts at rank {_LOWEST_RANK[family]}")
+        self._store(family, rank)
 
     @classmethod
     def parse(cls, name: str) -> "AlgebraId":
@@ -67,23 +66,26 @@ class AlgebraId:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(Frozen):
     """A root in both coordinate systems: Dynkin labels and simple-root basis."""
 
-    weight_coords: Weight
-    root_coords: tuple[int, ...]
+    __slots__ = _fields = ("weight_coords", "root_coords")
+
+    def __init__(self, weight_coords: Weight, root_coords: tuple[int, ...]):
+        self._store(weight_coords, root_coords)
 
     @property
     def height(self) -> int:
         return sum(self.root_coords)
 
 
-# eq=False: a root system is a function of its AlgebraId, so it compares and
-# hashes by id alone.  The generated hash would walk every nested tuple and
-# Root on each call, and weyl_group's cache hashes its key on every hit.
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+# build_root_system makes one RootSystem per algebra and hands out that one
+# object, so a root system is its own identity: it compares and hashes as
+# object does, and the caches keyed on one (weyl_group and the numeric
+# tables) hash it in C.  Equal root systems are the same object, so they hash
+# equal; a copy or an unpickled one is that object again (__reduce__).  The
+# __dict__ slot holds the cached_property members.
+class RootSystem(Frozen):
     """Static data of one simple Lie algebra.
 
     Fields
@@ -102,23 +104,31 @@ class RootSystem:
     gram_scaled : form_scale * quadratic_form, an integer matrix
     """
 
-    id: AlgebraId
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    coroots: dict
-    weyl_vector: Weight
-    cartan_det: int
-    cartan_adjugate: tuple[tuple[int, ...], ...]
-    form_scale: int
-    gram_scaled: tuple[tuple[int, ...], ...]
+    _fields = (
+        "id", "cartan", "positive_roots", "coroots", "weyl_vector",
+        "cartan_det", "cartan_adjugate", "form_scale", "gram_scaled",
+    )
+    __slots__ = _fields + ("__dict__",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __eq__(self, other):
-        if not isinstance(other, RootSystem):
-            return NotImplemented
-        return self.id == other.id
+    def __init__(
+        self,
+        id: AlgebraId,
+        cartan: tuple[tuple[int, ...], ...],
+        positive_roots: tuple[Root, ...],
+        coroots: dict,
+        weyl_vector: Weight,
+        cartan_det: int,
+        cartan_adjugate: tuple[tuple[int, ...], ...],
+        form_scale: int,
+        gram_scaled: tuple[tuple[int, ...], ...],
+    ):
+        self._store(id, cartan, positive_roots, coroots, weyl_vector,
+                    cartan_det, cartan_adjugate, form_scale, gram_scaled)
 
-    def __hash__(self) -> int:
-        return hash(self.id)
+    def __reduce__(self):
+        return build_root_system, (self.id,)
 
     @property
     def rank(self) -> int:
@@ -137,8 +147,10 @@ class RootSystem:
         return {root.root_coords: root for root in self.positive_roots}
 
     @property
-    def quadratic_form(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact Gram matrix of the fundamental weights."""
+    def quadratic_form(self) -> tuple:
+        """Exact Gram matrix of the fundamental weights, in Fractions."""
+        from fractions import Fraction
+
         return tuple(
             tuple(Fraction(x, self.form_scale) for x in row) for row in self.gram_scaled
         )
@@ -197,8 +209,11 @@ class RootSystem:
                 total += mi * acc
         return total
 
-    def inner(self, mu, nu) -> Fraction:
-        """Exact inner product of two vectors given in Dynkin labels."""
+    def inner(self, mu, nu):
+        """Exact inner product of two vectors given in Dynkin labels, a
+        Fraction."""
+        from fractions import Fraction
+
         return Fraction(self.inner_scaled(mu, nu), self.form_scale)
 
     def form_float(self, nu) -> tuple[float, ...]:
@@ -312,9 +327,18 @@ def build_root_system(algebra) -> RootSystem:
     """All static data of a simple Lie algebra, in integers.
 
     ``algebra`` may be an :class:`AlgebraId` or a name such as ``"A2"``
-    (case-insensitive).  Positive roots and their coroots come from one
-    closure under simple reflections, and the Cartan determinant and
-    adjugate from one fraction-free elimination.  The Cartan matrix follows
+    (case-insensitive).  The name is parsed on every call, so a bad one
+    raises every time; each algebra is built once and kept (`_build`), so
+    every call for it returns the same object."""
+    aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
+    return _build(aid)
+
+
+@lru_cache(maxsize=None)  # at most one entry per supported algebra, 29 in all
+def _build(aid: AlgebraId) -> RootSystem:
+    """The root system of ``aid``.  Positive roots and their coroots come
+    from one closure under simple reflections, and the Cartan determinant
+    and adjugate from one fraction-free elimination.  The Cartan matrix follows
     from the Dynkin bonds and the squared lengths l_i: across a bond (i, j),
     cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) is -l_j / l_i
     when alpha_j is the longer root and -1 otherwise, so l_i cartan[i][j]
@@ -324,7 +348,6 @@ def build_root_system(algebra) -> RootSystem:
     those numerators and that denominator by their gcd gives
     ``gram_scaled`` and ``form_scale``.
     """
-    aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
     bonds, lengths = _dynkin(aid)
     r = aid.rank
     rows = [[2 * (i == j) for j in range(r)] for i in range(r)]

@@ -1,10 +1,10 @@
 """Weyl group actions on weights: reflections, orbits, dominant
 representatives, and fully enumerated group tables for rank <= 3."""
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
+from ._frozen import Frozen
 from .rootsys import Root, RootSystem, Weight, check_weight, pairing
 
 _ENUM_RANK_CAP = 3
@@ -100,17 +100,16 @@ def _orbit_size(rs: RootSystem, support: tuple) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Frozen):
     """One group element: fingerprint = image of rho, a reduced word
     (rightmost letter acts first), length, sign, and the matrix acting on
     Dynkin labels (column j = image of the j-th fundamental weight)."""
 
-    fingerprint: Weight
-    word: tuple[int, ...]
-    length: int
-    sign: int
-    matrix: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("fingerprint", "word", "length", "sign", "matrix")
+
+    def __init__(self, fingerprint: Weight, word: tuple[int, ...], length: int, sign: int,
+                 matrix: tuple[tuple[int, ...], ...]):
+        self._store(fingerprint, word, length, sign, matrix)
 
     def apply(self, weight) -> Weight:
         """The image of a weight of the rank's length, in exact integers."""
@@ -119,15 +118,17 @@ class WeylElement:
         return tuple([sum(map(mul, row, weight)) for row in self.matrix])
 
 
-@dataclass(frozen=True)
-class WeylGroupTable:
+class WeylGroupTable(Frozen):
     """All Weyl group elements in BFS discovery order (identity first), and
     the positive roots (Dynkin labels, in the root system's order) they
     permute up to sign."""
 
-    elements: tuple[WeylElement, ...]
-    longest_index: int
-    positive_roots: tuple[Weight, ...]
+    _fields = ("elements", "longest_index", "positive_roots")
+    __slots__ = _fields + ("__dict__",)  # the __dict__ holds root_permutation
+
+    def __init__(self, elements: tuple[WeylElement, ...], longest_index: int,
+                 positive_roots: tuple[Weight, ...]):
+        self._store(elements, longest_index, positive_roots)
 
     @property
     def order(self) -> int:

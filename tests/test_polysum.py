@@ -24,6 +24,7 @@ from polychar import (
     GenericityError,
     PolytopeSizeError,
     PolytopeSum,
+    RootSystem,
     apply_d_root,
     apply_r_root,
     apply_r_simple,
@@ -708,6 +709,24 @@ def test_freudenthal_dimension_rank5(name):
 )
 def test_weyl_dimension(name, lam, dim):
     assert weyl_dimension(build_root_system(name), lam) == dim
+
+
+def test_broken_products_name_their_fraction(a1, monkeypatch):
+    # the messages write the failed quotient as a Fraction, imported only
+    # on this path; a patched form makes A1's products come out 3/2 and 8/9
+    inner_scaled = RootSystem.inner_scaled
+    monkeypatch.setattr(RootSystem, "inner_scaled",
+                        lambda rs, mu, nu: {(2,): 3, (1,): 2}[tuple(mu)])
+    with pytest.raises(ArithmeticError,
+                       match="^dimension product is not a positive integer: 3/2$"):
+        weyl_dimension(a1, (1,))
+
+    def top_plus_one(rs, mu, nu):
+        return inner_scaled(rs, mu, nu) + (tuple(mu) == tuple(nu) == (3,))
+
+    monkeypatch.setattr(RootSystem, "inner_scaled", top_plus_one)
+    with pytest.raises(ArithmeticError, match=r"^multiplicity recursion broke at \(0,\): 8/9$"):
+        dominant_weight_multiplicities(a1, (2,))
 
 
 def test_dominant_weights_below_order(a2):

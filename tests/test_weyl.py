@@ -157,7 +157,7 @@ def test_orbit_size_table_is_per_algebra_and_zero_pattern():
     before = weyl._orbit_size.cache_info()
     orbit_size(build_root_system("A3"), (3, 0, 3))
     after = weyl._orbit_size.cache_info()
-    # a rebuilt algebra and other nonzero labels: the same entry
+    # the algebra asked for again and other nonzero labels: the same entry
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
@@ -242,7 +242,7 @@ def test_apply_rejects_wrong_length(a2):
 
 
 def test_weyl_group_shared_by_rebuilt_root_systems():
-    # root systems compare and hash by algebra, so a rebuilt one hits the cache
+    # build_root_system keeps one root system per algebra, so asking again hits the cache
     assert weyl_group(build_root_system("A3")) is weyl_group(build_root_system("A3"))
     assert build_root_system("B2") != build_root_system("C2")
     assert weyl_group(build_root_system("B2")) is not weyl_group(build_root_system("C2"))
