@@ -126,32 +126,42 @@ def _check_point_count(lam, points: int) -> None:
         )
 
 
-def _check_lower_bound(rs: RootSystem, lam) -> None:
-    """Refuse a dominant lam whose polytope is too large by a cheap lower
-    bound, before any walk: it holds lam's orbit and, for each positive root
-    beta, the <lam, beta^vee> + 1 points of the beta-string from lam to
-    s_beta(lam)."""
+def dominant_weights_below(rs: RootSystem, lam) -> list:
+    """Dominant weights of lam's root-lattice coset lying under lam in
+    dominance order, sorted from lam downward by depth, the height of
+    lam - mu (then lexicographically).
+
+    A downward walk: subtract each positive root and keep what stays
+    dominant.  It misses nothing, because above every dominant mu < lam
+    some positive root alpha leaves lam - alpha dominant with mu below it
+    (Stembridge, The partial order of dominant weights, 1998).
+
+    The orbits of these weights are disjoint and cover lam's polytope, so
+    their sizes add up to its point count.  Before the walk, a cheap lower
+    bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
+    and, for each positive root beta, the <lam, beta^vee> + 1 points of the
+    beta-string from lam to s_beta(lam).  The walk refuses as soon as its
+    running count passes the cap.  The walked weights are dominant, so each
+    size is read unchecked from `_orbit_size`'s table, kept per algebra and
+    zero pattern.
+    """
+    lam = check_weight(rs, lam, dominant=True)
     longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
     _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
-
-
-def _walk_counted(rs: RootSystem, lam):
-    """`_walk_below` from a checked dominant lam under the point cap.
-
-    The orbits of the dominant weights below lam are disjoint and cover its
-    polytope, so their sizes add up to the point count.  `_check_lower_bound`
-    refuses lam before the walk starts, and the walk stops with
-    PolytopeSizeError as soon as the running count passes the cap.  An
-    orbit's size |W| / |W_mu| depends only on which labels of mu are zero;
-    the walk's weights are dominant, so it reads `orbit_size`'s table, kept
-    per algebra and zero pattern, without checking each weight again.
-    """
-    _check_lower_bound(rs, lam)
+    steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
+    seen = {lam}
+    walked = [(0, lam)]
     points = 0
-    for depth, mu in _walk_below(rs, lam):
+    for depth, mu in walked:  # the list grows as the walk reaches new weights
         points += _orbit_size(rs, tuple([x > 0 for x in mu]))
         _check_point_count(lam, points)
-        yield depth, mu
+        for alpha, h in steps:
+            nu = tuple(map(sub, mu, alpha))
+            if nu not in seen and min(nu) >= 0:
+                seen.add(nu)
+                walked.append((depth + h, nu))
+    walked.sort()
+    return [mu for _depth, mu in walked]
 
 
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
@@ -159,14 +169,13 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
 
     The lattice points are exactly the weights `polytope_member` accepts:
     the union of the Weyl orbits of the dominant weights below lam.  The
-    walk that finds those weights refuses lam past the point cap
-    (`_walk_counted`) before any orbit is built.  Distinct dominant weights
+    walk that finds those weights (`dominant_weights_below`) refuses lam
+    past the point cap before any orbit is built.  Distinct dominant weights
     have disjoint orbits, so the terms are built in one pass over all of
     them, with no merge.  All coefficients are 1.
     """
-    lam = check_weight(rs, lam, dominant=True)
-    below = [mu for _depth, mu in _walk_counted(rs, lam)]
-    verts = orbit(rs, lam)  # below[0] is lam
+    below = dominant_weights_below(rs, lam)
+    verts = orbit(rs, below[0])  # lam, checked by the walk
     others = chain.from_iterable(orbit(rs, mu) for mu in below[1:])
     terms = dict.fromkeys(chain(verts, others), 1)
     return PolytopeSum(FormalSum._of(rs.rank, terms), verts)
@@ -404,42 +413,6 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     return alternating
 
 
-def _walk_below(rs: RootSystem, lam):
-    """Yield (depth, mu) for each dominant weight mu of lam's root-lattice
-    coset under lam in dominance order, lam first, where the depth is the
-    height of lam - mu.
-
-    A downward walk: subtract each positive root and keep what stays
-    dominant.  It misses nothing, because above every dominant mu < lam
-    some positive root alpha leaves lam - alpha dominant with mu below it
-    (Stembridge, The partial order of dominant weights, 1998).
-    """
-    steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
-    seen = {lam}
-    frontier = [(0, lam)]
-    while frontier:
-        yield from frontier
-        nxt = []
-        for d, mu in frontier:
-            for alpha, h in steps:
-                nu = tuple(m - a for m, a in zip(mu, alpha))
-                if nu not in seen and min(nu) >= 0:
-                    seen.add(nu)
-                    nxt.append((d + h, nu))
-        frontier = nxt
-
-
-def dominant_weights_below(rs: RootSystem, lam) -> list:
-    """Dominant weights of lam's root-lattice coset lying under lam in
-    dominance order, sorted from lam downward by depth, the height of
-    lam - mu (then lexicographically).
-
-    Raises PolytopeSizeError, as the oracle does, when lam's polytope has
-    more lattice points than the cap."""
-    lam = check_weight(rs, lam, dominant=True)
-    return [mu for _depth, mu in sorted(_walk_counted(rs, lam))]
-
-
 def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     """Weight multiplicities of the irreducible module with highest weight
     lam, tabulated on its dominant weights by the Freudenthal recursion.
@@ -583,15 +556,23 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
 
 def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     """Sweep every dominant weight with labels in [0..max_label], comparing
-    the operator formula against the enumerator exactly."""
+    the operator formula against the enumerator exactly.  Besides each
+    lam's own cap, the sweep refuses with PolytopeSizeError once its
+    running point count passes the cap."""
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
     reports = []
+    points = 0
     for labels in product(range(max_label + 1), repeat=rs.rank):
         t0 = time.perf_counter()
         _formula_sum, oracle, diff = formula_against_oracle(rs, labels)
         millis = (time.perf_counter() - t0) * 1000.0
+        n_points = oracle.coefficient_sum()
+        points += n_points
+        if points > _POINT_CAP:
+            raise PolytopeSizeError(f"the sweep of {rs.name} up to {max_label} has at least "
+                                    f"{points} points; cap is {_POINT_CAP}")
         reports.append(
             VerificationReport(
                 formula=name,
@@ -599,7 +580,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
                 lam=labels,
                 match=diff.is_zero(),
                 diff=diff,
-                n_points=oracle.coefficient_sum(),
+                n_points=n_points,
                 millis=millis,
             )
         )

@@ -136,6 +136,21 @@ def test_verify_g2_exits_1(capsys, monkeypatch):
     assert all(r["match"] for r in payload)
 
 
+def test_verify_sweep_point_budget_boundary(capsys, monkeypatch):
+    # A1 [0..3] has 1 + 2 + 3 + 4 = 10 points: allowed at a cap of 10; at 9
+    # every lam passes its own cap and the sweep's running count refuses
+    argv = ["verify", "--algebra", "A1", "--max-label", "3"]
+    monkeypatch.setattr(polysum, "_POINT_CAP", 10)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert [r["n_points"] for r in json.loads(out)] == [1, 2, 3, 4]
+    monkeypatch.setattr(polysum, "_POINT_CAP", 9)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sweep of A1 up to 3 has at least 10 points; cap is 9\n"
+
+
 def test_eval_single_case(capsys):
     code, out = _capture(
         capsys, ["eval", "--algebra", "A2", "--lam", "1", "1", "--sigma-count", "5"]
@@ -230,6 +245,23 @@ def test_expand_point_cap_boundary(capsys, monkeypatch):
     assert captured.err == (
         "error: the polytope of [1, 0, 0, 1] has at least 21 points; cap is 20\n"
     )
+
+
+def test_expand_d4_has_a_negative_coefficient(capsys):
+    # the polytope multiplicities are not all nonnegative: D4 rho gives -4
+    # at omega_2 = theta, and the signed sum of polytope sums is still the
+    # character (dimension 4^6)
+    code, out = _capture(capsys, ["expand", "D4", "1", "1", "1", "1"])
+    assert code == 0
+    coeffs = {tuple(t["w"]): t["c"] for t in json.loads(out)}
+    assert len(coeffs) == 14
+    assert coeffs[(0, 1, 0, 0)] == -4
+    rs = build_root_system("D4")
+    total = FormalSum.zero(4)
+    for mu, c in coeffs.items():
+        total = total + polysum.polytope_sum_oracle(rs, mu).sum.scale(c)
+    assert total == polysum.character_freudenthal(rs, (1, 1, 1, 1))
+    assert total.coefficient_sum() == 4096
 
 
 def test_vertices_sorted(capsys):

@@ -161,7 +161,7 @@ def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
     def unreachable(rs, lam):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, "_walk_below", unreachable)
+    monkeypatch.setattr(polysum, "_orbit_size", unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 points of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -191,7 +191,7 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
     def unreachable(rs, lam):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, "_walk_below", unreachable)
+    monkeypatch.setattr(polysum, "_orbit_size", unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 weights of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -739,6 +739,13 @@ def test_expansion_a2(a2):
     assert exp.coefficients == {(1, 1): 1, (0, 0): 1}
     exp = polytope_expansion(a2, (1, 0))
     assert exp.coefficients == {(1, 0): 1}
+
+
+def test_expansion_a2_closed_form(a2):
+    # A2: c = 1 exactly on lam - k theta, 0 <= k <= min(lam), theta = (1, 1)
+    for lam in product(range(9), repeat=2):
+        expected = {(lam[0] - k, lam[1] - k): 1 for k in range(min(lam) + 1)}
+        assert polytope_expansion(a2, lam).coefficients == expected, lam
 
 
 def test_expansion_reconstructs(b2, g2):
