@@ -27,7 +27,6 @@ from .polysum import (
     dominant_weight_multiplicities,
     dominant_weights_below,
     gamma_sequence,
-    longest_element_via_gammas,
     numeric_formula_check,
     polytope_expansion,
     polytope_member,
@@ -84,7 +83,6 @@ __all__ = [
     "dominant_weights_below",
     "evaluate",
     "gamma_sequence",
-    "longest_element_via_gammas",
     "numeric_formula_check",
     "orbit",
     "orbit_size",

@@ -28,7 +28,9 @@ from .polysum import (
     DEFAULT_SEED,
     GenericityError,
     PolytopeSizeError,
+    _check_support_size,
     formula_against_oracle,
+    gamma_sequence,
     numeric_formula_check,
     polytope_expansion,
     polytope_sum_demazure,
@@ -36,7 +38,7 @@ from .polysum import (
     verify_polytope_formula,
 )
 from .rootsys import build_root_system, check_weight
-from .weyl import orbit, orbit_size
+from .weyl import orbit, orbit_size, weyl_group
 
 _EVAL_DEFAULTS = (
     ("A2", (1, 0)),
@@ -84,7 +86,10 @@ def _sum_result(s: FormalSum) -> tuple:
 
 def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
-    return _sum_result(character_demazure(rs, args.labels))
+    lam = check_weight(rs, args.labels, dominant=True)
+    weyl_group(rs)  # past the rank cap, refused before the size guard
+    _check_support_size(rs, lam)
+    return _sum_result(character_demazure(rs, lam))
 
 
 def _cmd_bsum(args) -> tuple:
@@ -92,6 +97,8 @@ def _cmd_bsum(args) -> tuple:
     if args.method == "oracle":
         return _sum_result(polytope_sum_oracle(rs, args.labels).sum)
     if args.method == "demazure":
+        gamma_sequence(rs)  # without a formula, refused before the size guard
+        _check_support_size(rs, args.labels)
         return _sum_result(polytope_sum_demazure(rs, args.labels))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()

@@ -19,9 +19,15 @@ for d the +c sits one step lower, at mu - beta.  Summing the table from
 the string's top down gives every output coefficient once, and the two
 entries cancel where the formula gives nothing (n = -1 for D, n = 0 for d).
 A string is keyed by its point of pairing 0 or 1.
-"""
 
-from operator import sub
+Both cores work on packed exponents (`formal`): each exponent is one int,
+so going down a string is ``p - step``, a string's key is an int, and a
+pairing reads the labels it needs from their fields.  The input is packed
+once, with a codec derived from its own terms, and every output keeps that
+codec, since it lies in the W-invariant hull the codec was sized for.  A
+word of operators never builds an exponent tuple; the result builds them
+once, when it is read.
+"""
 
 from .formal import FormalSum
 from .rootsys import Root, RootSystem, check_weight
@@ -35,27 +41,29 @@ def _check_sum(rs: RootSystem, s: FormalSum) -> None:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
 
 
-def _coroot_entries(rs: RootSystem, root: Root) -> tuple:
-    """(index, value) for each nonzero entry of the root's coroot labels, so
-    a pairing reads only the coordinates that count."""
-    return tuple((j, cv) for j, cv in enumerate(rs.coroot_labels(root)) if cv)
+def _packed_root(rs: RootSystem, root: Root, s: FormalSum) -> tuple:
+    """What a core needs to act with ``root`` on ``s``: its packed terms and
+    codec, the packed step of the root, the field mask, and the pairing
+    against the root's coroot (`formal._Codec.pairing`)."""
+    _check_sum(rs, s)
+    terms, codec = s._packed_for(rs)
+    fields, lift = codec.pairing(rs.coroot_labels(root))
+    return terms, codec, codec.delta(root.weight_coords), codec.mask, fields, lift
 
 
 def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:
     """String operator of a positive root: D with ``keep_identity``, else
     d = D - 1.  One running sum per beta-string (module docstring)."""
-    _check_sum(rs, s)
-    entries = _coroot_entries(rs, root)
-    step = root.weight_coords
-    # level t of a string is its point key + t*beta; e^mu sits at level h
+    terms, codec, step, mask, fields, lift = _packed_root(rs, root, s)
+    # level t of a string is its key + t*beta; e^mu sits at level h
     shift = 0 if keep_identity else 1
     strings: dict = {}
-    for lam, coeff in s.terms.items():
-        n = 0
-        for j, cv in entries:
-            n += cv * lam[j]
+    for p, coeff in terms.items():
+        n = lift
+        for sh, cv in fields:
+            n += cv * (p >> sh & mask)
         h = n >> 1
-        key = tuple([x - h * a for x, a in zip(lam, step)]) if h else lam
+        key = p - h * step
         table = strings.get(key)
         if table is None:
             strings[key] = table = {}
@@ -66,32 +74,26 @@ def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> 
     out: dict = {}
     for key, table in strings.items():
         total = 0
-        t = None
         for level in sorted(table, reverse=True):
             if total:
-                while t > level:
+                # the levels from the one above down to this one, exclusive
+                for mu in range(key + upper * step, key + level * step, -step):
                     out[mu] = total
-                    mu = tuple(map(sub, mu, step))
-                    t -= 1
-            elif t != level:
-                mu = tuple([x + level * a for x, a in zip(key, step)]) if level else key
-                t = level
+            upper = level
             total += table[level]
-    return FormalSum._of(rs.rank, out)
+    return FormalSum._of_packed(rs.rank, out, codec)
 
 
 def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
     """Reflect every exponent in the hyperplane of a positive root."""
-    _check_sum(rs, s)
-    entries = _coroot_entries(rs, root)
-    step = root.weight_coords
+    terms, codec, step, mask, fields, lift = _packed_root(rs, root, s)
     out = {}
-    for lam, coeff in s.terms.items():
-        n = 0
-        for j, cv in entries:
-            n += cv * lam[j]
-        out[tuple([x - n * a for x, a in zip(lam, step)]) if n else lam] = coeff
-    return FormalSum._of(rs.rank, out)
+    for p, coeff in terms.items():
+        n = lift
+        for sh, cv in fields:
+            n += cv * (p >> sh & mask)
+        out[p - n * step] = coeff
+    return FormalSum._of_packed(rs.rank, out, codec)
 
 
 def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:

@@ -4,10 +4,37 @@ A FormalSum is an element of the group ring Z[P]: a dict from exponent
 tuples to nonzero integer coefficients.  All algebra here is exact; the only
 numeric door is `evaluate`, which substitutes a real point, checked by
 `check_point`, for the exponent pairing.
+
+The Demazure operators (`demazure`) work on a packed form instead: each
+exponent is one int, its labels in fixed-width fields, the first label most
+significant, each label stored plus half the field's range so that every
+field is nonnegative.  Packing is linear, so a step down a root string is
+one subtraction, and packed ints sort in the lexicographic order of their
+tuples.  A codec (`_Codec`) holds the field width for one root system.  It
+is derived per sum, from the bound below, and never refuses: ints are
+unbounded, so any exponent fits some width.
+
+Bound.  Every operator output lies in conv(W . support), and for mu in the
+support and w in W, |<w mu, alpha_j^vee>| = |<mu, w^-1 alpha_j^vee>| is the
+pairing of mu with a coroot, at most c_max * |mu|_1, where c_max is the
+largest coefficient of a positive coroot over the simple coroots.  A label's
+absolute value is convex, so the same bound holds on the whole hull, and the
+hull of any output lies inside the input's (it is W-invariant).  A width
+that holds c_max * |mu|_1 for every support point therefore holds every sum
+the operators derive from it, so no arithmetic ever carries between fields.
+A sum added to a packed one is measured the same way, and the wider codec
+serves both; sums packed for different root systems add through their
+tuples.
+
+A packed sum builds its exponent tuples once: in canonical order when its
+JSON or `evaluate` first reads them, else in its packed dict's order when
+its ``terms`` or ``==`` against a sum of another codec does.
 """
 
 import math
+import struct
 from functools import lru_cache
+from operator import lshift
 from types import MappingProxyType
 
 from .rootsys import RootSystem, dot_float
@@ -35,13 +62,102 @@ def terms_json_text(items) -> str:
     return "[" + ",".join([fmt % ((c,) + w) for w, c in items]) + "]"
 
 
+# struct codes of the field widths struct unpacks directly, by byte count;
+# one struct.iter_unpack over these decodes a char-expand pass's results
+# faster than reading the fields one by one (BENCH_22.json, "decode_paths")
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+class _Codec:
+    """Packing of one root system's exponents into ints with fields of
+    ``nbytes`` bytes (module docstring).  ``pack`` and ``unpack_all`` are
+    inverse on exponents whose labels lie in [-offset, offset)."""
+
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "_row")
+
+    def __init__(self, rs: RootSystem, nbytes: int):
+        width = 8 * nbytes
+        self.rs = rs
+        self.nbytes = nbytes
+        self.shifts = tuple(width * j for j in reversed(range(rs.rank)))
+        self.mask = (1 << width) - 1
+        self.offset = 1 << (width - 1)
+        self.base = sum(self.offset << s for s in self.shifts)
+        code = _STRUCT_CODES.get(nbytes)
+        self._row = struct.Struct(">" + code * rs.rank) if code else None
+
+    def delta(self, weight) -> int:
+        """The packed difference of a weight: pack(mu + weight) is
+        pack(mu) + delta(weight)."""
+        return sum(map(lshift, weight, self.shifts))
+
+    def pack(self, weight) -> int:
+        return self.base + self.delta(weight)
+
+    def pairing(self, labels) -> tuple:
+        """How to pair a packed exponent p with an integer covector, given
+        by its labels: the (shift, label) pairs of its nonzero labels and
+        the constant that removes the fields' offsets, so that the pairing
+        is ``lift + sum(cv * (p >> shift & mask))`` over the pairs."""
+        fields = tuple((sh, cv) for sh, cv in zip(self.shifts, labels) if cv)
+        return fields, -self.offset * sum(labels)
+
+    def unpack_all(self, keys) -> list:
+        """The exponent tuples of packed ints, in their order.  For a width
+        that struct reads, XOR with ``base`` flips each field's top bit,
+        which turns offset fields into two's-complement ones that the bytes
+        decode directly; wider fields are read one by one."""
+        if self._row is None:
+            shifts, mask, offset = self.shifts, self.mask, self.offset
+            return [tuple([(p >> s & mask) - offset for s in shifts]) for p in keys]
+        size = self.nbytes * self.rs.rank
+        base = self.base
+        data = b"".join([(p ^ base).to_bytes(size, "big") for p in keys])
+        return list(self._row.iter_unpack(data))
+
+
+@lru_cache(maxsize=None)  # one per root system and width in use
+def _codec(rs: RootSystem, nbytes: int) -> _Codec:
+    return _Codec(rs, nbytes)
+
+
+def _codec_for(rs: RootSystem, weights) -> _Codec:
+    """The narrowest codec of rs whose fields hold c_max * |mu|_1 for every
+    weight mu given, and so every label in conv(W . weights): 1, 2, 4 or 8
+    bytes, which struct decodes, while one of them suffices."""
+    c_max = max(map(max, rs.coroots.values()))
+    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0)
+    need = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit
+    return _codec(rs, next((n for n in _STRUCT_CODES if n >= need), need))
+
+
+def _shared_codec(a: "FormalSum", b: "FormalSum"):
+    """The codec to combine two sums in: the wider of their codecs, an
+    unpacked side measured for the other's root system; None, to combine
+    tuples, when neither is packed or they are packed for different root
+    systems."""
+    ca, cb = a._codec, b._codec
+    if ca is cb:
+        return ca
+    if ca is None:
+        ca = _codec_for(cb.rs, a._terms)
+    elif cb is None:
+        cb = _codec_for(ca.rs, b._terms)
+    elif ca.rs is not cb.rs:
+        return None
+    return ca if ca.nbytes >= cb.nbytes else cb
+
+
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
-    The canonical (lexicographic) term order is sorted on first use and kept:
-    the terms never change, so it cannot go stale."""
+    Its terms are held as a dict of exponent tuples, as a packed dict with
+    its codec (module docstring), or both: a packed sum builds its tuples on
+    first use, and a tuple sum its packed form when an operator first reads
+    it.  The canonical (lexicographic) term order is sorted on first use and
+    kept: the terms never change, so none of these can go stale."""
 
-    __slots__ = ("_rank", "_terms", "_sorted")
+    __slots__ = ("_rank", "_terms", "_sorted", "_packed", "_codec")
 
     def __init__(self, rank: int, terms=()):
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
@@ -61,7 +177,7 @@ class FormalSum:
                 del acc[w]
         self._rank = rank
         self._terms = acc
-        self._sorted = None
+        self._sorted = self._packed = self._codec = None
 
     @classmethod
     def _of(cls, rank: int, terms: dict) -> "FormalSum":
@@ -70,8 +186,53 @@ class FormalSum:
         out = cls.__new__(cls)
         out._rank = rank
         out._terms = terms
-        out._sorted = None
+        out._sorted = out._packed = out._codec = None
         return out
+
+    @classmethod
+    def _of_packed(cls, rank: int, packed: dict, codec: _Codec) -> "FormalSum":
+        """Trusted constructor of a packed sum: takes ownership of
+        ``packed``, which must map ints of ``codec`` to nonzero ints, every
+        label of conv(W . support) within its fields."""
+        out = cls.__new__(cls)
+        out._rank = rank
+        out._terms = out._sorted = None
+        out._packed = packed
+        out._codec = codec
+        return out
+
+    def _tuples(self) -> dict:
+        """The terms keyed by exponent tuples: the canonical terms when they
+        are sorted already, else unpacked in the packed dict's order."""
+        if self._terms is None:
+            if self._sorted is not None:
+                self._terms = dict(self._sorted)
+            else:
+                packed = self._packed
+                self._terms = dict(zip(self._codec.unpack_all(packed), packed.values()))
+        return self._terms
+
+    def _packed_for(self, rs: RootSystem) -> tuple:
+        """(packed terms, codec) for the operators of ``rs``, packed on first
+        use with a codec derived from the terms (`_codec_for`)."""
+        codec = self._codec
+        if codec is None or codec.rs is not rs:
+            terms = self._tuples()
+            codec = _codec_for(rs, terms)
+            self._packed = {codec.pack(w): c for w, c in terms.items()}
+            self._codec = codec
+        return self._packed, codec
+
+    def _packed_in(self, codec: _Codec) -> dict:
+        """The terms packed by ``codec``, which must hold them (`_shared_codec`)."""
+        if codec is self._codec:
+            return self._packed
+        return {codec.pack(w): c for w, c in self._tuples().items()}
+
+    def _any(self) -> dict:
+        """Whichever term dict the sum holds, for what needs only the
+        coefficients."""
+        return self._packed if self._terms is None else self._terms
 
     @classmethod
     def zero(cls, rank: int) -> "FormalSum":
@@ -89,28 +250,37 @@ class FormalSum:
 
     @property
     def terms(self):
-        return MappingProxyType(self._terms)
+        return MappingProxyType(self._tuples())
 
     def coefficient(self, weight) -> int:
-        return self._terms.get(tuple(weight), 0)
+        return self._tuples().get(tuple(weight), 0)
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients (the value of the sum at the origin)."""
-        return sum(self._terms.values())
+        return sum(self._any().values())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._any()
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._any())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._any())
 
     def _canonical(self) -> tuple:
-        """The terms in lexicographic exponent order, as a shared tuple."""
+        """The terms in lexicographic exponent order, as a shared tuple.  A
+        packed sum sorts its ints, whose order is the tuples' order, and
+        unpacks them in one pass."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._terms.items()))
+            if self._terms is not None:
+                self._sorted = tuple(sorted(self._terms.items()))
+            else:
+                packed = self._packed
+                keys = sorted(packed)
+                self._sorted = tuple(
+                    zip(self._codec.unpack_all(keys), map(packed.__getitem__, keys))
+                )
         return self._sorted
 
     def items_sorted(self) -> list:
@@ -124,31 +294,41 @@ class FormalSum:
         return self._merge(other, 1)
 
     def _merge(self, other: "FormalSum", sign: int) -> "FormalSum":
-        """self + sign * other in one pass over other's terms."""
+        """self + sign * other in one pass over other's terms, packed when
+        either side is (`_shared_codec`)."""
         if other._rank != self._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-        merged = dict(self._terms)
+        codec = _shared_codec(self, other)
+        if codec is None:
+            merged = dict(self._tuples())
+            items = other._tuples().items()
+        else:
+            merged = dict(self._packed_in(codec))
+            items = other._packed_in(codec).items()
         pop = merged.pop
-        for w, c in other._terms.items():
+        for w, c in items:
             t = pop(w, 0) + sign * c
             if t:
                 merged[w] = t
-        return FormalSum._of(self._rank, merged)
+        if codec is None:
+            return FormalSum._of(self._rank, merged)
+        return FormalSum._of_packed(self._rank, merged, codec)
 
     def scale(self, factor: int) -> "FormalSum":
         if not isinstance(factor, int) or isinstance(factor, bool):
             raise TypeError("scale factor must be an integer")
         if factor == 0:
             return FormalSum.zero(self._rank)
-        return FormalSum._of(self._rank, {w: factor * c for w, c in self._terms.items()})
+        return FormalSum._of(self._rank, {w: factor * c for w, c in self._tuples().items()})
 
     def mul_exp(self, shift) -> "FormalSum":
-        """Multiply by e^shift, i.e. translate every exponent."""
+        """Multiply by e^shift, i.e. translate every exponent.  The result
+        holds tuples: a translate can leave the codec's hull."""
         s = _check_exponent(shift)
         if len(s) != self._rank:
             raise ValueError(f"shift {s} has length {len(s)}, expected rank {self._rank}")
         return FormalSum._of(
-            self._rank, {tuple(a + b for a, b in zip(w, s)): c for w, c in self._terms.items()}
+            self._rank, {tuple(a + b for a, b in zip(w, s)): c for w, c in self._tuples().items()}
         )
 
     def __add__(self, other):
@@ -165,11 +345,15 @@ class FormalSum:
     def __eq__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        return self._rank == other._rank and self._terms == other._terms
+        if self._rank != other._rank:
+            return False
+        if self._codec is not None and self._codec is other._codec:
+            return self._packed == other._packed
+        return self._tuples() == other._tuples()
 
     def __repr__(self):
         body = ", ".join(f"{w}: {c}" for w, c in self._canonical()[:6])
-        if len(self._terms) > 6:
+        if len(self) > 6:
             body += ", ..."
         return f"FormalSum(rank={self._rank}, {{{body}}})"
 

@@ -29,7 +29,6 @@ from .weyl import (
     dominant_representative,
     orbit,
     orbit_size,
-    reflect_at_root,
     weyl_group,
 )
 
@@ -232,39 +231,24 @@ def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
     return inversion_sequence(rs, chain.from_iterable(_formula(rs)[1]))
 
 
-def longest_element_via_gammas(rs: RootSystem):
-    """Composite of the reflections at the gamma-sequence roots, first root
-    acting first, as a callable on weights: the longest Weyl group element
-    (s_beta_N ... s_beta_1 = w0 for any inversion sequence of w0)."""
-    roots = gamma_sequence(rs)
-
-    def act(weight) -> Weight:
-        lam = check_weight(rs, weight)
-        for root in roots:
-            lam = reflect_at_root(rs, root, lam)
-        return lam
-
-    return act
-
-
 def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
                   factors: dict) -> FormalSum:
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
     factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
-    terms accumulate in one dict; those that cancel are dropped at the end."""
-    total = dict(s.terms)
-    staged = s
+    staged and accumulated sums stay packed (`formal`); only the factor's
+    translate holds tuples, and adding it packs it, widening the codec when
+    its hull needs more."""
+    total = staged = s
     for k in range(start, stop):
         root = gammas[k]
         term = apply_d_root(rs, root, staged)
         if k in factors:
             term = term.add(term.mul_exp(gammas[factors[k]].weight_coords))
-        for w, c in term.terms.items():
-            total[w] = total.get(w, 0) + c
+        total = total.add(term)
         if k + 1 < stop:
             staged = apply_r_root(rs, root, staged)
-    return FormalSum._of(rs.rank, {w: c for w, c in total.items() if c})
+    return total
 
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
@@ -501,6 +485,18 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
             f"dimension product is not a positive integer: {Fraction(num, den)}"
         )
     return value
+
+
+def _check_support_size(rs: RootSystem, lam) -> None:
+    """Refuse lam with PolytopeSizeError when its polytope has more lattice
+    points than the cap: they are the support of its character and of its
+    polytope sum, so `char` and `bsum --method demazure` call this before
+    any operator runs.  Distinct weights of the module never outnumber its
+    dimension, so a dimension within the cap passes at once; past it, the
+    walk of `dominant_weights_below` counts the points exactly and refuses
+    past the cap."""
+    if weyl_dimension(rs, lam) > _POINT_CAP:
+        dominant_weights_below(rs, lam)
 
 
 def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:

@@ -14,6 +14,7 @@ from polychar import (
     apply_r_root,
     build_root_system,
     cli,
+    demazure,
     gamma_sequence,
     polysum,
 )
@@ -149,6 +150,58 @@ def test_verify_sweep_point_budget_boundary(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the sweep of A1 up to 3 has at least 10 points; cap is 9\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["char", "A2", "1", "1"], ["bsum", "A2", "1", "1", "--method", "demazure"]]
+)
+def test_operator_routes_point_cap_boundary(capsys, monkeypatch, argv):
+    # A2 (1, 1): dimension 8, 7 lattice points (the 6 roots and 0)
+    def unreachable(*args):
+        raise AssertionError("unreachable")
+
+    # a dimension within the cap passes without the walk
+    monkeypatch.setattr(polysum, "_POINT_CAP", 8)
+    monkeypatch.setattr(polysum, "dominant_weights_below", unreachable)
+    assert _capture(capsys, argv)[0] == 0
+    monkeypatch.undo()
+    # past it, the walk's exact count decides: 7 points pass a cap of 7
+    monkeypatch.setattr(polysum, "_POINT_CAP", 7)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert len(json.loads(out)) == 7
+    # and a cap of 6 refuses before any operator runs
+    monkeypatch.setattr(polysum, "_POINT_CAP", 6)
+    monkeypatch.setattr(demazure, "_demazure", unreachable)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the polytope of [1, 1] has at least 7 points; cap is 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bsum", "B3", "50", "50", "50", "--method", "demazure"],
+         "no operator polytope-sum formula for B3"),
+        (["char", "A4", "30", "30", "30", "30"],
+         "full Weyl-group enumeration is capped at rank 3; got A4"),
+    ],
+    ids=["bsum-B3", "char-A4"],
+)
+def test_operator_routes_refuse_structure_before_the_size_guard(capsys, monkeypatch, argv,
+                                                                  message):
+    # both dimensions pass the cap, but neither the dimension nor the walk
+    # is reached: the algebra is refused first
+    def unreachable(*args):
+        raise AssertionError("unreachable")
+
+    monkeypatch.setattr(polysum, "weyl_dimension", unreachable)
+    monkeypatch.setattr(polysum, "dominant_weights_below", unreachable)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_eval_single_case(capsys):

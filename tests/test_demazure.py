@@ -20,6 +20,7 @@ from polychar import (
     character_freudenthal,
     weyl_group,
 )
+from polychar import gamma_sequence, polysum
 from polychar.demazure import _demazure, _reflect, apply_r_root
 
 weights2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
@@ -65,22 +66,111 @@ def _assert_well_formed(rs, s):
     assert all(len(w) == rs.rank for w in s.terms)
 
 
+def _assert_cores_match(rs, root, s):
+    for keep_identity in (True, False):
+        out = _demazure(rs, root, s, keep_identity)
+        assert out == _reference_demazure(rs, root, s, keep_identity)
+        _assert_well_formed(rs, out)
+    out = _reflect(rs, root, s)
+    assert out == _reference_reflect(rs, root, s)
+    _assert_well_formed(rs, out)
+
+
+def _one_byte_top(rs):
+    """The largest |mu|_1 whose codec bound c_max * |mu|_1 one-byte fields hold."""
+    return 127 // max(map(max, rs.coroots.values()))
+
+
+def _draw_sum(data, rs, edge_sizes):
+    """A small random sum, plus one term on a coordinate axis whose |mu|_1
+    is drawn from ``edge_sizes`` (0 for none)."""
+    weights = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    coeffs = st.integers(-3, 3).filter(bool)
+    terms = data.draw(st.dictionaries(weights, coeffs, max_size=12))
+    size = data.draw(st.sampled_from(edge_sizes))
+    if size:
+        j = data.draw(st.integers(0, rs.rank - 1))
+        size *= data.draw(st.sampled_from((1, -1)))
+        terms[tuple(size * (k == j) for k in range(rs.rank))] = data.draw(coeffs)
+    return terms
+
+
 @pytest.mark.parametrize("name", _REFERENCE_ALGEBRAS)
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cores_match_point_by_point_reference(name, data):
     rs = build_root_system(name)
-    weights = st.tuples(*[st.integers(-4, 4)] * rs.rank)
-    coeffs = st.integers(-3, 3).filter(bool)
-    s = FormalSum(rs.rank, data.draw(st.dictionaries(weights, coeffs, max_size=12)))
+    top = _one_byte_top(rs)
+    terms = _draw_sum(data, rs, (0, top, top + 1))
+    s = FormalSum(rs.rank, terms)
+    if any(sum(map(abs, w)) > top for w in terms):
+        # one past the field bound: the sum gets two-byte fields
+        assert s._packed_for(rs)[1].nbytes == 2
     for root in rs.positive_roots:
-        for keep_identity in (True, False):
-            out = _demazure(rs, root, s, keep_identity)
-            assert out == _reference_demazure(rs, root, s, keep_identity)
-            _assert_well_formed(rs, out)
-        out = _reflect(rs, root, s)
-        assert out == _reference_reflect(rs, root, s)
+        _assert_cores_match(rs, root, s)
+    if rs.rank == 1 or not terms:
+        return
+    # labels near +-2**70, translated along the hyperplane of each root so
+    # its strings stay short enough for the reference: fields wider than
+    # 8 bytes
+    big = data.draw(st.sampled_from((2**70, -(2**70))))
+    for root in rs.positive_roots:
+        labels = rs.coroot_labels(root)
+        i = next(k for k, cv in enumerate(labels) if cv)
+        j = next(k for k in range(rs.rank) if k != i)
+        v = [0] * rs.rank
+        v[i], v[j] = labels[j], -labels[i]  # <v, root^vee> = 0
+        far = FormalSum(rs.rank, {tuple(x + big * a for x, a in zip(w, v)): c
+                                  for w, c in terms.items()})
+        assert far._packed_for(rs)[1].nbytes > 8
+        _assert_cores_match(rs, root, far)
+
+
+def test_sum_packed_for_one_algebra_is_repacked_for_another(a2, g2):
+    # A2's codec holds |mu|_1 <= 127 in one byte, but G2's hull of the
+    # same support reaches labels of 300
+    s = apply_D_simple(a2, 1, FormalSum.exp((100, 0)))
+    assert s._codec.rs is a2 and s._codec.nbytes == 1
+    for root in g2.positive_roots:
+        _assert_cores_match(g2, root, s)
+
+
+def _reference_bracket(rs, gammas, start, stop, s, factors):
+    total = staged = s
+    for k in range(start, stop):
+        term = _reference_demazure(rs, gammas[k], staged, False)
+        if k in factors:
+            term = term + term.mul_exp(gammas[factors[k]].weight_coords)
+        total = total + term
+        staged = _reference_reflect(rs, gammas[k], staged)
+    return total
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "B2", "G2", "A3"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_words_match_reference_letter_by_letter(name, data):
+    # packed sums pass from operator to operator, and from bracket to
+    # bracket, without unpacking
+    rs = build_root_system(name)
+    s = FormalSum(rs.rank, _draw_sum(data, rs, (0, 7)))
+    word = data.draw(st.lists(st.integers(1, rs.rank), min_size=2, max_size=5))
+    for flavor in "Dd":
+        expected = s
+        for i in reversed(word):
+            expected = _reference_demazure(rs, rs.simple_root(i), expected, flavor == "D")
+        assert apply_word(rs, word, s, flavor) == expected
+    _name, segments, factors = polysum._formula(rs)
+    gammas = gamma_sequence(rs)
+    out = expected = s
+    start = 0
+    for segment in segments:
+        stop = start + len(segment)
+        out = polysum._edge_bracket(rs, gammas, start, stop, out, factors)
+        expected = _reference_bracket(rs, gammas, start, stop, expected, factors)
+        assert out == expected
         _assert_well_formed(rs, out)
+        start = stop
 
 
 def test_string_values_a1(a1):

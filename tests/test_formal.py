@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polychar import FormalSum, evaluate
+from polychar import FormalSum, build_root_system, evaluate
 from polychar.polysum import PolytopeExpansion
 
 weights2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -86,6 +86,74 @@ def test_difference_is_one_pass_sum_of_negation():
         a - FormalSum.exp((1, 0, 0))
     with pytest.raises(TypeError):
         a - 3
+
+
+def _packed_only(rs, terms):
+    """A sum holding only the packed form of ``terms``, as an operator
+    returns it: no tuple is built until something reads one."""
+    packed, codec = FormalSum(rs.rank, terms)._packed_for(rs)
+    return FormalSum._of_packed(rs.rank, dict(packed), codec)
+
+
+@given(sums2, sums2)
+@settings(max_examples=60)
+def test_packed_sum_is_indistinguishable_from_tuple_sum(x, y):
+    rs = build_root_system("G2")
+    terms = dict(x.terms)
+
+    def fresh():
+        return _packed_only(rs, terms)
+
+    assert fresh() == x and x == fresh()
+    assert fresh() == fresh()
+    assert dict(fresh().terms) == terms
+    assert len(fresh()) == len(x) and bool(fresh()) == bool(x)
+    assert fresh().is_zero() == x.is_zero()
+    assert fresh().coefficient_sum() == x.coefficient_sum()
+    assert all(fresh().coefficient(w) == c for w, c in terms.items())
+    assert fresh().items_sorted() == x.items_sorted()
+    assert fresh().to_json_text() == x.to_json_text()
+    assert fresh().to_json_obj() == x.to_json_obj()
+    assert repr(fresh()) == repr(x)
+    # each way round, against a tuple sum and a packed one
+    other = _packed_only(rs, dict(y.terms))
+    for left, right in ((fresh(), y), (x, other), (fresh(), other)):
+        assert (left + right).to_json_text() == (x + y).to_json_text()
+        assert (right + left) == y + x
+        assert (left - right).to_json_text() == (x - y).to_json_text()
+        assert (right - left) == y - x
+    assert (fresh() - x).is_zero() and (x - fresh()).is_zero()
+    assert fresh().scale(-3) == x.scale(-3) and -fresh() == -x
+    assert fresh().mul_exp((1, -2)) == x.mul_exp((1, -2))
+
+
+def test_packed_sum_builds_its_tuples_once():
+    g2 = build_root_system("G2")
+    terms = {(2, -1): 3, (0, 1): -2, (-4, 3): 1}
+    sorted_first = _packed_only(g2, terms)
+    canonical = sorted_first._canonical()
+    # the same exponent objects, whichever is read first
+    assert [w for w, _c in canonical] == list(sorted_first.terms)
+    assert all(w is k for (w, _c), k in zip(canonical, sorted_first.terms))
+    terms_first = _packed_only(g2, terms)
+    keys = set(map(id, terms_first.terms))
+    assert set(id(w) for w, _c in terms_first._canonical()) == keys
+
+
+def test_adding_past_the_field_bound_widens_the_codec():
+    # G2: c_max = 3, so one-byte fields hold |mu|_1 <= 42
+    g2 = build_root_system("G2")
+    near = _packed_only(g2, {(42, 0): 1, (0, -42): 2})
+    assert near._codec.nbytes == 1
+    far = FormalSum(2, {(43, 0): 5, (0, -42): -2})
+    for total in (near + far, far + near):
+        assert total._codec.nbytes == 2
+        assert total == FormalSum(2, {(42, 0): 1, (43, 0): 5})
+        assert total.to_json_text() == '[{"c":1,"w":[42,0]},{"c":5,"w":[43,0]}]'
+    # sums packed for different root systems combine through their tuples
+    b2 = _packed_only(build_root_system("B2"), {(1, 1): 1})
+    assert (near + b2)._codec is None
+    assert near + b2 == FormalSum(2, {(42, 0): 1, (0, -42): 2, (1, 1): 1})
 
 
 def test_mul_exp_translates():

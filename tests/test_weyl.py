@@ -9,7 +9,7 @@ import pytest
 from polychar import (
     build_root_system,
     dominant_representative,
-    longest_element_via_gammas,
+    gamma_sequence,
     orbit,
     orbit_size,
     reflect_at_root,
@@ -251,6 +251,21 @@ def test_weyl_group_shared_by_rebuilt_root_systems():
 def test_rank_cap():
     with pytest.raises(ValueError):
         weyl_group(build_root_system("A4"))
+
+
+def longest_element_via_gammas(rs):
+    """The reflections at the gamma-sequence roots, first root acting first,
+    composed into a map on weights: s_beta_N ... s_beta_1 is w0 for any
+    inversion sequence of w0."""
+    roots = gamma_sequence(rs)
+
+    def act(weight):
+        lam = tuple(weight)
+        for root in roots:
+            lam = reflect_at_root(rs, root, lam)
+        return lam
+
+    return act
 
 
 def test_longest_via_gammas_closed_forms(a2, b2, g2, a3):
