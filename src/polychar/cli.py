@@ -21,10 +21,10 @@ import json
 import os
 import sys
 
+from . import polysum
 from .demazure import character_demazure
 from .formal import FormalSum
 from .polysum import (
-    _POINT_CAP,
     DEFAULT_SEED,
     GenericityError,
     PolytopeSizeError,
@@ -130,11 +130,11 @@ def _cmd_verify(args) -> tuple:
     n_bad = sum(1 for r in reports if not r.match)
 
     def table() -> str:
-        lines = ["formula algebra lambda match n_points millis"]
+        lines = ["formula algebra lambda match n_points"]
         for r in reports:
             lines.append(
                 f"{r.formula} {r.algebra} {list(r.lam)} "
-                f"{'ok' if r.match else 'MISMATCH'} {r.n_points} {r.millis:.1f}"
+                f"{'ok' if r.match else 'MISMATCH'} {r.n_points}"
             )
         lines.append(f"{len(reports)} comparisons, {n_bad} mismatches")
         return "\n".join(lines)
@@ -189,9 +189,9 @@ def _cmd_expand(args) -> tuple:
 def _cmd_vertices(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
-    if (size := orbit_size(rs, lam)) > _POINT_CAP:
+    if (size := orbit_size(rs, lam)) > polysum._POINT_CAP:
         raise PolytopeSizeError(
-            f"the orbit of {list(lam)} has {size} points; cap is {_POINT_CAP}"
+            f"the orbit of {list(lam)} has {size} points; cap is {polysum._POINT_CAP}"
         )
     payload = [list(v) for v in sorted(orbit(rs, lam))]
 

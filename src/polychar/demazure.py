@@ -22,12 +22,14 @@ A string is keyed by its point of pairing 0 or 1.
 
 Both cores work on packed exponents (`formal`): each exponent is one int,
 so going down a string is ``p - step``, a string's key is an int, and a
-pairing reads the labels it needs from their fields.  The input is packed
-once, with a codec derived from its own terms, and every output keeps that
-codec, since it lies in the W-invariant hull the codec was sized for.  A
-word of operators never builds an exponent tuple; the result builds them
-once, when it is read.
+pairing reads the labels it needs from their fields.  A tuple input is
+packed in place, with a codec derived from its own terms, and every output
+is a packed sum of that codec, since it lies in the W-invariant hull the
+codec was sized for.  A word of operators never builds an exponent tuple;
+the result builds them once, when it is read.
 """
+
+from functools import reduce
 
 from .formal import FormalSum
 from .rootsys import Root, RootSystem, check_weight
@@ -81,7 +83,7 @@ def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> 
                     out[mu] = total
             upper = level
             total += table[level]
-    return FormalSum._of_packed(rs.rank, out, codec)
+    return FormalSum._of(rs.rank, out, codec)
 
 
 def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
@@ -93,7 +95,7 @@ def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:
         for sh, cv in fields:
             n += cv * (p >> sh & mask)
         out[p - n * step] = coeff
-    return FormalSum._of_packed(rs.rank, out, codec)
+    return FormalSum._of(rs.rank, out, codec)
 
 
 def apply_D_simple(rs: RootSystem, i: int, s: FormalSum) -> FormalSum:
@@ -159,15 +161,14 @@ def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
 
     Each element's value is derived from its parent's in the BFS word tree:
     the reduced word of a child extends its parent's on the left, so one
-    more d operator finishes the job.
+    more d operator finishes the job.  The values are summed once all are
+    built: by then e^weight is packed too, so every value shares its codec
+    and the sum adds packed.
     """
     lam = check_weight(rs, weight, dominant=True)
     table = weyl_group(rs)
     memo = {(): FormalSum.exp(lam)}
-    total = FormalSum.zero(rs.rank)
-    for el in table.elements:
+    for el in table.elements[1:]:  # elements[0] is the identity
         word = el.word
-        if word not in memo:
-            memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])
-        total = total.add(memo[word])
-    return total
+        memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])
+    return reduce(FormalSum.add, memo.values())

@@ -22,13 +22,16 @@ absolute value is convex, so the same bound holds on the whole hull, and the
 hull of any output lies inside the input's (it is W-invariant).  A width
 that holds c_max * |mu|_1 for every support point therefore holds every sum
 the operators derive from it, so no arithmetic ever carries between fields.
-A sum added to a packed one is measured the same way, and the wider codec
-serves both; sums packed for different root systems add through their
-tuples.
+Two sums of one codec add within it too: the points whose W-images all have
+labels within the fields form a convex W-invariant set, which holds both
+hulls and so the hull of their union.
 
-A packed sum builds its exponent tuples once: in canonical order when its
-JSON or `evaluate` first reads them, else in its packed dict's order when
-its ``terms`` or ``==`` against a sum of another codec does.
+A sum holds its terms in one form at a time: keyed by tuples, or packed
+with its codec.  An operator packs its input in place and returns a sum of
+the same codec; reading the terms unpacks a sum in place, in canonical order
+when its JSON or `evaluate` has sorted them already, else in its packed
+dict's order.  Two sums add and compare packed only when they share one
+codec; any other pair works on tuples, so no codec is ever widened.
 """
 
 import math
@@ -131,33 +134,17 @@ def _codec_for(rs: RootSystem, weights) -> _Codec:
     return _codec(rs, next((n for n in _STRUCT_CODES if n >= need), need))
 
 
-def _shared_codec(a: "FormalSum", b: "FormalSum"):
-    """The codec to combine two sums in: the wider of their codecs, an
-    unpacked side measured for the other's root system; None, to combine
-    tuples, when neither is packed or they are packed for different root
-    systems."""
-    ca, cb = a._codec, b._codec
-    if ca is cb:
-        return ca
-    if ca is None:
-        ca = _codec_for(cb.rs, a._terms)
-    elif cb is None:
-        cb = _codec_for(ca.rs, b._terms)
-    elif ca.rs is not cb.rs:
-        return None
-    return ca if ca.nbytes >= cb.nbytes else cb
-
-
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
-    Its terms are held as a dict of exponent tuples, as a packed dict with
-    its codec (module docstring), or both: a packed sum builds its tuples on
-    first use, and a tuple sum its packed form when an operator first reads
-    it.  The canonical (lexicographic) term order is sorted on first use and
-    kept: the terms never change, so none of these can go stale."""
+    Its terms are one dict, in one form (module docstring): keyed by
+    exponent tuples, with ``_codec`` None, or packed by ``_codec``.  Reading
+    the terms turns a packed sum into a tuple sum in place, and an operator
+    turns its input into a packed sum.  Neither changes the value, so the
+    canonical (lexicographic) term order, sorted on first use and kept,
+    never goes stale."""
 
-    __slots__ = ("_rank", "_terms", "_sorted", "_packed", "_codec")
+    __slots__ = ("_rank", "_terms", "_sorted", "_codec")
 
     def __init__(self, rank: int, terms=()):
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
@@ -177,62 +164,46 @@ class FormalSum:
                 del acc[w]
         self._rank = rank
         self._terms = acc
-        self._sorted = self._packed = self._codec = None
+        self._sorted = self._codec = None
 
     @classmethod
-    def _of(cls, rank: int, terms: dict) -> "FormalSum":
+    def _of(cls, rank: int, terms: dict, codec: _Codec | None = None) -> "FormalSum":
         """Trusted constructor: takes ownership of ``terms``, which must map
-        rank-length tuples to nonzero ints.  Nothing is checked or copied."""
+        rank-length tuples to nonzero ints, or with a ``codec`` its packed
+        ints, every label of conv(W . support) within its fields.  Nothing
+        is checked or copied."""
         out = cls.__new__(cls)
         out._rank = rank
         out._terms = terms
-        out._sorted = out._packed = out._codec = None
-        return out
-
-    @classmethod
-    def _of_packed(cls, rank: int, packed: dict, codec: _Codec) -> "FormalSum":
-        """Trusted constructor of a packed sum: takes ownership of
-        ``packed``, which must map ints of ``codec`` to nonzero ints, every
-        label of conv(W . support) within its fields."""
-        out = cls.__new__(cls)
-        out._rank = rank
-        out._terms = out._sorted = None
-        out._packed = packed
+        out._sorted = None
         out._codec = codec
         return out
 
     def _tuples(self) -> dict:
-        """The terms keyed by exponent tuples: the canonical terms when they
-        are sorted already, else unpacked in the packed dict's order."""
-        if self._terms is None:
+        """The terms keyed by exponent tuples, a packed sum unpacked in place
+        first: from the canonical terms when they are sorted already, else
+        in the packed dict's order."""
+        codec = self._codec
+        if codec is not None:
+            packed = self._terms
             if self._sorted is not None:
                 self._terms = dict(self._sorted)
             else:
-                packed = self._packed
-                self._terms = dict(zip(self._codec.unpack_all(packed), packed.values()))
+                self._terms = dict(zip(codec.unpack_all(packed), packed.values()))
+            self._codec = None
         return self._terms
 
     def _packed_for(self, rs: RootSystem) -> tuple:
-        """(packed terms, codec) for the operators of ``rs``, packed on first
-        use with a codec derived from the terms (`_codec_for`)."""
+        """(packed terms, codec) for the operators of ``rs``: a tuple sum, or
+        a sum packed for another root system, is packed in place first, with
+        a codec derived from its terms (`_codec_for`)."""
         codec = self._codec
         if codec is None or codec.rs is not rs:
             terms = self._tuples()
             codec = _codec_for(rs, terms)
-            self._packed = {codec.pack(w): c for w, c in terms.items()}
+            self._terms = {codec.pack(w): c for w, c in terms.items()}
             self._codec = codec
-        return self._packed, codec
-
-    def _packed_in(self, codec: _Codec) -> dict:
-        """The terms packed by ``codec``, which must hold them (`_shared_codec`)."""
-        if codec is self._codec:
-            return self._packed
-        return {codec.pack(w): c for w, c in self._tuples().items()}
-
-    def _any(self) -> dict:
-        """Whichever term dict the sum holds, for what needs only the
-        coefficients."""
-        return self._packed if self._terms is None else self._terms
+        return self._terms, codec
 
     @classmethod
     def zero(cls, rank: int) -> "FormalSum":
@@ -257,30 +228,28 @@ class FormalSum:
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients (the value of the sum at the origin)."""
-        return sum(self._any().values())
+        return sum(self._terms.values())
 
     def is_zero(self) -> bool:
-        return not self._any()
+        return not self._terms
 
     def __len__(self) -> int:
-        return len(self._any())
+        return len(self._terms)
 
     def __bool__(self) -> bool:
-        return bool(self._any())
+        return bool(self._terms)
 
     def _canonical(self) -> tuple:
         """The terms in lexicographic exponent order, as a shared tuple.  A
         packed sum sorts its ints, whose order is the tuples' order, and
         unpacks them in one pass."""
         if self._sorted is None:
-            if self._terms is not None:
-                self._sorted = tuple(sorted(self._terms.items()))
+            terms, codec = self._terms, self._codec
+            if codec is None:
+                self._sorted = tuple(sorted(terms.items()))
             else:
-                packed = self._packed
-                keys = sorted(packed)
-                self._sorted = tuple(
-                    zip(self._codec.unpack_all(keys), map(packed.__getitem__, keys))
-                )
+                keys = sorted(terms)
+                self._sorted = tuple(zip(codec.unpack_all(keys), map(terms.__getitem__, keys)))
         return self._sorted
 
     def items_sorted(self) -> list:
@@ -294,25 +263,22 @@ class FormalSum:
         return self._merge(other, 1)
 
     def _merge(self, other: "FormalSum", sign: int) -> "FormalSum":
-        """self + sign * other in one pass over other's terms, packed when
-        either side is (`_shared_codec`)."""
+        """self + sign * other in one pass over other's terms: packed when
+        both sides are packed by one codec, else on tuples."""
         if other._rank != self._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
-        codec = _shared_codec(self, other)
-        if codec is None:
-            merged = dict(self._tuples())
-            items = other._tuples().items()
+        codec = self._codec
+        if codec is other._codec:
+            merged, items = dict(self._terms), other._terms.items()
         else:
-            merged = dict(self._packed_in(codec))
-            items = other._packed_in(codec).items()
+            codec = None
+            merged, items = dict(self._tuples()), other._tuples().items()
         pop = merged.pop
         for w, c in items:
             t = pop(w, 0) + sign * c
             if t:
                 merged[w] = t
-        if codec is None:
-            return FormalSum._of(self._rank, merged)
-        return FormalSum._of_packed(self._rank, merged, codec)
+        return FormalSum._of(self._rank, merged, codec)
 
     def scale(self, factor: int) -> "FormalSum":
         if not isinstance(factor, int) or isinstance(factor, bool):
@@ -347,8 +313,8 @@ class FormalSum:
             return NotImplemented
         if self._rank != other._rank:
             return False
-        if self._codec is not None and self._codec is other._codec:
-            return self._packed == other._packed
+        if self._codec is other._codec:
+            return self._terms == other._terms
         return self._tuples() == other._tuples()
 
     def __repr__(self):

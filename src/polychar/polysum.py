@@ -15,7 +15,6 @@ Four independent routes live here:
 
 import math
 import random
-import time
 from functools import lru_cache
 from itertools import chain, product
 from operator import add, ge, sub
@@ -73,16 +72,13 @@ class PolytopeExpansion(Frozen):
 
 
 class VerificationReport(Frozen):
-    """Outcome of one formula-vs-oracle comparison.
+    """Outcome of one formula-vs-oracle comparison."""
 
-    ``millis`` is wall-clock time, so only the table rendering shows it; the
-    JSON form leaves it out and two identical runs print the same bytes."""
-
-    __slots__ = _fields = ("formula", "algebra", "lam", "match", "diff", "n_points", "millis")
+    __slots__ = _fields = ("formula", "algebra", "lam", "match", "diff", "n_points")
 
     def __init__(self, formula: str, algebra: str, lam: Weight, match: bool, diff: FormalSum,
-                 n_points: int, millis: float):
-        self._store(formula, algebra, lam, match, diff, n_points, millis)
+                 n_points: int):
+        self._store(formula, algebra, lam, match, diff, n_points)
 
     def to_json_obj(self) -> dict:
         return {
@@ -236,9 +232,9 @@ def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
     factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
-    staged and accumulated sums stay packed (`formal`); only the factor's
-    translate holds tuples, and adding it packs it, widening the codec when
-    its hull needs more."""
+    staged and accumulated sums stay packed by the input's codec (`formal`).
+    Only the factor's translate holds tuples, so the term it joins, and the
+    total from then on, add on tuples."""
     total = staged = s
     for k in range(start, stop):
         root = gammas[k]
@@ -561,9 +557,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     reports = []
     points = 0
     for labels in product(range(max_label + 1), repeat=rs.rank):
-        t0 = time.perf_counter()
         _formula_sum, oracle, diff = formula_against_oracle(rs, labels)
-        millis = (time.perf_counter() - t0) * 1000.0
         n_points = oracle.coefficient_sum()
         points += n_points
         if points > _POINT_CAP:
@@ -577,7 +571,6 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
                 match=diff.is_zero(),
                 diff=diff,
                 n_points=n_points,
-                millis=millis,
             )
         )
     return reports

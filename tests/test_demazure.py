@@ -173,6 +173,69 @@ def test_words_match_reference_letter_by_letter(name, data):
         start = stop
 
 
+def _form(s):
+    """The one form ``s`` holds, "tuples" or "packed", after checking that
+    every key of its one term dict has that form."""
+    if s._codec is None:
+        assert all(type(k) is tuple for k in s._terms)
+        return "tuples"
+    assert all(type(k) is int for k in s._terms)
+    return "packed"
+
+
+@pytest.mark.parametrize("name", ("A2", "G2"))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_sum_holds_one_form(name, data):
+    rs = build_root_system(name)
+    x_terms = _draw_sum(data, rs, (0, _one_byte_top(rs) + 1))
+    y_terms = _draw_sum(data, rs, (0,))
+    shift = data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank))
+    lam = data.draw(st.tuples(*[st.integers(0, 2)] * rs.rank))
+    root = rs.simple_root(1)
+    x, y = FormalSum(rs.rank, x_terms), FormalSum(rs.rank, y_terms)
+    got = {
+        "D x": apply_D_simple(rs, 1, x),
+        "d x": apply_d_simple(rs, 1, x),
+        "r y": apply_r_simple(rs, 1, y),
+        # on G2 its brackets add tuple translates to packed terms
+        "bsum": polysum.polytope_sum_demazure(rs, lam),
+    }
+    # an operator packs its input in place, and its outputs keep the codec
+    assert _form(x) == _form(y) == "packed"
+    assert got["D x"]._codec is got["d x"]._codec is x._codec
+    got["D x + d x"] = got["D x"] + got["d x"]
+    assert got["D x + d x"]._codec is x._codec
+    got["d x - r y"] = got["d x"] - got["r y"]
+    # the reference: tuple sums that no operator reads
+    ref_x, ref_y = FormalSum(rs.rank, x_terms), FormalSum(rs.rank, y_terms)
+    ref = {
+        "D x": _reference_demazure(rs, root, ref_x, True),
+        "d x": _reference_demazure(rs, root, ref_x, False),
+        "r y": _reference_reflect(rs, root, ref_y),
+        "bsum": polysum.polytope_sum_oracle(rs, lam).sum,
+    }
+    ref["D x + d x"] = ref["D x"] + ref["d x"]
+    ref["d x - r y"] = ref["d x"] - ref["r y"]
+    last = rs.simple_root(rs.rank)
+    calls = (
+        (lambda s: dict(s.terms), lambda s: dict(s.terms)),
+        (lambda s: s.mul_exp(shift), lambda s: s.mul_exp(shift)),
+        (lambda s: apply_D_simple(rs, rs.rank, s), lambda s: _reference_demazure(rs, last, s, True)),
+        (lambda s: s, lambda s: s),  # the comparison below is itself the call
+    )
+    live = [x, y, *got.values()]
+    for key, expected in ref.items():
+        for call, reference in calls:
+            result = call(got[key])
+            assert result == reference(expected)
+            if isinstance(result, FormalSum):
+                live.append(result)
+            for s in live:
+                _form(s)
+    assert {_form(s) for s in [ref_x, ref_y, *ref.values()]} == {"tuples"}
+
+
 def test_string_values_a1(a1):
     # n >= 0 keeps the whole descending string
     assert apply_D_simple(a1, 1, FormalSum.exp((2,))) == FormalSum(

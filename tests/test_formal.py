@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import random
 
 import pytest
@@ -91,8 +92,9 @@ def test_difference_is_one_pass_sum_of_negation():
 def _packed_only(rs, terms):
     """A sum holding only the packed form of ``terms``, as an operator
     returns it: no tuple is built until something reads one."""
-    packed, codec = FormalSum(rs.rank, terms)._packed_for(rs)
-    return FormalSum._of_packed(rs.rank, dict(packed), codec)
+    s = FormalSum(rs.rank, terms)
+    s._packed_for(rs)
+    return s
 
 
 @given(sums2, sums2)
@@ -140,20 +142,38 @@ def test_packed_sum_builds_its_tuples_once():
     assert set(id(w) for w, _c in terms_first._canonical()) == keys
 
 
-def test_adding_past_the_field_bound_widens_the_codec():
-    # G2: c_max = 3, so one-byte fields hold |mu|_1 <= 42
-    g2 = build_root_system("G2")
-    near = _packed_only(g2, {(42, 0): 1, (0, -42): 2})
-    assert near._codec.nbytes == 1
-    far = FormalSum(2, {(43, 0): 5, (0, -42): -2})
-    for total in (near + far, far + near):
-        assert total._codec.nbytes == 2
-        assert total == FormalSum(2, {(42, 0): 1, (43, 0): 5})
-        assert total.to_json_text() == '[{"c":1,"w":[42,0]},{"c":5,"w":[43,0]}]'
-    # sums packed for different root systems combine through their tuples
-    b2 = _packed_only(build_root_system("B2"), {(1, 1): 1})
-    assert (near + b2)._codec is None
-    assert near + b2 == FormalSum(2, {(42, 0): 1, (0, -42): 2, (1, 1): 1})
+def _canonical_json(terms: dict) -> str:
+    return json.dumps([{"w": list(w), "c": c} for w, c in sorted(terms.items())],
+                      sort_keys=True, separators=(",", ":"))
+
+
+def test_sums_of_different_codecs_combine_on_tuples():
+    # G2: c_max = 3, so one-byte fields hold |mu|_1 <= 42; B2's one-byte
+    # codec is another object
+    g2, b2 = build_root_system("G2"), build_root_system("B2")
+    x = {(42, 0): 1, (0, -42): 2}
+    cases = (
+        (g2, {(43, 0): 5, (0, -42): -2}, 2),
+        (b2, {(1, 1): 3, (42, 0): -1}, 1),
+    )
+    assert _packed_only(g2, x)._codec.nbytes == 1
+    for rs, y, nbytes in cases:
+        assert _packed_only(rs, y)._codec.nbytes == nbytes
+        for op, sign in ((operator.add, 1), (operator.sub, -1)):
+            want = {w: x.get(w, 0) + sign * y.get(w, 0) for w in {**x, **y}}
+            want = {w: c for w, c in want.items() if c}
+            # x +- y, and y +- x, which is sign * (x +- y)
+            for out, factor in ((op(_packed_only(g2, x), _packed_only(rs, y)), 1),
+                                (op(_packed_only(rs, y), _packed_only(g2, x)), sign)):
+                expected = {w: factor * c for w, c in want.items()}
+                assert out._codec is None
+                assert out == FormalSum(2, expected)
+                assert out.to_json_text() == _canonical_json(expected)
+    # one codec: the sum stays packed by it
+    same = _packed_only(g2, x)
+    total = same + _packed_only(g2, {(0, 42): 1})
+    assert total._codec is same._codec
+    assert total.to_json_text() == '[{"c":2,"w":[0,-42]},{"c":1,"w":[0,42]},{"c":1,"w":[42,0]}]'
 
 
 def test_mul_exp_translates():
