@@ -6,7 +6,7 @@ swaps stdout to a readable rendering; ``--out FILE`` writes the JSON to a
 file either way.  The handlers only compute: each returns its payload, and
 `run` writes it, the one place output leaves the program.  Lattice sums
 (``char``, ``bsum``, ``expand``) reach `_emit` as canonical text already
-written from their sorted terms (`FormalSum.to_json_text`), which must equal
+written from their sorted terms (`formal.terms_json_text`), which must equal
 what ``json.dumps`` would print; the other payloads are objects that `_emit`
 passes through ``json.dumps``.
 
@@ -23,7 +23,7 @@ import sys
 
 from . import polysum
 from .demazure import character_demazure
-from .formal import FormalSum
+from .formal import FormalSum, terms_json_text
 from .polysum import (
     DEFAULT_SEED,
     GenericityError,
@@ -175,15 +175,15 @@ def _cmd_eval(args) -> tuple:
 
 def _cmd_expand(args) -> tuple:
     rs = build_root_system(args.algebra)
-    expansion = polytope_expansion(rs, args.labels)
+    terms = sorted(polytope_expansion(rs, args.labels).items())
 
     def table() -> str:
         lines = ["dominant weight -> coeff"]
-        for w, c in sorted(expansion.coefficients.items()):
+        for w, c in terms:
             lines.append(f"{list(w)} -> {c}")
         return "\n".join(lines)
 
-    return expansion.to_json_text(), table, 0
+    return terms_json_text(terms), table, 0
 
 
 def _cmd_vertices(args) -> tuple:

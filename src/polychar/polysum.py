@@ -21,7 +21,7 @@ from operator import add, ge, sub
 
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, check_point, evaluate, exp_table, terms_json_text
+from .formal import FormalSum, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
 from .weyl import (
     _orbit_size,
@@ -56,21 +56,6 @@ class PolytopeSum(Frozen):
         self._store(sum, vertex_set)
 
 
-class PolytopeExpansion(Frozen):
-    """Nonzero coefficients expanding a character into polytope sums,
-    keyed by dominant weight."""
-
-    __slots__ = _fields = ("coefficients",)
-
-    def __init__(self, coefficients: dict):
-        self._store(coefficients)
-
-    def to_json_text(self) -> str:
-        """Canonical JSON text of the coefficients sorted by weight, in the
-        form of `FormalSum.to_json_text`."""
-        return terms_json_text(sorted(self.coefficients.items()))
-
-
 class VerificationReport(Frozen):
     """Outcome of one formula-vs-oracle comparison."""
 
@@ -91,25 +76,19 @@ class VerificationReport(Frozen):
         }
 
 
-def _dominates(rs: RootSystem, hi, lo) -> bool:
-    gap = rs.root_coords_of_weight(tuple(h - l for h, l in zip(hi, lo)))
-    return gap is not None and all(g >= 0 for g in gap)
-
-
 def polytope_member(rs: RootSystem, lam, mu) -> bool:
     """Exact membership test: is mu a lattice point of lam's weight polytope?
 
     mu belongs iff it sits in lam's coset of the root lattice and its
-    dominant representative lies under lam in dominance order.  Both checks
-    are integer arithmetic; no geometry is built.
+    dominant representative lies under lam in dominance order.  The
+    representative differs from mu by a root-lattice vector, so one solve
+    for the root coordinates of lam - dom(mu) answers both: it fails off
+    the coset, and dominance asks for no negative coordinate.
     """
     lam = check_weight(rs, lam, dominant=True)
-    mu = check_weight(rs, mu)
-    diff = tuple(m - l for m, l in zip(mu, lam))
-    if rs.root_coords_of_weight(diff) is None:
-        return False
     dom, _ = dominant_representative(rs, mu)
-    return _dominates(rs, lam, dom)
+    gap = rs.root_coords_of_weight(tuple(map(sub, lam, dom)))
+    return gap is not None and min(gap) >= 0
 
 
 def _check_point_count(lam, points: int) -> None:
@@ -277,8 +256,10 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # exponentials at a point live in `formal.exp_table`, shared with
 # `evaluate`: every w lam is a lattice point of lam's polytope, so after the
 # lattice sum is evaluated the cone sums only look theirs up.  The pairings
-# p_k still go through `inner_float`, one covector per root, so the sampler
-# and the pole test pair exactly as before.
+# p_k go through `inner_float`, one covector per root, because the traced
+# `numeric-eval` workload and tests/test_bench_contract.py count
+# `RootSystem.inner_float`; pairing from `exp_table`'s covector waits until
+# the benchmark's counters move off that name (ROADMAP item 1).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -495,9 +476,10 @@ def _check_support_size(rs: RootSystem, lam) -> None:
         dominant_weights_below(rs, lam)
 
 
-def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
+def polytope_expansion(rs: RootSystem, lam) -> dict:
     """Integer coefficients expanding the irreducible character as a
-    combination of polytope lattice sums over dominant weights below lam.
+    combination of polytope lattice sums over dominant weights below lam,
+    keyed by dominant weight; only nonzero ones are kept.
 
     Every dominant weight under a dominant weight lies inside its polytope,
     so peeling from lam downward determines each coefficient: the weight's
@@ -512,7 +494,7 @@ def polytope_expansion(rs: RootSystem, lam) -> PolytopeExpansion:
                 value -= c
         if value:
             coeffs[mu] = value
-    return PolytopeExpansion(coeffs)
+    return coeffs
 
 
 def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) -> list:

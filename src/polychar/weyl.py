@@ -102,14 +102,15 @@ def _orbit_size(rs: RootSystem, support: tuple) -> int:
 
 class WeylElement(Frozen):
     """One group element: fingerprint = image of rho, a reduced word
-    (rightmost letter acts first), length, sign, and the matrix acting on
-    Dynkin labels (column j = image of the j-th fundamental weight)."""
+    (rightmost letter acts first; its length is the element's), sign, and
+    the matrix acting on Dynkin labels (column j = image of the j-th
+    fundamental weight)."""
 
-    __slots__ = _fields = ("fingerprint", "word", "length", "sign", "matrix")
+    __slots__ = _fields = ("fingerprint", "word", "sign", "matrix")
 
-    def __init__(self, fingerprint: Weight, word: tuple[int, ...], length: int, sign: int,
+    def __init__(self, fingerprint: Weight, word: tuple[int, ...], sign: int,
                  matrix: tuple[tuple[int, ...], ...]):
-        self._store(fingerprint, word, length, sign, matrix)
+        self._store(fingerprint, word, sign, matrix)
 
     def apply(self, weight) -> Weight:
         """The image of a weight of the rank's length, in exact integers."""
@@ -123,20 +124,17 @@ class WeylGroupTable(Frozen):
     the positive roots (Dynkin labels, in the root system's order) they
     permute up to sign."""
 
-    _fields = ("elements", "longest_index", "positive_roots")
+    _fields = ("elements", "positive_roots")
     __slots__ = _fields + ("__dict__",)  # the __dict__ holds root_permutation
 
-    def __init__(self, elements: tuple[WeylElement, ...], longest_index: int,
-                 positive_roots: tuple[Weight, ...]):
-        self._store(elements, longest_index, positive_roots)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
+    def __init__(self, elements: tuple[WeylElement, ...], positive_roots: tuple[Weight, ...]):
+        self._store(elements, positive_roots)
 
     @property
     def longest(self) -> WeylElement:
-        return self.elements[self.longest_index]
+        """w0, the only element of greatest length: BFS discovers elements
+        in order of length, so it comes last."""
+        return self.elements[-1]
 
     @cached_property
     def root_permutation(self) -> tuple[tuple[int, ...], ...]:
@@ -169,32 +167,22 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
     identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     cols = [root.weight_coords for root in rs.simple_roots]
     rho = rs.weyl_vector
-    elements = [WeylElement(rho, (), 0, 1, identity)]
-    index = {rho: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            el = elements[idx]
-            for i, alpha in enumerate(cols):
-                # s_i x = x - x_i alpha_i: the fingerprint first, the matrix
-                # (row a minus alpha_i[a] times row i) only for a new element
-                n = el.fingerprint[i]
-                fp = tuple(x - n * a for x, a in zip(el.fingerprint, alpha))
-                if fp in index:
-                    continue
-                pivot = el.matrix[i]
-                mat = tuple(
-                    tuple(x - a * p for x, p in zip(row, pivot)) if a else row
-                    for row, a in zip(el.matrix, alpha)
-                )
-                index[fp] = len(elements)
-                nxt.append(len(elements))
-                elements.append(
-                    WeylElement(fp, (i + 1,) + el.word, el.length + 1, -el.sign, mat)
-                )
-        frontier = nxt
-    # w0 rho = -rho, and fingerprints are faithful
-    longest = index[tuple(-x for x in rho)]
+    elements = [WeylElement(rho, (), 1, identity)]
+    seen = {rho}
+    for el in elements:  # the list is the BFS queue and grows as it goes
+        for i, alpha in enumerate(cols):
+            # s_i x = x - x_i alpha_i: the fingerprint first, the matrix
+            # (row a minus alpha_i[a] times row i) only for a new element
+            n = el.fingerprint[i]
+            fp = tuple(x - n * a for x, a in zip(el.fingerprint, alpha))
+            if fp in seen:
+                continue
+            seen.add(fp)
+            pivot = el.matrix[i]
+            mat = tuple(
+                tuple(x - a * p for x, p in zip(row, pivot)) if a else row
+                for row, a in zip(el.matrix, alpha)
+            )
+            elements.append(WeylElement(fp, (i + 1,) + el.word, -el.sign, mat))
     roots = tuple(root.weight_coords for root in rs.positive_roots)
-    return WeylGroupTable(tuple(elements), longest, roots)
+    return WeylGroupTable(tuple(elements), roots)

@@ -337,7 +337,7 @@ def test_character_word_independence(b2):
     expected = character_demazure(b2, lam)
     for word in ((1, 2, 1, 2), (2, 1, 2, 1)):
         assert apply_word(b2, word, FormalSum.exp(lam), "D") == expected
-    assert weyl_group(b2).longest.length == 4
+    assert len(weyl_group(b2).longest.word) == 4
 
 
 def test_character_requires_dominant(a2):

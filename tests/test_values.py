@@ -8,7 +8,7 @@ import pytest
 
 from polychar import AlgebraId, FormalSum, PolytopeSum, Root, RootSystem, WeylElement
 from polychar import build_root_system, weyl_group
-from polychar.polysum import PolytopeExpansion, VerificationReport, inversion_sequence
+from polychar.polysum import VerificationReport, inversion_sequence
 from polychar.weyl import WeylGroupTable
 
 _ROOT_SYSTEM_FIELDS = (
@@ -104,38 +104,36 @@ def test_root_system_hash_is_the_object_hash(a2):
 
 
 def test_weyl_element():
-    args = ((-1,), (1,), 1, -1, ((-1,),))
+    args = ((-1,), (1,), -1, ((-1,),))
     el = WeylElement(*args)
-    assert el == WeylElement(fingerprint=(-1,), word=(1,), length=1, sign=-1, matrix=((-1,),))
+    assert el == WeylElement(fingerprint=(-1,), word=(1,), sign=-1, matrix=((-1,),))
     assert hash(el) == hash(WeylElement(*args))
-    assert el != WeylElement((1,), (), 0, 1, ((1,),)) and el != args
-    assert repr(el) == (
-        "WeylElement(fingerprint=(-1,), word=(1,), length=1, sign=-1, matrix=((-1,),))"
-    )
+    assert el != WeylElement((1,), (), 1, ((1,),)) and el != args
+    assert repr(el) == "WeylElement(fingerprint=(-1,), word=(1,), sign=-1, matrix=((-1,),))"
     assert el.apply((3,)) == (-3,)
     _check_frozen(el, "sign")
 
 
 def test_weyl_group_table(a1, a2):
     table = weyl_group(a1)
-    fields = (table.elements, table.longest_index, table.positive_roots)
+    fields = (table.elements, table.positive_roots)
     copy_ = WeylGroupTable(*fields)
     assert copy_ == table and hash(copy_) == hash(table)
-    assert WeylGroupTable(elements=fields[0], longest_index=1, positive_roots=fields[2]) == table
+    assert WeylGroupTable(elements=fields[0], positive_roots=fields[1]) == table
     assert table != weyl_group(a2) and table != fields
     assert repr(table) == (
-        "WeylGroupTable(elements=(WeylElement(fingerprint=(1,), word=(), length=0, "
-        "sign=1, matrix=((1,),)), WeylElement(fingerprint=(-1,), word=(1,), length=1, "
-        "sign=-1, matrix=((-1,),))), longest_index=1, positive_roots=((2,),))"
+        "WeylGroupTable(elements=(WeylElement(fingerprint=(1,), word=(), sign=1, "
+        "matrix=((1,),)), WeylElement(fingerprint=(-1,), word=(1,), sign=-1, "
+        "matrix=((-1,),))), positive_roots=((2,),))"
     )
-    assert table.order == 2 and table.longest is table.elements[1]
-    _check_frozen(table, "longest_index")
+    assert len(table.elements) == 2 and table.longest is table.elements[1]
+    _check_frozen(table, "elements")
 
 
 def test_weyl_group_table_caches_its_root_permutation(a2):
     # a table of its own: weyl_group's cached one may have built it already
     shared = weyl_group(a2)
-    table = WeylGroupTable(shared.elements, shared.longest_index, shared.positive_roots)
+    table = WeylGroupTable(shared.elements, shared.positive_roots)
     assert "root_permutation" not in vars(table)
     perm = table.root_permutation
     assert perm is table.root_permutation and vars(table)["root_permutation"] is perm
@@ -155,16 +153,6 @@ def test_polytope_sum():
     with pytest.raises(TypeError):
         hash(value)  # a FormalSum is unhashable
     _check_frozen(value, "sum")
-
-
-def test_polytope_expansion():
-    value = PolytopeExpansion({(1, 0): 1})
-    assert value == PolytopeExpansion(coefficients={(1, 0): 1})
-    assert value != PolytopeExpansion({(1, 0): 2}) and value != {(1, 0): 1}
-    assert repr(value) == "PolytopeExpansion(coefficients={(1, 0): 1})"
-    with pytest.raises(TypeError):
-        hash(value)
-    _check_frozen(value, "coefficients")
 
 
 def test_verification_report():
@@ -189,7 +177,7 @@ def test_verification_report():
 def test_values_copy_and_pickle(a2, copier):
     values = (
         AlgebraId("B", 3), a2.positive_roots[2], weyl_group(a2).elements[3], weyl_group(a2),
-        PolytopeSum(FormalSum.exp((1, 0)), frozenset({(1, 0)})), PolytopeExpansion({(1, 0): 2}),
+        PolytopeSum(FormalSum.exp((1, 0)), frozenset({(1, 0)})),
         VerificationReport("f", "A2", (1, 0), True, FormalSum.zero(2), 1),
     )
     for value in values:

@@ -164,7 +164,7 @@ def test_orbit_size_table_is_per_algebra_and_zero_pattern():
 def test_group_orders():
     for name, order in (("A1", 2), ("A2", 6), ("B2", 8), ("C2", 8),
                         ("G2", 12), ("A3", 24), ("B3", 48), ("D3", 24)):
-        assert weyl_group(build_root_system(name)).order == order
+        assert len(weyl_group(build_root_system(name)).elements) == order
 
 
 @pytest.mark.parametrize("name", _SMALL)
@@ -188,31 +188,44 @@ def test_root_permutation_table(name):
     roots = [root.weight_coords for root in rs.positive_roots]
     n = len(roots)
     rows = table.root_permutation
-    assert len(rows) == table.order
+    assert len(rows) == len(table.elements)
     for el, row in zip(table.elements, rows):
         assert sorted(abs(k) for k in row) == list(range(1, n + 1))
         for beta, k in zip(roots, row):
             image = roots[abs(k) - 1]
             assert el.apply(beta) == (image if k > 0 else tuple(-x for x in image))
         # l(w) = #{beta > 0 : w beta < 0}
-        assert sum(1 for k in row if k < 0) == el.length
+        assert sum(1 for k in row if k < 0) == len(el.word)
     assert rows[0] == tuple(range(1, n + 1))
-    assert all(k < 0 for k in rows[table.longest_index])
+    assert all(k < 0 for k in rows[-1])
 
 
 def test_longest_element(a2, b2, g2, a3):
     for rs, length in ((a2, 3), (b2, 4), (g2, 6), (a3, 6)):
         table = weyl_group(rs)
         wl = table.longest
-        assert wl.length == length
-        assert max(el.length for el in table.elements) == length
+        assert len(wl.word) == length
+        assert max(len(el.word) for el in table.elements) == length
         # longest element is the unique one of maximal length
-        assert sum(1 for el in table.elements if el.length == length) == 1
+        assert sum(1 for el in table.elements if len(el.word) == length) == 1
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_longest_is_the_last_element(name):
+    # `longest` reads elements[-1]: BFS discovers elements in order of
+    # length, and w0, which sends rho to -rho, is the only one of its length
+    rs = build_root_system(name)
+    table = weyl_group(rs)
+    rho = rs.weyl_vector
+    assert table.longest is table.elements[-1]
+    assert table.longest.apply(rho) == tuple(-x for x in rho)
+    top = len(table.longest.word)
+    assert all(len(el.word) < top for el in table.elements[:-1])
 
 
 def test_sign_matches_length(b2):
     for el in weyl_group(b2).elements:
-        assert el.sign == (-1) ** el.length
+        assert el.sign == (-1) ** len(el.word)
 
 
 def test_word_replay_equals_matrix():
