@@ -127,19 +127,19 @@ def _cmd_bsum(args) -> tuple:
 def _cmd_verify(args) -> tuple:
     rs = build_root_system(args.algebra)
     reports = verify_polytope_formula(rs, args.max_label)
-    n_bad = sum(1 for r in reports if not r.match)
+    n_bad = sum(1 for r in reports if not r["match"])
 
     def table() -> str:
         lines = ["formula algebra lambda match n_points"]
         for r in reports:
             lines.append(
-                f"{r.formula} {r.algebra} {list(r.lam)} "
-                f"{'ok' if r.match else 'MISMATCH'} {r.n_points}"
+                f"{r['formula']} {r['algebra']} {r['lambda']} "
+                f"{'ok' if r['match'] else 'MISMATCH'} {r['n_points']}"
             )
         lines.append(f"{len(reports)} comparisons, {n_bad} mismatches")
         return "\n".join(lines)
 
-    return [r.to_json_obj() for r in reports], table, 0 if n_bad == 0 else 1
+    return reports, table, 0 if n_bad == 0 else 1
 
 
 def _cmd_eval(args) -> tuple:

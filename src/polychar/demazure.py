@@ -151,8 +151,8 @@ def character_demazure(rs: RootSystem, weight) -> FormalSum:
     """Character of the irreducible highest-weight module, built by applying
     the longest element's reduced D-word to e^weight."""
     lam = check_weight(rs, weight, dominant=True)
-    table = weyl_group(rs)
-    return apply_word(rs, table.longest.word, FormalSum.exp(lam), flavor="D")
+    w0 = weyl_group(rs)[-1]
+    return apply_word(rs, w0.word, FormalSum.exp(lam), flavor="D")
 
 
 def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
@@ -166,9 +166,9 @@ def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
     and the sum adds packed.
     """
     lam = check_weight(rs, weight, dominant=True)
-    table = weyl_group(rs)
+    group = weyl_group(rs)
     memo = {(): FormalSum.exp(lam)}
-    for el in table.elements[1:]:  # elements[0] is the identity
+    for el in group[1:]:  # group[0] is the identity
         word = el.word
         memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])
     return reduce(FormalSum.add, memo.values())

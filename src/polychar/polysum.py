@@ -22,7 +22,7 @@ from operator import add, ge, sub
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, check_point, evaluate, exp_table
-from .rootsys import Root, RootSystem, Weight, check_weight, dot_float
+from .rootsys import Root, RootSystem, check_weight, dot_float
 from .weyl import (
     _orbit_size,
     dominant_representative,
@@ -48,32 +48,12 @@ class GenericityError(RuntimeError):
 
 
 class PolytopeSum(Frozen):
-    """Lattice sum over a weight polytope plus its vertex orbit."""
+    """Lattice sum over a weight polytope."""
 
-    __slots__ = _fields = ("sum", "vertex_set")
+    __slots__ = _fields = ("sum",)
 
-    def __init__(self, sum: FormalSum, vertex_set: frozenset):
-        self._store(sum, vertex_set)
-
-
-class VerificationReport(Frozen):
-    """Outcome of one formula-vs-oracle comparison."""
-
-    __slots__ = _fields = ("formula", "algebra", "lam", "match", "diff", "n_points")
-
-    def __init__(self, formula: str, algebra: str, lam: Weight, match: bool, diff: FormalSum,
-                 n_points: int):
-        self._store(formula, algebra, lam, match, diff, n_points)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "formula": self.formula,
-            "algebra": self.algebra,
-            "lambda": list(self.lam),
-            "match": self.match,
-            "diff": self.diff.to_json_obj(),
-            "n_points": self.n_points,
-        }
+    def __init__(self, sum: FormalSum):
+        self._store(sum)
 
 
 def polytope_member(rs: RootSystem, lam, mu) -> bool:
@@ -148,11 +128,9 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     have disjoint orbits, so the terms are built in one pass over all of
     them, with no merge.  All coefficients are 1.
     """
-    below = dominant_weights_below(rs, lam)
-    verts = orbit(rs, below[0])  # lam, checked by the walk
-    others = chain.from_iterable(orbit(rs, mu) for mu in below[1:])
-    terms = dict.fromkeys(chain(verts, others), 1)
-    return PolytopeSum(FormalSum._of(rs.rank, terms), verts)
+    below = dominant_weights_below(rs, lam)  # lam first, checked by the walk
+    terms = dict.fromkeys(chain.from_iterable(orbit(rs, mu) for mu in below), 1)
+    return PolytopeSum(FormalSum._of(rs.rank, terms))
 
 
 # Operator formulas by (family, rank): the report name, a reduced word of w0
@@ -248,8 +226,9 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # sign-symmetric (negation is exact, and p_k = 0 is a pole).  So each point
 # gets one table (`_point_table`): the pole test reads the p_k, and every
 # vertex-cone denominator is one of its 2|Phi+| factors, looked up through
-# weyl_group's root permutation.  Both evaluators read every factor: w s_i
-# sends alpha_i to -w alpha_i, so each signed key is some simple root's image.
+# the root permutation, whose rows are kept per algebra (`_root_permutation`).
+# Both evaluators read every factor: w s_i sends alpha_i to -w alpha_i, so
+# each signed key is some simple root's image.
 # The Weyl images of lam depend on lam alone and get a table of their own
 # (`_weight_table`).  Each table keeps its last entry, which serves the run of
 # calls `numeric_formula_check` makes at one weight and at one point.  The
@@ -268,16 +247,31 @@ def _near_pole(pairings, margin: float) -> bool:
     return any(abs(p) <= margin for p in pairings)
 
 
+@lru_cache(maxsize=None)
+def _root_permutation(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """One row per Weyl element, in `weyl_group`'s order: entry k is +(j+1)
+    when the element maps the k-th positive root to the j-th, and -(j+1)
+    when it maps it to minus the j-th.  Kept per algebra."""
+    roots = [root.weight_coords for root in rs.positive_roots]
+    index = {}
+    for j, beta in enumerate(roots, 1):
+        index[beta] = j
+        index[tuple(-x for x in beta)] = -j
+    return tuple(tuple(index[el.apply(beta)] for beta in roots) for el in weyl_group(rs))
+
+
 @lru_cache(maxsize=1)
 def _weight_table(rs: RootSystem, lam) -> tuple:
     """What the evaluators need of a checked dominant lam, one entry per Weyl
-    element in table order: the pairs (w lam, w's root-permutation row) and
-    the pairs (sign of w, w(lam + rho) - rho)."""
+    element in `weyl_group`'s order: the pairs (w lam, w's root-permutation
+    row) and the pairs (sign of w, w(lam + rho) - rho); the sign is the
+    parity of w's reduced word."""
     group = weyl_group(rs)
     lam_rho = tuple(x + 1 for x in lam)
-    images = tuple(zip([el.apply(lam) for el in group.elements], group.root_permutation))
+    images = tuple(zip([el.apply(lam) for el in group], _root_permutation(rs)))
     shifted = tuple(
-        (el.sign, tuple(x - 1 for x in el.apply(lam_rho))) for el in group.elements
+        (-1 if len(el.word) & 1 else 1, tuple(x - 1 for x in el.apply(lam_rho)))
+        for el in group
     )
     return images, shifted
 
@@ -321,10 +315,10 @@ def _cone_sum(images, covector, exps, factors, count: int) -> float:
     """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
     product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
     roots (the simple roots, or all of them).  ``images`` holds the pairs
-    (w lam, root-permutation row); ``covector`` is ``form_float(sigma)``.
-    The exponentials come from the point's table ``exps``, computed and
-    stored only for an image not met before at this point, and the factors
-    from its factor table, divided in root order."""
+    (w lam, its `_root_permutation` row); ``covector`` is
+    ``form_float(sigma)``.  The exponentials come from the point's table
+    ``exps``, computed and stored only for an image not met before at this
+    point, and the factors from its factor table, divided in root order."""
     get = exps.get
     total = 0.0
     for image, row in images:
@@ -530,9 +524,10 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
 
 def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     """Sweep every dominant weight with labels in [0..max_label], comparing
-    the operator formula against the enumerator exactly.  Besides each
-    lam's own cap, the sweep refuses with PolytopeSizeError once its
-    running point count passes the cap."""
+    the operator formula against the enumerator exactly: one JSON record
+    per weight, as `verify` prints it.  Besides each lam's own cap, the
+    sweep refuses with PolytopeSizeError once its running point count
+    passes the cap."""
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
@@ -545,16 +540,14 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
         if points > _POINT_CAP:
             raise PolytopeSizeError(f"the sweep of {rs.name} up to {max_label} has at least "
                                     f"{points} points; cap is {_POINT_CAP}")
-        reports.append(
-            VerificationReport(
-                formula=name,
-                algebra=rs.name,
-                lam=labels,
-                match=diff.is_zero(),
-                diff=diff,
-                n_points=n_points,
-            )
-        )
+        reports.append({
+            "formula": name,
+            "algebra": rs.name,
+            "lambda": list(labels),
+            "match": diff.is_zero(),
+            "diff": diff.to_json_obj(),
+            "n_points": n_points,
+        })
     return reports
 
 

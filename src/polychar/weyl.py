@@ -1,7 +1,8 @@
 """Weyl group actions on weights: reflections, orbits, dominant
-representatives, and fully enumerated group tables for rank <= 3."""
+representatives, and the whole group for rank <= 3, as a tuple of its
+elements (identity first, w0 last)."""
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import mul
 
 from ._frozen import Frozen
@@ -102,15 +103,15 @@ def _orbit_size(rs: RootSystem, support: tuple) -> int:
 
 class WeylElement(Frozen):
     """One group element: fingerprint = image of rho, a reduced word
-    (rightmost letter acts first; its length is the element's), sign, and
-    the matrix acting on Dynkin labels (column j = image of the j-th
-    fundamental weight)."""
+    (rightmost letter acts first; its length is the element's, and its
+    parity the sign), and the matrix acting on Dynkin labels (column j =
+    image of the j-th fundamental weight)."""
 
-    __slots__ = _fields = ("fingerprint", "word", "sign", "matrix")
+    __slots__ = _fields = ("fingerprint", "word", "matrix")
 
-    def __init__(self, fingerprint: Weight, word: tuple[int, ...], sign: int,
+    def __init__(self, fingerprint: Weight, word: tuple[int, ...],
                  matrix: tuple[tuple[int, ...], ...]):
-        self._store(fingerprint, word, sign, matrix)
+        self._store(fingerprint, word, matrix)
 
     def apply(self, weight) -> Weight:
         """The image of a weight of the rank's length, in exact integers."""
@@ -119,45 +120,16 @@ class WeylElement(Frozen):
         return tuple([sum(map(mul, row, weight)) for row in self.matrix])
 
 
-class WeylGroupTable(Frozen):
-    """All Weyl group elements in BFS discovery order (identity first), and
-    the positive roots (Dynkin labels, in the root system's order) they
-    permute up to sign."""
-
-    _fields = ("elements", "positive_roots")
-    __slots__ = _fields + ("__dict__",)  # the __dict__ holds root_permutation
-
-    def __init__(self, elements: tuple[WeylElement, ...], positive_roots: tuple[Weight, ...]):
-        self._store(elements, positive_roots)
-
-    @property
-    def longest(self) -> WeylElement:
-        """w0, the only element of greatest length: BFS discovers elements
-        in order of length, so it comes last."""
-        return self.elements[-1]
-
-    @cached_property
-    def root_permutation(self) -> tuple[tuple[int, ...], ...]:
-        """One row per element: entry k is +(j+1) when the element maps the
-        k-th positive root to the j-th, and -(j+1) when it maps it to minus
-        the j-th.  Built on first use, not by ``weyl_group``."""
-        index = {}
-        for j, beta in enumerate(self.positive_roots):
-            index[beta] = j + 1
-            index[tuple(-x for x in beta)] = -(j + 1)
-        return tuple(
-            tuple(index[el.apply(beta)] for beta in self.positive_roots)
-            for el in self.elements
-        )
-
-
 @lru_cache(maxsize=None)
-def weyl_group(rs: RootSystem) -> WeylGroupTable:
-    """Enumerate the whole Weyl group by BFS over simple reflections.
+def weyl_group(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The whole Weyl group, enumerated by BFS over simple reflections, as
+    the tuple of its elements in discovery order.
 
     BFS reaches every element at its minimal word length, so the first
-    discovered word is reduced; elements are fingerprinted by their action
-    on the Weyl vector, which is faithful.
+    discovered word is reduced and the elements come in order of length:
+    the identity first, and w0, the only element of greatest length, last.
+    Elements are fingerprinted by their action on the Weyl vector, which is
+    faithful.
     """
     if rs.rank > _ENUM_RANK_CAP:
         raise ValueError(
@@ -167,7 +139,7 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
     identity = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     cols = [root.weight_coords for root in rs.simple_roots]
     rho = rs.weyl_vector
-    elements = [WeylElement(rho, (), 1, identity)]
+    elements = [WeylElement(rho, (), identity)]
     seen = {rho}
     for el in elements:  # the list is the BFS queue and grows as it goes
         for i, alpha in enumerate(cols):
@@ -183,6 +155,5 @@ def weyl_group(rs: RootSystem) -> WeylGroupTable:
                 tuple(x - a * p for x, p in zip(row, pivot)) if a else row
                 for row, a in zip(el.matrix, alpha)
             )
-            elements.append(WeylElement(fp, (i + 1,) + el.word, -el.sign, mat))
-    roots = tuple(root.weight_coords for root in rs.positive_roots)
-    return WeylGroupTable(tuple(elements), roots)
+            elements.append(WeylElement(fp, (i + 1,) + el.word, mat))
+    return tuple(elements)

@@ -122,6 +122,14 @@ def test_verify_clean_algebra(capsys):
     assert all(r["match"] for r in payload)
 
 
+@pytest.mark.parametrize("name,max_label", [("G2", 2), ("A3", 1)])
+def test_verify_prints_the_sweep_records(capsys, name, max_label):
+    # verify_polytope_formula returns the JSON records the command prints
+    code, out = _capture(capsys, ["verify", "--algebra", name, "--max-label", str(max_label)])
+    assert code == 0
+    assert polysum.verify_polytope_formula(build_root_system(name), max_label) == json.loads(out)
+
+
 def test_verify_g2_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(polysum, "polytope_sum_demazure", _uncorrected_g2_sweep)
     code, out = _capture(capsys, ["verify", "--algebra", "G2", "--max-label", "1"])

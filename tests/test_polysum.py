@@ -23,7 +23,6 @@ from polychar import (
     FormalSum,
     GenericityError,
     PolytopeSizeError,
-    PolytopeSum,
     RootSystem,
     apply_d_root,
     apply_r_root,
@@ -61,7 +60,7 @@ _REFERENCE_GRIDS = (
 )
 
 
-def _box_scan_oracle(rs, lam) -> PolytopeSum:
+def _box_scan_oracle(rs, lam) -> FormalSum:
     """Reference enumerator: every point of the vertex orbit's per-label
     bounding box, kept iff `polytope_member` accepts it."""
     verts = orbit(rs, lam)
@@ -72,7 +71,7 @@ def _box_scan_oracle(rs, lam) -> PolytopeSum:
     for cand in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         if polytope_member(rs, lam, cand):
             terms[cand] = 1
-    return PolytopeSum(FormalSum(r, terms), frozenset(verts))
+    return FormalSum(r, terms)
 
 
 def _box_scan_dominant_below(rs, lam) -> list:
@@ -93,10 +92,7 @@ def _box_scan_dominant_below(rs, lam) -> list:
 def test_oracle_matches_box_scan(name, max_label):
     rs = build_root_system(name)
     for lam in product(range(max_label + 1), repeat=rs.rank):
-        ref = _box_scan_oracle(rs, lam)
-        out = polytope_sum_oracle(rs, lam)
-        assert out.sum == ref.sum, lam
-        assert out.vertex_set == ref.vertex_set, lam
+        assert polytope_sum_oracle(rs, lam).sum == _box_scan_oracle(rs, lam), lam
 
 
 @pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
@@ -125,7 +121,6 @@ def test_membership_requires_dominant(a2):
 def test_oracle_a1_string(a1):
     out = polytope_sum_oracle(a1, (4,))
     assert out.sum == FormalSum(1, {(4,): 1, (2,): 1, (0,): 1, (-2,): 1, (-4,): 1})
-    assert out.vertex_set == frozenset({(4,), (-4,)})
 
 
 def test_oracle_a2_hexagon(a2):
@@ -133,7 +128,8 @@ def test_oracle_a2_hexagon(a2):
     assert out.sum.coefficient_sum() == 7
     assert all(c == 1 for c in out.sum.terms.values())
     assert out.sum.coefficient((0, 0)) == 1
-    assert len(out.vertex_set) == 6
+    # the six vertices, and the origin: the hexagon's lattice points
+    assert set(out.sum.terms) == orbit(a2, (1, 1)) | {(0, 0)}
 
 
 def test_oracle_rejects_non_integer_labels(a2):
@@ -473,7 +469,7 @@ def _ref_finite(sig):
 def _ref_prelude(rs, lam, sigma):
     lam = check_weight(rs, lam, dominant=True)
     sig = check_point(rs, sigma)
-    elements = weyl_group(rs).elements
+    elements = weyl_group(rs)
     _ref_finite(sig)
     if _ref_near_pole(rs, sig, 1e-6):
         raise GenericityError("sigma is within 1e-06 of a pole hyperplane; resample")
@@ -491,7 +487,7 @@ def _ref_weyl_character(rs, lam, sigma):
     num = 0.0
     for el in elements:
         shifted = tuple(x - 1 for x in _ref_apply(el, lam_rho))
-        num += el.sign * math.exp(_ref_inner_float(rs, shifted, sig))
+        num += (-1) ** len(el.word) * math.exp(_ref_inner_float(rs, shifted, sig))
     den = 1.0
     for root in rs.positive_roots:
         den *= 1.0 - math.exp(-_ref_inner_float(rs, root.weight_coords, sig))
@@ -777,9 +773,8 @@ def test_verification_reports(name, max_label, formula):
     rs = build_root_system(name)
     reports = verify_polytope_formula(rs, max_label)
     assert len(reports) == (max_label + 1) ** rs.rank
-    assert all(r.match for r in reports)
-    for report in reports:
-        blob = report.to_json_obj()
+    assert all(r["match"] for r in reports)
+    for blob in reports:
         assert set(blob) == {
             "formula", "algebra", "lambda", "match", "diff", "n_points",
         }

@@ -16,10 +16,10 @@ from polychar import (
     reflect_simple,
     weyl_group,
 )
-from polychar import weyl
+from polychar import polysum, weyl
 from polychar.weyl import _orbit_points
 
-# every algebra whose full Weyl group table is enumerated (rank <= 3)
+# every algebra whose whole Weyl group is enumerated (rank <= 3)
 _SMALL = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 
 
@@ -164,7 +164,7 @@ def test_orbit_size_table_is_per_algebra_and_zero_pattern():
 def test_group_orders():
     for name, order in (("A1", 2), ("A2", 6), ("B2", 8), ("C2", 8),
                         ("G2", 12), ("A3", 24), ("B3", 48), ("D3", 24)):
-        assert len(weyl_group(build_root_system(name)).elements) == order
+        assert len(weyl_group(build_root_system(name))) == order
 
 
 @pytest.mark.parametrize("name", _SMALL)
@@ -175,7 +175,7 @@ def test_weyl_images_of_roots_are_all_roots(name):
     rs = build_root_system(name)
     roots = {root.weight_coords for root in rs.positive_roots}
     roots |= {tuple(-x for x in beta) for beta in roots}
-    elements = weyl_group(rs).elements
+    elements = weyl_group(rs)
     for source in (rs.simple_roots, rs.positive_roots):
         images = {el.apply(root.weight_coords) for el in elements for root in source}
         assert images == roots
@@ -184,12 +184,13 @@ def test_weyl_images_of_roots_are_all_roots(name):
 @pytest.mark.parametrize("name", _SMALL)
 def test_root_permutation_table(name):
     rs = build_root_system(name)
-    table = weyl_group(rs)
+    group = weyl_group(rs)
     roots = [root.weight_coords for root in rs.positive_roots]
     n = len(roots)
-    rows = table.root_permutation
-    assert len(rows) == len(table.elements)
-    for el, row in zip(table.elements, rows):
+    rows = polysum._root_permutation(rs)
+    assert rows is polysum._root_permutation(build_root_system(name))
+    assert len(rows) == len(group)
+    for el, row in zip(group, rows):
         assert sorted(abs(k) for k in row) == list(range(1, n + 1))
         for beta, k in zip(roots, row):
             image = roots[abs(k) - 1]
@@ -202,30 +203,43 @@ def test_root_permutation_table(name):
 
 def test_longest_element(a2, b2, g2, a3):
     for rs, length in ((a2, 3), (b2, 4), (g2, 6), (a3, 6)):
-        table = weyl_group(rs)
-        wl = table.longest
-        assert len(wl.word) == length
-        assert max(len(el.word) for el in table.elements) == length
+        group = weyl_group(rs)
+        assert len(group[-1].word) == length
+        assert max(len(el.word) for el in group) == length
         # longest element is the unique one of maximal length
-        assert sum(1 for el in table.elements if len(el.word) == length) == 1
+        assert sum(1 for el in group if len(el.word) == length) == 1
 
 
 @pytest.mark.parametrize("name", _SMALL)
 def test_longest_is_the_last_element(name):
-    # `longest` reads elements[-1]: BFS discovers elements in order of
-    # length, and w0, which sends rho to -rho, is the only one of its length
+    # callers read w0 as weyl_group(rs)[-1]: BFS discovers elements in order
+    # of length, and w0, which sends rho to -rho, is the only one of its length
     rs = build_root_system(name)
-    table = weyl_group(rs)
+    group = weyl_group(rs)
     rho = rs.weyl_vector
-    assert table.longest is table.elements[-1]
-    assert table.longest.apply(rho) == tuple(-x for x in rho)
-    top = len(table.longest.word)
-    assert all(len(el.word) < top for el in table.elements[:-1])
+    assert group[-1].apply(rho) == tuple(-x for x in rho)
+    top = len(group[-1].word)
+    assert all(len(el.word) < top for el in group[:-1])
 
 
-def test_sign_matches_length(b2):
-    for el in weyl_group(b2).elements:
-        assert el.sign == (-1) ** len(el.word)
+def _det(matrix) -> int:
+    """Laplace expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        for j, a in enumerate(matrix[0])
+    )
+
+
+@pytest.mark.parametrize("name", _SMALL)
+def test_weight_table_signs_are_determinants(name):
+    # the Weyl-character numerator signs each element by its word's parity;
+    # a reflection has determinant -1, so det(w) checks each sign without
+    # reading the word
+    rs = build_root_system(name)
+    _images, shifted = polysum._weight_table(rs, tuple(range(1, rs.rank + 1)))
+    assert [sign for sign, _mu in shifted] == [_det(el.matrix) for el in weyl_group(rs)]
 
 
 def test_word_replay_equals_matrix():
@@ -235,7 +249,7 @@ def test_word_replay_equals_matrix():
     for name in _SMALL:
         rs = build_root_system(name)
         alphas = [root.weight_coords for root in rs.simple_roots]
-        for el in weyl_group(rs).elements:
+        for el in weyl_group(rs):
             for w in ((1, 0, 0), (2, 3, -1), (-1, 2, 4)):
                 w = w[: rs.rank]
                 out = w
@@ -248,7 +262,7 @@ def test_word_replay_equals_matrix():
 
 
 def test_apply_rejects_wrong_length(a2):
-    el = weyl_group(a2).elements[1]
+    el = weyl_group(a2)[1]
     for w in ((1,), (1, 2, 3)):
         with pytest.raises(ValueError, match="weight length mismatch"):
             el.apply(w)
@@ -295,7 +309,7 @@ def test_longest_via_gammas_matches_table(a2, b2, g2, a3):
     rng = random.Random(11)
     for rs in (a2, b2, g2, a3):
         composite = longest_element_via_gammas(rs)
-        wl = weyl_group(rs).longest
+        wl = weyl_group(rs)[-1]
         for _ in range(25):
             w = tuple(rng.randint(-8, 8) for _ in range(rs.rank))
             assert composite(w) == wl.apply(w)
