@@ -26,6 +26,11 @@ Two sums of one codec add within it too: the points whose W-images all have
 labels within the fields form a convex W-invariant set, which holds both
 hulls and so the hull of their union.
 
+`polysum`'s dominant-weight walk and Freudenthal strings pack their
+weights with a codec too, one per lam, whose fields hold a root step past
+the hull (`_codec_for`'s margin): both form such weights and must read
+them.  ``top`` tests a packed weight's dominance and ``unpack`` reads one.
+
 A sum holds its terms in one form at a time: keyed by tuples, or packed
 with its codec.  An operator packs its input in place and returns a sum of
 the same codec; reading the terms unpacks a sum in place, in canonical order
@@ -74,9 +79,14 @@ _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 class _Codec:
     """Packing of one root system's exponents into ints with fields of
     ``nbytes`` bytes (module docstring).  ``pack`` and ``unpack_all`` are
-    inverse on exponents whose labels lie in [-offset, offset)."""
+    inverse on exponents whose labels lie in [-offset, offset).
 
-    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "_row")
+    ``base``, the packed zero weight, sets each field's top bit and no
+    other, and a field's top bit is set exactly when its label is >= 0; so
+    ``top``, the same int, tests dominance in one AND: a packed weight is
+    dominant iff ``p & top == top``."""
+
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row")
 
     def __init__(self, rs: RootSystem, nbytes: int):
         width = 8 * nbytes
@@ -85,7 +95,7 @@ class _Codec:
         self.shifts = tuple(width * j for j in reversed(range(rs.rank)))
         self.mask = (1 << width) - 1
         self.offset = 1 << (width - 1)
-        self.base = sum(self.offset << s for s in self.shifts)
+        self.base = self.top = sum(self.offset << s for s in self.shifts)
         code = _STRUCT_CODES.get(nbytes)
         self._row = struct.Struct(">" + code * rs.rank) if code else None
 
@@ -104,6 +114,13 @@ class _Codec:
         is ``lift + sum(cv * (p >> shift & mask))`` over the pairs."""
         fields = tuple((sh, cv) for sh, cv in zip(self.shifts, labels) if cv)
         return fields, -self.offset * sum(labels)
+
+    def unpack(self, p) -> tuple:
+        """The exponent tuple of one packed int, decoded as `unpack_all`
+        decodes each."""
+        if self._row is None:
+            return tuple([(p >> s & self.mask) - self.offset for s in self.shifts])
+        return self._row.unpack((p ^ self.base).to_bytes(self._row.size, "big"))
 
     def unpack_all(self, keys) -> list:
         """The exponent tuples of packed ints, in their order.  For a width
@@ -124,12 +141,13 @@ def _codec(rs: RootSystem, nbytes: int) -> _Codec:
     return _Codec(rs, nbytes)
 
 
-def _codec_for(rs: RootSystem, weights) -> _Codec:
-    """The narrowest codec of rs whose fields hold c_max * |mu|_1 for every
-    weight mu given, and so every label in conv(W . weights): 1, 2, 4 or 8
-    bytes, which struct decodes, while one of them suffices."""
+def _codec_for(rs: RootSystem, weights, margin: int = 0) -> _Codec:
+    """The narrowest codec of rs whose fields hold c_max * |mu|_1 + margin
+    for every weight mu given, and so every label in conv(W . weights) and
+    ``margin`` past it: 1, 2, 4 or 8 bytes, which struct decodes, while one
+    of them suffices."""
     c_max = max(map(max, rs.coroots.values()))
-    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0)
+    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0) + margin
     need = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit
     return _codec(rs, next((n for n in _STRUCT_CODES if n >= need), need))
 

@@ -17,11 +17,11 @@ import math
 import random
 from functools import lru_cache
 from itertools import chain, product
-from operator import add, ge, sub
+from operator import ge, mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, check_point, evaluate, exp_table
+from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
 from .weyl import (
     _orbit_size,
@@ -80,6 +80,20 @@ def _check_point_count(lam, points: int) -> None:
         )
 
 
+def _step_codec(rs: RootSystem, lam):
+    """The codec of the walk below lam and of its Freudenthal strings.
+
+    Every weight either loop keeps lies in conv(W . lam), whose labels
+    `formal._codec_for` bounds by c_max * |lam|_1.  Both loops also form
+    weights one positive root outside it, and must read them to reject
+    them: a walk candidate that is not dominant, and the last weight of a
+    string, whose multiplicity is 0.  So the fields hold one root's largest
+    label more; without that margin such a weight could wrap into a
+    neighbouring label's range and decode as another weight."""
+    margin = max(max(map(abs, root.weight_coords)) for root in rs.positive_roots)
+    return _codec_for(rs, (lam,), margin)
+
+
 def dominant_weights_below(rs: RootSystem, lam) -> list:
     """Dominant weights of lam's root-lattice coset lying under lam in
     dominance order, sorted from lam downward by depth, the height of
@@ -88,34 +102,43 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     A downward walk: subtract each positive root and keep what stays
     dominant.  It misses nothing, because above every dominant mu < lam
     some positive root alpha leaves lam - alpha dominant with mu below it
-    (Stembridge, The partial order of dominant weights, 1998).
+    (Stembridge, The partial order of dominant weights, 1998).  It runs on
+    packed ints (`_step_codec`): a step is one subtraction, the dominance
+    test one AND with the codec's ``top``, and only a dominant candidate
+    reaches the visited set.  Each weight kept is unpacked once, for its
+    orbit size; packed ints sort as their tuples do, so sorting by (depth,
+    packed) gives the order of (depth, weight).
 
     The orbits of these weights are disjoint and cover lam's polytope, so
     their sizes add up to its point count.  Before the walk, a cheap lower
     bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
     and, for each positive root beta, the <lam, beta^vee> + 1 points of the
     beta-string from lam to s_beta(lam).  The walk refuses as soon as its
-    running count passes the cap.  The walked weights are dominant, so each
-    size is read unchecked from `_orbit_size`'s table, kept per algebra and
-    zero pattern.
+    running count passes the cap; it visits weights in breadth-first order,
+    so the refusal comes at the same weight on every run.  The walked
+    weights are dominant, so each size is read unchecked from
+    `_orbit_size`'s table, kept per algebra and zero pattern.
     """
     lam = check_weight(rs, lam, dominant=True)
     longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
     _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
-    steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
-    seen = {lam}
-    walked = [(0, lam)]
+    codec = _step_codec(rs, lam)
+    top, unpack = codec.top, codec.unpack
+    steps = [(codec.delta(root.weight_coords), root.height) for root in rs.positive_roots]
+    p = codec.pack(lam)
+    seen = {p}
+    walked = [(0, p, lam)]
     points = 0
-    for depth, mu in walked:  # the list grows as the walk reaches new weights
+    for depth, p, mu in walked:  # the list grows as the walk reaches new weights
         points += _orbit_size(rs, tuple([x > 0 for x in mu]))
         _check_point_count(lam, points)
-        for alpha, h in steps:
-            nu = tuple(map(sub, mu, alpha))
-            if nu not in seen and min(nu) >= 0:
-                seen.add(nu)
-                walked.append((depth + h, nu))
-    walked.sort()
-    return [mu for _depth, mu in walked]
+        for d, h in steps:
+            q = p - d
+            if q & top == top and q not in seen:
+                seen.add(q)
+                walked.append((depth + h, q, unpack(q)))
+    walked.sort()  # (depth, packed) is unique: no weight tuple is compared
+    return [mu for _depth, _p, mu in walked]
 
 
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
@@ -235,10 +258,12 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # exponentials at a point live in `formal.exp_table`, shared with
 # `evaluate`: every w lam is a lattice point of lam's polytope, so after the
 # lattice sum is evaluated the cone sums only look theirs up.  The pairings
-# p_k go through `inner_float`, one covector per root, because the traced
-# `numeric-eval` workload and tests/test_bench_contract.py count
-# `RootSystem.inner_float`; pairing from `exp_table`'s covector waits until
-# the benchmark's counters move off that name (ROADMAP item 1).
+# p_k go through `inner_float`, which sums only the Gram rows of beta_k's
+# nonzero labels, with the bits of `exp_table`'s covector.  Pairing straight
+# from that covector would skip even those rows, but the traced
+# `numeric-eval` workload and tests/test_bench_contract.py count calls of
+# `RootSystem.inner_float`, and that count would read 0; it belongs with a
+# benchmark change that counts the covector instead (ROADMAP item 1).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -377,36 +402,46 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     integer, which is asserted.  Inner products are ``inner_scaled``
     integers: the form's scale cancels in 2 acc / denom.  Along a string,
     <mu + k beta, beta> = a + k b with a = <mu, beta> and b = <beta, beta>,
-    so each (mu, beta) costs one pairing.
+    so each (mu, beta) costs one pairing, against beta's integer covector
+    (its ``gram_scaled`` row sums, found once per call).
 
-    Each weight nu = mu + k beta met on a string is looked up once, in a
-    memo from nu to the multiplicity of its dominant representative, 0
-    outside the module; a string ends at its first 0.  A stored 0 never
-    goes stale: dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than
-    mu and, if it is a weight of the module, was tabulated before mu.  The
-    memo holds about one entry per weight of the module, so the walk of
-    `dominant_weights_below` refuses lam past the point cap first, by the
-    oracle's exact count.
+    The strings run on packed ints of the walk's codec (`_step_codec`), so
+    a step up a string is one addition.  Each weight nu = mu + k beta met
+    on a string is looked up once, in a memo from packed nu to the
+    multiplicity of its dominant representative, 0 outside the module; a
+    string ends at its first 0, one root past the module's hull, where the
+    codec's margin still reads it.  Only a miss unpacks nu, for
+    `dominant_representative`.  A stored 0 never goes stale: dom(nu) >= nu
+    > mu, so dom(nu) lies at a smaller depth than mu and, if it is a weight
+    of the module, was tabulated before mu.  The memo holds about one entry
+    per weight of the module, so the walk of `dominant_weights_below`
+    refuses lam past the point cap first, by the oracle's exact count.
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
+    codec = _step_codec(rs, lam)
+    pack, unpack = codec.pack, codec.unpack
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
     top = rs.inner_scaled(lam_rho, lam_rho)
-    strings = [(root.weight_coords, rs.inner_scaled(root.weight_coords, root.weight_coords))
-               for root in rs.positive_roots]
+    strings = []
+    for root in rs.positive_roots:
+        wc = root.weight_coords
+        cov = tuple([sum(map(mul, row, wc)) for row in rs.gram_scaled])  # the form is symmetric
+        strings.append((codec.delta(wc), cov, sum(map(mul, wc, cov))))
     mult: dict = {lam: 1}  # doms[0] is lam
     memo: dict = {}
     for mu in doms[1:]:
+        p = pack(mu)
         acc = 0
-        for wc, b in strings:
-            a = rs.inner_scaled(mu, wc)
-            nu = mu
+        for d, cov, b in strings:
+            a = sum(map(mul, mu, cov))
+            nu = p
             while True:
-                nu = tuple(map(add, nu, wc))
+                nu += d
                 m_nu = memo.get(nu)
                 if m_nu is None:
-                    m_nu = memo[nu] = mult.get(dominant_representative(rs, nu)[0], 0)
+                    m_nu = memo[nu] = mult.get(dominant_representative(rs, unpack(nu))[0], 0)
                 if not m_nu:
                     break
                 a += b

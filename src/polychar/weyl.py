@@ -31,15 +31,17 @@ def dominant_representative(rs: RootSystem, weight):
     the returned word is deterministic.
     """
     lam = check_weight(rs, weight)
+    simple = rs.simple_roots
     applied = []
     while True:
-        neg = next((k for k, x in enumerate(lam) if x < 0), None)
-        if neg is None:
+        for k, n in enumerate(lam):
+            if n < 0:
+                break
+        else:
             return lam, tuple(reversed(applied))
-        n = lam[neg]
-        alpha = rs.simple_roots[neg].weight_coords
-        lam = tuple(x - n * a for x, a in zip(lam, alpha))
-        applied.append(neg + 1)
+        alpha = simple[k].weight_coords
+        lam = tuple([x - n * a for x, a in zip(lam, alpha)])
+        applied.append(k + 1)
 
 
 def _orbit_points(rs: RootSystem, lam) -> list:

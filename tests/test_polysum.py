@@ -31,6 +31,7 @@ from polychar import (
     build_root_system,
     character_demazure,
     character_freudenthal,
+    dominant_representative,
     dominant_weight_multiplicities,
     dominant_weights_below,
     evaluate,
@@ -728,6 +729,73 @@ def test_broken_products_name_their_fraction(a1, monkeypatch):
 def test_dominant_weights_below_order(a2):
     below = dominant_weights_below(a2, (2, 2))
     assert below == [(2, 2), (0, 3), (3, 0), (1, 1), (0, 0)]
+
+
+# References for the packed walk and Freudenthal strings: the same loops on
+# weight tuples, which have no field width to outgrow.
+def _tuple_walk(rs, lam):
+    steps = [(root.weight_coords, root.height) for root in rs.positive_roots]
+    seen = {lam}
+    walked = [(0, lam)]
+    for depth, mu in walked:
+        for alpha, h in steps:
+            nu = tuple(m - a for m, a in zip(mu, alpha))
+            if nu not in seen and min(nu) >= 0:
+                seen.add(nu)
+                walked.append((depth + h, nu))
+    walked.sort()
+    return [mu for _depth, mu in walked]
+
+
+def _tuple_multiplicities(rs, lam, doms):
+    rho = rs.weyl_vector
+    lam_rho = tuple(x + 1 for x in lam)
+    top = rs.inner_scaled(lam_rho, lam_rho)
+    mult, memo = {lam: 1}, {}
+    for mu in doms[1:]:
+        acc = 0
+        for root in rs.positive_roots:
+            wc = root.weight_coords
+            a, b = rs.inner_scaled(mu, wc), rs.inner_scaled(wc, wc)
+            nu = mu
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, wc))
+                if nu not in memo:
+                    memo[nu] = mult.get(dominant_representative(rs, nu)[0], 0)
+                if not memo[nu]:
+                    break
+                a += b
+                acc += memo[nu] * a
+        mu_rho = tuple(m + d for m, d in zip(mu, rho))
+        value, rem = divmod(2 * acc, top - rs.inner_scaled(mu_rho, mu_rho))
+        assert rem == 0 and value > 0, mu
+        mult[mu] = value
+    return mult
+
+
+# Weights at the edges of the packed loops' field widths: the walk's
+# rejected candidates and each string's last weight lie one root outside
+# lam's hull, and the codec must hold them too.  A1 (126), (127) and
+# (32767), A2 (63, 63) and (64, 63) and G2 (21, 21) need a wider field for
+# that step than for the hull; the others sit at or past such an edge.
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (126,)), ("A1", (127,)), ("A1", (128,)), ("A1", (32767,)), ("A1", (32768,)),
+    ("A2", (63, 63)), ("A2", (64, 63)), ("B2", (32, 32)), ("G2", (21, 21)),
+    ("C3", (10, 10, 11)),
+])
+def test_packed_loops_match_tuple_references_at_codec_edges(monkeypatch, name, lam):
+    rs = build_root_system(name)
+    doms = _tuple_walk(rs, lam)
+    assert dominant_weights_below(rs, lam) == doms
+    if rs.rank == 1 and lam[0] > 1000:
+        # A1's strings run up to lam, so the whole recursion is quadratic
+        # (about 26 s at 32767); the table's top rows come from the walk's
+        # first weights alone, and every one of their strings ends at
+        # lam + alpha, the weight past the hull
+        doms = doms[:64]
+        monkeypatch.setattr(polysum, "dominant_weights_below", lambda rs, lam: doms)
+    mult = dominant_weight_multiplicities(rs, lam)
+    assert list(mult.items()) == list(_tuple_multiplicities(rs, lam, doms).items())
 
 
 def test_expansion_a2(a2):
