@@ -19,6 +19,7 @@ from .demazure import (
 from .formal import FormalSum, evaluate
 from .polysum import (
     DEFAULT_SEED,
+    CrossCheckError,
     GenericityError,
     PolytopeSizeError,
     PolytopeSum,
@@ -58,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraId",
+    "CrossCheckError",
     "DEFAULT_SEED",
     "FormalSum",
     "GenericityError",

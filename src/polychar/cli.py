@@ -26,6 +26,7 @@ from .demazure import character_demazure
 from .formal import FormalSum, terms_json_text
 from .polysum import (
     DEFAULT_SEED,
+    CrossCheckError,
     GenericityError,
     PolytopeSizeError,
     _check_support_size,
@@ -38,7 +39,7 @@ from .polysum import (
     verify_polytope_formula,
 )
 from .rootsys import build_root_system, check_weight
-from .weyl import orbit, orbit_size, weyl_group
+from .weyl import orbit, orbit_size
 
 _EVAL_DEFAULTS = (
     ("A2", (1, 0)),
@@ -87,7 +88,6 @@ def _sum_result(s: FormalSum) -> tuple:
 def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
-    weyl_group(rs)  # past the rank cap, refused before the size guard
     _check_support_size(rs, lam)
     return _sum_result(character_demazure(rs, lam))
 
@@ -152,13 +152,13 @@ def _cmd_eval(args) -> tuple:
     results = []
     for name, lam in cases:
         rs = build_root_system(name)
+        checks = f"numeric checks of {rs.name} lambda {list(lam)}"
         try:
             results.append(numeric_formula_check(rs, lam, args.sigma_count, args.seed))
-        except OverflowError as exc:
-            # large labels push e^{<mu, sigma>} past the float range: bad input
-            raise ValueError(
-                f"numeric checks of {rs.name} lambda {list(lam)} overflow floats ({exc})"
-            ) from exc
+        except OverflowError as exc:  # labels push e^{<mu, sigma>} past floats: bad input
+            raise ValueError(f"{checks} overflow floats ({exc})") from exc
+        except CrossCheckError as exc:  # a failed check, not bad input: `run` exits 1
+            raise CrossCheckError(f"{checks} seed {args.seed} failed: {exc}") from exc
     payload = results[0] if args.algebra is not None else results
 
     def table() -> str:
@@ -275,9 +275,9 @@ def run(argv=None) -> int:
         payload, render, code = args.handler(args)
         _emit(args, payload, render)
         return code
-    except (ValueError, PolytopeSizeError, GenericityError) as exc:
+    except (ValueError, PolytopeSizeError, GenericityError, CrossCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, CrossCheckError) else 2
 
 
 def main() -> None:

@@ -33,7 +33,7 @@ from functools import reduce
 
 from .formal import FormalSum
 from .rootsys import Root, RootSystem, check_weight
-from .weyl import weyl_group
+from .weyl import dominant_representative, weyl_group
 
 
 def _check_sum(rs: RootSystem, s: FormalSum) -> None:
@@ -148,11 +148,13 @@ def apply_word(rs: RootSystem, word, s: FormalSum, flavor: str = "D") -> FormalS
 
 
 def character_demazure(rs: RootSystem, weight) -> FormalSum:
-    """Character of the irreducible highest-weight module, built by applying
-    the longest element's reduced D-word to e^weight."""
+    """Character of the irreducible highest-weight module, D_{w0} e^weight.
+    The word `dominant_representative` takes from -rho to rho is w0's (only
+    w0 maps -rho to rho), and reduced: each step makes one more positive
+    root pair positively with the weight.  No Weyl table is built."""
     lam = check_weight(rs, weight, dominant=True)
-    w0 = weyl_group(rs)[-1]
-    return apply_word(rs, w0.word, FormalSum.exp(lam), flavor="D")
+    w0_word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
+    return apply_word(rs, w0_word, FormalSum.exp(lam), flavor="D")
 
 
 def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:

@@ -23,13 +23,7 @@ from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
-from .weyl import (
-    _orbit_size,
-    dominant_representative,
-    orbit,
-    orbit_size,
-    weyl_group,
-)
+from .weyl import _orbit_size, dominant_representative, orbit, orbit_size, weyl_group
 
 _POINT_CAP = 10**6
 _SIGMA_CAP = 10**4
@@ -45,6 +39,10 @@ class PolytopeSizeError(RuntimeError):
 
 class GenericityError(RuntimeError):
     """Evaluation point too close to a pole hyperplane; resample sigma."""
+
+
+class CrossCheckError(ArithmeticError):
+    """Two float evaluations of one character value disagree beyond 1e-9."""
 
 
 class PolytopeSum(Frozen):
@@ -258,12 +256,10 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 # exponentials at a point live in `formal.exp_table`, shared with
 # `evaluate`: every w lam is a lattice point of lam's polytope, so after the
 # lattice sum is evaluated the cone sums only look theirs up.  The pairings
-# p_k go through `inner_float`, which sums only the Gram rows of beta_k's
-# nonzero labels, with the bits of `exp_table`'s covector.  Pairing straight
-# from that covector would skip even those rows, but the traced
-# `numeric-eval` workload and tests/test_bench_contract.py count calls of
-# `RootSystem.inner_float`, and that count would read 0; it belongs with a
-# benchmark change that counts the covector instead (ROADMAP item 1).
+# p_k go through `inner_float`, which sums the Gram rows of beta_k's nonzero
+# labels with the bits of `exp_table`'s covector; pairing straight from the
+# covector waits for a benchmark that stops counting `RootSystem.inner_float`
+# calls, as the traced `numeric-eval` workload does (ROADMAP item 4).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -387,7 +383,7 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     scale = max(abs(alternating), abs(invariant), 1e-300)
     # written so that a NaN difference fails too
     if not abs(alternating - invariant) / scale <= _CROSS_CHECK_TOL:
-        raise ArithmeticError(
+        raise CrossCheckError(
             "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
         )
     return alternating

@@ -1,6 +1,6 @@
 """Weyl group actions on weights: reflections, orbits, dominant
-representatives, and the whole group for rank <= 3, as a tuple of its
-elements (identity first, w0 last)."""
+representatives, and, for the routes that sum over all of W, the whole
+group up to rank 3, as a tuple of its elements (identity first, w0 last)."""
 
 from functools import lru_cache
 from operator import mul

@@ -81,20 +81,25 @@ def test_traced_bsum_both_reaches_the_operator_layers(capsys):
 
 
 def test_traced_char_and_expand_reach_their_layers(capsys):
-    # the layers the char-expand workload reads; Freudenthal walks the
-    # dominant weights through weyl.dominant_representative
+    # the layers the char-expand workload reads.  char takes w0's word from
+    # weyl.dominant_representative and builds no Weyl table; Freudenthal
+    # walks the dominant weights through the same function
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
     try:
-        codes = [polychar.cli.run([cmd, "A2", "2", "1"]) for cmd in ("char", "expand")]
+        codes = [polychar.cli.run(["char", "A2", "2", "1"])]
+        char_calls = tracer.counts["weyl.dominant_representative.calls"]
+        codes.append(polychar.cli.run(["expand", "A2", "2", "1"]))
     finally:
         tracing.restore(undo)
     assert codes == [0, 0]
     assert capsys.readouterr().out.count("\n") == 2
     spans = {name for _sid, _parent, name, *_rest in tracer.spans}
     assert {
-        "weyl.weyl_group", "demazure.character_demazure", "demazure.op",
+        "demazure.character_demazure", "demazure.op",
         "polysum.freudenthal", "polysum.dominant_below", "polysum.expansion",
     } <= spans
-    assert tracer.counts["weyl.dominant_representative.calls"] > 0
+    assert "weyl.weyl_group" not in spans
+    assert char_calls > 0
+    assert tracer.counts["weyl.dominant_representative.calls"] > char_calls

@@ -187,19 +187,40 @@ def test_operator_routes_point_cap_boundary(capsys, monkeypatch, argv):
     assert captured.err == "error: the polytope of [1, 1] has at least 7 points; cap is 6\n"
 
 
+def test_char_rank_4_point_cap_boundary(capsys, monkeypatch):
+    # char builds no Weyl table, so rank 4 meets only the point cap.  A4
+    # (1, 0, 0, 1): dimension 24, 21 lattice points (the 20 roots and 0)
+    def unreachable(*args):
+        raise AssertionError("unreachable")
+
+    argv = ["char", "A4", "1", "0", "0", "1"]
+    monkeypatch.setattr(polysum, "_POINT_CAP", 21)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    rs = build_root_system("A4")
+    assert FormalSum.from_json_obj(json.loads(out), 4) == polysum.character_freudenthal(
+        rs, (1, 0, 0, 1))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 20)
+    monkeypatch.setattr(demazure, "_demazure", unreachable)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the polytope of [1, 0, 0, 1] has at least 21 points; cap is 20\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["bsum", "B3", "50", "50", "50", "--method", "demazure"],
          "no operator polytope-sum formula for B3"),
-        (["char", "A4", "30", "30", "30", "30"],
-         "full Weyl-group enumeration is capped at rank 3; got A4"),
     ],
-    ids=["bsum-B3", "char-A4"],
+    ids=["bsum-B3"],
 )
 def test_operator_routes_refuse_structure_before_the_size_guard(capsys, monkeypatch, argv,
                                                                   message):
-    # both dimensions pass the cap, but neither the dimension nor the walk
+    # the dimension passes the cap, but neither the dimension nor the walk
     # is reached: the algebra is refused first
     def unreachable(*args):
         raise AssertionError("unreachable")
@@ -279,6 +300,21 @@ def test_eval_rank_4_exits_2_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(polysum, "polytope_sum_oracle", unreachable)
     assert run(["eval", "--algebra", "A4", "--lam", "1", "0", "0", "0"]) == 2
     assert "capped at rank 3" in capsys.readouterr().err
+
+
+def test_eval_failed_cross_check_exits_1_without_traceback(capsys):
+    # at this seed one sampled point pairs to 0.05 with a root, and the two
+    # float values of the character, exactly 1, differ by about 7e-9: a
+    # failed tolerance check, which exits 1 and names the request
+    code = run(["eval", "--algebra", "C3", "--lam", "0", "0", "0", "--sigma-count", "20",
+                "--seed", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: numeric checks of C3 lambda [0, 0, 0] seed 10 failed: the two character "
+        "evaluations disagree beyond 1e-9; sigma is ill-conditioned\n"
+    )
 
 
 def test_eval_needs_both_flags(capsys):

@@ -2,6 +2,8 @@
 formulas.  The point-by-point string formula below is kept as the
 reference that certifies the running-sum cores."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from polychar import (
     character_demazure,
     character_demazure_sum,
     character_freudenthal,
+    dominant_representative,
     weyl_group,
 )
 from polychar import gamma_sequence, polysum
@@ -338,6 +341,32 @@ def test_character_word_independence(b2):
     for word in ((1, 2, 1, 2), (2, 1, 2, 1)):
         assert apply_word(b2, word, FormalSum.exp(lam), "D") == expected
     assert len(weyl_group(b2)[-1].word) == 4
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"])
+def test_w0_word_from_dominant_representative_is_the_tables(name):
+    # character_demazure reads w0's word off the walk from -rho to rho; up
+    # to rank 3 it is the word the Weyl table stores for w0, so the operators
+    # run in the same order as when the table supplied it
+    rs = build_root_system(name)
+    word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
+    assert word == weyl_group(rs)[-1].word
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4"])
+def test_character_rank_4_matches_freudenthal(name):
+    # past the Weyl table's rank cap: the operator route needs no table
+    rs = build_root_system(name)
+    for lam in product(range(2), repeat=4):
+        assert character_demazure(rs, lam) == character_freudenthal(rs, lam)
+
+
+def test_character_rank_8_fundamental_matches_freudenthal():
+    rs = build_root_system("D8")
+    omega1 = (1,) + (0,) * 7
+    ch = character_demazure(rs, omega1)
+    assert ch == character_freudenthal(rs, omega1)
+    assert len(ch) == 16  # the vector representation's weights, +-e_i
 
 
 def test_character_requires_dominant(a2):

@@ -98,7 +98,7 @@ _REQUESTS = [
     # refusals by size
     ["vertices", "B8", "1", "1", "1", "1", "1", "1", "1", "1"],
     ["bsum", "A1", "1000000000", "--method", "oracle"],
-    ["char", "A4", "1", "0", "0", "0"],
+    ["char", "A4", "1", "0", "0", "0"],  # not refused: char builds no Weyl table
     ["eval", "--algebra", "A1", "--lam", "2000", "--sigma-count", "2"],
     # usage errors and bad input
     [],

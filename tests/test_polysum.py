@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from polychar import (
     DEFAULT_SEED,
+    CrossCheckError,
     FormalSum,
     GenericityError,
     PolytopeSizeError,
@@ -496,7 +497,7 @@ def _ref_weyl_character(rs, lam, sigma):
     invariant = _ref_cone_sum(rs, elements, lam, sig, rs.positive_roots)
     scale = max(abs(alternating), abs(invariant), 1e-300)
     if not abs(alternating - invariant) / scale <= 1e-9:
-        raise ArithmeticError(
+        raise CrossCheckError(
             "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
         )
     return alternating
@@ -645,7 +646,7 @@ def test_character_cross_check_fails_on_nan(monkeypatch, a2):
     # a NaN difference between the two character values is a failed check,
     # not a vacuous pass
     monkeypatch.setattr(polysum, "_cone_sum", lambda *args: math.nan)
-    with pytest.raises(ArithmeticError, match="disagree beyond 1e-9"):
+    with pytest.raises(CrossCheckError, match="disagree beyond 1e-9"):
         weyl_character_eval(a2, (1, 1), (0.3, 0.5))
 
 
@@ -681,8 +682,9 @@ def test_freudenthal_matches_demazure_grid(name, max_label):
 
 @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4"])
 def test_freudenthal_dimension_rank4(name):
-    # the Demazure character needs the full Weyl group, capped at rank 3;
-    # orbit sizes and the Weyl dimension formula need no group table
+    # Freudenthal against the Weyl dimension, both without a group table:
+    # orbit sizes are products over roots (tests/test_demazure.py checks the
+    # operator character against Freudenthal on the same grid)
     rs = build_root_system(name)
     for lam in product(range(2), repeat=4):
         mult = dominant_weight_multiplicities(rs, lam)
