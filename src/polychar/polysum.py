@@ -17,7 +17,7 @@ import math
 import random
 from functools import lru_cache
 from itertools import chain, product
-from operator import ge, mul, sub
+from operator import mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
@@ -85,11 +85,41 @@ def _step_codec(rs: RootSystem, lam):
     `formal._codec_for` bounds by c_max * |lam|_1.  Both loops also form
     weights one positive root outside it, and must read them to reject
     them: a walk candidate that is not dominant, and the last weight of a
-    string, whose multiplicity is 0.  So the fields hold one root's largest
-    label more; without that margin such a weight could wrap into a
-    neighbouring label's range and decode as another weight."""
+    string, whose multiplicity is 0, and every Weyl image of it that
+    `_packed_fold` meets.  So the fields hold one root's largest label
+    more; without that margin such a weight could wrap into a neighbouring
+    label's range and decode as another weight."""
     margin = max(max(map(abs, root.weight_coords)) for root in rs.positive_roots)
     return _codec_for(rs, (lam,), margin)
+
+
+def _packed_fold(rs: RootSystem, codec):
+    """The map from a packed weight of ``codec`` to the packed dominant
+    weight of its Weyl orbit: `dominant_representative` on packed ints.
+
+    A step reflects at the first negative label, as that function does.
+    The labels that are negative are the fields whose top bit is clear, so
+    the highest bit of ``top & ~q`` names the first of them, and s_i sends
+    q to ``q - n * step_i``, with n the label and step_i the packed
+    difference of alpha_i.  Every weight met is a Weyl image of q, so the
+    fold is exact whenever q's whole orbit lies in the fields; for the
+    Freudenthal strings it does: a string weight is mu' + beta with mu' in
+    conv(W . lam) and beta a root, so each image w mu' + w beta has labels
+    within c_max * |lam|_1 plus a root's largest label, `_step_codec`'s
+    bound."""
+    top, mask, offset = codec.top, codec.mask, codec.offset
+    lift = 8 * codec.nbytes - 1  # a field's top bit, above its shift
+    steps = {s: codec.delta(root.weight_coords) for s, root in zip(codec.shifts, rs.simple_roots)}
+
+    def fold(q: int) -> int:
+        neg = top & ~q
+        while neg:
+            s = neg.bit_length() - 1 - lift
+            q -= ((q >> s & mask) - offset) * steps[s]
+            neg = top & ~q
+        return q
+
+    return fold
 
 
 def dominant_weights_below(rs: RootSystem, lam) -> list:
@@ -391,7 +421,9 @@ def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
 
 def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     """Weight multiplicities of the irreducible module with highest weight
-    lam, tabulated on its dominant weights by the Freudenthal recursion.
+    lam, tabulated on its dominant weights by the Freudenthal recursion
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    1972, section 22.3), keyed by weight in the walk's order.
 
     Processing runs from lam downward so every multiplicity needed on the
     right-hand side is already known; each value must come out a positive
@@ -401,49 +433,71 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     so each (mu, beta) costs one pairing, against beta's integer covector
     (its ``gram_scaled`` row sums, found once per call).
 
+    The right-hand side is a sum over beta of the tails
+    S_beta(mu) = sum_{k >= 1} m(mu + k beta) <mu + k beta, beta>, and each
+    dominant weight keeps its tails.  A string from mu stops at its first
+    weight nu = mu + k beta that is dominant (one AND with the codec's
+    ``top``) and of positive multiplicity, and adds m(nu) <nu, beta> +
+    S_beta(nu): nu lies above mu, at a smaller depth, so its tails are
+    final.  Every string from lam is empty, so lam's tails are 0.  On A1
+    each string is one step, and the recursion is linear.
+
     The strings run on packed ints of the walk's codec (`_step_codec`), so
-    a step up a string is one addition.  Each weight nu = mu + k beta met
-    on a string is looked up once, in a memo from packed nu to the
-    multiplicity of its dominant representative, 0 outside the module; a
-    string ends at its first 0, one root past the module's hull, where the
-    codec's margin still reads it.  Only a miss unpacks nu, for
-    `dominant_representative`.  A stored 0 never goes stale: dom(nu) >= nu
-    > mu, so dom(nu) lies at a smaller depth than mu and, if it is a weight
-    of the module, was tabulated before mu.  The memo holds about one entry
-    per weight of the module, so the walk of `dominant_weights_below`
-    refuses lam past the point cap first, by the oracle's exact count.
+    a step up a string is one addition.  A non-dominant string weight is
+    looked up once, in a memo from packed nu to the multiplicity of its
+    dominant representative, 0 outside the module; a string ends at its
+    first 0, one root past the module's hull.  A miss folds nu to its
+    dominant representative on packed ints (`_packed_fold`), which is exact
+    because every Weyl image of a string weight stays within the codec's
+    fields, and reads the packed table.  A stored 0 never goes stale:
+    dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than mu and, if
+    it is a weight of the module, was tabulated before mu.  The memo holds
+    about one entry per weight of the module, so the walk of
+    `dominant_weights_below` refuses lam past the point cap first, by the
+    oracle's exact count.
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
     codec = _step_codec(rs, lam)
-    pack, unpack = codec.pack, codec.unpack
+    pack, top = codec.pack, codec.top
+    fold = _packed_fold(rs, codec)
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
-    top = rs.inner_scaled(lam_rho, lam_rho)
+    norm = rs.inner_scaled(lam_rho, lam_rho)
     strings = []
-    for root in rs.positive_roots:
+    for j, root in enumerate(rs.positive_roots):
         wc = root.weight_coords
         cov = tuple([sum(map(mul, row, wc)) for row in rs.gram_scaled])  # the form is symmetric
-        strings.append((codec.delta(wc), cov, sum(map(mul, wc, cov))))
-    mult: dict = {lam: 1}  # doms[0] is lam
-    memo: dict = {}
+        strings.append((j, codec.delta(wc), cov, sum(map(mul, wc, cov))))
+    mult = {pack(lam): 1}  # packed dominant weight -> multiplicity; doms[0] is lam
+    tails = {pack(lam): [0] * len(strings)}  # the same keys -> S_beta, per root
+    memo: dict = {}  # packed non-dominant string weight -> multiplicity of its fold
+    values = [1]
     for mu in doms[1:]:
         p = pack(mu)
-        acc = 0
-        for d, cov, b in strings:
+        own = []
+        for j, d, cov, b in strings:
             a = sum(map(mul, mu, cov))
+            tail = 0
             nu = p
             while True:
                 nu += d
+                a += b
+                if nu & top == top:  # dominant: tabulated above mu, or 0
+                    m_nu = mult.get(nu)
+                    if m_nu:
+                        tail += m_nu * a + tails[nu][j]
+                    break
                 m_nu = memo.get(nu)
                 if m_nu is None:
-                    m_nu = memo[nu] = mult.get(dominant_representative(rs, unpack(nu))[0], 0)
+                    m_nu = memo[nu] = mult.get(fold(nu), 0)
                 if not m_nu:
                     break
-                a += b
-                acc += m_nu * a
+                tail += m_nu * a
+            own.append(tail)
+        acc = sum(own)
         mu_rho = tuple(m + d for m, d in zip(mu, rho))
-        denom = top - rs.inner_scaled(mu_rho, mu_rho)
+        denom = norm - rs.inner_scaled(mu_rho, mu_rho)
         value, rem = divmod(2 * acc, denom)
         if rem or value <= 0:
             from fractions import Fraction
@@ -451,8 +505,10 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
             raise ArithmeticError(
                 f"multiplicity recursion broke at {mu}: {Fraction(2 * acc, denom)}"
             )
-        mult[mu] = value
-    return mult
+        mult[p] = value
+        tails[p] = own
+        values.append(value)
+    return dict(zip(doms, values))
 
 
 def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
@@ -508,17 +564,29 @@ def polytope_expansion(rs: RootSystem, lam) -> dict:
 
     Every dominant weight under a dominant weight lies inside its polytope,
     so peeling from lam downward determines each coefficient: the weight's
-    multiplicity minus the coefficients already fixed above it."""
+    multiplicity minus the coefficients already fixed above it.  Above
+    means a smaller gap, the root coordinates of lam - mu, in every entry.
+    Each gap is packed with one spare guard bit on top of every field, as
+    a linear map of lam - mu through the Cartan adjugate's columns, so
+    nu >= mu is one subtraction and one AND: (g_mu | guard) - g_nu keeps
+    every guard bit exactly when no field of g_nu exceeds g_mu's, and no
+    field borrows from the next."""
     mult = dominant_weight_multiplicities(rs, lam)
+    det, adj = rs.cartan_det, rs.cartan_adjugate
+    # root coordinates of lam - mu are at most twice lam's largest: mu >= w0 lam
+    width = (2 * max(sum(map(mul, row, lam)) for row in adj) // det).bit_length() + 1
+    guard = sum(1 << (width * i + width - 1) for i in range(rs.rank))
+    # column j of det * cartan^-1, packed: pack(gap) = sum_j (lam - mu)_j * cols[j] // det
+    cols = [sum(row[j] << (width * i) for i, row in enumerate(adj)) for j in range(rs.rank)]
     coeffs: dict = {}
-    gaps: dict = {}  # root coordinates of lam - mu: nu >= mu iff gap >= gaps[nu] entrywise
+    fixed = []  # (packed gap, coefficient) of each nonzero coefficient so far
     for mu, value in mult.items():  # walk order: lam downward
-        gap = gaps[mu] = rs.root_coords_of_weight(tuple(map(sub, lam, mu)))
-        for nu, c in coeffs.items():
-            if all(map(ge, gap, gaps[nu])):
-                value -= c
+        gap = sum(map(mul, map(sub, lam, mu), cols)) // det
+        over = gap | guard
+        value -= sum([c for g, c in fixed if (over - g) & guard == guard])
         if value:
             coeffs[mu] = value
+            fixed.append((gap, value))
     return coeffs
 
 

@@ -780,24 +780,102 @@ def _tuple_multiplicities(rs, lam, doms):
 # lam's hull, and the codec must hold them too.  A1 (126), (127) and
 # (32767), A2 (63, 63) and (64, 63) and G2 (21, 21) need a wider field for
 # that step than for the hull; the others sit at or past such an edge.
-@pytest.mark.parametrize("name,lam", [
+_CODEC_EDGES = pytest.mark.parametrize("name,lam", [
     ("A1", (126,)), ("A1", (127,)), ("A1", (128,)), ("A1", (32767,)), ("A1", (32768,)),
     ("A2", (63, 63)), ("A2", (64, 63)), ("B2", (32, 32)), ("G2", (21, 21)),
     ("C3", (10, 10, 11)),
 ])
+
+
+def _reference_rows(rs, lam, doms):
+    # the tuple reference is quadratic on A1 (each mu's string runs up to
+    # lam: about 26 s at 32767), so there it gets the walk's first weights
+    # alone; every one of their strings ends at lam + alpha, past the hull
+    return doms[:64] if rs.rank == 1 and lam[0] > 1000 else doms
+
+
+@_CODEC_EDGES
 def test_packed_loops_match_tuple_references_at_codec_edges(monkeypatch, name, lam):
     rs = build_root_system(name)
     doms = _tuple_walk(rs, lam)
     assert dominant_weights_below(rs, lam) == doms
-    if rs.rank == 1 and lam[0] > 1000:
-        # A1's strings run up to lam, so the whole recursion is quadratic
-        # (about 26 s at 32767); the table's top rows come from the walk's
-        # first weights alone, and every one of their strings ends at
-        # lam + alpha, the weight past the hull
-        doms = doms[:64]
-        monkeypatch.setattr(polysum, "dominant_weights_below", lambda rs, lam: doms)
     mult = dominant_weight_multiplicities(rs, lam)
-    assert list(mult.items()) == list(_tuple_multiplicities(rs, lam, doms).items())
+    if rs.rank == 1:
+        # A1's closed form: every weight lam, lam - 2, ... has multiplicity 1
+        assert list(mult.items()) == [(mu, 1) for mu in doms]
+    rows = _reference_rows(rs, lam, doms)
+    if rows is not doms:
+        monkeypatch.setattr(polysum, "dominant_weights_below", lambda rs, lam: rows)
+        mult = dominant_weight_multiplicities(rs, lam)
+    assert list(mult.items()) == list(_tuple_multiplicities(rs, lam, rows).items())
+
+
+@_CODEC_EDGES
+def test_packed_fold_matches_dominant_representative_at_codec_edges(name, lam):
+    # every weight of every string, its last one (multiplicity 0, one root
+    # past the hull) included, folds on packed ints to the packed
+    # dominant_representative
+    rs = build_root_system(name)
+    doms = _reference_rows(rs, lam, dominant_weights_below(rs, lam))
+    mult = _tuple_multiplicities(rs, lam, doms)
+    codec = polysum._step_codec(rs, lam)
+    fold = polysum._packed_fold(rs, codec)
+    folded = {}
+    for mu in doms:
+        for root in rs.positive_roots:
+            nu = mu
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, root.weight_coords))
+                if nu not in folded:
+                    folded[nu] = dominant_representative(rs, nu)[0]
+                    assert codec.unpack(fold(codec.pack(nu))) == folded[nu], nu
+                if folded[nu] not in mult:
+                    break
+    assert any(dom not in mult for dom in folded.values())  # the last weights
+
+
+@pytest.mark.parametrize("name,labels", [
+    ("A4", range(2)), ("B4", range(2)), ("C4", range(2)), ("D4", range(2)),
+    ("D4", (2,)), ("A5", range(2)), ("D5", range(2)),
+])
+def test_freudenthal_matches_tuple_reference(name, labels):
+    # the strings that stop at a tabulated dominant weight and add its tail
+    # against the tuple strings that run to their first 0: values and order
+    rs = build_root_system(name)
+    for lam in product(labels, repeat=rs.rank):
+        doms = dominant_weights_below(rs, lam)
+        expected = _tuple_multiplicities(rs, lam, doms)
+        assert list(dominant_weight_multiplicities(rs, lam).items()) == list(expected.items()), lam
+
+
+def _tuple_peel(rs, lam, mult):
+    """Reference for `polytope_expansion`'s peel: one root-coordinate solve
+    per weight and an entrywise comparison of gaps per pair."""
+    coeffs, gaps = {}, {}
+    for mu, value in mult.items():
+        gap = gaps[mu] = rs.root_coords_of_weight(tuple(x - y for x, y in zip(lam, mu)))
+        for nu, c in coeffs.items():
+            if all(g >= h for g, h in zip(gap, gaps[nu])):
+                value -= c
+        if value:
+            coeffs[mu] = value
+    return coeffs
+
+
+@pytest.mark.parametrize("name,lams", [
+    ("B3", list(product(range(4), repeat=3))), ("C3", list(product(range(4), repeat=3))),
+    ("D4", list(product(range(3), repeat=4))), ("C3", [(10, 10, 11)]),
+], ids=["B3", "C3", "D4", "C3-10-10-11"])
+def test_expansion_matches_tuple_peel(name, lams):
+    # D4 [0..2]^4 has negative coefficients (D4 (0, 0, 2, 2) first); C3
+    # (10, 10, 11) has 2,036 coefficients
+    rs = build_root_system(name)
+    negative = 0
+    for lam in lams:
+        expected = _tuple_peel(rs, lam, dominant_weight_multiplicities(rs, lam))
+        assert list(polytope_expansion(rs, lam).items()) == list(expected.items()), lam
+        negative += min(expected.values()) < 0
+    assert (negative > 0) == (name == "D4")
 
 
 def test_expansion_a2(a2):
