@@ -11,7 +11,7 @@ significant, each label stored plus half the field's range so that every
 field is nonnegative.  Packing is linear, so a step down a root string is
 one subtraction, and packed ints sort in the lexicographic order of their
 tuples.  A codec (`_Codec`) holds the field width for one root system.  It
-is derived per sum, from the bound below, and never refuses: ints are
+is derived per sum, by the rule below, and never refuses: ints are
 unbounded, so any exponent fits some width.
 
 Bound.  Every operator output lies in conv(W . support), and for mu in the
@@ -19,17 +19,18 @@ support and w in W, |<w mu, alpha_j^vee>| = |<mu, w^-1 alpha_j^vee>| is the
 pairing of mu with a coroot, at most c_max * |mu|_1, where c_max is the
 largest coefficient of a positive coroot over the simple coroots.  A label's
 absolute value is convex, so the same bound holds on the whole hull, and the
-hull of any output lies inside the input's (it is W-invariant).  A width
-that holds c_max * |mu|_1 for every support point therefore holds every sum
-the operators derive from it, so no arithmetic ever carries between fields.
-Two sums of one codec add within it too: the points whose W-images all have
-labels within the fields form a convex W-invariant set, which holds both
-hulls and so the hull of their union.
+hull of any output lies inside the input's (it is W-invariant).  Two sums of
+one codec add within it too: the points whose W-images all have labels
+within the fields form a convex W-invariant set, which holds both hulls and
+so the hull of their union.
 
-`polysum`'s dominant-weight walk and Freudenthal strings pack their
-weights with a codec too, one per lam, whose fields hold a root step past
-the hull (`_codec_for`'s margin): both form such weights and must read
-them.  ``top`` tests a packed weight's dominance and ``unpack`` reads one.
+One rule sizes every codec: its fields hold c_max * |mu|_1 for every
+support point mu, plus the largest label of a positive root, both found once
+per root system.  So no operator's arithmetic ever carries between fields,
+and every W-image of a weight one root step past the hull, w mu + w beta,
+still reads back: `polysum`'s dominant-weight walk and Freudenthal strings
+form such weights, and read them with ``top`` (dominance), ``unpack`` and
+``fold`` (the dominant representative).
 
 A sum holds its terms in one form at a time: keyed by tuples, or packed
 with its codec.  An operator packs its input in place and returns a sum of
@@ -86,7 +87,7 @@ class _Codec:
     ``top``, the same int, tests dominance in one AND: a packed weight is
     dominant iff ``p & top == top``."""
 
-    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row")
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row", "_steps")
 
     def __init__(self, rs: RootSystem, nbytes: int):
         width = 8 * nbytes
@@ -98,6 +99,9 @@ class _Codec:
         self.base = self.top = sum(self.offset << s for s in self.shifts)
         code = _STRUCT_CODES.get(nbytes)
         self._row = struct.Struct(">" + code * rs.rank) if code else None
+        # a field's top bit -> (its shift, the packed difference of its simple root)
+        self._steps = {s + width - 1: (s, self.delta(root.weight_coords))
+                       for s, root in zip(self.shifts, rs.simple_roots)}
 
     def delta(self, weight) -> int:
         """The packed difference of a weight: pack(mu + weight) is
@@ -114,6 +118,26 @@ class _Codec:
         is ``lift + sum(cv * (p >> shift & mask))`` over the pairs."""
         fields = tuple((sh, cv) for sh, cv in zip(self.shifts, labels) if cv)
         return fields, -self.offset * sum(labels)
+
+    def fold(self, q: int) -> int:
+        """The packed dominant weight of the Weyl orbit of a packed weight
+        q: `weyl.dominant_representative` on packed ints.
+
+        A step reflects at the first negative label, as that function does.
+        The negative labels are the fields whose top bit is clear, so the
+        highest bit of ``top & ~q`` names the first of them, and s_i sends q
+        to ``q - n * step_i``, with n the label and step_i the packed
+        difference of alpha_i.  Every weight met is a Weyl image of q, so
+        the fold is exact when q's whole orbit lies in the fields: for q in
+        the hull the codec was sized for, or one root step past it (module
+        docstring)."""
+        top, mask, offset, steps = self.top, self.mask, self.offset, self._steps
+        neg = top & ~q
+        while neg:
+            s, step = steps[neg.bit_length() - 1]
+            q -= ((q >> s & mask) - offset) * step
+            neg = top & ~q
+        return q
 
     def unpack(self, p) -> tuple:
         """The exponent tuple of one packed int, decoded as `unpack_all`
@@ -141,13 +165,21 @@ def _codec(rs: RootSystem, nbytes: int) -> _Codec:
     return _Codec(rs, nbytes)
 
 
-def _codec_for(rs: RootSystem, weights, margin: int = 0) -> _Codec:
-    """The narrowest codec of rs whose fields hold c_max * |mu|_1 + margin
-    for every weight mu given, and so every label in conv(W . weights) and
-    ``margin`` past it: 1, 2, 4 or 8 bytes, which struct decodes, while one
-    of them suffices."""
-    c_max = max(map(max, rs.coroots.values()))
-    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0) + margin
+@lru_cache(maxsize=None)  # one per root system
+def _label_bounds(rs: RootSystem) -> tuple:
+    """c_max, the largest coefficient of a positive coroot, and the largest
+    label of a positive root: the two terms of the codecs' sizing rule."""
+    return (max(map(max, rs.coroots.values())),
+            max(max(map(abs, root.weight_coords)) for root in rs.positive_roots))
+
+
+def _codec_for(rs: RootSystem, weights) -> _Codec:
+    """The narrowest codec of rs whose fields hold c_max * |mu|_1 for every
+    weight mu given, plus the largest label of a positive root (module
+    docstring): 1, 2, 4 or 8 bytes, which struct decodes, while one of them
+    suffices."""
+    c_max, root_label = _label_bounds(rs)
+    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0) + root_label
     need = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit
     return _codec(rs, next((n for n in _STRUCT_CODES if n >= need), need))
 

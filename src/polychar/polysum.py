@@ -78,50 +78,6 @@ def _check_point_count(lam, points: int) -> None:
         )
 
 
-def _step_codec(rs: RootSystem, lam):
-    """The codec of the walk below lam and of its Freudenthal strings.
-
-    Every weight either loop keeps lies in conv(W . lam), whose labels
-    `formal._codec_for` bounds by c_max * |lam|_1.  Both loops also form
-    weights one positive root outside it, and must read them to reject
-    them: a walk candidate that is not dominant, and the last weight of a
-    string, whose multiplicity is 0, and every Weyl image of it that
-    `_packed_fold` meets.  So the fields hold one root's largest label
-    more; without that margin such a weight could wrap into a neighbouring
-    label's range and decode as another weight."""
-    margin = max(max(map(abs, root.weight_coords)) for root in rs.positive_roots)
-    return _codec_for(rs, (lam,), margin)
-
-
-def _packed_fold(rs: RootSystem, codec):
-    """The map from a packed weight of ``codec`` to the packed dominant
-    weight of its Weyl orbit: `dominant_representative` on packed ints.
-
-    A step reflects at the first negative label, as that function does.
-    The labels that are negative are the fields whose top bit is clear, so
-    the highest bit of ``top & ~q`` names the first of them, and s_i sends
-    q to ``q - n * step_i``, with n the label and step_i the packed
-    difference of alpha_i.  Every weight met is a Weyl image of q, so the
-    fold is exact whenever q's whole orbit lies in the fields; for the
-    Freudenthal strings it does: a string weight is mu' + beta with mu' in
-    conv(W . lam) and beta a root, so each image w mu' + w beta has labels
-    within c_max * |lam|_1 plus a root's largest label, `_step_codec`'s
-    bound."""
-    top, mask, offset = codec.top, codec.mask, codec.offset
-    lift = 8 * codec.nbytes - 1  # a field's top bit, above its shift
-    steps = {s: codec.delta(root.weight_coords) for s, root in zip(codec.shifts, rs.simple_roots)}
-
-    def fold(q: int) -> int:
-        neg = top & ~q
-        while neg:
-            s = neg.bit_length() - 1 - lift
-            q -= ((q >> s & mask) - offset) * steps[s]
-            neg = top & ~q
-        return q
-
-    return fold
-
-
 def dominant_weights_below(rs: RootSystem, lam) -> list:
     """Dominant weights of lam's root-lattice coset lying under lam in
     dominance order, sorted from lam downward by depth, the height of
@@ -131,11 +87,14 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     dominant.  It misses nothing, because above every dominant mu < lam
     some positive root alpha leaves lam - alpha dominant with mu below it
     (Stembridge, The partial order of dominant weights, 1998).  It runs on
-    packed ints (`_step_codec`): a step is one subtraction, the dominance
-    test one AND with the codec's ``top``, and only a dominant candidate
-    reaches the visited set.  Each weight kept is unpacked once, for its
-    orbit size; packed ints sort as their tuples do, so sorting by (depth,
-    packed) gives the order of (depth, weight).
+    packed ints of lam's codec (`formal._codec_for`), the one the
+    Freudenthal strings fold with (`formal._Codec.fold`): a step is one
+    subtraction, the dominance test one AND with the codec's ``top``, and
+    only a dominant candidate reaches the visited set.  A candidate lies at
+    most one root step past lam's hull, which the codec's fields hold.
+    Each weight kept is unpacked once, for its orbit size; packed ints sort
+    as their tuples do, so sorting by (depth, packed) gives the order of
+    (depth, weight).
 
     The orbits of these weights are disjoint and cover lam's polytope, so
     their sizes add up to its point count.  Before the walk, a cheap lower
@@ -150,7 +109,7 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     lam = check_weight(rs, lam, dominant=True)
     longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
     _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
-    codec = _step_codec(rs, lam)
+    codec = _codec_for(rs, (lam,))
     top, unpack = codec.top, codec.unpack
     steps = [(codec.delta(root.weight_coords), root.height) for root in rs.positive_roots]
     p = codec.pack(lam)
@@ -270,26 +229,9 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
     return out
 
 
-# Every root is a Weyl image of a simple root, so the pairings <w alpha, sigma>
-# over W x simple roots, and over W x positive roots, are exactly the values
-# +-p_k, p_k = <beta_k, sigma> over the positive roots beta_k, in floats too:
-# el.apply(alpha) is the integer tuple +-beta_k and inner_float is
-# sign-symmetric (negation is exact, and p_k = 0 is a pole).  So each point
-# gets one table (`_point_table`): the pole test reads the p_k, and every
-# vertex-cone denominator is one of its 2|Phi+| factors, looked up through
-# the root permutation, whose rows are kept per algebra (`_root_permutation`).
-# Both evaluators read every factor: w s_i sends alpha_i to -w alpha_i, so
-# each signed key is some simple root's image.
-# The Weyl images of lam depend on lam alone and get a table of their own
-# (`_weight_table`).  Each table keeps its last entry, which serves the run of
-# calls `numeric_formula_check` makes at one weight and at one point.  The
-# exponentials at a point live in `formal.exp_table`, shared with
-# `evaluate`: every w lam is a lattice point of lam's polytope, so after the
-# lattice sum is evaluated the cone sums only look theirs up.  The pairings
-# p_k go through `inner_float`, which sums the Gram rows of beta_k's nonzero
-# labels with the bits of `exp_table`'s covector; pairing straight from the
-# covector waits for a benchmark that stops counting `RootSystem.inner_float`
-# calls, as the traced `numeric-eval` workload does (ROADMAP item 4).
+# The point table pairs the roots from `exp_table`'s covector; the sampler
+# pairs them through `RootSystem.inner_float`, the same bits, because the
+# traced `numeric-eval` workload counts those calls (ROADMAP item 4).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -316,15 +258,16 @@ def _weight_table(rs: RootSystem, lam) -> tuple:
     """What the evaluators need of a checked dominant lam, one entry per Weyl
     element in `weyl_group`'s order: the pairs (w lam, w's root-permutation
     row) and the pairs (sign of w, w(lam + rho) - rho); the sign is the
-    parity of w's reduced word."""
+    parity of w's reduced word.  It keeps its last lam, which serves the run
+    of points `numeric_formula_check` evaluates at one weight."""
     group = weyl_group(rs)
-    lam_rho = tuple(x + 1 for x in lam)
-    images = tuple(zip([el.apply(lam) for el in group], _root_permutation(rs)))
+    images = [el.apply(lam) for el in group]
+    # w(lam + rho) - rho = w lam + (w rho - rho), and w rho is w's fingerprint
     shifted = tuple(
-        (-1 if len(el.word) & 1 else 1, tuple(x - 1 for x in el.apply(lam_rho)))
-        for el in group
+        (-1 if len(el.word) & 1 else 1, tuple([x + f - 1 for x, f in zip(w_lam, el.fingerprint)]))
+        for el, w_lam in zip(group, images)
     )
-    return images, shifted
+    return tuple(zip(images, _root_permutation(rs))), shifted
 
 
 @lru_cache(maxsize=1)
@@ -333,14 +276,17 @@ def _point_table(rs: RootSystem, sig) -> tuple:
     the dict of exponentials, both from `formal.exp_table`, and the
     denominator factors, indexed by the root permutation's signed entries:
     index k gives 1 - e^{-p_k} and index -k, by Python's negative indexing,
-    1 - e^{p_k} (index 0 is unused).
+    1 - e^{p_k} (index 0 is unused), with p_k = <beta_k, sig> paired from
+    the covector.  Every root is a Weyl image of a simple root, so each
+    pairing <w beta, sig> a vertex-cone denominator needs is some +-p_k, in
+    floats too: negation is exact, and p_k = 0 is a pole.
 
     Raises ValueError when a coordinate of sig is not finite, then
     GenericityError when sig is within 1e-6 of a pole hyperplane; a raise is
     not kept, so a repeated call raises again.
     """
     covector, exps = exp_table(rs, sig)
-    pairings = _root_pairings(rs, sig)
+    pairings = [dot_float(root.weight_coords, covector) for root in rs.positive_roots]
     if _near_pole(pairings, _POLE_TOLERANCE):
         raise GenericityError(
             f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
@@ -442,14 +388,15 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     final.  Every string from lam is empty, so lam's tails are 0.  On A1
     each string is one step, and the recursion is linear.
 
-    The strings run on packed ints of the walk's codec (`_step_codec`), so
-    a step up a string is one addition.  A non-dominant string weight is
+    The strings run on packed ints of the walk's codec (`formal._codec_for`),
+    so a step up a string is one addition.  A non-dominant string weight is
     looked up once, in a memo from packed nu to the multiplicity of its
     dominant representative, 0 outside the module; a string ends at its
     first 0, one root past the module's hull.  A miss folds nu to its
-    dominant representative on packed ints (`_packed_fold`), which is exact
-    because every Weyl image of a string weight stays within the codec's
-    fields, and reads the packed table.  A stored 0 never goes stale:
+    dominant representative on packed ints (`formal._Codec.fold`), which is
+    exact because a string weight is mu' + beta with mu' in conv(W . lam)
+    and beta a root, and the codec's fields hold every Weyl image of such a
+    weight; then it reads the packed table.  A stored 0 never goes stale:
     dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than mu and, if
     it is a weight of the module, was tabulated before mu.  The memo holds
     about one entry per weight of the module, so the walk of
@@ -458,9 +405,8 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
-    codec = _step_codec(rs, lam)
-    pack, top = codec.pack, codec.top
-    fold = _packed_fold(rs, codec)
+    codec = _codec_for(rs, (lam,))
+    pack, top, fold = codec.pack, codec.top, codec.fold
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
     norm = rs.inner_scaled(lam_rho, lam_rho)

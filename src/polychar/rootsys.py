@@ -232,21 +232,10 @@ class RootSystem(Frozen):
         return tuple(out)
 
     def inner_float(self, mu, nu) -> float:
-        """The inner product in floats: for each nonzero label m of mu, in
-        order, m times the Gram row's sum against nu, so only the rows mu
-        uses are summed.  Each row sum is the entry of ``form_float(nu)``,
-        so the result is ``dot_float(mu, form_float(nu))`` bit for bit."""
-        gram = self._gram_float
-        if len(mu) != len(gram) or len(nu) != len(gram):
+        """The inner product in floats: ``dot_float(mu, form_float(nu))``."""
+        if len(mu) != self.rank:
             raise ValueError("weight length mismatch")
-        total = 0.0
-        for m, row in zip(mu, gram):
-            if m:
-                acc = 0.0
-                for g, x in zip(row, nu):
-                    acc += g * x
-                total += m * acc
-        return total
+        return dot_float(mu, self.form_float(nu))
 
     def coroot_labels(self, root: Root) -> tuple[int, ...]:
         """Pairings <Lambda^j, root^vee> for j = 1..rank; requires a positive root."""

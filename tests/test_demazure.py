@@ -80,8 +80,10 @@ def _assert_cores_match(rs, root, s):
 
 
 def _one_byte_top(rs):
-    """The largest |mu|_1 whose codec bound c_max * |mu|_1 one-byte fields hold."""
-    return 127 // max(map(max, rs.coroots.values()))
+    """The largest |mu|_1 whose codec bound, c_max * |mu|_1 plus a positive
+    root's largest label, one-byte fields hold."""
+    root_label = max(max(map(abs, root.weight_coords)) for root in rs.positive_roots)
+    return (127 - root_label) // max(map(max, rs.coroots.values()))
 
 
 def _draw_sum(data, rs, edge_sizes):

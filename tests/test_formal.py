@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polychar import FormalSum, build_root_system, evaluate
-from polychar.formal import terms_json_text
+from polychar import FormalSum, build_root_system, evaluate, orbit
+from polychar.formal import _codec_for, terms_json_text
 
 weights2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 sums2 = st.dictionaries(weights2, st.integers(-9, 9), max_size=8).map(
@@ -148,13 +148,13 @@ def _canonical_json(terms: dict) -> str:
 
 
 def test_sums_of_different_codecs_combine_on_tuples():
-    # G2: c_max = 3, so one-byte fields hold |mu|_1 <= 42; B2's one-byte
-    # codec is another object
+    # G2: c_max = 3 and a root's largest label is 3, so one-byte fields hold
+    # |mu|_1 <= 41; B2's one-byte codec is another object
     g2, b2 = build_root_system("G2"), build_root_system("B2")
-    x = {(42, 0): 1, (0, -42): 2}
+    x = {(41, 0): 1, (0, -41): 2}
     cases = (
-        (g2, {(43, 0): 5, (0, -42): -2}, 2),
-        (b2, {(1, 1): 3, (42, 0): -1}, 1),
+        (g2, {(42, 0): 5, (0, -41): -2}, 2),
+        (b2, {(1, 1): 3, (41, 0): -1}, 1),
     )
     assert _packed_only(g2, x)._codec.nbytes == 1
     for rs, y, nbytes in cases:
@@ -171,9 +171,27 @@ def test_sums_of_different_codecs_combine_on_tuples():
                 assert out.to_json_text() == _canonical_json(expected)
     # one codec: the sum stays packed by it
     same = _packed_only(g2, x)
-    total = same + _packed_only(g2, {(0, 42): 1})
+    total = same + _packed_only(g2, {(0, 41): 1})
     assert total._codec is same._codec
-    assert total.to_json_text() == '[{"c":2,"w":[0,-42]},{"c":1,"w":[0,42]},{"c":1,"w":[42,0]}]'
+    assert total.to_json_text() == '[{"c":2,"w":[0,-41]},{"c":1,"w":[0,41]},{"c":1,"w":[41,0]}]'
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (124,)), ("A1", (125,)), ("A1", (126,)), ("A1", (127,)),
+    # the orbits' largest labels: 123 and 126 (G2), 124 and 126 (C3)
+    ("G2", (41, 0)), ("G2", (42, 0)), ("C3", (0, 31, 31)), ("C3", (0, 31, 32)),
+])
+def test_one_rule_sizes_the_operator_and_walk_codecs(name, lam):
+    # e^lam's operator codec is the codec of the walk below lam and of its
+    # Freudenthal strings, and holds every Weyl image of lam - alpha
+    rs = build_root_system(name)
+    codec = FormalSum.exp(lam)._packed_for(rs)[1]
+    assert codec is _codec_for(rs, (lam,))
+    for mu in orbit(rs, lam):
+        for root in rs.positive_roots:
+            for nu in (tuple(map(operator.sub, mu, root.weight_coords)),
+                       tuple(map(operator.add, mu, root.weight_coords))):
+                assert codec.unpack(codec.pack(nu)) == nu
 
 
 def test_mul_exp_translates():

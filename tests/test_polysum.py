@@ -51,7 +51,7 @@ from polychar import (
     weyl_dimension,
     weyl_group,
 )
-from polychar.formal import check_point
+from polychar.formal import _codec_for, check_point
 from polychar.polysum import inversion_sequence
 from polychar.rootsys import check_weight
 
@@ -818,8 +818,8 @@ def test_packed_fold_matches_dominant_representative_at_codec_edges(name, lam):
     rs = build_root_system(name)
     doms = _reference_rows(rs, lam, dominant_weights_below(rs, lam))
     mult = _tuple_multiplicities(rs, lam, doms)
-    codec = polysum._step_codec(rs, lam)
-    fold = polysum._packed_fold(rs, codec)
+    codec = _codec_for(rs, (lam,))
+    fold = codec.fold
     folded = {}
     for mu in doms:
         for root in rs.positive_roots:
