@@ -36,8 +36,9 @@ A sum holds its terms in one form at a time: keyed by tuples, or packed
 with its codec.  An operator packs its input in place and returns a sum of
 the same codec; reading the terms unpacks a sum in place, in canonical order
 when its JSON or `evaluate` has sorted them already, else in its packed
-dict's order.  Two sums add and compare packed only when they share one
-codec; any other pair works on tuples, so no codec is ever widened.
+dict's order.  Two sums add packed only when they share one codec; any
+other pair adds on tuples, so no codec is ever widened.  Sums compare on
+tuples.
 """
 
 import math
@@ -73,7 +74,8 @@ def terms_json_text(items) -> str:
 
 # struct codes of the field widths struct unpacks directly, by byte count;
 # one struct.iter_unpack over these decodes a char-expand pass's results
-# faster than reading the fields one by one (BENCH_22.json, "decode_paths")
+# faster than reading the fields one by one (BENCH_22.json, "decode_paths");
+# only that bulk decode uses struct: `_Codec.unpack` reads one weight's fields
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -140,20 +142,18 @@ class _Codec:
         return q
 
     def unpack(self, p) -> tuple:
-        """The exponent tuple of one packed int, decoded as `unpack_all`
-        decodes each."""
-        if self._row is None:
-            return tuple([(p >> s & self.mask) - self.offset for s in self.shifts])
-        return self._row.unpack((p ^ self.base).to_bytes(self._row.size, "big"))
+        """The exponent tuple of one packed int, read field by field; struct
+        serves only the bulk decode of `unpack_all`."""
+        mask, offset = self.mask, self.offset
+        return tuple([(p >> s & mask) - offset for s in self.shifts])
 
     def unpack_all(self, keys) -> list:
         """The exponent tuples of packed ints, in their order.  For a width
         that struct reads, XOR with ``base`` flips each field's top bit,
         which turns offset fields into two's-complement ones that the bytes
-        decode directly; wider fields are read one by one."""
+        decode directly; wider fields are read one by one (`unpack`)."""
         if self._row is None:
-            shifts, mask, offset = self.shifts, self.mask, self.offset
-            return [tuple([(p >> s & mask) - offset for s in shifts]) for p in keys]
+            return list(map(self.unpack, keys))
         size = self.nbytes * self.rs.rank
         base = self.base
         data = b"".join([(p ^ base).to_bytes(size, "big") for p in keys])
@@ -192,7 +192,8 @@ class FormalSum:
     the terms turns a packed sum into a tuple sum in place, and an operator
     turns its input into a packed sum.  Neither changes the value, so the
     canonical (lexicographic) term order, sorted on first use and kept,
-    never goes stale."""
+    never goes stale.  Two sums of one codec add packed; equality compares
+    tuples."""
 
     __slots__ = ("_rank", "_terms", "_sorted", "_codec")
 
@@ -363,8 +364,6 @@ class FormalSum:
             return NotImplemented
         if self._rank != other._rank:
             return False
-        if self._codec is other._codec:
-            return self._terms == other._terms
         return self._tuples() == other._tuples()
 
     def __repr__(self):

@@ -389,19 +389,14 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     each string is one step, and the recursion is linear.
 
     The strings run on packed ints of the walk's codec (`formal._codec_for`),
-    so a step up a string is one addition.  A non-dominant string weight is
-    looked up once, in a memo from packed nu to the multiplicity of its
-    dominant representative, 0 outside the module; a string ends at its
-    first 0, one root past the module's hull.  A miss folds nu to its
-    dominant representative on packed ints (`formal._Codec.fold`), which is
-    exact because a string weight is mu' + beta with mu' in conv(W . lam)
-    and beta a root, and the codec's fields hold every Weyl image of such a
-    weight; then it reads the packed table.  A stored 0 never goes stale:
-    dom(nu) >= nu > mu, so dom(nu) lies at a smaller depth than mu and, if
-    it is a weight of the module, was tabulated before mu.  The memo holds
-    about one entry per weight of the module, so the walk of
-    `dominant_weights_below` refuses lam past the point cap first, by the
-    oracle's exact count.
+    so a step up a string is one addition.  A non-dominant string weight nu
+    is folded at each visit to its dominant representative on packed ints
+    (`formal._Codec.fold`), whose multiplicity the packed table gives, 0
+    outside the module; a string ends at its first 0, one root past the
+    module's hull.  The fold is exact because a string weight is mu' + beta
+    with mu' in conv(W . lam) and beta a root, and the codec's fields hold
+    every Weyl image of such a weight.  dom(nu) >= nu > mu, so dom(nu), if
+    it is a weight of the module, was tabulated before mu.
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
@@ -417,7 +412,6 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
         strings.append((j, codec.delta(wc), cov, sum(map(mul, wc, cov))))
     mult = {pack(lam): 1}  # packed dominant weight -> multiplicity; doms[0] is lam
     tails = {pack(lam): [0] * len(strings)}  # the same keys -> S_beta, per root
-    memo: dict = {}  # packed non-dominant string weight -> multiplicity of its fold
     values = [1]
     for mu in doms[1:]:
         p = pack(mu)
@@ -434,9 +428,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
                     if m_nu:
                         tail += m_nu * a + tails[nu][j]
                     break
-                m_nu = memo.get(nu)
-                if m_nu is None:
-                    m_nu = memo[nu] = mult.get(fold(nu), 0)
+                m_nu = mult.get(fold(nu), 0)
                 if not m_nu:
                     break
                 tail += m_nu * a

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychar import FormalSum, build_root_system, evaluate, orbit
-from polychar.formal import _codec_for, terms_json_text
+from polychar.formal import _codec, _codec_for, terms_json_text
 
 weights2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 sums2 = st.dictionaries(weights2, st.integers(-9, 9), max_size=8).map(
@@ -127,6 +127,14 @@ def test_packed_sum_is_indistinguishable_from_tuple_sum(x, y):
     assert (fresh() - x).is_zero() and (x - fresh()).is_zero()
     assert fresh().scale(-3) == x.scale(-3) and -fresh() == -x
     assert fresh().mul_exp((1, -2)) == x.mul_exp((1, -2))
+    # one coefficient changed, same support: packed sums of one codec that
+    # differ compare unequal both ways, as their tuple forms do
+    w, c = next(iter(terms.items()), ((0, 0), 0))
+    changed = {**terms, w: 2 * c or 1}
+    packed = _packed_only(rs, changed)
+    assert packed._codec is fresh()._codec
+    assert packed != fresh() and fresh() != packed
+    assert FormalSum(2, changed) != x and x != FormalSum(2, changed)
 
 
 def test_packed_sum_builds_its_tuples_once():
@@ -192,6 +200,20 @@ def test_one_rule_sizes_the_operator_and_walk_codecs(name, lam):
             for nu in (tuple(map(operator.sub, mu, root.weight_coords)),
                        tuple(map(operator.add, mu, root.weight_coords))):
                 assert codec.unpack(codec.pack(nu)) == nu
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9])
+def test_codec_round_trips_at_every_width(name, nbytes):
+    # 1, 2, 4 and 8 bytes decode in bulk through struct, 9 field by field;
+    # one weight always decodes field by field
+    codec = _codec(build_root_system(name), nbytes)
+    edges = (-codec.offset, -1, 0, codec.offset - 1)
+    weights = [(a, b) for a in edges for b in edges]
+    packed = [codec.pack(w) for w in weights]
+    for w, p in zip(weights, packed):
+        assert codec.unpack(p) == codec.unpack_all([p])[0] == w
+    assert codec.unpack_all(packed) == weights
 
 
 def test_mul_exp_translates():
