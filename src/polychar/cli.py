@@ -88,7 +88,7 @@ def _sum_result(s: FormalSum) -> tuple:
 def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
-    _check_support_size(rs, lam)
+    _check_support_size(rs, (lam,), f"the polytope of {list(lam)}")
     return _sum_result(character_demazure(rs, lam))
 
 
@@ -98,8 +98,9 @@ def _cmd_bsum(args) -> tuple:
         return _sum_result(polytope_sum_oracle(rs, args.labels).sum)
     if args.method == "demazure":
         gamma_sequence(rs)  # without a formula, refused before the size guard
-        _check_support_size(rs, args.labels)
-        return _sum_result(polytope_sum_demazure(rs, args.labels))
+        lam = check_weight(rs, args.labels, dominant=True)
+        _check_support_size(rs, (lam,), f"the polytope of {list(lam)}")
+        return _sum_result(polytope_sum_demazure(rs, lam))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()
     oracle_text = oracle.to_json_text()

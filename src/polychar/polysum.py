@@ -16,14 +16,14 @@ Four independent routes live here:
 import math
 import random
 from functools import lru_cache
-from itertools import chain, product
+from itertools import accumulate, chain, product, tee
 from operator import mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
-from .weyl import _orbit_size, dominant_representative, orbit, orbit_size, weyl_group
+from .weyl import _orbit_size, dominant_representative, orbit, weyl_group
 
 _POINT_CAP = 10**6
 _SIGMA_CAP = 10**4
@@ -69,13 +69,11 @@ def polytope_member(rs: RootSystem, lam, mu) -> bool:
     return gap is not None and min(gap) >= 0
 
 
-def _check_point_count(lam, points: int) -> None:
-    """Refuse a polytope known to have at least ``points`` lattice points
+def _check_point_count(what: str, points: int) -> None:
+    """Refuse ``what``, known to hold at least ``points`` lattice points,
     when that passes the cap."""
     if points > _POINT_CAP:
-        raise PolytopeSizeError(
-            f"the polytope of {list(lam)} has at least {points} points; cap is {_POINT_CAP}"
-        )
+        raise PolytopeSizeError(f"{what} has at least {points} points; cap is {_POINT_CAP}")
 
 
 def dominant_weights_below(rs: RootSystem, lam) -> list:
@@ -107,8 +105,9 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     `_orbit_size`'s table, kept per algebra and zero pattern.
     """
     lam = check_weight(rs, lam, dominant=True)
+    what = f"the polytope of {list(lam)}"
     longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
-    _check_point_count(lam, max(orbit_size(rs, lam), longest_string))
+    _check_point_count(what, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
     codec = _codec_for(rs, (lam,))
     top, unpack = codec.top, codec.unpack
     steps = [(codec.delta(root.weight_coords), root.height) for root in rs.positive_roots]
@@ -118,7 +117,7 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     points = 0
     for depth, p, mu in walked:  # the list grows as the walk reaches new weights
         points += _orbit_size(rs, tuple([x > 0 for x in mu]))
-        _check_point_count(lam, points)
+        _check_point_count(what, points)
         for d, h in steps:
             q = p - d
             if q & top == top and q not in seen:
@@ -461,18 +460,16 @@ def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:
-    """Dimension of the irreducible module: the product over positive roots
-    of (lam + rho, alpha) / (rho, alpha), exactly.  Numerator and
-    denominator are products of as many ``inner_scaled`` factors, so the
-    form's scale cancels."""
+    """Dimension of the irreducible module by Weyl's formula (Humphreys 1972,
+    section 24.3): the product over positive roots beta of <lam + rho,
+    beta^vee> / <rho, beta^vee>, exactly.  From the stored coroot labels a
+    factor is (<lam, beta^vee> + ht beta^vee) / ht beta^vee: no form."""
     lam = check_weight(rs, lam, dominant=True)
-    rho = rs.weyl_vector
-    lam_rho = tuple(l + d for l, d in zip(lam, rho))
     num = den = 1
-    for root in rs.positive_roots:
-        wc = root.weight_coords
-        num *= rs.inner_scaled(lam_rho, wc)
-        den *= rs.inner_scaled(rho, wc)
+    for cv in rs.coroots.values():
+        height = sum(cv)
+        num *= sum(map(mul, lam, cv)) + height
+        den *= height
     value, rem = divmod(num, den)
     if rem or value <= 0:
         from fractions import Fraction
@@ -483,16 +480,22 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return value
 
 
-def _check_support_size(rs: RootSystem, lam) -> None:
-    """Refuse lam with PolytopeSizeError when its polytope has more lattice
-    points than the cap: they are the support of its character and of its
-    polytope sum, so `char` and `bsum --method demazure` call this before
-    any operator runs.  Distinct weights of the module never outnumber its
-    dimension, so a dimension within the cap passes at once; past it, the
-    walk of `dominant_weights_below` counts the points exactly and refuses
-    past the cap."""
-    if weyl_dimension(rs, lam) > _POINT_CAP:
-        dominant_weights_below(rs, lam)
+def _check_support_size(rs: RootSystem, weights, what: str) -> None:
+    """Refuse ``what``, the polytopes of the dominant ``weights`` together,
+    with PolytopeSizeError when they hold more lattice points than the cap:
+    `char` and `bsum --method demazure` size their lam, `verify` its grid,
+    before any sum is built.  A module has no more distinct weights than its
+    dimension, so dimensions adding up to at most the cap pass at once (read
+    lazily, up to the first weight past it); otherwise the exact counts over
+    `dominant_weights_below` are added in order, refused past the cap."""
+    ahead, weights = tee(weights)
+    if all(dims <= _POINT_CAP for dims in accumulate(weyl_dimension(rs, lam) for lam in ahead)):
+        return
+    points = 0
+    for lam in weights:
+        below = dominant_weights_below(rs, lam)  # refuses lam's own polytope past the cap
+        points += sum([_orbit_size(rs, tuple([x > 0 for x in mu])) for mu in below])
+        _check_point_count(what, points)
 
 
 def polytope_expansion(rs: RootSystem, lam) -> dict:
@@ -562,28 +565,24 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
 def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     """Sweep every dominant weight with labels in [0..max_label], comparing
     the operator formula against the enumerator exactly: one JSON record
-    per weight, as `verify` prints it.  Besides each lam's own cap, the
-    sweep refuses with PolytopeSizeError once its running point count
-    passes the cap."""
+    per weight, as `verify` prints it.  `_check_support_size` sizes the
+    whole grid first, so an oversized sweep is refused before any sum."""
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
+    n = max_label + 1  # the grid in product's order, lazily: product holds range(n) whole
+    grid = (tuple([i // n**k % n for k in range(rs.rank - 1, -1, -1)]) for i in range(n**rs.rank))
+    _check_support_size(rs, grid, f"the sweep of {rs.name} up to {max_label}")
     reports = []
-    points = 0
-    for labels in product(range(max_label + 1), repeat=rs.rank):
-        _formula_sum, oracle, diff = formula_against_oracle(rs, labels)
-        n_points = oracle.coefficient_sum()
-        points += n_points
-        if points > _POINT_CAP:
-            raise PolytopeSizeError(f"the sweep of {rs.name} up to {max_label} has at least "
-                                    f"{points} points; cap is {_POINT_CAP}")
+    for lam in product(range(n), repeat=rs.rank):  # the budget passed: at most the cap
+        _formula_sum, oracle, diff = formula_against_oracle(rs, lam)
         reports.append({
             "formula": name,
             "algebra": rs.name,
-            "lambda": list(labels),
+            "lambda": list(lam),
             "match": diff.is_zero(),
             "diff": diff.to_json_obj(),
-            "n_points": n_points,
+            "n_points": oracle.coefficient_sum(),
         })
     return reports
 

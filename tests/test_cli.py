@@ -160,6 +160,38 @@ def test_verify_sweep_point_budget_boundary(capsys, monkeypatch):
     assert captured.err == "error: the sweep of A1 up to 3 has at least 10 points; cap is 9\n"
 
 
+def test_verify_sweep_is_refused_before_any_sum(capsys, monkeypatch):
+    # the sweep's budget runs before its first comparison: at a cap of 9,
+    # A1 [0..3] (10 points) is refused with neither sum built for any lam
+    calls = []
+
+    def spy(name):
+        real = getattr(polysum, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("formula_against_oracle", "polytope_sum_oracle"):
+        monkeypatch.setattr(polysum, name, spy(name))
+    monkeypatch.setattr(polysum, "_POINT_CAP", 9)
+    assert run(["verify", "--algebra", "A1", "--max-label", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sweep of A1 up to 3 has at least 10 points; cap is 9\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("algebra, cap, points", [("A1", 9, 10), ("A3", 12, 15)])
+def test_verify_reads_a_huge_grid_lazily(capsys, monkeypatch, algebra, cap, points):
+    # labels up to 10**18: the budget reads the grid in product's order
+    # without holding a row of it, and refuses within its first weights
+    # (A1: 1 + 2 + 3 + 4 points; A3: 1 + 4 + 10 at (0, 0, 0..2))
+    monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+    assert run(["verify", "--algebra", algebra, "--max-label", str(10**18)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the sweep of {algebra} up to {10**18} has at least "
+                            f"{points} points; cap is {cap}\n")
+
+
 @pytest.mark.parametrize(
     "argv", [["char", "A2", "1", "1"], ["bsum", "A2", "1", "1", "--method", "demazure"]]
 )

@@ -13,6 +13,7 @@ import math
 import random
 from functools import cache
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -159,7 +160,7 @@ def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
     def unreachable(rs, lam):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, "_orbit_size", unreachable)
+    monkeypatch.setattr(polysum, "_codec_for", unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 points of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -189,7 +190,7 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
     def unreachable(rs, lam):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, "_orbit_size", unreachable)
+    monkeypatch.setattr(polysum, "_codec_for", unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 weights of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -710,15 +711,44 @@ def test_weyl_dimension(name, lam, dim):
     assert weyl_dimension(build_root_system(name), lam) == dim
 
 
+def _gram_dimension(rs, lam):
+    """Reference for `weyl_dimension`: Weyl's product with each factor's
+    pairings (lam + rho, beta) and (rho, beta) taken through the Gram form,
+    whose scale cancels."""
+    rho = rs.weyl_vector
+    lam_rho = tuple(x + 1 for x in lam)
+    num = den = 1
+    for root in rs.positive_roots:
+        num *= rs.inner_scaled(lam_rho, root.weight_coords)
+        den *= rs.inner_scaled(rho, root.weight_coords)
+    assert num % den == 0
+    return num // den
+
+
+@pytest.mark.parametrize("name,max_label", [
+    ("A1", 12), ("A2", 5), ("B2", 5), ("C2", 5), ("G2", 5), ("A3", 3), ("B3", 3),
+    ("C3", 3), ("D3", 3), ("A4", 2), ("B4", 2), ("C4", 2), ("D4", 2), ("A5", 1),
+    ("D5", 1), ("B6", 1), ("C6", 1), ("A7", 1), ("D7", 1), ("A8", 1), ("B8", 1),
+    ("D8", 1),
+])
+def test_weyl_dimension_matches_the_gram_product(name, max_label):
+    # the coroot-label product against the Gram-form product, ranks 1-8
+    rs = build_root_system(name)
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        assert weyl_dimension(rs, lam) == _gram_dimension(rs, lam), lam
+
+
 def test_broken_products_name_their_fraction(a1, monkeypatch):
     # the messages write the failed quotient as a Fraction, imported only
-    # on this path; a patched form makes A1's products come out 3/2 and 8/9
-    inner_scaled = RootSystem.inner_scaled
-    monkeypatch.setattr(RootSystem, "inner_scaled",
-                        lambda rs, mu, nu: {(2,): 3, (1,): 2}[tuple(mu)])
+    # on this path.  A stand-in coroot table holding only A2's highest
+    # coroot makes the dimension product at (1, 0) come out (1 + 2) / 2 =
+    # 3/2, and a patched form makes A1's Freudenthal quotient 8/9
+    stand_in = SimpleNamespace(rank=2, coroots={(1, 1): (1, 1)})
     with pytest.raises(ArithmeticError,
                        match="^dimension product is not a positive integer: 3/2$"):
-        weyl_dimension(a1, (1,))
+        weyl_dimension(stand_in, (1, 0))
+
+    inner_scaled = RootSystem.inner_scaled
 
     def top_plus_one(rs, mu, nu):
         return inner_scaled(rs, mu, nu) + (tuple(mu) == tuple(nu) == (3,))
@@ -726,6 +756,27 @@ def test_broken_products_name_their_fraction(a1, monkeypatch):
     monkeypatch.setattr(RootSystem, "inner_scaled", top_plus_one)
     with pytest.raises(ArithmeticError, match=r"^multiplicity recursion broke at \(0,\): 8/9$"):
         dominant_weight_multiplicities(a1, (2,))
+
+
+@pytest.mark.parametrize(
+    "name,max_label,dims", [("A1", 12, 91), ("A2", 4, 825), ("B2", 3, 950), ("G2", 2, 1394),
+                            ("A3", 1, 134)],
+)
+def test_verify_budget_walks_no_weight_under_the_cap(monkeypatch, name, max_label, dims):
+    # the verify-sweep workload's grids: their dimensions add up far under
+    # the cap, so the sweep's budget makes no walk, and each lam is walked
+    # once, by its oracle
+    rs = build_root_system(name)
+    grid = list(product(range(max_label + 1), repeat=rs.rank))
+    assert sum(weyl_dimension(rs, lam) for lam in grid) == dims
+    walked = []
+    walk = polysum.dominant_weights_below
+    monkeypatch.setattr(polysum, "dominant_weights_below",
+                        lambda rs, lam: walked.append(lam) or walk(rs, lam))
+    polysum._check_support_size(rs, grid, "the grid")
+    assert walked == []
+    assert len(verify_polytope_formula(rs, max_label)) == len(grid)
+    assert walked == grid
 
 
 def test_dominant_weights_below_order(a2):
