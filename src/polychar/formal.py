@@ -37,8 +37,12 @@ with its codec.  An operator packs its input in place and returns a sum of
 the same codec; reading the terms unpacks a sum in place, in canonical order
 when its JSON or `evaluate` has sorted them already, else in its packed
 dict's order.  Two sums add packed only when they share one codec; any
-other pair adds on tuples, so no codec is ever widened.  Sums compare on
-tuples.
+other pair adds on tuples, so no codec is ever widened.  Two sums of one
+codec compare their packed dicts; any other pair compares on tuples.
+
+The Weyl orbit walk (`_Codec.orbit`) runs on the same packed ints, so the
+oracle's polytope sum and Freudenthal's character are packed sums of
+lam's codec, the codec of e^lam and so of the operator formulas' sums.
 """
 
 import math
@@ -89,7 +93,8 @@ class _Codec:
     ``top``, the same int, tests dominance in one AND: a packed weight is
     dominant iff ``p & top == top``."""
 
-    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row", "_steps")
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row", "_steps",
+                 "_children")
 
     def __init__(self, rs: RootSystem, nbytes: int):
         width = 8 * nbytes
@@ -104,6 +109,10 @@ class _Codec:
         # a field's top bit -> (its shift, the packed difference of its simple root)
         self._steps = {s + width - 1: (s, self.delta(root.weight_coords))
                        for s, root in zip(self.shifts, rs.simple_roots)}
+        # per field, first to last: (its shift, the packed difference of its
+        # simple root, the top bits of the fields before it)
+        self._children = tuple((s, step, self.top >> (s + width) << (s + width))
+                               for s, step in self._steps.values())
 
     def delta(self, weight) -> int:
         """The packed difference of a weight: pack(mu + weight) is
@@ -140,6 +149,29 @@ class _Codec:
             q -= ((q >> s & mask) - offset) * step
             neg = top & ~q
         return q
+
+    def orbit(self, p: int) -> list:
+        """Each point of the Weyl orbit of a packed dominant weight p once,
+        packed: reverse search (Avis and Fukuda, 1996) on the tree in which
+        a weight's parent is its image under `fold`'s one step, the
+        reflection at its first negative label.
+
+        A child of q is s_i q = q - n * step_i for a field i whose label n
+        is positive.  Off the diagonal the Cartan entries are <= 0, so s_i
+        raises every other label, and s_i q has label -n at i: its parent
+        is q exactly when the fields before i keep their top bits, one AND
+        with the mask of those bits.  Exact when p lies in the hull the
+        codec was sized for, which holds its whole orbit."""
+        mask, offset, children = self.mask, self.offset, self._children
+        points = [p]
+        for q in points:  # the list grows as the walk reaches new points
+            for s, step, before in children:
+                n = (q >> s & mask) - offset
+                if n > 0:
+                    c = q - n * step
+                    if c & before == before:
+                        points.append(c)
+        return points
 
     def unpack(self, p) -> tuple:
         """The exponent tuple of one packed int, read field by field; struct
@@ -192,8 +224,8 @@ class FormalSum:
     the terms turns a packed sum into a tuple sum in place, and an operator
     turns its input into a packed sum.  Neither changes the value, so the
     canonical (lexicographic) term order, sorted on first use and kept,
-    never goes stale.  Two sums of one codec add packed; equality compares
-    tuples."""
+    never goes stale.  Two sums of one codec add and compare packed; any
+    other pair adds and compares on tuples."""
 
     __slots__ = ("_rank", "_terms", "_sorted", "_codec")
 
@@ -364,6 +396,8 @@ class FormalSum:
             return NotImplemented
         if self._rank != other._rank:
             return False
+        if self._codec is not None and self._codec is other._codec:
+            return self._terms == other._terms
         return self._tuples() == other._tuples()
 
     def __repr__(self):

@@ -23,6 +23,8 @@ from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
 from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
+# ``orbit`` stays bound here, uncalled: benchmarks/tests/test_bench.py
+# checks that the tracer rebinds this name along with weyl's
 from .weyl import _orbit_size, dominant_representative, orbit, weyl_group
 
 _POINT_CAP = 10**6
@@ -133,13 +135,19 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     The lattice points are exactly the weights `polytope_member` accepts:
     the union of the Weyl orbits of the dominant weights below lam.  The
     walk that finds those weights (`dominant_weights_below`) refuses lam
-    past the point cap before any orbit is built.  Distinct dominant weights
-    have disjoint orbits, so the terms are built in one pass over all of
-    them, with no merge.  All coefficients are 1.
+    past the point cap before any orbit is built.  Each orbit is walked on
+    packed ints of lam's codec (`formal._Codec.orbit`), the codec of
+    ``FormalSum.exp(lam)`` and so of the operator formula's sum: every
+    weight below lam lies in lam's hull, which its fields hold.  Distinct
+    dominant weights have disjoint orbits, so the terms are built in one
+    pass over all of them, with no merge, and the sum stays packed until it
+    is read.  All coefficients are 1.
     """
     below = dominant_weights_below(rs, lam)  # lam first, checked by the walk
-    terms = dict.fromkeys(chain.from_iterable(orbit(rs, mu) for mu in below), 1)
-    return PolytopeSum(FormalSum._of(rs.rank, terms))
+    codec = _codec_for(rs, below[:1])
+    pack, walk = codec.pack, codec.orbit
+    terms = dict.fromkeys(chain.from_iterable(walk(pack(mu)) for mu in below), 1)
+    return PolytopeSum(FormalSum._of(rs.rank, terms, codec))
 
 
 # Operator formulas by (family, rank): the report name, a reduced word of w0
@@ -230,7 +238,7 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 
 # The point table pairs the roots from `exp_table`'s covector; the sampler
 # pairs them through `RootSystem.inner_float`, the same bits, because the
-# traced `numeric-eval` workload counts those calls (ROADMAP item 4).
+# traced `numeric-eval` workload counts those calls (ROADMAP item 3).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 
@@ -450,13 +458,16 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
 
 def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
     """Character of the irreducible highest-weight module via the
-    Freudenthal recursion, spread over full Weyl orbits."""
+    Freudenthal recursion, spread over full Weyl orbits, walked and kept on
+    packed ints of lam's codec, as the oracle's are."""
+    lam = check_weight(rs, lam, dominant=True)
     mult = dominant_weight_multiplicities(rs, lam)
+    codec = _codec_for(rs, (lam,))
+    pack, walk = codec.pack, codec.orbit
     terms = {}
     for mu, m in mult.items():
-        for w in orbit(rs, mu):
-            terms[w] = m
-    return FormalSum._of(rs.rank, terms)
+        terms.update(dict.fromkeys(walk(pack(mu)), m))
+    return FormalSum._of(rs.rank, terms, codec)
 
 
 def weyl_dimension(rs: RootSystem, lam) -> int:

@@ -6,6 +6,7 @@ from functools import lru_cache
 from operator import mul
 
 from ._frozen import Frozen
+from .formal import _codec_for
 from .rootsys import Root, RootSystem, Weight, check_weight, pairing
 
 _ENUM_RANK_CAP = 3
@@ -44,39 +45,14 @@ def dominant_representative(rs: RootSystem, weight):
         applied.append(k + 1)
 
 
-def _orbit_points(rs: RootSystem, lam) -> list:
-    """Each point of the orbit of a dominant lam once, by reverse search
-    (Avis and Fukuda, 1996) on the tree in which a weight's parent is its
-    image under s_j at its first negative label j, the step
-    `dominant_representative` takes.  A child of nu is s_i nu for a label
-    nu_i > 0 whose image has no negative label before i.  Off the diagonal
-    the Cartan entries are <= 0, so s_i raises every other label: only the
-    labels negative in nu need the check."""
-    cols = [root.weight_coords for root in rs.simple_roots]
-    points = [lam]
-    for nu in points:  # the list grows as the walk reaches new points
-        negs = []  # the negative labels of nu before i
-        for i, n in enumerate(nu):
-            if n > 0:
-                col = cols[i]
-                # label k of s_i nu is nu[k] - n * col[k]
-                for k in negs:
-                    if nu[k] < n * col[k]:
-                        break
-                else:
-                    points.append(tuple([x - n * a for x, a in zip(nu, col)]))
-            elif n < 0:
-                negs.append(i)
-    return points
-
-
 def orbit(rs: RootSystem, weight) -> frozenset:
-    """The full Weyl orbit of a weight, walked from its dominant
-    representative with each point reached once (`_orbit_points`)."""
+    """The full Weyl orbit of a weight: its dominant representative, folded
+    on packed ints of the weight's codec, walked with each point reached
+    once (`formal._Codec.orbit`), and unpacked in one pass.  The codec holds
+    every Weyl image of the weight (`formal._codec_for`)."""
     lam = check_weight(rs, weight)
-    if min(lam) < 0:
-        lam = dominant_representative(rs, lam)[0]
-    return frozenset(_orbit_points(rs, lam))
+    codec = _codec_for(rs, (lam,))
+    return frozenset(codec.unpack_all(codec.orbit(codec.fold(codec.pack(lam)))))
 
 
 def orbit_size(rs: RootSystem, lam) -> int:

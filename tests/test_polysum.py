@@ -52,7 +52,7 @@ from polychar import (
     weyl_dimension,
     weyl_group,
 )
-from polychar.formal import _codec_for, check_point
+from polychar.formal import _Codec, _codec_for, check_point
 from polychar.polysum import inversion_sequence
 from polychar.rootsys import check_weight
 
@@ -96,6 +96,55 @@ def test_oracle_matches_box_scan(name, max_label):
     rs = build_root_system(name)
     for lam in product(range(max_label + 1), repeat=rs.rank):
         assert polytope_sum_oracle(rs, lam).sum == _box_scan_oracle(rs, lam), lam
+
+
+@pytest.mark.parametrize("name,lam", [
+    # one byte per field up to A1 125 and G2 (41, 0), two past them
+    ("A1", (125,)), ("A1", (126,)), ("A1", (127,)), ("A1", (128,)),
+    ("G2", (41, 0)), ("G2", (42, 0)),
+])
+def test_oracle_matches_box_scan_at_codec_edges(name, lam):
+    rs = build_root_system(name)
+    oracle = polytope_sum_oracle(rs, lam).sum
+    assert oracle._codec is _codec_for(rs, (lam,))
+    assert oracle == _box_scan_oracle(rs, lam)
+
+
+def test_oracle_at_the_c3_codec_edge():
+    # C3's one-byte fields hold |lam|_1 <= 62: (0, 31, 31) and (62, 0, 0)
+    # reach labels of 124 in their orbits.  (0, 31, 31)'s box holds 7.75
+    # million candidates and (0, 31, 32) is past the point cap, so the
+    # reference at (62, 0, 0) is the dominant part of the box, scanned,
+    # under closure orbits
+    from test_weyl import _closure_orbit
+
+    c3 = build_root_system("C3")
+    assert _codec_for(c3, ((0, 31, 31),)).nbytes == _codec_for(c3, ((62, 0, 0),)).nbytes == 1
+    with pytest.raises(PolytopeSizeError, match=r"has at least 1000006 points"):
+        polytope_sum_oracle(c3, (0, 31, 32))
+    lam = (62, 0, 0)
+    terms = {}
+    for mu in _box_scan_dominant_below(c3, lam):
+        terms.update(dict.fromkeys(_closure_orbit(c3, mu), 1))
+    assert polytope_sum_oracle(c3, lam).sum == FormalSum(3, terms)
+
+
+@pytest.mark.parametrize("name,max_label", [("A1", 6), ("A2", 4), ("B2", 4), ("A3", 2)])
+def test_formula_and_oracle_compare_packed(name, max_label, monkeypatch):
+    # both sums are packed by e^lam's codec, so equality compares their int
+    # dicts and the verdict unpacks neither
+    rs = build_root_system(name)
+
+    def unreachable(codec, keys):
+        raise AssertionError("a sum was unpacked")
+
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        with monkeypatch.context() as patch:
+            patch.setattr(_Codec, "unpack_all", unreachable)
+            formula, oracle, diff = polysum.formula_against_oracle(rs, lam)
+            assert formula._codec is oracle._codec is not None
+            assert diff.is_zero()
+        assert formula.to_json_text() == oracle.to_json_text()
 
 
 @pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
@@ -233,11 +282,11 @@ def test_dominant_walk_refuses_by_the_exact_count(monkeypatch, entry):
 
 
 def test_oracle_refuses_before_building_an_orbit(monkeypatch):
-    def unreachable(rs, mu):
+    def unreachable(codec, p):
         raise AssertionError("an orbit was built")
 
     # A3 (40, 40, 40) has 1,048,241 points
-    monkeypatch.setattr(polysum, "orbit", unreachable)
+    monkeypatch.setattr(_Codec, "orbit", unreachable)
     with pytest.raises(PolytopeSizeError, match=r"points; cap is 1000000$"):
         polytope_sum_oracle(build_root_system("A3"), (40, 40, 40))
 

@@ -17,7 +17,7 @@ from polychar import (
     weyl_group,
 )
 from polychar import polysum, weyl
-from polychar.weyl import _orbit_points
+from polychar.formal import _codec_for
 
 # every algebra whose whole Weyl group is enumerated (rank <= 3)
 _SMALL = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -113,11 +113,29 @@ _ORBIT_GRIDS = (
 def test_orbit_walk_matches_closure(name, max_label):
     rs = build_root_system(name)
     for lam in product(range(max_label + 1), repeat=rs.rank):
-        points = _orbit_points(rs, lam)
+        codec = _codec_for(rs, (lam,))
+        points = codec.unpack_all(codec.orbit(codec.pack(lam)))
         # reverse search reaches each point once: no duplicate to drop
         assert len(points) == len(set(points)), lam
         assert orbit(rs, lam) == frozenset(points) == _closure_orbit(rs, lam), lam
         assert len(points) == orbit_size(rs, lam), lam
+
+
+@pytest.mark.parametrize("name,lam,nbytes", [
+    # either side of the edge between one-byte and two-byte fields
+    ("A1", (125,), 1), ("A1", (126,), 2), ("A1", (127,), 2), ("A1", (128,), 2),
+    ("G2", (41, 0), 1), ("G2", (42, 0), 2), ("C3", (0, 31, 31), 1), ("C3", (0, 31, 32), 2),
+])
+def test_orbit_walk_at_codec_edges(name, lam, nbytes):
+    rs = build_root_system(name)
+    codec = _codec_for(rs, (lam,))
+    assert codec.nbytes == nbytes
+    points = codec.orbit(codec.pack(lam))
+    assert len(points) == len(set(points)) == orbit_size(rs, lam)
+    assert orbit(rs, lam) == frozenset(codec.unpack_all(points)) == _closure_orbit(rs, lam)
+    # from a non-dominant image too, folded first
+    far = min(_closure_orbit(rs, lam))
+    assert orbit(rs, far) == _closure_orbit(rs, far)
 
 
 @pytest.mark.parametrize("name", ("A2", "B2", "G2", "A3", "C3", "D4"))
