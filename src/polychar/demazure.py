@@ -26,7 +26,7 @@ pairing reads the labels it needs from their fields.  A tuple input is
 packed in place, with a codec derived from its own terms, and every output
 is a packed sum of that codec, since it lies in the W-invariant hull the
 codec was sized for.  A word of operators never builds an exponent tuple;
-the result builds them once, when it is read.
+the result builds them once, when it is read, and stays packed.
 """
 
 from functools import reduce

@@ -33,12 +33,12 @@ form such weights, and read them with ``top`` (dominance), ``unpack`` and
 ``fold`` (the dominant representative).
 
 A sum holds its terms in one form at a time: keyed by tuples, or packed
-with its codec.  An operator packs its input in place and returns a sum of
-the same codec; reading the terms unpacks a sum in place, in canonical order
-when its JSON or `evaluate` has sorted them already, else in its packed
-dict's order.  Two sums add packed only when they share one codec; any
-other pair adds on tuples, so no codec is ever widened.  Two sums of one
-codec compare their packed dicts; any other pair compares on tuples.
+with its codec, and the form moves one way.  An operator packs its input in
+place and returns a sum of the same codec; reading the terms of a packed
+sum builds a new tuple dict, in canonical order, and the sum stays packed.
+Two sums add packed only when they share one codec; any other pair adds on
+tuples, so no codec is ever widened.  Two sums of one codec compare their
+packed dicts; any other pair compares on tuples.
 
 The Weyl orbit walk (`_Codec.orbit`) runs on the same packed ints, so the
 oracle's polytope sum and Freudenthal's character are packed sums of
@@ -220,12 +220,12 @@ class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
     Its terms are one dict, in one form (module docstring): keyed by
-    exponent tuples, with ``_codec`` None, or packed by ``_codec``.  Reading
-    the terms turns a packed sum into a tuple sum in place, and an operator
-    turns its input into a packed sum.  Neither changes the value, so the
-    canonical (lexicographic) term order, sorted on first use and kept,
-    never goes stale.  Two sums of one codec add and compare packed; any
-    other pair adds and compares on tuples."""
+    exponent tuples, with ``_codec`` None, or packed by ``_codec``.  An
+    operator turns its input into a packed sum, and nothing turns a packed
+    sum back: reading its terms builds a new tuple dict.  Packing keeps the
+    value, so the canonical (lexicographic) term order, sorted on first use
+    and kept, never goes stale.  Two sums of one codec add and compare
+    packed; any other pair adds and compares on tuples."""
 
     __slots__ = ("_rank", "_terms", "_sorted", "_codec")
 
@@ -263,18 +263,9 @@ class FormalSum:
         return out
 
     def _tuples(self) -> dict:
-        """The terms keyed by exponent tuples, a packed sum unpacked in place
-        first: from the canonical terms when they are sorted already, else
-        in the packed dict's order."""
-        codec = self._codec
-        if codec is not None:
-            packed = self._terms
-            if self._sorted is not None:
-                self._terms = dict(self._sorted)
-            else:
-                self._terms = dict(zip(codec.unpack_all(packed), packed.values()))
-            self._codec = None
-        return self._terms
+        """The terms keyed by exponent tuples: a tuple sum's own dict, or a
+        new one, in canonical order, from a packed sum, which stays packed."""
+        return self._terms if self._codec is None else dict(self._canonical())
 
     def _packed_for(self, rs: RootSystem) -> tuple:
         """(packed terms, codec) for the operators of ``rs``: a tuple sum, or
@@ -368,7 +359,8 @@ class FormalSum:
             raise TypeError("scale factor must be an integer")
         if factor == 0:
             return FormalSum.zero(self._rank)
-        return FormalSum._of(self._rank, {w: factor * c for w, c in self._tuples().items()})
+        terms = {w: factor * c for w, c in self._terms.items()}
+        return FormalSum._of(self._rank, terms, self._codec)
 
     def mul_exp(self, shift) -> "FormalSum":
         """Multiply by e^shift, i.e. translate every exponent.  The result

@@ -16,7 +16,7 @@ Four independent routes live here:
 import math
 import random
 from functools import lru_cache
-from itertools import accumulate, chain, product, tee
+from itertools import accumulate, chain, tee
 from operator import mul, sub
 
 from ._frozen import Frozen
@@ -206,15 +206,20 @@ def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
     factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
-    staged and accumulated sums stay packed by the input's codec (`formal`).
-    Only the factor's translate holds tuples, so the term it joins, and the
-    total from then on, add on tuples."""
+    staged and accumulated sums stay packed by the input's codec (`formal`),
+    and the factor's translate e^mu is one addition per packed int.  It
+    moves a term's points, which lie in the hull the codec was sized for,
+    by one root, which the codec's root-label margin holds, and every later
+    operator output lies in conv(W . support).  On e^lam's codec the
+    shifted points are polytope points (docs/g2.md)."""
     total = staged = s
     for k in range(start, stop):
         root = gammas[k]
         term = apply_d_root(rs, root, staged)
         if k in factors:
-            term = term.add(term.mul_exp(gammas[factors[k]].weight_coords))
+            terms, codec = term._packed_for(rs)
+            d = codec.delta(gammas[factors[k]].weight_coords)
+            term = term.add(FormalSum._of(rs.rank, {p + d: c for p, c in terms.items()}, codec))
         total = total.add(term)
         if k + 1 < stop:
             staged = apply_r_root(rs, root, staged)
@@ -581,11 +586,12 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
-    n = max_label + 1  # the grid in product's order, lazily: product holds range(n) whole
+    n = max_label + 1  # the grid in lexicographic order, lazily: the budget may stop it early
     grid = (tuple([i // n**k % n for k in range(rs.rank - 1, -1, -1)]) for i in range(n**rs.rank))
-    _check_support_size(rs, grid, f"the sweep of {rs.name} up to {max_label}")
+    ahead, grid = tee(grid)  # one grid feeds the budget and the sweep
+    _check_support_size(rs, ahead, f"the sweep of {rs.name} up to {max_label}")
     reports = []
-    for lam in product(range(n), repeat=rs.rank):  # the budget passed: at most the cap
+    for lam in grid:  # the budget passed: at most the cap
         _formula_sum, oracle, diff = formula_against_oracle(rs, lam)
         reports.append({
             "formula": name,

@@ -25,6 +25,7 @@ from polychar import (
 )
 from polychar import gamma_sequence, polysum
 from polychar.demazure import _demazure, _reflect, apply_r_root
+from polychar.formal import _codec_for
 
 weights2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 sums2 = st.dictionaries(weights2, st.integers(-4, 4), max_size=6).map(
@@ -203,7 +204,6 @@ def test_every_sum_holds_one_form(name, data):
         "D x": apply_D_simple(rs, 1, x),
         "d x": apply_d_simple(rs, 1, x),
         "r y": apply_r_simple(rs, 1, y),
-        # on G2 its brackets add tuple translates to packed terms
         "bsum": polysum.polytope_sum_demazure(rs, lam),
     }
     # an operator packs its input in place, and its outputs keep the codec
@@ -238,7 +238,12 @@ def test_every_sum_holds_one_form(name, data):
                 live.append(result)
             for s in live:
                 _form(s)
+    # reading a sum never changes its form: the references that no operator
+    # reads stay tuples, and the oracle's stays packed on e^lam's codec
+    oracle = ref.pop("bsum")
     assert {_form(s) for s in [ref_x, ref_y, *ref.values()]} == {"tuples"}
+    assert _form(oracle) == "packed"
+    assert oracle._codec is _codec_for(rs, (lam,))
 
 
 def test_string_values_a1(a1):

@@ -150,6 +150,29 @@ def test_packed_sum_builds_its_tuples_once():
     assert set(id(w) for w, _c in terms_first._canonical()) == keys
 
 
+def test_reading_a_packed_sum_keeps_it_packed():
+    # a sum's form moves one way: reads and arithmetic leave a packed sum
+    # packed, on its codec, with the same int keys
+    g2 = build_root_system("G2")
+    terms = {(2, -1): 3, (0, 1): -2, (-4, 3): 1}
+    x = _packed_only(g2, terms)
+    codec, packed = x._codec, dict(x._terms)
+    wide = _packed_only(g2, {(42, 0): 1, (0, 1): 2})
+    assert codec.nbytes == 1 and wide._codec.nbytes == 2
+    reads = [lambda: dict(x.terms), lambda: x.coefficient((2, -1)), lambda: x.mul_exp((1, -2))]
+    for other in (FormalSum(2, {(0, 1): 2, (5, 5): 1}), wide):
+        for op in (operator.eq, operator.add, operator.sub):
+            reads += [lambda op=op, o=other: op(x, o), lambda op=op, o=other: op(o, x)]
+    for read in reads:
+        read()
+        assert x._codec is codec and x._terms == packed
+        assert all(type(k) is int for k in x._terms)
+    assert wide._codec.nbytes == 2
+    scaled = x.scale(-3)
+    assert scaled._codec is codec
+    assert scaled == FormalSum(2, {w: -3 * c for w, c in terms.items()})
+
+
 def _canonical_json(terms: dict) -> str:
     return json.dumps([{"w": list(w), "c": c} for w, c in sorted(terms.items())],
                       sort_keys=True, separators=(",", ":"))

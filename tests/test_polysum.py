@@ -129,22 +129,35 @@ def test_oracle_at_the_c3_codec_edge():
     assert polytope_sum_oracle(c3, lam).sum == FormalSum(3, terms)
 
 
-@pytest.mark.parametrize("name,max_label", [("A1", 6), ("A2", 4), ("B2", 4), ("A3", 2)])
+def _unreachable(codec, keys):
+    raise AssertionError("a sum was unpacked")
+
+
+@pytest.mark.parametrize("name,max_label",
+                         [("A1", 6), ("A2", 4), ("B2", 4), ("G2", 7), ("A3", 2)])
 def test_formula_and_oracle_compare_packed(name, max_label, monkeypatch):
     # both sums are packed by e^lam's codec, so equality compares their int
     # dicts and the verdict unpacks neither
     rs = build_root_system(name)
-
-    def unreachable(codec, keys):
-        raise AssertionError("a sum was unpacked")
-
     for lam in product(range(max_label + 1), repeat=rs.rank):
         with monkeypatch.context() as patch:
-            patch.setattr(_Codec, "unpack_all", unreachable)
+            patch.setattr(_Codec, "unpack_all", _unreachable)
             formula, oracle, diff = polysum.formula_against_oracle(rs, lam)
-            assert formula._codec is oracle._codec is not None
+            assert formula._codec is oracle._codec is _codec_for(rs, (lam,))
             assert diff.is_zero()
         assert formula.to_json_text() == oracle.to_json_text()
+
+
+@pytest.mark.parametrize("lam,nbytes", [((40, 1), 1), ((41, 0), 1), ((42, 0), 2)])
+def test_g2_bracket_stays_on_lams_codec_at_the_one_byte_edge(g2, lam, nbytes, monkeypatch):
+    # the (1 + e^{gamma_2}) factor translates packed ints to polytope points
+    # (docs/g2.md), so the formula ends on e^lam's codec, the oracle's
+    codec = _codec_for(g2, (lam,))
+    assert codec.nbytes == nbytes
+    monkeypatch.setattr(_Codec, "unpack_all", _unreachable)
+    formula, oracle, diff = polysum.formula_against_oracle(g2, lam)
+    assert formula._codec is oracle._codec is codec
+    assert diff.is_zero()
 
 
 @pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
