@@ -8,7 +8,9 @@ file either way.  The handlers only compute: each returns its payload, and
 (``char``, ``bsum``, ``expand``) reach `_emit` as canonical text already
 written from their sorted terms (`formal.terms_json_text`), which must equal
 what ``json.dumps`` would print; the other payloads are objects that `_emit`
-passes through ``json.dumps``.
+passes through ``json.dumps``.  ``json`` is imported there, in `_canon`, so
+importing this module and running ``char``, ``bsum`` or ``expand`` never load
+it; ``verify``, ``eval`` and ``vertices`` load it when they print.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
@@ -17,7 +19,6 @@ a comparison or tolerance check fails, 2 on usage errors or bad input, and
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -51,6 +52,8 @@ _EVAL_DEFAULTS = (
 
 
 def _canon(obj) -> str:
+    import json  # deferred: only dict payloads need it (module docstring)
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

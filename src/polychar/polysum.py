@@ -14,7 +14,6 @@ Four independent routes live here:
 """
 
 import math
-import random
 from functools import lru_cache
 from itertools import accumulate, chain, tee
 from operator import mul, sub
@@ -550,6 +549,8 @@ def polytope_expansion(rs: RootSystem, lam) -> dict:
 def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) -> list:
     """Seeded evaluation points, uniform per coordinate in [0.1, 1.1],
     resampled until every root pairing clears the sampler margin."""
+    import random  # deferred: only eval samples, so the CLI starts without it
+
     rng = random.Random(seed)
     out = []
     attempts = 0

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from polychar import FormalSum, build_root_system, evaluate, orbit
 from polychar.formal import _codec, _codec_for, terms_json_text
+from polychar.polysum import polytope_sum_oracle
 
 weights2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 sums2 = st.dictionaries(weights2, st.integers(-9, 9), max_size=8).map(
@@ -148,6 +149,27 @@ def test_packed_sum_builds_its_tuples_once():
     terms_first = _packed_only(g2, terms)
     keys = set(map(id, terms_first.terms))
     assert set(id(w) for w, _c in terms_first._canonical()) == keys
+
+
+def test_packed_coefficient_reads_as_the_tuple_sum():
+    # G2 (4,5)'s oracle sum is packed in 1-byte fields, labels in [-128, 128)
+    g2 = build_root_system("G2")
+    packed = polytope_sum_oracle(g2, (4, 5)).sum
+    assert packed._codec.offset == 128
+    tuples = FormalSum(2, dict(packed.terms))
+    grid = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]  # hull and past it
+    assert sum(1 for w in grid if tuples.coefficient(w)) == len(packed) == 487
+    fresh = polytope_sum_oracle(g2, (4, 5)).sum
+    assert all(fresh.coefficient(w) == tuples.coefficient(w) for w in grid)
+    assert fresh._sorted is None  # every lookup above was packed
+    edge = [(127, 0), (-128, 0), (128, 0), (-129, 0), (0, 10**30), (0, -(10**30))]
+    # out of range, these pack to the ints of terms: (a + 1, b - 256) to (a, b)
+    edge += [(a + 1, b - 256) for a, b in tuples.terms]
+    odd = [(1.0, 1), (True, True), (1, 1.5), (1,), (1, 1, 0), [1, 1]]
+    for w in edge + odd + [(1, 1), (0, 0)]:
+        assert packed.coefficient(w) == tuples.coefficient(w)
+    assert packed.coefficient((1.0, 1)) == packed.coefficient((True, True)) == 1
+    assert packed.coefficient(iter((1, 1))) == 1
 
 
 def test_reading_a_packed_sum_keeps_it_packed():
