@@ -298,15 +298,7 @@ class FormalSum:
         return MappingProxyType(self._tuples())
 
     def coefficient(self, weight) -> int:
-        """The coefficient of e^weight.  A packed sum looks the weight up
-        packed when its labels are ints that its codec's fields hold, where
-        packing is one to one; any other weight reads the tuple dict."""
-        w = tuple(weight)
-        codec = self._codec
-        if (codec is not None and len(w) == self._rank and all(type(x) is int for x in w)
-                and -codec.offset <= min(w) and max(w) < codec.offset):
-            return self._terms.get(codec.pack(w), 0)
-        return self._tuples().get(w, 0)
+        return self._tuples().get(tuple(weight), 0)
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients (the value of the sum at the origin)."""
