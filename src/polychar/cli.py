@@ -54,7 +54,7 @@ _EVAL_DEFAULTS = (
 def _canon(obj) -> str:
     import json  # deferred: only dict payloads need it (module docstring)
 
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _emit(args, payload, render) -> None:

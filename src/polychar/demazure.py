@@ -23,10 +23,11 @@ A string is keyed by its point of pairing 0 or 1.
 Both cores work on packed exponents (`formal`): each exponent is one int,
 so going down a string is ``p - step``, a string's key is an int, and a
 pairing reads the labels it needs from their fields.  A tuple input is
-packed in place, with a codec derived from its own terms, and every output
-is a packed sum of that codec, since it lies in the W-invariant hull the
-codec was sized for.  A word of operators never builds an exponent tuple;
-the result builds them once, when it is read, and stays packed.
+read through a packed copy, with a codec derived from its own terms, and
+left as it was; every output is a packed sum of that codec, since it lies
+in the W-invariant hull the codec was sized for.  A word of operators never
+builds an exponent tuple; the result builds them once, when it is read, and
+stays packed.
 """
 
 from functools import reduce
@@ -163,13 +164,12 @@ def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
 
     Each element's value is derived from its parent's in the BFS word tree:
     the reduced word of a child extends its parent's on the left, so one
-    more d operator finishes the job.  The values are summed once all are
-    built: by then e^weight is packed too, so every value shares its codec
-    and the sum adds packed.
+    more d operator finishes the job.  The memo starts from e^weight
+    packed, so every value shares its codec and the sum adds packed.
     """
     lam = check_weight(rs, weight, dominant=True)
     group = weyl_group(rs)
-    memo = {(): FormalSum.exp(lam)}
+    memo = {(): FormalSum._of(rs.rank, *FormalSum.exp(lam)._packed_for(rs))}
     for el in group[1:]:  # group[0] is the identity
         word = el.word
         memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])

@@ -32,9 +32,10 @@ still reads back: `polysum`'s dominant-weight walk and Freudenthal strings
 form such weights, and read them with ``top`` (dominance), ``unpack`` and
 ``fold`` (the dominant representative).
 
-A sum holds its terms in one form at a time: keyed by tuples, or packed
-with its codec, and the form moves one way.  An operator packs its input in
-place and returns a sum of the same codec; reading the terms of a packed
+A sum holds its terms in one form, fixed when it is built: keyed by
+tuples, or packed with its codec.  No function changes a sum it is given.
+An operator reads a packed copy of a tuple input (`_packed_for`) and
+returns a sum packed by that copy's codec; reading the terms of a packed
 sum builds a new tuple dict, in canonical order, and the sum stays packed.
 Two sums add packed only when they share one codec; any other pair adds on
 tuples, so no codec is ever widened.  Two sums of one codec compare their
@@ -219,13 +220,13 @@ def _codec_for(rs: RootSystem, weights) -> _Codec:
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
-    Its terms are one dict, in one form (module docstring): keyed by
-    exponent tuples, with ``_codec`` None, or packed by ``_codec``.  An
-    operator turns its input into a packed sum, and nothing turns a packed
-    sum back: reading its terms builds a new tuple dict.  Packing keeps the
-    value, so the canonical (lexicographic) term order, sorted on first use
-    and kept, never goes stale.  Two sums of one codec add and compare
-    packed; any other pair adds and compares on tuples."""
+    Its terms are one dict, in one form fixed when the sum is built (module
+    docstring): keyed by exponent tuples, with ``_codec`` None, or packed by
+    ``_codec``.  Only ``__init__`` and `_of` set them: an operator reads a
+    packed copy of its input, and reading a packed sum's terms builds a new
+    tuple dict.  So the canonical (lexicographic) term order, sorted on
+    first use and kept, never goes stale.  Two sums of one codec add and
+    compare packed; any other pair adds and compares on tuples."""
 
     __slots__ = ("_rank", "_terms", "_sorted", "_codec")
 
@@ -268,16 +269,16 @@ class FormalSum:
         return self._terms if self._codec is None else dict(self._canonical())
 
     def _packed_for(self, rs: RootSystem) -> tuple:
-        """(packed terms, codec) for the operators of ``rs``: a tuple sum, or
-        a sum packed for another root system, is packed in place first, with
-        a codec derived from its terms (`_codec_for`)."""
+        """(packed terms, codec) for the operators of ``rs``: a sum packed
+        for ``rs`` gives its own; a tuple sum, or a sum packed for another
+        root system, gives a new dict packed by a codec derived from its
+        terms (`_codec_for`).  The sum itself is never changed."""
         codec = self._codec
-        if codec is None or codec.rs is not rs:
-            terms = self._tuples()
-            codec = _codec_for(rs, terms)
-            self._terms = {codec.pack(w): c for w, c in terms.items()}
-            self._codec = codec
-        return self._terms, codec
+        if codec is not None and codec.rs is rs:
+            return self._terms, codec
+        terms = self._tuples()
+        codec = _codec_for(rs, terms)
+        return {codec.pack(w): c for w, c in terms.items()}, codec
 
     @classmethod
     def zero(cls, rank: int) -> "FormalSum":
@@ -314,9 +315,10 @@ class FormalSum:
         return bool(self._terms)
 
     def _canonical(self) -> tuple:
-        """The terms in lexicographic exponent order, as a shared tuple.  A
-        packed sum sorts its ints, whose order is the tuples' order, and
-        unpacks them in one pass."""
+        """The terms in lexicographic exponent order, as a shared tuple,
+        sorted once: the terms never change form.  A packed sum sorts its
+        ints, whose order is the tuples' order, and unpacks them in one
+        pass."""
         if self._sorted is None:
             terms, codec = self._terms, self._codec
             if codec is None:
@@ -451,8 +453,9 @@ def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
     through the algebra's quadratic form.  Each exponential comes from the
     point's table (`exp_table`): a weight met before at this point, by
     another sum or by the vertex-cone evaluators, costs one lookup, and an
-    exponential that overflows raises OverflowError and is not stored.
-    Terms accumulate in lexicographic exponent order, so equal inputs give
+    exponential that overflows raises OverflowError and is not stored.  So
+    does a total that overflows though no exponential does.  Terms
+    accumulate in lexicographic exponent order, so equal inputs give
     bit-equal outputs.
     """
     if s.rank != rs.rank:
@@ -465,4 +468,6 @@ def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
         if e is None:
             e = exps[w] = math.exp(dot_float(w, covector))
         total += c * e
+    if not math.isfinite(total):
+        raise OverflowError("the sum's value is past the float range")
     return total

@@ -205,13 +205,14 @@ def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
     factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
-    staged and accumulated sums stay packed by the input's codec (`formal`),
-    and the factor's translate e^mu is one addition per packed int.  It
-    moves a term's points, which lie in the hull the codec was sized for,
-    by one root, which the codec's root-label margin holds, and every later
-    operator output lies in conv(W . support).  On e^lam's codec the
-    shifted points are polytope points (docs/g2.md)."""
-    total = staged = s
+    staged and accumulated sums start from a packed copy of the input and
+    stay packed by its codec (`formal`), and the factor's translate e^mu is
+    one addition per packed int.  It moves a term's points, which lie in
+    the hull the codec was sized for, by one root, which the codec's
+    root-label margin holds, and every later operator output lies in
+    conv(W . support).  On e^lam's codec the shifted points are polytope
+    points (docs/g2.md)."""
+    total = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
     for k in range(start, stop):
         root = gammas[k]
         term = apply_d_root(rs, root, staged)

@@ -18,6 +18,7 @@ from polychar import (
     gamma_sequence,
     polysum,
 )
+from polychar import cli
 from polychar.cli import run
 
 
@@ -534,6 +535,20 @@ def test_eval_float_overflow_exits_2():
     assert proc.stderr.startswith("error: ")
     assert "A1 lambda [2000]" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_eval_sum_overflow_exits_2(capsys):
+    # no single exponential overflows here, but the lattice sum's total does:
+    # bad input (exit 2), not a failed cross-check of inf against inf
+    argv = ["eval", "--algebra", "A1", "--lam", "1344", "--sigma-count", "3", "--seed", "2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: numeric checks of A1 lambda [1344] overflow floats (")
+    # and no NaN or Infinity is ever printed as if it were JSON
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            cli._canon({"x": value})
 
 
 def test_closed_pipe_exits_141_quietly():

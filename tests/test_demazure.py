@@ -141,6 +141,61 @@ def test_sum_packed_for_one_algebra_is_repacked_for_another(a2, g2):
         _assert_cores_match(g2, root, s)
 
 
+def test_operators_leave_their_input_as_it_was(a2, g2, monkeypatch):
+    # a sum's form is fixed when it is built: an operator reads a packed copy
+    # of a tuple input, and a sum packed for A2 keeps its codec under G2's
+    theta = a2.root((1, 1))
+    calls = (
+        lambda s: apply_D_simple(a2, 1, s), lambda s: apply_d_simple(a2, 2, s),
+        lambda s: apply_r_simple(a2, 1, s), lambda s: apply_D_root(a2, theta, s),
+        lambda s: apply_d_root(a2, theta, s), lambda s: apply_r_root(a2, theta, s),
+        lambda s: apply_word(a2, (1, 2, 1), s), lambda s: apply_word(a2, (2, 1), s, "d"),
+        lambda s: polysum._edge_bracket(a2, gamma_sequence(a2), 0, 3, s, {}),
+    )
+    for call in calls:
+        s = FormalSum(2, {(2, -1): 3, (0, 1): -2})
+        own = s._terms
+        out = call(s)
+        assert s._codec is None and s._terms is own
+        assert out._codec is _codec_for(a2, own)
+    # character_demazure and the sum route read e^lam and leave it a tuple
+    # sum; their values share e^lam's codec, so the sum route adds packed
+    built = []
+    exp = FormalSum.exp.__func__
+
+    def recording_exp(cls, weight):
+        s = exp(cls, weight)
+        built.append((s, s._terms))
+        return s
+
+    monkeypatch.setattr(FormalSum, "exp", classmethod(recording_exp))
+    for route in (character_demazure, character_demazure_sum):
+        built.clear()
+        out = route(a2, (2, 1))
+        assert out == character_freudenthal(a2, (2, 1))
+        assert out._codec is _codec_for(a2, ((2, 1),))
+        [(lam, own)] = built
+        assert lam._codec is None and lam._terms is own
+    monkeypatch.undo()
+    s = apply_D_simple(a2, 1, FormalSum.exp((100, 0)))
+    codec, own = s._codec, s._terms
+    for root in g2.positive_roots:
+        for out in (apply_D_root(g2, root, s), apply_d_root(g2, root, s),
+                    apply_r_root(g2, root, s)):
+            assert out._codec.rs is g2
+            assert s._codec is codec and s._terms is own
+    assert codec.rs is a2
+
+
+def test_operators_check_their_input(a2):
+    for op in (lambda s: apply_D_simple(a2, 1, s), lambda s: apply_r_root(a2, a2.root((1, 1)), s),
+               lambda s: apply_word(a2, (), s)):
+        with pytest.raises(TypeError, match="expected a FormalSum, got dict"):
+            op({(1, 0): 1})
+        with pytest.raises(ValueError, match="sum has rank 1, algebra A2 has rank 2"):
+            op(FormalSum.exp((1,)))
+
+
 def _reference_bracket(rs, gammas, start, stop, s, factors):
     total = staged = s
     for k in range(start, stop):
@@ -206,11 +261,14 @@ def test_every_sum_holds_one_form(name, data):
         "r y": apply_r_simple(rs, 1, y),
         "bsum": polysum.polytope_sum_demazure(rs, lam),
     }
-    # an operator packs its input in place, and its outputs keep the codec
-    assert _form(x) == _form(y) == "packed"
-    assert got["D x"]._codec is got["d x"]._codec is x._codec
+    # an operator leaves its input as it was, and its outputs are packed by
+    # the codec derived from the input's terms
+    assert _form(x) == _form(y) == "tuples"
+    x_codec, y_codec = _codec_for(rs, x.terms), _codec_for(rs, y.terms)
+    assert got["D x"]._codec is got["d x"]._codec is x_codec
+    assert got["r y"]._codec is y_codec
     got["D x + d x"] = got["D x"] + got["d x"]
-    assert got["D x + d x"]._codec is x._codec
+    assert got["D x + d x"]._codec is x_codec
     got["d x - r y"] = got["d x"] - got["r y"]
     # the reference: tuple sums that no operator reads
     ref_x, ref_y = FormalSum(rs.rank, x_terms), FormalSum(rs.rank, y_terms)
@@ -238,10 +296,11 @@ def test_every_sum_holds_one_form(name, data):
                 live.append(result)
             for s in live:
                 _form(s)
-    # reading a sum never changes its form: the references that no operator
-    # reads stay tuples, and the oracle's stays packed on e^lam's codec
+    # neither an operator nor a read changes a sum's form: the inputs and
+    # the references stay tuples, and the oracle's stays packed on e^lam's
+    # codec
     oracle = ref.pop("bsum")
-    assert {_form(s) for s in [ref_x, ref_y, *ref.values()]} == {"tuples"}
+    assert {_form(s) for s in [x, y, ref_x, ref_y, *ref.values()]} == {"tuples"}
     assert _form(oracle) == "packed"
     assert oracle._codec is _codec_for(rs, (lam,))
 

@@ -26,6 +26,37 @@ def test_zero_coefficients_pruned():
     assert s.coefficient((1, 0)) == 3
 
 
+def test_entries_that_cancel_leave_no_term():
+    s = FormalSum(2, [((1, 0), 2), ((0, 1), 1), ((1, 0), -2)])
+    assert dict(s.terms) == {(0, 1): 1}
+    assert FormalSum(1, [((3,), 1), ((3,), -1)]).is_zero()
+    # an entry that cancels and comes back is kept with its last total
+    assert dict(FormalSum(1, [((3,), 1), ((3,), -1), ((3,), 4)]).terms) == {(3,): 4}
+
+
+def test_scale_by_zero_is_the_zero_sum():
+    s = FormalSum(2, {(1, 0): 3, (0, 1): -2})
+    for x in (s, _packed_only(build_root_system("A2"), dict(s.terms))):
+        assert x.scale(0).is_zero() and len(x.scale(0)) == 0
+        assert x.scale(0) == FormalSum.zero(2)
+
+
+def test_mul_exp_checks_the_shift_length():
+    s = FormalSum(2, {(1, 0): 3})
+    for shift in ((1,), (1, 0, 0), ()):
+        with pytest.raises(ValueError, match="expected rank 2"):
+            s.mul_exp(shift)
+
+
+def test_equality_against_other_objects_and_ranks():
+    s = FormalSum(2, {(1, 0): 3})
+    assert s.__eq__(3) is NotImplemented and s.__eq__({(1, 0): 3}) is NotImplemented
+    assert (s == 3) is False and (s != {(1, 0): 3}) is True
+    # sums of different ranks are never equal, not even two zeros
+    assert FormalSum.zero(1) != FormalSum.zero(2)
+    assert FormalSum.exp((0,)) != FormalSum.exp((0, 0))
+
+
 def test_constructor_merges_nothing_but_validates():
     with pytest.raises(ValueError):
         FormalSum(2, {(1, 0, 0): 1})
@@ -93,9 +124,7 @@ def test_difference_is_one_pass_sum_of_negation():
 def _packed_only(rs, terms):
     """A sum holding only the packed form of ``terms``, as an operator
     returns it: no tuple is built until something reads one."""
-    s = FormalSum(rs.rank, terms)
-    s._packed_for(rs)
-    return s
+    return FormalSum._of(rs.rank, *FormalSum(rs.rank, terms)._packed_for(rs))
 
 
 @given(sums2, sums2)
@@ -141,6 +170,15 @@ def test_packed_sum_is_indistinguishable_from_tuple_sum(x, y):
 def test_packed_sum_builds_its_tuples_once():
     g2 = build_root_system("G2")
     terms = {(2, -1): 3, (0, 1): -2, (-4, 3): 1}
+    # packing reads a tuple sum and leaves it as it was; a sum packed for
+    # G2 gives its own dict
+    source = FormalSum(2, terms)
+    own = source._terms
+    packed, codec = source._packed_for(g2)
+    assert source._codec is None and source._terms is own and own == terms
+    assert all(type(k) is int for k in packed) and codec is _codec_for(g2, terms)
+    again, same = FormalSum._of(2, packed, codec)._packed_for(g2)
+    assert again is packed and same is codec
     sorted_first = _packed_only(g2, terms)
     canonical = sorted_first._canonical()
     # the same exponent objects, whichever is read first
@@ -179,13 +217,20 @@ def test_reading_a_packed_sum_keeps_it_packed():
     wide = _packed_only(g2, {(42, 0): 1, (0, 1): 2})
     assert codec.nbytes == 1 and wide._codec.nbytes == 2
     reads = [lambda: dict(x.terms), lambda: x.coefficient((2, -1)), lambda: x.mul_exp((1, -2))]
+    # packed for another root system: a new dict of B2's codec, x unchanged
+    b2 = build_root_system("B2")
+    reads += [lambda: x._packed_for(g2), lambda: x._packed_for(b2)]
     for other in (FormalSum(2, {(0, 1): 2, (5, 5): 1}), wide):
         for op in (operator.eq, operator.add, operator.sub):
             reads += [lambda op=op, o=other: op(x, o), lambda op=op, o=other: op(o, x)]
+    own = x._terms
     for read in reads:
         read()
-        assert x._codec is codec and x._terms == packed
+        assert x._codec is codec and x._terms is own and own == packed
         assert all(type(k) is int for k in x._terms)
+    b2_terms, b2_codec = x._packed_for(b2)
+    assert b2_codec.rs is b2 and b2_terms is not own
+    assert FormalSum._of(2, b2_terms, b2_codec) == x
     assert wide._codec.nbytes == 2
     scaled = x.scale(-3)
     assert scaled._codec is codec
@@ -206,19 +251,25 @@ def test_sums_of_different_codecs_combine_on_tuples():
         (g2, {(42, 0): 5, (0, -41): -2}, 2),
         (b2, {(1, 1): 3, (41, 0): -1}, 1),
     )
-    assert _packed_only(g2, x)._codec.nbytes == 1
+    left = _packed_only(g2, x)
+    left_terms = left._terms
+    assert left._codec.nbytes == 1
     for rs, y, nbytes in cases:
-        assert _packed_only(rs, y)._codec.nbytes == nbytes
+        right = _packed_only(rs, y)
+        right_codec, right_terms = right._codec, right._terms
+        assert right_codec.nbytes == nbytes
         for op, sign in ((operator.add, 1), (operator.sub, -1)):
             want = {w: x.get(w, 0) + sign * y.get(w, 0) for w in {**x, **y}}
             want = {w: c for w, c in want.items() if c}
             # x +- y, and y +- x, which is sign * (x +- y)
-            for out, factor in ((op(_packed_only(g2, x), _packed_only(rs, y)), 1),
-                                (op(_packed_only(rs, y), _packed_only(g2, x)), sign)):
+            for out, factor in ((op(left, right), 1), (op(right, left), sign)):
                 expected = {w: factor * c for w, c in want.items()}
                 assert out._codec is None
                 assert out == FormalSum(2, expected)
                 assert out.to_json_text() == _canonical_json(expected)
+                # the operands keep their codecs and their packed dicts
+                assert left._codec.rs is g2 and left._terms is left_terms
+                assert right._codec is right_codec and right._terms is right_terms
     # one codec: the sum stays packed by it
     same = _packed_only(g2, x)
     total = same + _packed_only(g2, {(0, 41): 1})
@@ -379,6 +430,16 @@ def test_evaluate_simple(a1, a2):
     ch = FormalSum(2, {(1, 0): 1, (-1, 1): 1, (0, -1): 1})
     # at sigma = 0 every exponential is 1
     assert evaluate(a2, ch, (0.0, 0.0)) == pytest.approx(3.0)
+
+
+def test_evaluate_refuses_a_total_past_the_float_range(a1):
+    # e^{<1400 Lambda1, sigma>} = e^700 is finite; 10**20 of it is not
+    s = FormalSum(1, {(1400,): 10**20})
+    assert math.isfinite(evaluate(a1, FormalSum.exp((1400,)), (1.0,)))
+    with pytest.raises(OverflowError):
+        evaluate(a1, s, (1.0,))
+    with pytest.raises(OverflowError):
+        evaluate(a1, s - s.scale(2).mul_exp((-2,)), (1.0,))  # inf - inf: NaN
 
 
 def test_evaluate_rank_checks(a2):

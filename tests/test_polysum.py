@@ -572,6 +572,8 @@ def _ref_evaluate(rs, s, sigma):
     total = 0.0
     for w, c in s.items_sorted():
         total += c * math.exp(_ref_inner_float(rs, w, sig))
+    if not math.isfinite(total):
+        raise OverflowError("the sum's value is past the float range")
     return total
 
 
@@ -1046,6 +1048,14 @@ def test_verification_reports(name, max_label, formula):
 def test_sampler_deterministic(g2):
     assert sample_generic_sigmas(g2, 4) == sample_generic_sigmas(g2, 4, DEFAULT_SEED)
     assert sample_generic_sigmas(g2, 4, 1) != sample_generic_sigmas(g2, 4, 2)
+
+
+def test_sampler_gives_up_after_its_attempts(a2, monkeypatch):
+    # no pairing of a point in [0.1, 1.1]^2 clears a margin of 10
+    monkeypatch.setattr(polysum, "_SAMPLER_MARGIN", 10.0)
+    for count in (1, 2):
+        with pytest.raises(GenericityError, match="could not sample generic evaluation points"):
+            sample_generic_sigmas(a2, count)
 
 
 def test_numeric_check_shape(a2):

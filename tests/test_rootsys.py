@@ -316,5 +316,16 @@ def test_gamma_sequence_undefined_elsewhere():
         gamma_sequence(build_root_system("B3"))
 
 
+def test_inner_products_check_their_lengths(a2):
+    for mu, nu in (((1,), (1, 0)), ((1, 0), (1,)), ((1, 0, 0), (1, 0)), ((1, 0), (1, 0, 0))):
+        with pytest.raises(ValueError, match="weight length mismatch"):
+            a2.inner_scaled(mu, nu)
+        with pytest.raises(ValueError, match="weight length mismatch"):
+            a2.inner_float(mu, nu)
+    for nu in ((1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="weight length mismatch"):
+            a2.form_float(nu)
+
+
 def test_weyl_vector(a3):
     assert a3.weyl_vector == (1, 1, 1)
