@@ -43,15 +43,12 @@ from .rootsys import (
     Root,
     RootSystem,
     build_root_system,
-    pairing,
 )
 from .weyl import (
     WeylElement,
     dominant_representative,
     orbit,
     orbit_size,
-    reflect_at_root,
-    reflect_simple,
     weyl_group,
 )
 
@@ -88,13 +85,10 @@ __all__ = [
     "numeric_formula_check",
     "orbit",
     "orbit_size",
-    "pairing",
     "polytope_expansion",
     "polytope_member",
     "polytope_sum_demazure",
     "polytope_sum_oracle",
-    "reflect_at_root",
-    "reflect_simple",
     "sample_generic_sigmas",
     "verify_polytope_formula",
     "weyl_character_eval",

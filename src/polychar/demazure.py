@@ -47,10 +47,10 @@ def _check_sum(rs: RootSystem, s: FormalSum) -> None:
 def _packed_root(rs: RootSystem, root: Root, s: FormalSum) -> tuple:
     """What a core needs to act with ``root`` on ``s``: its packed terms and
     codec, the packed step of the root, the field mask, and the pairing
-    against the root's coroot (`formal._Codec.pairing`)."""
+    against the root's coroot (`formal._Codec.covector`)."""
     _check_sum(rs, s)
     terms, codec = s._packed_for(rs)
-    fields, lift = codec.pairing(rs.coroot_labels(root))
+    fields, lift = codec.covector(rs.coroot_labels(root))
     return terms, codec, codec.delta(root.weight_coords), codec.mask, fields, lift
 
 

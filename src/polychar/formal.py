@@ -55,15 +55,6 @@ from types import MappingProxyType
 from .rootsys import RootSystem, dot_float
 
 
-def _check_exponent(weight) -> tuple:
-    """The exponent as a tuple, after checking each entry is of type int
-    (bools and floats are refused)."""
-    w = tuple(weight)
-    if not all(type(x) is int for x in w):
-        raise TypeError(f"exponent {w} has a non-integer entry")
-    return w
-
-
 def terms_json_text(items) -> str:
     """Canonical JSON text of a sequence of (exponent, coefficient) pairs,
     whose exponents are integer tuples of one length, in the order given:
@@ -123,7 +114,7 @@ class _Codec:
     def pack(self, weight) -> int:
         return self.base + self.delta(weight)
 
-    def pairing(self, labels) -> tuple:
+    def covector(self, labels) -> tuple:
         """How to pair a packed exponent p with an integer covector, given
         by its labels: the (shift, label) pairs of its nonzero labels and
         the constant that removes the fields' offsets, so that the pairing
@@ -236,7 +227,9 @@ class FormalSum:
         items = terms.items() if hasattr(terms, "items") else terms
         acc: dict = {}
         for weight, coeff in items:
-            w = _check_exponent(weight)
+            w = tuple(weight)
+            if not all(type(x) is int for x in w):
+                raise TypeError(f"exponent {w} has a non-integer entry")
             if len(w) != rank:
                 raise ValueError(f"exponent {w} has length {len(w)}, expected rank {rank}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
@@ -297,9 +290,6 @@ class FormalSum:
     @property
     def terms(self):
         return MappingProxyType(self._tuples())
-
-    def coefficient(self, weight) -> int:
-        return self._tuples().get(tuple(weight), 0)
 
     def coefficient_sum(self) -> int:
         """Sum of all coefficients (the value of the sum at the origin)."""
@@ -364,16 +354,6 @@ class FormalSum:
         terms = {w: factor * c for w, c in self._terms.items()}
         return FormalSum._of(self._rank, terms, self._codec)
 
-    def mul_exp(self, shift) -> "FormalSum":
-        """Multiply by e^shift, i.e. translate every exponent.  The result
-        holds tuples: a translate can leave the codec's hull."""
-        s = _check_exponent(shift)
-        if len(s) != self._rank:
-            raise ValueError(f"shift {s} has length {len(s)}, expected rank {self._rank}")
-        return FormalSum._of(
-            self._rank, {tuple(a + b for a, b in zip(w, s)): c for w, c in self._tuples().items()}
-        )
-
     def __add__(self, other):
         return self.add(other)
 
@@ -408,18 +388,6 @@ class FormalSum:
         """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
         written straight from the sorted terms."""
         return terms_json_text(self._canonical())
-
-    @classmethod
-    def from_json_obj(cls, obj, rank: int | None = None) -> "FormalSum":
-        """Inverse of `to_json_obj`; entries pass through to the
-        constructor's checks."""
-        entries = [(tuple(item["w"]), item["c"]) for item in obj]
-        if rank is None:
-            if not entries:
-                raise ValueError("cannot infer rank of an empty serialized sum")
-            rank = len(entries[0][0])
-        return cls(rank, entries)
-
 
 def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
     """An evaluation point of ``rs`` as floats, after checking its length.

@@ -243,7 +243,8 @@ def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
 
 # The point table pairs the roots from `exp_table`'s covector; the sampler
 # pairs them through `RootSystem.inner_float`, the same bits, because the
-# traced `numeric-eval` workload counts those calls (ROADMAP item 3).
+# benchmark's tests require `numeric-eval` to call it (`EXERCISED` in
+# `benchmarks/tests/test_bench.py`).
 def _root_pairings(rs: RootSystem, sig) -> list:
     return [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
 

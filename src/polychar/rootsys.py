@@ -391,9 +391,3 @@ def check_weight(rs: RootSystem, weight, dominant: bool = False) -> Weight:
     if dominant and any(x < 0 for x in lam):
         raise ValueError(f"weight {lam} is not dominant")
     return lam
-
-
-def pairing(rs: RootSystem, weight, root: Root) -> int:
-    """Integer pairing <weight, root^vee> of a weight against a positive
-    root's coroot: the weight's labels against the root's coroot labels."""
-    return sum(map(mul, check_weight(rs, weight), rs.coroot_labels(root)))

@@ -1,27 +1,16 @@
-"""Weyl group actions on weights: reflections, orbits, dominant
-representatives, and, for the routes that sum over all of W, the whole
-group up to rank 3, as a tuple of its elements (identity first, w0 last)."""
+"""Weyl group actions on weights: orbits, dominant representatives, and,
+for the routes that sum over all of W, the whole group up to rank 3, as a
+tuple of its elements (identity first, w0 last).  A reflection of a sum's
+exponents is `demazure.apply_r_root` or `demazure.apply_r_simple`."""
 
 from functools import lru_cache
 from operator import mul
 
 from ._frozen import Frozen
 from .formal import _codec_for
-from .rootsys import Root, RootSystem, Weight, check_weight, pairing
+from .rootsys import RootSystem, Weight, check_weight
 
 _ENUM_RANK_CAP = 3
-
-
-def reflect_at_root(rs: RootSystem, root: Root, weight) -> Weight:
-    """Reflect a weight in the hyperplane orthogonal to a positive root."""
-    lam = check_weight(rs, weight)
-    n = pairing(rs, lam, root)
-    return tuple(x - n * a for x, a in zip(lam, root.weight_coords))
-
-
-def reflect_simple(rs: RootSystem, i: int, weight) -> Weight:
-    """Reflect a weight in the hyperplane of the i-th simple root (1-based)."""
-    return reflect_at_root(rs, rs.simple_root(i), weight)
 
 
 def dominant_representative(rs: RootSystem, weight):

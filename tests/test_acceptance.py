@@ -24,6 +24,7 @@ from polychar import (
     FormalSum,
     apply_D_simple,
     apply_d_root,
+    apply_r_root,
     apply_r_simple,
     apply_word,
     build_root_system,
@@ -35,7 +36,6 @@ from polychar import (
     polytope_expansion,
     polytope_sum_oracle,
     polytope_sum_demazure,
-    reflect_at_root,
     weyl_dimension,
     weyl_group,
 )
@@ -254,10 +254,10 @@ def test_acceptance_8_longest_element_factorization(capsys):
         for _ in range(50):
             w = tuple(rng.randint(-9, 9) for _ in range(rs.rank))
             # the reflections along the formula's root order, first acting first
-            composite = w
+            composite = FormalSum.exp(w)
             for root in gamma_sequence(rs):
-                composite = reflect_at_root(rs, root, composite)
-            if composite != longest.apply(w):
+                composite = apply_r_root(rs, root, composite)
+            if composite != FormalSum.exp(longest.apply(w)):
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0

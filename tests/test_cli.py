@@ -231,8 +231,8 @@ def test_char_rank_4_point_cap_boundary(capsys, monkeypatch):
     code, out = _capture(capsys, argv)
     assert code == 0
     rs = build_root_system("A4")
-    assert FormalSum.from_json_obj(json.loads(out), 4) == polysum.character_freudenthal(
-        rs, (1, 0, 0, 1))
+    char = FormalSum(4, [(tuple(e["w"]), e["c"]) for e in json.loads(out)])
+    assert char == polysum.character_freudenthal(rs, (1, 0, 0, 1))
     monkeypatch.setattr(polysum, "_POINT_CAP", 20)
     monkeypatch.setattr(demazure, "_demazure", unreachable)
     assert run(argv) == 2

@@ -6,13 +6,19 @@ out as Fractions, and ``eval`` loads ``random`` and ``json`` when it runs.
 
 The child runs as ``python -I -S``: a site ``.pth`` that imports ``random``
 would otherwise hide a regression.  It records ``sys.modules`` before it
-imports anything else, and prints a Python literal, not JSON."""
+imports anything else, and prints a Python literal, not JSON.
+
+What importing the package gives: ``polychar.__all__`` names exactly the
+public names ``polychar/__init__.py`` imports, so ``from polychar import *``
+binds each of them."""
 
 import ast
 import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
+
+import polychar
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,3 +71,17 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
 def test_eval_run_loads_random_and_json():
     # the deferred imports are reached, so the empty lists above are not vacuous
     assert _child()["eval"] == (0, ["json", "random"])
+
+
+def test_all_names_what_the_package_imports():
+    names = polychar.__all__
+    assert names == sorted(set(names))  # sorted, no duplicates
+    assert all(hasattr(polychar, name) for name in names)
+    star: dict = {}
+    exec("from polychar import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
+    tree = ast.parse(Path(polychar.__file__).read_text())
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} == set(names)

@@ -1,4 +1,4 @@
-"""FormalSum arithmetic, JSON round-trips, and numeric evaluation."""
+"""FormalSum arithmetic, canonical JSON, and numeric evaluation."""
 
 import json
 import math
@@ -22,8 +22,8 @@ sums2 = st.dictionaries(weights2, st.integers(-9, 9), max_size=8).map(
 def test_zero_coefficients_pruned():
     s = FormalSum(2, {(1, 0): 3, (0, 1): 0})
     assert len(s) == 1
-    assert s.coefficient((0, 1)) == 0
-    assert s.coefficient((1, 0)) == 3
+    assert s.terms.get((0, 1), 0) == 0
+    assert s.terms.get((1, 0), 0) == 3
 
 
 def test_entries_that_cancel_leave_no_term():
@@ -39,13 +39,6 @@ def test_scale_by_zero_is_the_zero_sum():
     for x in (s, _packed_only(build_root_system("A2"), dict(s.terms))):
         assert x.scale(0).is_zero() and len(x.scale(0)) == 0
         assert x.scale(0) == FormalSum.zero(2)
-
-
-def test_mul_exp_checks_the_shift_length():
-    s = FormalSum(2, {(1, 0): 3})
-    for shift in ((1,), (1, 0, 0), ()):
-        with pytest.raises(ValueError, match="expected rank 2"):
-            s.mul_exp(shift)
 
 
 def test_equality_against_other_objects_and_ranks():
@@ -79,10 +72,6 @@ def test_bools_rejected():
             FormalSum(2, {bad: 1})
         with pytest.raises(TypeError, match="non-integer entry"):
             FormalSum.exp(bad)
-        with pytest.raises(TypeError, match="non-integer entry"):
-            FormalSum.exp((0, 0)).mul_exp(bad)
-        with pytest.raises(TypeError, match="non-integer entry"):
-            FormalSum.from_json_obj([{"w": list(bad), "c": 1}])
 
 
 def test_add_and_cancellation():
@@ -142,7 +131,6 @@ def test_packed_sum_is_indistinguishable_from_tuple_sum(x, y):
     assert len(fresh()) == len(x) and bool(fresh()) == bool(x)
     assert fresh().is_zero() == x.is_zero()
     assert fresh().coefficient_sum() == x.coefficient_sum()
-    assert all(fresh().coefficient(w) == c for w, c in terms.items())
     assert fresh().items_sorted() == x.items_sorted()
     assert fresh().to_json_text() == x.to_json_text()
     assert fresh().to_json_obj() == x.to_json_obj()
@@ -156,7 +144,6 @@ def test_packed_sum_is_indistinguishable_from_tuple_sum(x, y):
         assert (right - left) == y - x
     assert (fresh() - x).is_zero() and (x - fresh()).is_zero()
     assert fresh().scale(-3) == x.scale(-3) and -fresh() == -x
-    assert fresh().mul_exp((1, -2)) == x.mul_exp((1, -2))
     # one coefficient changed, same support: packed sums of one codec that
     # differ compare unequal both ways, as their tuple forms do
     w, c = next(iter(terms.items()), ((0, 0), 0))
@@ -196,15 +183,14 @@ def test_packed_coefficient_reads_as_the_tuple_sum():
     assert packed._codec.offset == 128
     tuples = FormalSum(2, dict(packed.terms))
     grid = [(a, b) for a in range(-30, 31) for b in range(-30, 31)]  # hull and past it
-    assert sum(1 for w in grid if tuples.coefficient(w)) == len(packed) == 487
+    assert sum(1 for w in grid if tuples.terms.get(w, 0)) == len(packed) == 487
     edge = [(127, 0), (-128, 0), (128, 0), (-129, 0), (0, 10**30), (0, -(10**30))]
     # out of range, these pack to the ints of terms: (a + 1, b - 256) to (a, b)
     edge += [(a + 1, b - 256) for a, b in tuples.terms]
-    odd = [(1.0, 1), (True, True), (1, 1.5), (1,), (1, 1, 0), [1, 1]]
+    odd = [(1.0, 1), (True, True), (1, 1.5), (1,), (1, 1, 0)]
     for w in grid + edge + odd:
-        assert packed.coefficient(w) == tuples.coefficient(w)
-    assert packed.coefficient((1.0, 1)) == packed.coefficient((True, True)) == 1
-    assert packed.coefficient(iter((1, 1))) == 1
+        assert packed.terms.get(w, 0) == tuples.terms.get(w, 0)
+    assert packed.terms.get((1.0, 1), 0) == packed.terms.get((True, True), 0) == 1
 
 
 def test_reading_a_packed_sum_keeps_it_packed():
@@ -216,7 +202,7 @@ def test_reading_a_packed_sum_keeps_it_packed():
     codec, packed = x._codec, dict(x._terms)
     wide = _packed_only(g2, {(42, 0): 1, (0, 1): 2})
     assert codec.nbytes == 1 and wide._codec.nbytes == 2
-    reads = [lambda: dict(x.terms), lambda: x.coefficient((2, -1)), lambda: x.mul_exp((1, -2))]
+    reads = [lambda: dict(x.terms), x.items_sorted, x.to_json_text]
     # packed for another root system: a new dict of B2's codec, x unchanged
     b2 = build_root_system("B2")
     reads += [lambda: x._packed_for(g2), lambda: x._packed_for(b2)]
@@ -309,28 +295,23 @@ def test_codec_round_trips_at_every_width(name, nbytes):
     assert codec.unpack_all(packed) == weights
 
 
-def test_mul_exp_translates():
-    s = FormalSum(2, {(0, 0): 1, (1, 1): 2})
-    assert s.mul_exp((2, -1)) == FormalSum(2, {(2, -1): 1, (3, 0): 2})
-
-
 @given(sums2, sums2, sums2)
 def test_add_associative_commutative(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x + y == y + x
 
 
-@given(sums2, sums2, weights2)
-def test_mul_exp_distributes(x, y, w):
-    assert (x + y).mul_exp(w) == x.mul_exp(w) + y.mul_exp(w)
-
-
 @given(sums2)
 @settings(max_examples=60)
 def test_json_roundtrip(s):
     blob = json.dumps(s.to_json_obj())
-    back = FormalSum.from_json_obj(json.loads(blob), rank=2)
-    assert back == s
+    assert _read_json(2, json.loads(blob)) == s
+
+
+def _read_json(rank, obj) -> FormalSum:
+    """A sum read back from its JSON form: the constructor, with its checks,
+    on the (exponent, coefficient) pairs."""
+    return FormalSum(rank, [(tuple(e["w"]), e["c"]) for e in obj])
 
 
 def _dumps(pairs) -> str:
@@ -363,7 +344,7 @@ def test_json_text_is_json_dumps(case):
     s = FormalSum(rank, terms)
     text = s.to_json_text()
     assert text == _dumps(s.terms.items())
-    assert FormalSum.from_json_obj(json.loads(text), rank=rank) == s
+    assert _read_json(rank, json.loads(text)) == s
     # `expand` writes its coefficient dict's sorted items the same way
     assert terms_json_text(sorted(terms.items())) == _dumps(terms.items())
 
@@ -381,9 +362,7 @@ def test_json_text_of_the_empty_sum():
 )
 def test_from_json_rejects_non_integers(entry):
     with pytest.raises(TypeError):
-        FormalSum.from_json_obj([entry], rank=2)
-    with pytest.raises(TypeError):
-        FormalSum.from_json_obj([entry])
+        _read_json(2, [entry])
 
 
 def test_json_is_lex_sorted():
@@ -399,8 +378,8 @@ def test_sorted_order_is_kept_and_not_shared():
         FormalSum._of(2, {(2, -1): 1, (0, 1): 4, (-3, 0): -2}),
         base.add(FormalSum(2, {(1, 0): -3, (5, -5): 1})),
         base.scale(-2),
-        base.mul_exp((1, -1)),
-        FormalSum.from_json_obj(base.to_json_obj()),
+        _packed_only(build_root_system("A2"), dict(base.terms)),
+        _read_json(2, base.to_json_obj()),
     ]
     for s in sums:
         expected = sorted(s.terms.items())
@@ -414,12 +393,6 @@ def test_sorted_order_is_kept_and_not_shared():
     fresh = FormalSum(2, {(0, 1): 1, (0, -1): 1})
     fresh.to_json_obj()
     assert fresh.items_sorted() == [((0, -1), 1), ((0, 1), 1)]
-
-
-def test_from_json_needs_rank_when_empty():
-    with pytest.raises(ValueError):
-        FormalSum.from_json_obj([])
-    assert FormalSum.from_json_obj([], rank=3).is_zero()
 
 
 def test_evaluate_simple(a1, a2):
@@ -439,7 +412,7 @@ def test_evaluate_refuses_a_total_past_the_float_range(a1):
     with pytest.raises(OverflowError):
         evaluate(a1, s, (1.0,))
     with pytest.raises(OverflowError):
-        evaluate(a1, s - s.scale(2).mul_exp((-2,)), (1.0,))  # inf - inf: NaN
+        evaluate(a1, s + FormalSum(1, {(1398,): -2 * 10**20}), (1.0,))  # inf - inf: NaN
 
 
 def test_evaluate_rank_checks(a2):

@@ -7,13 +7,14 @@ from itertools import product
 import pytest
 
 from polychar import (
+    FormalSum,
+    apply_r_root,
+    apply_r_simple,
     build_root_system,
     dominant_representative,
     gamma_sequence,
     orbit,
     orbit_size,
-    reflect_at_root,
-    reflect_simple,
     weyl_group,
 )
 from polychar import polysum, weyl
@@ -23,24 +24,34 @@ from polychar.formal import _codec_for
 _SMALL = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
 
 
+def _replay(rs, word, weight) -> FormalSum:
+    """e^weight reflected by the simple reflections of a word, rightmost
+    letter first."""
+    s = FormalSum.exp(weight)
+    for i in reversed(word):
+        s = apply_r_simple(rs, i, s)
+    return s
+
+
 def test_simple_reflection_examples(a2):
-    assert reflect_simple(a2, 1, (1, 0)) == (-1, 1)
-    assert reflect_simple(a2, 2, (1, 0)) == (1, 0)
-    assert reflect_simple(a2, 1, (1, 1)) == (-1, 2)
+    assert apply_r_simple(a2, 1, FormalSum.exp((1, 0))) == FormalSum.exp((-1, 1))
+    assert apply_r_simple(a2, 2, FormalSum.exp((1, 0))) == FormalSum.exp((1, 0))
+    assert apply_r_simple(a2, 1, FormalSum.exp((1, 1))) == FormalSum.exp((-1, 2))
 
 
 def test_reflection_is_involution(b2, g2):
     for rs in (b2, g2):
         for root in rs.positive_roots:
             for w in ((1, 0), (0, 1), (2, -3), (-1, 4)):
-                assert reflect_at_root(rs, root, reflect_at_root(rs, root, w)) == w
+                e = FormalSum.exp(w)
+                assert apply_r_root(rs, root, apply_r_root(rs, root, e)) == e
 
 
 def test_reflection_index_validation(a2):
     with pytest.raises(ValueError):
-        reflect_simple(a2, 0, (1, 0))
+        apply_r_simple(a2, 0, FormalSum.exp((1, 0)))
     with pytest.raises(ValueError):
-        reflect_simple(a2, 3, (1, 0))
+        apply_r_simple(a2, 3, FormalSum.exp((1, 0)))
 
 
 def test_dominant_representative(a2):
@@ -48,10 +59,7 @@ def test_dominant_representative(a2):
     assert dom == (1, 0)
     assert word == (1,)
     # the word maps the input to the dominant weight, rightmost letter first
-    w = (-1, 1)
-    for i in reversed(word):
-        w = reflect_simple(a2, i, w)
-    assert w == dom
+    assert _replay(a2, word, (-1, 1)) == FormalSum.exp(dom)
     assert dominant_representative(a2, dom) == (dom, ())
 
 
@@ -59,10 +67,7 @@ def test_dominant_representative_replay(g2):
     for start in ((-3, 2), (4, -5), (-1, -1), (0, -2)):
         dom, word = dominant_representative(g2, start)
         assert all(x >= 0 for x in dom)
-        w = start
-        for i in reversed(word):
-            w = reflect_simple(g2, i, w)
-        assert w == dom
+        assert _replay(g2, word, start) == FormalSum.exp(dom)
 
 
 def test_orbit_sizes(a2, g2):
@@ -305,9 +310,10 @@ def longest_element_via_gammas(rs):
     roots = gamma_sequence(rs)
 
     def act(weight):
-        lam = tuple(weight)
+        s = FormalSum.exp(weight)
         for root in roots:
-            lam = reflect_at_root(rs, root, lam)
+            s = apply_r_root(rs, root, s)
+        [lam] = s.terms
         return lam
 
     return act
