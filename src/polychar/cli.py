@@ -31,8 +31,8 @@ from .polysum import (
     GenericityError,
     PolytopeSizeError,
     _check_support_size,
+    _formula,
     formula_against_oracle,
-    gamma_sequence,
     numeric_formula_check,
     polytope_expansion,
     polytope_sum_demazure,
@@ -100,7 +100,7 @@ def _cmd_bsum(args) -> tuple:
     if args.method == "oracle":
         return _sum_result(polytope_sum_oracle(rs, args.labels).sum)
     if args.method == "demazure":
-        gamma_sequence(rs)  # without a formula, refused before the size guard
+        _formula(rs)  # without a formula, refused before the size guard
         lam = check_weight(rs, args.labels, dominant=True)
         _check_support_size(rs, (lam,), f"the polytope of {list(lam)}")
         return _sum_result(polytope_sum_demazure(rs, lam))

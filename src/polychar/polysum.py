@@ -5,8 +5,8 @@ Four independent routes live here:
 * an enumerator (the oracle) that takes the union of the Weyl orbits of
   the dominant weights below lam, found by a downward walk by positive roots,
 * operator formulas that assemble the same sums from root-indexed Demazure
-  operators, one bracket per factor of a reduced word of w0 (A1, the rank-2
-  algebras and A3),
+  operators, one bracket per factor of a reduced word of w0 (A1, A2, B2, G2
+  and A3),
 * numeric evaluation of the vertex-cone rational expression and of the Weyl
   character quotient at generic points,
 * a Freudenthal-recursion character builder, plus the expansion of a
@@ -15,7 +15,7 @@ Four independent routes live here:
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, tee
+from itertools import accumulate, chain, islice, tee
 from operator import mul, sub
 
 from ._frozen import Frozen
@@ -150,9 +150,9 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
 
 
 # Operator formulas by (family, rank): the report name, a reduced word of w0
-# cut into factors, one bracket each (the first acts first) along the word's
-# inversion sequence gamma, and the factors: gamma index k -> gamma index f,
-# meaning the term of gamma_{k+1} is multiplied by (1 + e^{gamma_{f+1}}).
+# cut into factors, one bracket each (the first acts first), and the
+# translates: gamma index k -> gamma index f, meaning the term of gamma_{k+1}
+# is multiplied by (1 + e^{gamma_{f+1}}).  Only `_formula` reads this table.
 #
 # On G2 the long root gamma_3 = 2a1+3a2 steps by 2 in Q / Z alpha_2, every
 # other bracketed root by 1, so the final alpha_2 sweep would miss every other
@@ -167,11 +167,21 @@ _FORMULAS = {
 }
 
 
+@lru_cache(maxsize=None)
 def _formula(rs: RootSystem) -> tuple:
+    """The operator formula of rs, kept per algebra: its report name, its
+    gamma order (the inversion sequence of its word of w0) and its brackets,
+    one per factor of the word, each a tuple of (root, translate or None)
+    terms in gamma order; a translate, a root mu, multiplies its term by
+    (1 + e^mu).  An algebra without a formula raises on every call."""
     try:
-        return _FORMULAS[(rs.id.family, rs.rank)]
+        name, segments, translates = _FORMULAS[(rs.id.family, rs.rank)]
     except KeyError:
         raise ValueError(f"no operator polytope-sum formula for {rs.name}") from None
+    gammas = inversion_sequence(rs, chain.from_iterable(segments))
+    terms = ((root, gammas[translates[k]] if k in translates else None)
+             for k, root in enumerate(gammas))
+    return name, gammas, tuple(tuple(islice(terms, len(segment))) for segment in segments)
 
 
 def inversion_sequence(rs: RootSystem, word) -> tuple[Root, ...]:
@@ -192,52 +202,44 @@ def inversion_sequence(rs: RootSystem, word) -> tuple[Root, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=None)
 def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
     """The inversion sequence of the operator formula's reduced word of w0:
-    the positive roots in bracket order (A1, A2, B2, G2 and A3).  Kept per
-    algebra; an algebra without a formula raises on every call."""
-    return inversion_sequence(rs, chain.from_iterable(_formula(rs)[1]))
+    the positive roots in bracket order (A1, A2, B2, G2 and A3), as
+    `_formula` keeps it.  An algebra without a formula raises."""
+    return _formula(rs)[1]
 
 
-def _edge_bracket(rs: RootSystem, gammas, start: int, stop: int, s: FormalSum,
-                  factors: dict) -> FormalSum:
+def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
-    to ``s`` for the segment (b_1, ..., b_m) = gammas[start:stop], rightmost
-    factors first; ``factors`` is the table entry's (1 + e^mu) data.  The
-    staged and accumulated sums start from a packed copy of the input and
-    stay packed by its codec (`formal`), and the factor's translate e^mu is
-    one addition per packed int.  It moves a term's points, which lie in
-    the hull the codec was sized for, by one root, which the codec's
-    root-label margin holds, and every later operator output lies in
-    conv(W . support).  On e^lam's codec the shifted points are polytope
-    points (docs/g2.md)."""
+    to ``s`` for the bracket's roots (b_1, ..., b_m), rightmost factors
+    first; a term's translate mu multiplies it by (1 + e^mu).  The staged
+    and accumulated sums start from a packed copy of the input and stay
+    packed by its codec (`formal`), and the translate is one addition per
+    packed int.  It moves a term's points, which lie in the hull the codec
+    was sized for, by one root, which the codec's root-label margin holds,
+    and every later operator output lies in conv(W . support).  On e^lam's
+    codec the shifted points are polytope points (docs/g2.md)."""
     total = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
-    for k in range(start, stop):
-        root = gammas[k]
+    for k, (root, translate) in enumerate(bracket, 1):
         term = apply_d_root(rs, root, staged)
-        if k in factors:
+        if translate is not None:
             terms, codec = term._packed_for(rs)
-            d = codec.delta(gammas[factors[k]].weight_coords)
+            d = codec.delta(translate.weight_coords)
             term = term.add(FormalSum._of(rs.rank, {p + d: c for p, c in terms.items()}, codec))
         total = total.add(term)
-        if k + 1 < stop:
+        if k < len(bracket):
             staged = apply_r_root(rs, root, staged)
     return total
 
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
-    """Operator-formula route to the polytope sum (A1, A2, B2, G2 or A3): one
-    edge-walk bracket per factor of the formula's reduced word of w0,
+    """Operator-formula route to the polytope sum (A1, A2, B2, G2 or A3): the
+    formula's edge-walk brackets, one per factor of its reduced word of w0,
     applied to e^lam in turn."""
-    _name, word, factors = _formula(rs)
-    lam = check_weight(rs, lam, dominant=True)
-    gammas = gamma_sequence(rs)
-    out = FormalSum.exp(lam)
-    start = 0
-    for segment in word:
-        out = _edge_bracket(rs, gammas, start, start + len(segment), out, factors)
-        start += len(segment)
+    brackets = _formula(rs)[2]
+    out = FormalSum.exp(check_weight(rs, lam, dominant=True))
+    for bracket in brackets:
+        out = _edge_bracket(rs, bracket, out)
     return out
 
 
@@ -589,12 +591,16 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
-    n = max_label + 1  # the grid in lexicographic order, lazily: the budget may stop it early
-    grid = (tuple([i // n**k % n for k in range(rs.rank - 1, -1, -1)]) for i in range(n**rs.rank))
-    ahead, grid = tee(grid)  # one grid feeds the budget and the sweep
-    _check_support_size(rs, ahead, f"the sweep of {rs.name} up to {max_label}")
+    n = max_label + 1
+
+    def grid():
+        # lexicographic, as itertools.product would give it, but lazily:
+        # product holds its ranges as tuples, and the budget may stop early
+        return (tuple([i // n**k % n for k in range(rs.rank - 1, -1, -1)]) for i in range(n**rs.rank))
+
+    _check_support_size(rs, grid(), f"the sweep of {rs.name} up to {max_label}")
     reports = []
-    for lam in grid:  # the budget passed: at most the cap
+    for lam in grid():  # the budget passed: at most the cap
         _formula_sum, oracle, diff = formula_against_oracle(rs, lam)
         reports.append({
             "formula": name,

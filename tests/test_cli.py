@@ -161,6 +161,24 @@ def test_verify_sweep_point_budget_boundary(capsys, monkeypatch):
     assert captured.err == "error: the sweep of A1 up to 3 has at least 10 points; cap is 9\n"
 
 
+def test_verify_sweep_budget_counts_points_past_the_dimensions(capsys, monkeypatch):
+    # A2 [0..1]^2: the dimensions 1 + 3 + 3 + 8 = 15 pass no cap below 15,
+    # but the polytopes hold 1 + 3 + 3 + 7 = 14 points, so the exact count
+    # accepts the sweep at a cap of 14 and refuses it at 13
+    argv = ["verify", "--algebra", "A2", "--max-label", "1"]
+    monkeypatch.setattr(polysum, "_POINT_CAP", 14)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["n_points"] for r in payload] == [1, 3, 3, 7]
+    assert all(r["match"] for r in payload)
+    monkeypatch.setattr(polysum, "_POINT_CAP", 13)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sweep of A2 up to 1 has at least 14 points; cap is 13\n"
+
+
 def test_verify_sweep_is_refused_before_any_sum(capsys, monkeypatch):
     # the sweep's budget runs before its first comparison: at a cap of 9,
     # A1 [0..3] (10 points) is refused with neither sum built for any lam

@@ -150,7 +150,7 @@ def test_operators_leave_their_input_as_it_was(a2, g2, monkeypatch):
         lambda s: apply_r_simple(a2, 1, s), lambda s: apply_D_root(a2, theta, s),
         lambda s: apply_d_root(a2, theta, s), lambda s: apply_r_root(a2, theta, s),
         lambda s: apply_word(a2, (1, 2, 1), s), lambda s: apply_word(a2, (2, 1), s, "d"),
-        lambda s: polysum._edge_bracket(a2, gamma_sequence(a2), 0, 3, s, {}),
+        lambda s: polysum._edge_bracket(a2, [(root, None) for root in gamma_sequence(a2)], s),
     )
     for call in calls:
         s = FormalSum(2, {(2, -1): 3, (0, 1): -2})
@@ -196,17 +196,17 @@ def test_operators_check_their_input(a2):
             op(FormalSum.exp((1,)))
 
 
-def _reference_bracket(rs, gammas, start, stop, s, factors):
+def _reference_bracket(rs, bracket, s):
     total = staged = s
-    for k in range(start, stop):
-        term = _reference_demazure(rs, gammas[k], staged, False)
-        if k in factors:
-            shift = gammas[factors[k]].weight_coords
+    for root, translate in bracket:
+        term = _reference_demazure(rs, root, staged, False)
+        if translate is not None:
+            shift = translate.weight_coords
             term = term + FormalSum(
                 rs.rank, {tuple(a + b for a, b in zip(w, shift)): c for w, c in term.terms.items()}
             )
         total = total + term
-        staged = _reference_reflect(rs, gammas[k], staged)
+        staged = _reference_reflect(rs, root, staged)
     return total
 
 
@@ -224,17 +224,12 @@ def test_words_match_reference_letter_by_letter(name, data):
         for i in reversed(word):
             expected = _reference_demazure(rs, rs.simple_root(i), expected, flavor == "D")
         assert apply_word(rs, word, s, flavor) == expected
-    _name, segments, factors = polysum._formula(rs)
-    gammas = gamma_sequence(rs)
     out = expected = s
-    start = 0
-    for segment in segments:
-        stop = start + len(segment)
-        out = polysum._edge_bracket(rs, gammas, start, stop, out, factors)
-        expected = _reference_bracket(rs, gammas, start, stop, expected, factors)
+    for bracket in polysum._formula(rs)[2]:
+        out = polysum._edge_bracket(rs, bracket, out)
+        expected = _reference_bracket(rs, bracket, expected)
         assert out == expected
         _assert_well_formed(rs, out)
-        start = stop
 
 
 def _form(s):

@@ -12,7 +12,7 @@ bounding-box scan below is kept as the reference that certifies it.
 import math
 import random
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 
 import pytest
@@ -363,7 +363,8 @@ def test_formula_wrong_algebra():
 
 
 def test_gamma_sequence_is_kept_per_algebra(monkeypatch):
-    gamma_sequence.cache_clear()
+    # `_formula` builds an algebra's record once; gamma_sequence reads it
+    polysum._formula.cache_clear()
     calls = []
 
     def counted(rs, word):
@@ -371,28 +372,55 @@ def test_gamma_sequence_is_kept_per_algebra(monkeypatch):
         return inversion_sequence(rs, word)
 
     monkeypatch.setattr(polysum, "inversion_sequence", counted)
-    first = gamma_sequence(build_root_system("G2"))
-    second = gamma_sequence(build_root_system("G2"))
-    assert first == second
-    assert [root.root_coords for root in first] == [
+    g2 = build_root_system("G2")
+    record = polysum._formula(g2)
+    assert polysum._formula(build_root_system("G2")) is record
+    assert gamma_sequence(g2) is record[1]
+    assert [root.root_coords for root in record[1]] == [
         (1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1)
     ]
     assert calls == ["G2"]
     # a raise is not kept: an algebra without a formula raises every time
     for _ in range(2):
-        with pytest.raises(ValueError, match="no operator polytope-sum formula for B3"):
-            gamma_sequence(build_root_system("B3"))
+        for lookup in (polysum._formula, gamma_sequence):
+            with pytest.raises(ValueError, match="no operator polytope-sum formula for B3"):
+                lookup(build_root_system("B3"))
+    assert calls == ["G2"]
+
+
+@pytest.mark.parametrize(
+    "name, report, lengths",
+    [
+        ("A1", "demazure_a1", (1,)),
+        ("A2", "demazure_rank2", (2, 1)),
+        ("B2", "demazure_rank2", (3, 1)),
+        ("G2", "demazure_rank2", (5, 1)),
+        ("A3", "demazure_a3", (3, 2, 1)),
+    ],
+)
+def test_formula_brackets_cut_the_gamma_order(name, report, lengths):
+    # concatenated, the brackets' roots are the gamma order; only G2 carries
+    # a translate: gamma_2 on its gamma_3 term
+    rs = build_root_system(name)
+    record_name, gammas, brackets = polysum._formula(rs)
+    assert record_name == report
+    assert tuple(map(len, brackets)) == lengths
+    terms = list(chain.from_iterable(brackets))
+    assert tuple(root for root, _translate in terms) == gamma_sequence(rs)
+    translates = [(k, t) for k, (_root, t) in enumerate(terms) if t is not None]
+    assert translates == ([(2, gammas[1])] if name == "G2" else [])
 
 
 def test_edge_bracket_drops_cancelled_terms(a1, a2):
     # on A1, d e^{-1} = D e^{-1} - e^{-1} = -e^{-1}, so the bracket
     # [d + 1] sends e^{-1} to 0 and must keep no zero term
-    out = polysum._edge_bracket(a1, gamma_sequence(a1), 0, 1, FormalSum.exp((-1,)), {})
+    [bracket] = polysum._formula(a1)[2]
+    out = polysum._edge_bracket(a1, bracket, FormalSum.exp((-1,)))
     assert out.is_zero() and out.to_json_obj() == []
     # on A2 the first bracket cancels two of a signed input's terms
     gammas = gamma_sequence(a2)
     s = FormalSum(2, {(-1, 0): 1, (1, 1): 1, (0, -1): -1})
-    out = polysum._edge_bracket(a2, gammas, 0, 2, s, {})
+    out = polysum._edge_bracket(a2, polysum._formula(a2)[2][0], s)
     assert 0 not in out.terms.values()
     assert all(entry["c"] for entry in out.to_json_obj())
     staged = polysum.apply_r_root(a2, gammas[0], s)
