@@ -6,11 +6,18 @@ swaps stdout to a readable rendering; ``--out FILE`` writes the JSON to a
 file either way.  The handlers only compute: each returns its payload, and
 `run` writes it, the one place output leaves the program.  Lattice sums
 (``char``, ``bsum``, ``expand``) reach `_emit` as canonical text already
-written from their sorted terms (`formal.terms_json_text`), which must equal
-what ``json.dumps`` would print; the other payloads are objects that `_emit`
+written by the one sum writer, `formal.terms_json_text`, in one ``%`` over
+their sorted labels and coefficients (a packed sum decodes its sorted keys'
+labels in one pass and builds no exponent tuple); that text must equal what
+``json.dumps`` would print.  The other payloads are objects that `_emit`
 passes through ``json.dumps``.  ``json`` is imported there, in `_canon`, so
 importing this module and running ``char``, ``bsum`` or ``expand`` never load
 it; ``verify``, ``eval`` and ``vertices`` load it when they print.
+
+Parsing: when the first argument names a subcommand, `run` hands the rest
+straight to that subcommand's parser, as the top-level parser would, and
+reports leftovers through the top-level parser's error, as ``parse_args``
+does; any other command line goes through the top-level parser.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
@@ -187,7 +194,8 @@ def _cmd_expand(args) -> tuple:
             lines.append(f"{list(w)} -> {c}")
         return "\n".join(lines)
 
-    return terms_json_text(terms), table, 0
+    labels = [x for w, _c in terms for x in w]
+    return terms_json_text(labels, [c for _w, c in terms], rs.rank), table, 0
 
 
 def _cmd_vertices(args) -> tuple:
@@ -207,9 +215,10 @@ def _cmd_vertices(args) -> tuple:
     return payload, table, 0
 
 
-# Built on the first run and kept: parse_args leaves the parser unchanged.
+# Built on the first run and kept: parsing leaves the parsers unchanged.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """(the top-level parser, its subcommands' parsers by name)."""
     parser = argparse.ArgumentParser(
         prog="polychar",
         description=(
@@ -265,13 +274,23 @@ def _build_parser() -> argparse.ArgumentParser:
     weight(p)
     common(p, _cmd_vertices)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        # what the top-level parse does for a named subcommand: its parser
+        # takes the rest (parse_known_args), and parse_args fails leftovers
+        sub = commands.get(argv[0]) if argv else None
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

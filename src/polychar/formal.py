@@ -55,23 +55,33 @@ from types import MappingProxyType
 from .rootsys import RootSystem, dot_float
 
 
-def terms_json_text(items) -> str:
-    """Canonical JSON text of a sequence of (exponent, coefficient) pairs,
-    whose exponents are integer tuples of one length, in the order given:
-    byte for byte what ``json.dumps([{"w": list(w), "c": c}, ...],
-    sort_keys=True, separators=(",", ":"))`` prints, without building the
-    dicts."""
-    if not items:
+def terms_json_text(labels, coeffs, rank: int) -> str:
+    """Canonical JSON text of a sum's terms, given in their order as one
+    flat sequence of exponent labels, ``rank`` to a term, and the sequence
+    of their coefficients: byte for byte what ``json.dumps([{"w": w, "c":
+    c}, ...], sort_keys=True, separators=(",", ":"))`` prints.  The one sum
+    writer: one format string, the term pattern repeated once per term,
+    takes every number in one ``%``, the coefficients and labels
+    interleaved by slice assignment, so no per-term tuple, dict or string
+    is built."""
+    n = len(coeffs)
+    if not n:
         return "[]"
+    step = rank + 1
+    values = [0] * (n * step)
+    values[::step] = coeffs
+    for j in range(rank):
+        values[j + 1::step] = labels[j::rank]
     # one term, filled with (coefficient, *exponent): keys sorted, no spaces
-    fmt = '{"c":%d,"w":[' + ",".join(["%d"] * len(items[0][0])) + "]}"
-    return "[" + ",".join([fmt % ((c,) + w) for w, c in items]) + "]"
+    term = '{"c":%d,"w":[' + ",".join(["%d"] * rank) + "]}"
+    return ("[" + term + ("," + term) * (n - 1) + "]") % tuple(values)
 
 
 # struct codes of the field widths struct unpacks directly, by byte count;
-# one struct.iter_unpack over these decodes a char-expand pass's results
-# faster than reading the fields one by one (BENCH_22.json, "decode_paths");
-# only that bulk decode uses struct: `_Codec.unpack` reads one weight's fields
+# one struct call over one bytes string (`_Codec._xor_bytes`) decodes many
+# packed ints faster than reading their fields one by one (BENCH_22.json,
+# "decode_paths"); only those bulk decodes use struct: `_Codec.unpack` reads
+# one weight's fields
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -167,21 +177,34 @@ class _Codec:
 
     def unpack(self, p) -> tuple:
         """The exponent tuple of one packed int, read field by field; struct
-        serves only the bulk decode of `unpack_all`."""
+        serves only the bulk decodes, `unpack_all` and `unpack_flat`."""
         mask, offset = self.mask, self.offset
         return tuple([(p >> s & mask) - offset for s in self.shifts])
 
+    def _xor_bytes(self, keys) -> bytes:
+        """Packed ints, in their order, as one big-endian bytes string of
+        ``nbytes`` bytes a field, each XORed with ``base``: that flips each
+        field's top bit, which turns offset fields into two's-complement
+        ones that struct decodes directly.  For a width struct reads."""
+        size, base = self.nbytes * self.rs.rank, self.base
+        return b"".join([(p ^ base).to_bytes(size, "big") for p in keys])
+
     def unpack_all(self, keys) -> list:
-        """The exponent tuples of packed ints, in their order.  For a width
-        that struct reads, XOR with ``base`` flips each field's top bit,
-        which turns offset fields into two's-complement ones that the bytes
-        decode directly; wider fields are read one by one (`unpack`)."""
+        """The exponent tuples of packed ints, in their order: one struct
+        row a weight over `_xor_bytes`, or, for fields wider than struct
+        reads, one by one (`unpack`)."""
         if self._row is None:
             return list(map(self.unpack, keys))
-        size = self.nbytes * self.rs.rank
-        base = self.base
-        data = b"".join([(p ^ base).to_bytes(size, "big") for p in keys])
-        return list(self._row.iter_unpack(data))
+        return list(self._row.iter_unpack(self._xor_bytes(keys)))
+
+    def unpack_flat(self, keys):
+        """The labels of packed ints, in their order, as one flat sequence,
+        ``rank`` to a weight: one `struct.unpack` of `_xor_bytes`, or, for
+        fields wider than struct reads, field by field."""
+        if self._row is None:
+            return [x for p in keys for x in self.unpack(p)]
+        count = len(keys) * self.rs.rank
+        return struct.unpack(f">{count}{_STRUCT_CODES[self.nbytes]}", self._xor_bytes(keys))
 
 
 @lru_cache(maxsize=None)  # one per root system and width in use
@@ -386,8 +409,18 @@ class FormalSum:
 
     def to_json_text(self) -> str:
         """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
-        written straight from the sorted terms."""
-        return terms_json_text(self._canonical())
+        written by `terms_json_text`: a tuple sum from its sorted terms, a
+        packed sum from its sorted keys, their labels decoded in one pass
+        (`_Codec.unpack_flat`) and no exponent tuple built."""
+        codec, terms = self._codec, self._terms
+        if codec is None:
+            items = sorted(terms.items())
+            return terms_json_text([x for w, _c in items for x in w],
+                                   [c for _w, c in items], self._rank)
+        keys = sorted(terms)
+        return terms_json_text(codec.unpack_flat(keys), list(map(terms.__getitem__, keys)),
+                               self._rank)
+
 
 def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
     """An evaluation point of ``rs`` as floats, after checking its length.

@@ -13,6 +13,7 @@ from polychar import (
     apply_d_root,
     apply_r_root,
     build_root_system,
+    character_demazure,
     cli,
     demazure,
     gamma_sequence,
@@ -20,6 +21,7 @@ from polychar import (
 )
 from polychar import cli
 from polychar.cli import run
+from polychar.formal import _Codec
 
 
 def _capture(capsys, argv):
@@ -471,6 +473,62 @@ def test_usage_errors_exit_2(capsys, argv):
 
 def test_unknown_subcommand_exit_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+_GOLDEN_ARGVS = [case["argv"] for case in json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))]
+
+
+def _top_level_only(*args, **kwargs):
+    raise AssertionError("a named subcommand reached the top-level parse")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _GOLDEN_ARGVS + [s.split() for s in (
+        "char -- A2 1 1", "bsum A2 1 1 -h", "char A2 1 1 --bogus",
+        # abbreviated options, as each subcommand's parser reads them
+        "bsum A2 1 1 --meth both", "verify --alg A2 --max 2",
+        "eval --lam 1 1 --algebra A2 --sig 2",
+        "bsum A2 1 1 --method=both", "char A2 -1 0", "char A2", "chr A2 1 1", "", "-h",
+        "--out x char A2 1 1",
+    )],
+    ids=lambda argv: " ".join(argv) or "(no arguments)",
+)
+def test_parse_shortcut_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    # run hands a named subcommand's arguments to that subcommand's parser;
+    # the reference goes through the top-level parser's parse_args
+    parser, commands = cli._build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", lambda: (parser, {}))
+        want = (run(list(argv)), *capsys.readouterr())
+    if argv and argv[0] in commands:
+        monkeypatch.setattr(parser, "parse_args", _top_level_only)
+    assert (run(list(argv)), *capsys.readouterr()) == want
+
+
+def _unreachable(*args):
+    raise AssertionError("a sum was written through its tuple form")
+
+
+@pytest.mark.parametrize("argv,reference,nbytes", [
+    ("char C3 2 2 3", lambda: character_demazure(build_root_system("C3"), (2, 2, 3)), 1),
+    ("bsum G2 6 4 --method both",
+     lambda: polysum.polytope_sum_oracle(build_root_system("G2"), (6, 4)).sum, 1),
+    ("char A1 40000", lambda: character_demazure(build_root_system("A1"), (40000,)), 4),
+])
+def test_packed_sums_are_written_without_tuples(capsys, monkeypatch, argv, reference, nbytes):
+    s = reference()
+    assert s._codec.nbytes == nbytes
+    obj = s.to_json_obj()
+    if "both" in argv:
+        obj = {"demazure": obj, "diff": [], "match": True, "oracle": obj}
+    monkeypatch.setattr(FormalSum, "_canonical", _unreachable)
+    monkeypatch.setattr(_Codec, "unpack_all", _unreachable)
+    code, out = _capture(capsys, argv.split())
+    assert code == 0
+    assert out == json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize(

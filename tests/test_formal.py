@@ -293,6 +293,9 @@ def test_codec_round_trips_at_every_width(name, nbytes):
     for w, p in zip(weights, packed):
         assert codec.unpack(p) == codec.unpack_all([p])[0] == w
     assert codec.unpack_all(packed) == weights
+    # the flat decode the sum writer reads: every label, rank to a weight
+    assert list(codec.unpack_flat(packed)) == [x for w in weights for x in w]
+    assert list(codec.unpack_flat([])) == codec.unpack_all([]) == []
 
 
 @given(sums2, sums2, sums2)
@@ -330,10 +333,17 @@ coefficients = st.one_of(
 )
 
 
+# the edge labels of the codec widths that struct decodes (1, 2, 4 and 8
+# bytes) and of one it does not (9): -offset and offset - 1
+_EDGE_LABELS = [x for n in (1, 2, 4, 8, 9) for x in (-(1 << 8 * n - 1), (1 << 8 * n - 1) - 1)]
+_RANKED = {1: "A1", 2: "B2", 3: "C3", 4: "D4"}
+
+
 @st.composite
 def ranked_terms(draw):
     rank = draw(st.integers(1, 4))
-    weights = st.tuples(*[st.integers(-40, 40)] * rank)
+    labels = st.one_of(st.integers(-40, 40), st.sampled_from(_EDGE_LABELS))
+    weights = st.tuples(*[labels] * rank)
     return rank, draw(st.dictionaries(weights, coefficients, max_size=10))
 
 
@@ -346,13 +356,25 @@ def test_json_text_is_json_dumps(case):
     assert text == _dumps(s.terms.items())
     assert _read_json(rank, json.loads(text)) == s
     # `expand` writes its coefficient dict's sorted items the same way
-    assert terms_json_text(sorted(terms.items())) == _dumps(terms.items())
+    items = sorted(terms.items())
+    labels = [x for w, _c in items for x in w]
+    assert terms_json_text(labels, [c for _w, c in items], rank) == _dumps(terms.items())
+    # packed: decoded in bulk by struct at 1, 2, 4 and 8 bytes, and field by
+    # field at 9, each codec holding the terms whose labels fit its fields
+    rs = build_root_system(_RANKED[rank])
+    for nbytes in (1, 2, 4, 8, 9):
+        codec = _codec(rs, nbytes)
+        fit = {w: c for w, c in terms.items() if all(-codec.offset <= x < codec.offset for x in w)}
+        packed = FormalSum._of(rank, {codec.pack(w): c for w, c in fit.items()}, codec)
+        assert packed.to_json_text() == _dumps(fit.items())
 
 
-def test_json_text_of_the_empty_sum():
+def test_json_text_of_the_empty_sum(a2):
     for rank in (1, 4):
         assert FormalSum.zero(rank).to_json_text() == "[]"
-    assert terms_json_text([]) == "[]"
+        assert terms_json_text([], [], rank) == "[]"
+    for nbytes in (1, 9):
+        assert FormalSum._of(2, {}, _codec(a2, nbytes)).to_json_text() == "[]"
 
 
 @pytest.mark.parametrize(
