@@ -22,12 +22,14 @@ A string is keyed by its point of pairing 0 or 1.
 
 Both cores work on packed exponents (`formal`): each exponent is one int,
 so going down a string is ``p - step``, a string's key is an int, and a
-pairing reads the labels it needs from their fields.  A tuple input is
-read through a packed copy, with a codec derived from its own terms, and
-left as it was; every output is a packed sum of that codec, since it lies
-in the W-invariant hull the codec was sized for.  A word of operators never
-builds an exponent tuple; the result builds them once, when it is read, and
-stays packed.
+pairing reads the labels it needs from their fields.  A root's step and
+coroot pairing come from its codec's root table (`formal._Codec`), built
+once per codec; ``RootSystem.coroot_labels`` still checks every root an
+operator is given.  A tuple input is read through a packed copy, with a
+codec derived from its own terms, and left as it was; every output is a
+packed sum of that codec, since it lies in the W-invariant hull the codec
+was sized for.  A word of operators never builds an exponent tuple; the
+result builds them once, when it is read, and stays packed.
 """
 
 from functools import reduce
@@ -46,12 +48,15 @@ def _check_sum(rs: RootSystem, s: FormalSum) -> None:
 
 def _packed_root(rs: RootSystem, root: Root, s: FormalSum) -> tuple:
     """What a core needs to act with ``root`` on ``s``: its packed terms and
-    codec, the packed step of the root, the field mask, and the pairing
-    against the root's coroot (`formal._Codec.covector`)."""
+    codec, and from the codec's root table (`formal._Codec`) the packed step
+    of the root, the field mask, and the pairing against the root's coroot.
+    ``rs.coroot_labels`` still runs on every call, as the root check: a root
+    foreign to ``rs`` raises ValueError before the table is read."""
     _check_sum(rs, s)
     terms, codec = s._packed_for(rs)
-    fields, lift = codec.covector(rs.coroot_labels(root))
-    return terms, codec, codec.delta(root.weight_coords), codec.mask, fields, lift
+    rs.coroot_labels(root)
+    step, fields, lift, _height = codec.roots[root.root_coords]
+    return terms, codec, step, codec.mask, fields, lift
 
 
 def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:

@@ -93,28 +93,46 @@ class _Codec:
     ``base``, the packed zero weight, sets each field's top bit and no
     other, and a field's top bit is set exactly when its label is >= 0; so
     ``top``, the same int, tests dominance in one AND: a packed weight is
-    dominant iff ``p & top == top``."""
+    dominant iff ``p & top == top``.
 
-    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "_row", "_steps",
-                 "_children")
+    ``roots`` is the codec's root table, built here once, the one place a
+    root's packed constants are derived: for each positive root, keyed by
+    its simple-root coordinates in `RootSystem.positive_roots` order, the
+    tuple (step, fields, lift, height).  ``step`` is the root's packed
+    difference, ``p - step`` the packed weight one root lower.  ``fields``
+    and ``lift`` pair a packed exponent with the root's coroot: the
+    (shift, label) pairs of its nonzero coroot labels and the constant that
+    removes the fields' offsets, so that the pairing is ``lift + sum(cv *
+    (p >> shift & mask))`` over the pairs.  ``height`` is the root's.  The
+    operators, the dominant-weight walk, Freudenthal's strings, G2's
+    translate and `fold` and `orbit` read their steps from it."""
+
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "roots", "_row",
+                 "_steps", "_children")
 
     def __init__(self, rs: RootSystem, nbytes: int):
         width = 8 * nbytes
         self.rs = rs
         self.nbytes = nbytes
-        self.shifts = tuple(width * j for j in reversed(range(rs.rank)))
+        self.shifts = shifts = tuple(width * j for j in reversed(range(rs.rank)))
         self.mask = (1 << width) - 1
-        self.offset = 1 << (width - 1)
-        self.base = self.top = sum(self.offset << s for s in self.shifts)
+        self.offset = offset = 1 << (width - 1)
+        self.base = self.top = sum(offset << s for s in shifts)
         code = _STRUCT_CODES.get(nbytes)
         self._row = struct.Struct(">" + code * rs.rank) if code else None
-        # a field's top bit -> (its shift, the packed difference of its simple root)
-        self._steps = {s + width - 1: (s, self.delta(root.weight_coords))
-                       for s, root in zip(self.shifts, rs.simple_roots)}
-        # per field, first to last: (its shift, the packed difference of its
-        # simple root, the top bits of the fields before it)
+        self.roots = {}
+        for root in rs.positive_roots:
+            labels = rs.coroots[root.root_coords]
+            fields = tuple((sh, cv) for sh, cv in zip(shifts, labels) if cv)
+            self.roots[root.root_coords] = (self.delta(root.weight_coords), fields,
+                                            -offset * sum(labels), root.height)
+        # a field's top bit -> (its shift, the packed step of its simple root)
+        simple_steps = [self.roots[root.root_coords][0] for root in rs.simple_roots]
+        self._steps = {s + width - 1: (s, step) for s, step in zip(shifts, simple_steps)}
+        # per field, first to last: (its shift, the packed step of its simple
+        # root, the top bits of the fields before it)
         self._children = tuple((s, step, self.top >> (s + width) << (s + width))
-                               for s, step in self._steps.values())
+                               for s, step in zip(shifts, simple_steps))
 
     def delta(self, weight) -> int:
         """The packed difference of a weight: pack(mu + weight) is
@@ -123,14 +141,6 @@ class _Codec:
 
     def pack(self, weight) -> int:
         return self.base + self.delta(weight)
-
-    def covector(self, labels) -> tuple:
-        """How to pair a packed exponent p with an integer covector, given
-        by its labels: the (shift, label) pairs of its nonzero labels and
-        the constant that removes the fields' offsets, so that the pairing
-        is ``lift + sum(cv * (p >> shift & mask))`` over the pairs."""
-        fields = tuple((sh, cv) for sh, cv in zip(self.shifts, labels) if cv)
-        return fields, -self.offset * sum(labels)
 
     def fold(self, q: int) -> int:
         """The packed dominant weight of the Weyl orbit of a packed weight
@@ -152,20 +162,22 @@ class _Codec:
             neg = top & ~q
         return q
 
-    def orbit(self, p: int) -> list:
-        """Each point of the Weyl orbit of a packed dominant weight p once,
-        packed: reverse search (Avis and Fukuda, 1996) on the tree in which
-        a weight's parent is its image under `fold`'s one step, the
-        reflection at its first negative label.
+    def orbit(self, *dominant: int) -> list:
+        """Each point of the Weyl orbits of distinct packed dominant weights
+        once, packed: reverse search (Avis and Fukuda, 1996) on the forest
+        in which a weight's parent is its image under `fold`'s one step, the
+        reflection at its first negative label, and the dominant weights
+        are the roots.  Distinct dominant weights have disjoint orbits, so
+        one walk from all of them meets each point once.
 
         A child of q is s_i q = q - n * step_i for a field i whose label n
         is positive.  Off the diagonal the Cartan entries are <= 0, so s_i
         raises every other label, and s_i q has label -n at i: its parent
         is q exactly when the fields before i keep their top bits, one AND
-        with the mask of those bits.  Exact when p lies in the hull the
-        codec was sized for, which holds its whole orbit."""
+        with the mask of those bits.  Exact when the weights lie in the
+        hull the codec was sized for, which holds their whole orbits."""
         mask, offset, children = self.mask, self.offset, self._children
-        points = [p]
+        points = list(dominant)
         for q in points:  # the list grows as the walk reaches new points
             for s, step, before in children:
                 n = (q >> s & mask) - offset

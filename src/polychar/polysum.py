@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_d_root, apply_r_root, character_demazure
-from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
+from .formal import FormalSum, _Codec, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
 # ``orbit`` stays bound here, uncalled: benchmarks/tests/test_bench.py
 # checks that the tracer rebinds this name along with weyl's
@@ -70,11 +70,25 @@ def polytope_member(rs: RootSystem, lam, mu) -> bool:
     return gap is not None and min(gap) >= 0
 
 
-def _check_point_count(what: str, points: int) -> None:
+def _check_point_count(what, points: int) -> None:
     """Refuse ``what``, known to hold at least ``points`` lattice points,
-    when that passes the cap."""
+    when that passes the cap.  ``what`` is text, or a dominant weight, which
+    names its polytope: the text is built only for a refusal."""
     if points > _POINT_CAP:
+        if not isinstance(what, str):
+            what = f"the polytope of {list(what)}"
         raise PolytopeSizeError(f"{what} has at least {points} points; cap is {_POINT_CAP}")
+
+
+@lru_cache(maxsize=1)  # the weight of the request in hand
+def _weight_codec(rs: RootSystem, lam) -> _Codec:
+    """The codec of a checked weight lam, ``_codec_for(rs, (lam,))``, kept
+    for the last lam: the codec of ``FormalSum.exp(lam)``, which the walk,
+    the oracle, the operator formula and Freudenthal's strings and spread
+    of one lam share, so they look it up once.  It holds a codec from
+    `formal._codec`'s cache: whoever clears that cache clears this one too,
+    or one lam gets two codecs, whose equal sums then compare on tuples."""
+    return _codec_for(rs, (lam,))
 
 
 def dominant_weights_below(rs: RootSystem, lam) -> list:
@@ -86,7 +100,7 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     dominant.  It misses nothing, because above every dominant mu < lam
     some positive root alpha leaves lam - alpha dominant with mu below it
     (Stembridge, The partial order of dominant weights, 1998).  It runs on
-    packed ints of lam's codec (`formal._codec_for`), the one the
+    packed ints of lam's codec (`_weight_codec`), the one the
     Freudenthal strings fold with (`formal._Codec.fold`): a step is one
     subtraction, the dominance test one AND with the codec's ``top``, and
     only a dominant candidate reaches the visited set.  A candidate lies at
@@ -99,27 +113,27 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     their sizes add up to its point count.  Before the walk, a cheap lower
     bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
     and, for each positive root beta, the <lam, beta^vee> + 1 points of the
-    beta-string from lam to s_beta(lam).  The walk refuses as soon as its
-    running count passes the cap; it visits weights in breadth-first order,
-    so the refusal comes at the same weight on every run.  The walked
-    weights are dominant, so each size is read unchecked from
-    `_orbit_size`'s table, kept per algebra and zero pattern.
+    beta-string from lam to s_beta(lam), longest for the highest coroot.
+    The walk refuses as soon as its running count passes the cap; it visits
+    weights in breadth-first order, so the refusal comes at the same weight
+    on every run.  The walked weights are dominant, so each size is read
+    unchecked from `_orbit_size`'s table, kept per algebra and zero pattern.
+    Each root's step and height come from the codec's root table.
     """
     lam = check_weight(rs, lam, dominant=True)
-    what = f"the polytope of {list(lam)}"
-    longest_string = 1 + max(sum(c * x for c, x in zip(cv, lam)) for cv in rs.coroots.values())
-    _check_point_count(what, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
-    codec = _codec_for(rs, (lam,))
+    longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
+    _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
+    codec = _weight_codec(rs, lam)
     top, unpack = codec.top, codec.unpack
-    steps = [(codec.delta(root.weight_coords), root.height) for root in rs.positive_roots]
+    roots = codec.roots.values()
     p = codec.pack(lam)
     seen = {p}
     walked = [(0, p, lam)]
     points = 0
     for depth, p, mu in walked:  # the list grows as the walk reaches new weights
         points += _orbit_size(rs, tuple([x > 0 for x in mu]))
-        _check_point_count(what, points)
-        for d, h in steps:
+        _check_point_count(lam, points)
+        for d, _fields, _lift, h in roots:
             q = p - d
             if q & top == top and q not in seen:
                 seen.add(q)
@@ -134,18 +148,17 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
     The lattice points are exactly the weights `polytope_member` accepts:
     the union of the Weyl orbits of the dominant weights below lam.  The
     walk that finds those weights (`dominant_weights_below`) refuses lam
-    past the point cap before any orbit is built.  Each orbit is walked on
-    packed ints of lam's codec (`formal._Codec.orbit`), the codec of
+    past the point cap before any orbit is built.  The orbits are walked
+    on packed ints of lam's codec (`formal._Codec.orbit`), the codec of
     ``FormalSum.exp(lam)`` and so of the operator formula's sum: every
     weight below lam lies in lam's hull, which its fields hold.  Distinct
-    dominant weights have disjoint orbits, so the terms are built in one
-    pass over all of them, with no merge, and the sum stays packed until it
-    is read.  All coefficients are 1.
+    dominant weights have disjoint orbits, so one walk from all of them
+    builds the terms, with no merge, and the sum stays packed until it is
+    read.  All coefficients are 1.
     """
     below = dominant_weights_below(rs, lam)  # lam first, checked by the walk
-    codec = _codec_for(rs, below[:1])
-    pack, walk = codec.pack, codec.orbit
-    terms = dict.fromkeys(chain.from_iterable(walk(pack(mu)) for mu in below), 1)
+    codec = _weight_codec(rs, below[0])
+    terms = dict.fromkeys(codec.orbit(*map(codec.pack, below)), 1)
     return PolytopeSum(FormalSum._of(rs.rank, terms, codec))
 
 
@@ -213,31 +226,55 @@ def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the bracket's roots (b_1, ..., b_m), rightmost factors
     first; a term's translate mu multiplies it by (1 + e^mu).  The staged
-    and accumulated sums start from a packed copy of the input and stay
-    packed by its codec (`formal`), and the translate is one addition per
-    packed int.  It moves a term's points, which lie in the hull the codec
-    was sized for, by one root, which the codec's root-label margin holds,
-    and every later operator output lies in conv(W . support).  On e^lam's
-    codec the shifted points are polytope points (docs/g2.md)."""
-    total = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
+    sums start from a packed copy of the input and stay packed by its codec
+    (`formal`).  The terms d(...) add up in one dict of packed ints owned
+    here (`_accumulate`), and join the input in one `FormalSum.add`.  A
+    translate is one addition per packed int, its step read from the
+    codec's root table.  It moves a term's points, which lie in the hull the
+    codec was sized for, by one root, which the codec's root-label margin
+    holds, and every later operator output lies in conv(W . support).  On
+    e^lam's codec the shifted points are polytope points (docs/g2.md)."""
+    start = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
+    codec = start._codec
+    acc: dict = {}
     for k, (root, translate) in enumerate(bracket, 1):
-        term = apply_d_root(rs, root, staged)
+        # an operator's output is packed by its input's codec
+        terms = apply_d_root(rs, root, staged)._terms
+        _accumulate(acc, terms, 0)
         if translate is not None:
-            terms, codec = term._packed_for(rs)
-            d = codec.delta(translate.weight_coords)
-            term = term.add(FormalSum._of(rs.rank, {p + d: c for p, c in terms.items()}, codec))
-        total = total.add(term)
+            _accumulate(acc, terms, codec.roots[translate.root_coords][0])
         if k < len(bracket):
             staged = apply_r_root(rs, root, staged)
-    return total
+    terms = FormalSum._of(rs.rank, acc, codec)
+    # the sum adds the other's terms one by one: the shorter goes second
+    return terms.add(start) if len(terms) >= len(start) else start.add(terms)
+
+
+def _accumulate(acc: dict, terms: dict, shift: int) -> None:
+    """Add packed terms, each moved by the packed step ``shift``, into
+    ``acc``, deleting each entry that cancels, so no zero is kept.  Into an
+    empty ``acc`` unmoved terms are copied whole."""
+    if not acc and not shift:
+        acc.update(terms)
+        return
+    get = acc.get
+    for p, c in terms.items():
+        p += shift
+        c += get(p, 0)
+        if c:
+            acc[p] = c
+        else:
+            del acc[p]
 
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
     """Operator-formula route to the polytope sum (A1, A2, B2, G2 or A3): the
     formula's edge-walk brackets, one per factor of its reduced word of w0,
-    applied to e^lam in turn."""
+    applied to e^lam, packed by lam's codec, in turn."""
     brackets = _formula(rs)[2]
-    out = FormalSum.exp(check_weight(rs, lam, dominant=True))
+    lam = check_weight(rs, lam, dominant=True)
+    codec = _weight_codec(rs, lam)
+    out = FormalSum._of(rs.rank, {codec.pack(lam): 1}, codec)
     for bracket in brackets:
         out = _edge_bracket(rs, bracket, out)
     return out
@@ -403,9 +440,10 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     final.  Every string from lam is empty, so lam's tails are 0.  On A1
     each string is one step, and the recursion is linear.
 
-    The strings run on packed ints of the walk's codec (`formal._codec_for`),
-    so a step up a string is one addition.  A non-dominant string weight nu
-    is folded at each visit to its dominant representative on packed ints
+    The strings run on packed ints of the walk's codec (`_weight_codec`),
+    so a step up a string is one addition of the root's step, read from the
+    codec's root table.  A non-dominant string weight nu is folded at each
+    visit to its dominant representative on packed ints
     (`formal._Codec.fold`), whose multiplicity the packed table gives, 0
     outside the module; a string ends at its first 0, one root past the
     module's hull.  The fold is exact because a string weight is mu' + beta
@@ -415,7 +453,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
-    codec = _codec_for(rs, (lam,))
+    codec = _weight_codec(rs, lam)
     pack, top, fold = codec.pack, codec.top, codec.fold
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
@@ -424,7 +462,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     for j, root in enumerate(rs.positive_roots):
         wc = root.weight_coords
         cov = tuple([sum(map(mul, row, wc)) for row in rs.gram_scaled])  # the form is symmetric
-        strings.append((j, codec.delta(wc), cov, sum(map(mul, wc, cov))))
+        strings.append((j, codec.roots[root.root_coords][0], cov, sum(map(mul, wc, cov))))
     mult = {pack(lam): 1}  # packed dominant weight -> multiplicity; doms[0] is lam
     tails = {pack(lam): [0] * len(strings)}  # the same keys -> S_beta, per root
     values = [1]
@@ -470,7 +508,7 @@ def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
     packed ints of lam's codec, as the oracle's are."""
     lam = check_weight(rs, lam, dominant=True)
     mult = dominant_weight_multiplicities(rs, lam)
-    codec = _codec_for(rs, (lam,))
+    codec = _weight_codec(rs, lam)
     pack, walk = codec.pack, codec.orbit
     terms = {}
     for mu, m in mult.items():
@@ -579,7 +617,7 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
     oracle = polytope_sum_oracle(rs, lam).sum
     formula = polytope_sum_demazure(rs, lam)
     if formula == oracle:
-        return formula, oracle, FormalSum.zero(rs.rank)
+        return formula, oracle, FormalSum._of(rs.rank, {})
     return formula, oracle, formula - oracle
 
 

@@ -143,6 +143,13 @@ class RootSystem(Frozen):
         return self.positive_roots[: self.rank]
 
     @cached_property
+    def highest_coroot(self) -> tuple[int, ...]:
+        """The coroot labels of the highest coroot: every positive coroot's
+        labels are at most its own, entry by entry, so it pairs largest with
+        every dominant weight."""
+        return tuple(map(max, zip(*self.coroots.values())))
+
+    @cached_property
     def _root_by_coords(self) -> dict:
         return {root.root_coords: root for root in self.positive_roots}
 
@@ -327,11 +334,18 @@ def build_root_system(algebra) -> RootSystem:
     """All static data of a simple Lie algebra, in integers.
 
     ``algebra`` may be an :class:`AlgebraId` or a name such as ``"A2"``
-    (case-insensitive).  The name is parsed on every call, so a bad one
-    raises every time; each algebra is built once and kept (`_build`), so
-    every call for it returns the same object."""
-    aid = algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra)
-    return _build(aid)
+    (case-insensitive).  A name is looked up before it is parsed
+    (`_named`), and only a name that parses is kept, so a bad one raises
+    every time; each algebra is built once and kept (`_build`), so every
+    call for it returns the same object."""
+    if isinstance(algebra, str):
+        return _named(algebra)
+    return _build(algebra if isinstance(algebra, AlgebraId) else AlgebraId.parse(algebra))
+
+
+@lru_cache(maxsize=64)  # the names in use: an error is raised, never kept
+def _named(name: str) -> RootSystem:
+    return _build(AlgebraId.parse(name))
 
 
 @lru_cache(maxsize=None)  # at most one entry per supported algebra, 29 in all

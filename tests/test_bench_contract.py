@@ -64,8 +64,9 @@ def test_traced_eval_reaches_every_numeric_layer(capsys):
 
 
 def test_traced_bsum_both_reaches_the_operator_layers(capsys):
-    # the verify-sweep trace reads rootsys.coroot_labels.calls and
-    # demazure.op.calls; a refactor must not route around either
+    # the verify-sweep trace reads rootsys.coroot_labels.calls,
+    # demazure.op.calls and formal.add.calls; a refactor must not route
+    # around any of them
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
@@ -78,6 +79,9 @@ def test_traced_bsum_both_reaches_the_operator_layers(capsys):
     spans = {name for _sid, _parent, name, *_rest in tracer.spans}
     assert {"polysum.oracle", "polysum.formula", "demazure.op"} <= spans
     assert tracer.counts["rootsys.coroot_labels.calls"] > 0
+    # the bracket joins its terms to its input with FormalSum.add, which
+    # EXERCISED["verify-sweep"] reads as formal.add.calls
+    assert tracer.counts["formal.add.calls"] > 0
 
 
 def test_traced_char_and_expand_reach_their_layers(capsys):

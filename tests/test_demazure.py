@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polychar import (
     FormalSum,
+    Root,
     apply_D_root,
     apply_D_simple,
     apply_d_root,
@@ -194,6 +195,36 @@ def test_operators_check_their_input(a2):
             op({(1, 0): 1})
         with pytest.raises(ValueError, match="sum has rank 1, algebra A2 has rank 2"):
             op(FormalSum.exp((1,)))
+
+
+@pytest.mark.parametrize("name", ("A2", "G2"))
+def test_operators_refuse_foreign_roots_with_a_warm_table(name):
+    # the operators read a root's step and pairing from the codec's root
+    # table, keyed by simple-root coordinates; RootSystem.coroot_labels is
+    # still the root check, before and after a valid call built the table
+    from polychar import formal
+
+    rs, b2 = build_root_system(name), build_root_system("B2")
+    ops = (apply_d_root, apply_D_root, apply_r_root)
+    top = rs.positive_roots[-1]
+    foreign = [Root(tuple(x + 1 for x in root.weight_coords), root.root_coords)
+               for root in rs.positive_roots]
+    # B2's alpha_2, (-1, 2) over (0, 1), is A2's and G2's alpha_2 too
+    foreign += [root for root in b2.positive_roots if root not in rs.positive_roots]
+    assert len(foreign) == len(rs.positive_roots) + 3
+    s = FormalSum.exp((2, 1))
+    formal._codec.cache_clear()
+    polysum._weight_codec.cache_clear()
+    for warm in (False, True):
+        codec = _codec_for(rs, s.terms)
+        for root in foreign:
+            for op in ops:
+                with pytest.raises(ValueError, match="positive root|inconsistent root data"):
+                    op(rs, root, s)
+        assert _codec_for(rs, s.terms) is codec
+        if not warm:
+            for op in ops:
+                assert op(rs, top, s)._codec is codec
 
 
 def _reference_bracket(rs, bracket, s):

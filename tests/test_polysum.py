@@ -160,6 +160,35 @@ def test_g2_bracket_stays_on_lams_codec_at_the_one_byte_edge(g2, lam, nbytes, mo
     assert diff.is_zero()
 
 
+def test_each_codec_width_keeps_its_own_root_table(a1, g2):
+    # A1 126 and G2 (42, 0) are the first weights on two-byte fields, so one
+    # process reads the one- and two-byte root tables of both algebras; a
+    # second pass after clearing the codecs runs in reverse order, so it
+    # builds each width's table first where the first pass built it last
+    from polychar import formal
+
+    cases = [(a1, (k,)) for k in range(120, 136)] + [(g2, (k, 0)) for k in (40, 41, 42)]
+    assert {_codec_for(a1, (lam,)).nbytes for _rs, lam in cases[:16]} == {1, 2}
+    assert [_codec_for(g2, (lam,)).nbytes for _rs, lam in cases[16:]] == [1, 1, 2]
+
+    def texts(order):
+        out = {}
+        for rs, lam in order:
+            formula = polytope_sum_demazure(rs, lam)
+            oracle = polytope_sum_oracle(rs, lam).sum
+            assert formula == oracle, (rs.name, lam)
+            # the reference on A1, where the box scan is cheap
+            assert rs.rank == 2 or oracle == _box_scan_oracle(rs, lam), lam
+            out[rs.name, lam] = (character_demazure(rs, lam).to_json_text(),
+                                 oracle.to_json_text(), formula.to_json_text())
+        return out
+
+    warm = texts(cases)
+    formal._codec.cache_clear()
+    polysum._weight_codec.cache_clear()
+    assert texts(cases[::-1]) == warm
+
+
 @pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
 def test_dominant_weights_below_matches_box_scan(name, max_label):
     rs = build_root_system(name)

@@ -290,6 +290,27 @@ def test_coroot_labels(name):
         rs.coroot_labels(Root(weight_coords=top.weight_coords, root_coords=negative))
 
 
+@pytest.mark.parametrize("name", _SUPPORTED)
+def test_highest_coroot_bounds_every_coroot(name):
+    # the dominant walk's lower bound pairs lam with it alone
+    rs = build_root_system(name)
+    top = rs.highest_coroot
+    assert top in rs.coroots.values()
+    assert all(all(map(int.__le__, cv, top)) for cv in rs.coroots.values())
+
+
+def test_build_root_system_keeps_only_names_that_parse():
+    a2 = build_root_system("A2")
+    assert build_root_system("a2") is build_root_system(" A2 ") is a2
+    assert build_root_system(AlgebraId("A", 2)) is a2
+    for bad in ("E6", "A9", "x"):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=_PARSE_ERRORS.get(bad, "cannot parse")):
+                build_root_system(bad)
+    with pytest.raises(ValueError, match="cannot parse algebra name 2"):
+        build_root_system(2)
+
+
 def test_check_weight(a2):
     assert check_weight(a2, [1, -2]) == (1, -2)
     assert check_weight(a2, (0, 3), dominant=True) == (0, 3)
