@@ -10,9 +10,11 @@ exponent is one int, its labels in fixed-width fields, the first label most
 significant, each label stored plus half the field's range so that every
 field is nonnegative.  Packing is linear, so a step down a root string is
 one subtraction, and packed ints sort in the lexicographic order of their
-tuples.  A codec (`_Codec`) holds the field width for one root system.  It
-is derived per sum, by the rule below, and never refuses: ints are
-unbounded, so any exponent fits some width.
+tuples.  A codec (`_Codec`) holds the field width for one root system and
+one packed zero, ``top``: it tests dominance, and XORed into packed ints it
+makes their fields two's-complement for the one struct decode,
+`_Codec.unpack_flat`.  A codec is derived per sum, by the rule below, and
+never refuses: ints are unbounded, so any exponent fits some width.
 
 Bound.  Every operator output lies in conv(W . support), and for mu in the
 support and w in W, |<w mu, alpha_j^vee>| = |<mu, w^-1 alpha_j^vee>| is the
@@ -78,11 +80,13 @@ def terms_json_text(labels, coeffs, rank: int) -> str:
 
 
 # struct codes of the field widths struct unpacks directly, by byte count;
-# one struct call over one bytes string (`_Codec._xor_bytes`) decodes many
+# one struct call over one bytes string (`_Codec.unpack_flat`) decodes many
 # packed ints faster than reading their fields one by one (BENCH_22.json,
-# "decode_paths"); only those bulk decodes use struct: `_Codec.unpack` reads
+# "decode_paths"); only that bulk decode uses struct: `_Codec.unpack` reads
 # one weight's fields
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# the bytes a field needs -> the narrowest width struct decodes that holds it
+_WIDTHS = {need: next(n for n in _STRUCT_CODES if n >= need) for need in range(1, 9)}
 
 
 class _Codec:
@@ -90,10 +94,12 @@ class _Codec:
     ``nbytes`` bytes (module docstring).  ``pack`` and ``unpack_all`` are
     inverse on exponents whose labels lie in [-offset, offset).
 
-    ``base``, the packed zero weight, sets each field's top bit and no
+    ``top``, the packed zero weight, sets each field's top bit and no
     other, and a field's top bit is set exactly when its label is >= 0; so
-    ``top``, the same int, tests dominance in one AND: a packed weight is
-    dominant iff ``p & top == top``.
+    the same int tests dominance in one AND: a packed weight is dominant
+    iff ``p & top == top``.  XORed with it, a packed int has
+    two's-complement fields, which `unpack_flat`, the one struct decode,
+    reads in bulk; `unpack_all` regroups its labels.
 
     ``roots`` is the codec's root table, built here once, the one place a
     root's packed constants are derived: for each positive root, keyed by
@@ -107,8 +113,8 @@ class _Codec:
     operators, the dominant-weight walk, Freudenthal's strings, G2's
     translate and `fold` and `orbit` read their steps from it."""
 
-    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "base", "top", "roots", "_row",
-                 "_steps", "_children")
+    __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "top", "roots", "_steps",
+                 "_children")
 
     def __init__(self, rs: RootSystem, nbytes: int):
         width = 8 * nbytes
@@ -117,9 +123,7 @@ class _Codec:
         self.shifts = shifts = tuple(width * j for j in reversed(range(rs.rank)))
         self.mask = (1 << width) - 1
         self.offset = offset = 1 << (width - 1)
-        self.base = self.top = sum(offset << s for s in shifts)
-        code = _STRUCT_CODES.get(nbytes)
-        self._row = struct.Struct(">" + code * rs.rank) if code else None
+        self.top = sum(offset << s for s in shifts)
         self.roots = {}
         for root in rs.positive_roots:
             labels = rs.coroots[root.root_coords]
@@ -140,7 +144,7 @@ class _Codec:
         return sum(map(lshift, weight, self.shifts))
 
     def pack(self, weight) -> int:
-        return self.base + self.delta(weight)
+        return self.top + self.delta(weight)
 
     def fold(self, q: int) -> int:
         """The packed dominant weight of the Weyl orbit of a packed weight
@@ -189,34 +193,29 @@ class _Codec:
 
     def unpack(self, p) -> tuple:
         """The exponent tuple of one packed int, read field by field; struct
-        serves only the bulk decodes, `unpack_all` and `unpack_flat`."""
+        serves only the bulk decode, `unpack_flat`."""
         mask, offset = self.mask, self.offset
         return tuple([(p >> s & mask) - offset for s in self.shifts])
 
-    def _xor_bytes(self, keys) -> bytes:
-        """Packed ints, in their order, as one big-endian bytes string of
-        ``nbytes`` bytes a field, each XORed with ``base``: that flips each
-        field's top bit, which turns offset fields into two's-complement
-        ones that struct decodes directly.  For a width struct reads."""
-        size, base = self.nbytes * self.rs.rank, self.base
-        return b"".join([(p ^ base).to_bytes(size, "big") for p in keys])
-
     def unpack_all(self, keys) -> list:
-        """The exponent tuples of packed ints, in their order: one struct
-        row a weight over `_xor_bytes`, or, for fields wider than struct
-        reads, one by one (`unpack`)."""
-        if self._row is None:
-            return list(map(self.unpack, keys))
-        return list(self._row.iter_unpack(self._xor_bytes(keys)))
+        """The exponent tuples of a sequence of packed ints, in their order:
+        the labels of `unpack_flat`, ``rank`` to a tuple."""
+        labels = iter(self.unpack_flat(keys))
+        return list(zip(*[labels] * self.rs.rank))
 
     def unpack_flat(self, keys):
-        """The labels of packed ints, in their order, as one flat sequence,
-        ``rank`` to a weight: one `struct.unpack` of `_xor_bytes`, or, for
-        fields wider than struct reads, field by field."""
-        if self._row is None:
+        """The labels of a sequence of packed ints, in their order, as one
+        flat sequence, ``rank`` to a weight.  For a width struct reads, one
+        `struct.unpack` of one big-endian bytes string, ``nbytes`` bytes a
+        field, each int XORed with ``top``: that flips each field's top bit,
+        which turns offset fields into two's-complement ones.  Wider fields
+        are read field by field."""
+        code = _STRUCT_CODES.get(self.nbytes)
+        if code is None:
             return [x for p in keys for x in self.unpack(p)]
-        count = len(keys) * self.rs.rank
-        return struct.unpack(f">{count}{_STRUCT_CODES[self.nbytes]}", self._xor_bytes(keys))
+        size, top = self.nbytes * self.rs.rank, self.top
+        data = b"".join([(p ^ top).to_bytes(size, "big") for p in keys])
+        return struct.unpack(f">{len(keys) * self.rs.rank}{code}", data)
 
 
 @lru_cache(maxsize=None)  # one per root system and width in use
@@ -238,9 +237,9 @@ def _codec_for(rs: RootSystem, weights) -> _Codec:
     docstring): 1, 2, 4 or 8 bytes, which struct decodes, while one of them
     suffices."""
     c_max, root_label = _label_bounds(rs)
-    bound = c_max * max((sum(map(abs, w)) for w in weights), default=0) + root_label
+    bound = c_max * max([sum(map(abs, w)) for w in weights], default=0) + root_label
     need = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit
-    return _codec(rs, next((n for n in _STRUCT_CODES if n >= need), need))
+    return _codec(rs, _WIDTHS.get(need, need))
 
 
 class FormalSum:

@@ -100,8 +100,9 @@ class RootSystem(Frozen):
     cartan_det : det(cartan), a positive integer
     cartan_adjugate : the integer matrix cartan_det * cartan^-1
     form_scale : the positive integer by which ``inner_scaled`` multiplies
-        ``inner``: the lcm of the denominators of ``quadratic_form``
-    gram_scaled : form_scale * quadratic_form, an integer matrix
+        ``inner``: the lcm of the denominators of the Gram matrix of the
+        fundamental weights
+    gram_scaled : form_scale times that Gram matrix, an integer matrix
     """
 
     _fields = (
@@ -152,15 +153,6 @@ class RootSystem(Frozen):
     @cached_property
     def _root_by_coords(self) -> dict:
         return {root.root_coords: root for root in self.positive_roots}
-
-    @property
-    def quadratic_form(self) -> tuple:
-        """Exact Gram matrix of the fundamental weights, in Fractions."""
-        from fractions import Fraction
-
-        return tuple(
-            tuple(Fraction(x, self.form_scale) for x in row) for row in self.gram_scaled
-        )
 
     @cached_property
     def _gram_float(self) -> tuple[tuple[float, ...], ...]:

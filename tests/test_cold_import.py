@@ -1,8 +1,9 @@
 """What importing the CLI costs: ``import polychar.cli`` in a fresh
 interpreter loads neither ``dataclasses`` (with ``inspect``), ``fractions``
 (with ``decimal``), ``json`` nor ``random``, and no ``char``, ``bsum`` or
-``expand`` run loads them; the exact values that are Fractions still come
-out as Fractions, and ``eval`` loads ``random`` and ``json`` when it runs.
+``expand`` run loads them; ``RootSystem.inner`` loads ``fractions`` when it
+is first called and still returns a Fraction, and ``eval`` loads ``random``
+and ``json`` when it runs.
 
 The child runs as ``python -I -S``: a site ``.pth`` that imports ``random``
 would otherwise hide a regression.  It records ``sys.modules`` before it
@@ -40,9 +41,9 @@ for argv in (["char", "A2", "1", "1"], ["bsum", "A2", "1", "1", "--method", "bot
     out[argv[0]] = (code, sorted(DEFERRED & (set(sys.modules) - before)))
 from polychar.rootsys import build_root_system
 g2 = build_root_system("G2")
+before = set(sys.modules)
 inner = g2.inner((0, 1), (0, 1))
-out["inner"] = [type(inner).__name__, str(inner)]
-out["form"] = [[[type(x).__name__, str(x)] for x in row] for row in g2.quadratic_form]
+out["inner"] = [type(inner).__name__, str(inner), "fractions" in set(sys.modules) - before]
 print(repr(out))
 """
 
@@ -61,11 +62,8 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     assert out["import"] == []
     for name in ("char", "bsum", "expand"):
         assert out[name] == (0, [])
-    assert out["inner"] == ["Fraction", "2/3"]
-    assert out["form"] == [
-        [["Fraction", "2"], ["Fraction", "1"]],
-        [["Fraction", "1"], ["Fraction", "2/3"]],
-    ]
+    # the first exact inner product loads fractions, on demand
+    assert out["inner"] == ["Fraction", "2/3", True]
 
 
 def test_eval_run_loads_random_and_json():

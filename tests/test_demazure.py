@@ -214,7 +214,6 @@ def test_operators_refuse_foreign_roots_with_a_warm_table(name):
     assert len(foreign) == len(rs.positive_roots) + 3
     s = FormalSum.exp((2, 1))
     formal._codec.cache_clear()
-    polysum._weight_codec.cache_clear()
     for warm in (False, True):
         codec = _codec_for(rs, s.terms)
         for root in foreign:

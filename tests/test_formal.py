@@ -1,5 +1,6 @@
 """FormalSum arithmetic, canonical JSON, and numeric evaluation."""
 
+import itertools
 import json
 import math
 import operator
@@ -281,18 +282,21 @@ def test_one_rule_sizes_the_operator_and_walk_codecs(name, lam):
                 assert codec.unpack(codec.pack(nu)) == nu
 
 
-@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "B3"])
 @pytest.mark.parametrize("nbytes", [1, 2, 4, 8, 9])
 def test_codec_round_trips_at_every_width(name, nbytes):
     # 1, 2, 4 and 8 bytes decode in bulk through struct, 9 field by field;
-    # one weight always decodes field by field
-    codec = _codec(build_root_system(name), nbytes)
+    # one weight always decodes field by field, and unpack_all regroups the
+    # flat decode, rank labels to a weight
+    rs = build_root_system(name)
+    codec = _codec(rs, nbytes)
     edges = (-codec.offset, -1, 0, codec.offset - 1)
-    weights = [(a, b) for a in edges for b in edges]
+    weights = list(itertools.product(edges, repeat=rs.rank))
     packed = [codec.pack(w) for w in weights]
     for w, p in zip(weights, packed):
         assert codec.unpack(p) == codec.unpack_all([p])[0] == w
-    assert codec.unpack_all(packed) == weights
+        assert list(codec.unpack_flat([p])) == list(w)
+    assert codec.unpack_all(packed) == list(map(codec.unpack, packed)) == weights
     # the flat decode the sum writer reads: every label, rank to a weight
     assert list(codec.unpack_flat(packed)) == [x for w in weights for x in w]
     assert list(codec.unpack_flat([])) == codec.unpack_all([]) == []

@@ -11,6 +11,7 @@ bounding-box scan below is kept as the reference that certifies it.
 
 import math
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import chain, product
 from types import SimpleNamespace
@@ -185,8 +186,38 @@ def test_each_codec_width_keeps_its_own_root_table(a1, g2):
 
     warm = texts(cases)
     formal._codec.cache_clear()
-    polysum._weight_codec.cache_clear()
     assert texts(cases[::-1]) == warm
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A1", (125,)), ("A1", (126,)), ("A1", (127,)),
+    ("G2", (40, 0)), ("G2", (41, 0)), ("G2", (42, 0)),
+])
+def test_one_lam_keeps_one_codec_when_the_codec_cache_is_cleared(name, lam, monkeypatch):
+    # the walk, the oracle, the formula, Freudenthal and char of one lam all
+    # take lam's codec from formal's one codec cache: after a warm run,
+    # clearing that cache alone must not leave any of them on the old codec,
+    # or their equal sums would compare on tuples
+    from polychar import formal
+
+    rs = build_root_system(name)
+    routes = (lambda: polytope_sum_oracle(rs, lam).sum, lambda: polytope_sum_demazure(rs, lam),
+              lambda: character_freudenthal(rs, lam), lambda: character_demazure(rs, lam))
+    old = [route()._codec for route in routes]
+    assert all(codec is old[0] for codec in old)
+    formal._codec.cache_clear()
+    walked = []
+
+    def spy(algebra, weights):
+        walked.append(_codec_for(algebra, weights))
+        return walked[-1]
+
+    monkeypatch.setattr(polysum, "_codec_for", spy)
+    dominant_weights_below(rs, lam)
+    monkeypatch.undo()
+    [walk] = walked
+    assert walk is not old[0]
+    assert all(route()._codec is walk for route in routes)
 
 
 @pytest.mark.parametrize("name,max_label", _REFERENCE_GRIDS)
@@ -547,7 +578,7 @@ def test_weyl_character_eval(a1, a2):
 # (element, root) pair.  The library must match them bit for bit.
 @cache
 def _ref_gram(rs):
-    return tuple(tuple(float(x) for x in row) for row in rs.quadratic_form)
+    return tuple(tuple(float(Fraction(x, rs.form_scale)) for x in row) for row in rs.gram_scaled)
 
 
 def _ref_inner_float(rs, mu, nu):
@@ -1107,12 +1138,38 @@ def test_sampler_deterministic(g2):
     assert sample_generic_sigmas(g2, 4, 1) != sample_generic_sigmas(g2, 4, 2)
 
 
-def test_sampler_gives_up_after_its_attempts(a2, monkeypatch):
-    # no pairing of a point in [0.1, 1.1]^2 clears a margin of 10
-    monkeypatch.setattr(polysum, "_SAMPLER_MARGIN", 10.0)
-    for count in (1, 2):
-        with pytest.raises(GenericityError, match="could not sample generic evaluation points"):
-            sample_generic_sigmas(a2, count)
+_ALL_ALGEBRAS = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{family}{r}" for family in "BC" for r in range(2, 9)]
+    + [f"D{r}" for r in range(3, 9)]
+    + ["G2"]
+)
+
+
+@pytest.mark.parametrize("name", _ALL_ALGEBRAS)
+def test_sampled_points_pair_at_least_a_thirtieth_with_every_root(name):
+    # beta = sum_i c_i alpha_i pairs with sigma to sum_i c_i sigma_i
+    # (alpha_i, alpha_i) / 2, least on [0.1, 1.1]^r at sigma = 0.1 * (1, ...,
+    # 1), where it is inner_scaled(beta, (1, ..., 1)) / (10 * form_scale):
+    # at least 1/30 means 3 * inner_scaled >= form_scale, equal on G2 alone
+    rs = build_root_system(name)
+    ones = (1,) * rs.rank
+    least = min(rs.inner_scaled(root.weight_coords, ones) for root in rs.positive_roots)
+    assert 3 * least >= rs.form_scale
+    assert (3 * least == rs.form_scale) == (name == "G2")
+    roots = [root.weight_coords for root in rs.positive_roots]
+    for seed in range(10):
+        for sig in sample_generic_sigmas(rs, 20, seed):
+            assert min(_ref_inner_float(rs, beta, sig) for beta in roots) >= 1 / 30, (seed, sig)
+
+
+@pytest.mark.parametrize("name", _ALL_ALGEBRAS)
+def test_sampler_draws_what_the_filtering_reference_keeps(name):
+    # the reference still resamples near a pole; no point of the box is near
+    # one, so it keeps every draw, in the sampler's order
+    rs = build_root_system(name)
+    for seed in (0, 1, DEFAULT_SEED):
+        assert sample_generic_sigmas(rs, 20, seed) == _ref_sample(rs, 20, seed)
 
 
 def test_numeric_check_shape(a2):

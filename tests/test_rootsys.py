@@ -110,6 +110,12 @@ def test_positive_root_counts(name, count):
     assert len(rs.positive_roots) == count
 
 
+def _quadratic_form(rs) -> tuple:
+    """The exact Gram matrix of the fundamental weights, in Fractions, from
+    the integer matrix and scale the root system keeps."""
+    return tuple(tuple(Fraction(x, rs.form_scale) for x in row) for row in rs.gram_scaled)
+
+
 def _closed_form_det(name):
     family, n = name[0], int(name[1:])
     return {"A": n + 1, "B": 2, "C": 2, "D": 4, "G": 1}[family]
@@ -119,7 +125,7 @@ def _closed_form_det(name):
 def test_integer_kernel(name):
     rs = build_root_system(name)
     r = rs.rank
-    cartan, adj, form = rs.cartan, rs.cartan_adjugate, rs.quadratic_form
+    cartan, adj, form = rs.cartan, rs.cartan_adjugate, _quadratic_form(rs)
     assert rs.cartan_det == _closed_form_det(name)
     for i in range(r):
         for j in range(r):
@@ -184,14 +190,14 @@ def test_pairing_examples(a2, g2):
 
 def test_quadratic_form_values(a2, b2, g2, a3):
     third = Fraction(1, 3)
-    assert a2.quadratic_form == (
+    assert _quadratic_form(a2) == (
         (2 * third, third), (third, 2 * third),
     )
     half = Fraction(1, 2)
-    assert b2.quadratic_form == ((1, half), (half, half))
-    assert g2.quadratic_form == ((2, 1), (1, Fraction(2, 3)))
+    assert _quadratic_form(b2) == ((1, half), (half, half))
+    assert _quadratic_form(g2) == ((2, 1), (1, Fraction(2, 3)))
     quarter = Fraction(1, 4)
-    assert a3.quadratic_form == (
+    assert _quadratic_form(a3) == (
         (3 * quarter, 2 * quarter, quarter),
         (2 * quarter, 4 * quarter, 2 * quarter),
         (quarter, 2 * quarter, 3 * quarter),
@@ -202,9 +208,9 @@ _cached_root_system = cache(build_root_system)
 
 
 def _fraction_inner(rs, mu, nu) -> Fraction:
-    """Reference: the inner product summed in Fractions over quadratic_form."""
+    """Reference: the inner product summed in Fractions over the Gram matrix."""
     total = Fraction(0)
-    for mi, row in zip(mu, rs.quadratic_form):
+    for mi, row in zip(mu, _quadratic_form(rs)):
         if mi:
             total += mi * sum((g * n for g, n in zip(row, nu) if n), Fraction(0))
     return total
@@ -219,7 +225,7 @@ def test_integer_form_matches_fraction_form(name, data):
     mu, nu = data.draw(labels), data.draw(labels)
     assert rs.inner(mu, nu) == _fraction_inner(rs, mu, nu)
     units = [tuple(int(k == j) for k in range(r)) for j in range(r)]
-    for i, row in enumerate(rs.quadratic_form):
+    for i, row in enumerate(_quadratic_form(rs)):
         for j, entry in enumerate(row):
             assert rs.inner_float(units[i], units[j]).hex() == float(entry).hex()
     root = data.draw(st.sampled_from(rs.positive_roots))
