@@ -11,25 +11,37 @@ e^mu, with n the pairing of mu against beta's coroot, to
 extended Z-linearly.  The companion operator d = D - 1 subtracts the
 identity.  Compositions act rightmost-first throughout this module.
 
-The cores compute this as (f - e^{-beta} s_beta f) / (1 - e^{-beta})
-(Demazure, 1974): the numerator first, then one running sum down each
-beta-string.  A term c e^mu puts +c at the string point of pairing n (mu
-itself) and -c at pairing -n-2 (mu - (n+1) beta) into its string's table;
-for d the +c sits one step lower, at mu - beta.  Summing the table from
-the string's top down gives every output coefficient once, and the two
-entries cancel where the formula gives nothing (n = -1 for D, n = 0 for d).
-A string is keyed by its point of pairing 0 or 1.
+The core writes D as one table per beta-string.  A step along the string
+moves the pairing by 2, since <beta, beta^vee> = 2, so each case above is
+an s_beta-symmetric segment of the string, whose radius R is the largest
+pairing on it:
 
-Both cores work on packed exponents (`formal`): each exponent is one int,
-so going down a string is ``p - step``, a string's key is an int, and a
-pairing reads the labels it needs from their fields.  A root's step and
-coroot pairing come from its codec's root table (`formal._Codec`), built
-once per codec; ``RootSystem.coroot_labels`` still checks every root an
-operator is given.  A tuple input is read through a packed copy, with a
-codec derived from its own terms, and left as it was; every output is a
-packed sum of that codec, since it lies in the W-invariant hull the codec
-was sized for.  A word of operators never builds an exponent tuple; the
-result builds them once, when it is read, and stays packed.
+    n >= 0 :  +c on the points of pairing n, n-2, ..., -n: R = n;
+    n <= -1:  -c on mu + beta, ..., mu + (-n-1) beta, of pairing
+              n+2, ..., -n-2: R = -n-2, and no point when n = -1.
+
+So a term adds one entry R -> +-c to its string's table, for every
+positive root alike, simple or not, and the output at pairing +-r is the
+sum of the entries with R >= r.  A string is keyed by its point of pairing
+0 or 1, its parity, and its table starts with a zero entry at radius 0 or
+-1 by parity, the floor that ends its last segment.  The fill walks the
+radii down with a running total and writes each radius r as a mirror
+pair, the point of pairing r and its s_beta image of pairing -r; r = 0 is
+the key, one point, written once.  d subtracts the input once, after the
+fill.  (The cases are (f - e^{-beta} s_beta f) / (1 - e^{-beta}) on one
+term, Demazure, 1974.)
+
+The core and the reflection work on packed exponents (`formal`): each
+exponent is one int, so going down a string is ``p - step``, a string's key
+is an int, and a pairing reads the labels it needs from their fields.  A
+root's step and coroot pairing come from its codec's root table
+(`formal._Codec`), built once per codec; ``RootSystem.coroot_labels``
+still checks every root an operator is given.  A tuple input is read
+through a packed copy, with a codec derived from its own terms, and left
+as it was; every output is a packed sum of that codec, since it lies in
+the W-invariant hull the codec was sized for.  A word of operators never
+builds an exponent tuple; the result builds them once, when it is read,
+and stays packed.
 """
 
 from functools import reduce
@@ -61,35 +73,42 @@ def _packed_root(rs: RootSystem, root: Root, s: FormalSum) -> tuple:
 
 def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:
     """String operator of a positive root: D with ``keep_identity``, else
-    d = D - 1.  One running sum per beta-string (module docstring)."""
+    d = D - 1.  One radius table per beta-string (module docstring)."""
     terms, codec, step, mask, fields, lift = _packed_root(rs, root, s)
-    # level t of a string is its key + t*beta; e^mu sits at level h
-    shift = 0 if keep_identity else 1
     strings: dict = {}
     for p, coeff in terms.items():
         n = lift
         for sh, cv in fields:
             n += cv * (p >> sh & mask)
-        h = n >> 1
-        key = p - h * step
-        table = strings.get(key)
-        if table is None:
-            strings[key] = table = {}
-        top, bottom = h - shift, h - n - 1
-        if top != bottom:
-            table[top] = table.get(top, 0) + coeff
-            table[bottom] = table.get(bottom, 0) - coeff
+        key = p - (n >> 1) * step
+        if n < 0:
+            n, coeff = -n - 2, -coeff  # n is now the radius, -1 for no point
+        if (table := strings.get(key)) is None:
+            # the floor entry: radius 0 or -1, the string's parity
+            strings[key] = {-(n & 1): 0, n: coeff}
+        else:
+            table[n] = table.get(n, 0) + coeff
     out: dict = {}
     for key, table in strings.items():
         total = 0
-        for level in sorted(table, reverse=True):
+        for radius in sorted(table, reverse=True):
             if total:
-                # the levels from the one above down to this one, exclusive
-                for mu in range(key + upper * step, key + level * step, -step):
-                    out[mu] = total
-            upper = level
-            total += table[level]
-    return FormalSum._of(rs.rank, out, codec)
+                # the radii from the one above down to this one, exclusive;
+                # down = s_beta(up), r steps below up at pairing r
+                up = key + (upper >> 1) * step
+                down = up - upper * step
+                for _ in range((upper >> 1) - (radius >> 1)):
+                    out[up] = out[down] = total
+                    up -= step
+                    down += step
+            upper = radius
+            total += table[radius]
+        if total and not upper:
+            # radius 0, the key alone, under a new int: the key object
+            # itself would keep the tables' memory from being reused
+            out[key - upper] = total
+    value = FormalSum._of(rs.rank, out, codec)
+    return value if keep_identity else value - FormalSum._of(rs.rank, terms, codec)
 
 
 def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, islice, tee
 from operator import mul, sub
 
 from ._frozen import Frozen
-from .demazure import apply_d_root, apply_r_root, character_demazure
+from .demazure import apply_D_root, apply_r_root, character_demazure
 from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
 # ``orbit`` stays bound here, uncalled: benchmarks/tests/test_bench.py
@@ -213,42 +213,59 @@ def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
 def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     """Apply [d(b_m) r(b_{m-1}) ... r(b_1) + ... + d(b_2) r(b_1) + d(b_1) + 1]
     to ``s`` for the bracket's roots (b_1, ..., b_m), rightmost factors
-    first; a term's translate mu multiplies it by (1 + e^mu).  The staged
-    sums start from a packed copy of the input and stay packed by its codec
-    (`formal`).  The terms d(...) add up in one dict of packed ints owned
-    here (`_accumulate`), and join the input in one `FormalSum.add`.  A
-    translate is one addition per packed int, its step read from the
-    codec's root table.  It moves a term's points, which lie in the hull the
-    codec was sized for, by one root, which the codec's root-label margin
-    holds, and every later operator output lies in conv(W . support).  On
-    e^lam's codec the shifted points are polytope points (docs/g2.md)."""
-    start = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
-    codec = start._codec
+    first; a term's translate mu multiplies it by (1 + e^mu).
+
+    With s_0 = s and s_k = r(b_k) s_{k-1}, d = D - 1 telescopes the bracket
+    to the D form
+
+        sum_{k=1..m} D(b_k) s_{k-1}  -  sum_{k=2..m} s_{k-1},
+
+    the k = 1 term's -s_0 cancelling the 1.  A translate on term k
+    multiplies both D(b_k) s_{k-1} and -s_{k-1}; for k = 1 only the
+    -e^mu s_0 part stays.  Every part but the last D term adds up in one
+    dict of packed ints owned here (`_accumulate`), and the last D term
+    joins it in one `FormalSum.add`, with no pass of its own when it is the
+    longer.
+
+    The staged sums start from a packed copy of the input and stay packed
+    by its codec (`formal`).  A translate is one addition per packed int,
+    its step read from the codec's root table.  It moves a term's points,
+    which lie in the hull the codec was sized for, by one root, which the
+    codec's root-label margin holds, and every later operator output lies
+    in conv(W . support).  On e^lam's codec the shifted points are
+    polytope points (docs/g2.md)."""
+    staged = FormalSum._of(rs.rank, *s._packed_for(rs))
+    codec = staged._codec
     acc: dict = {}
-    for k, (root, translate) in enumerate(bracket, 1):
+    for k, (root, translate) in enumerate(bracket):
         # an operator's output is packed by its input's codec
-        terms = apply_d_root(rs, root, staged)._terms
-        _accumulate(acc, terms, 0)
+        term = apply_D_root(rs, root, staged)
+        if k:
+            _accumulate(acc, staged._terms, 0, -1)
         if translate is not None:
-            _accumulate(acc, terms, codec.roots[translate.root_coords][0])
-        if k < len(bracket):
+            shift = codec.roots[translate.root_coords][0]
+            _accumulate(acc, term._terms, shift, 1)
+            _accumulate(acc, staged._terms, shift, -1)
+        if k < len(bracket) - 1:
+            _accumulate(acc, term._terms, 0, 1)
             staged = apply_r_root(rs, root, staged)
-    terms = FormalSum._of(rs.rank, acc, codec)
+    acc = FormalSum._of(rs.rank, acc, codec)
     # the sum adds the other's terms one by one: the shorter goes second
-    return terms.add(start) if len(terms) >= len(start) else start.add(terms)
+    return term.add(acc) if len(term) >= len(acc) else acc.add(term)
 
 
-def _accumulate(acc: dict, terms: dict, shift: int) -> None:
-    """Add packed terms, each moved by the packed step ``shift``, into
-    ``acc``, deleting each entry that cancels, so no zero is kept.  Into an
-    empty ``acc`` unmoved terms are copied whole."""
-    if not acc and not shift:
+def _accumulate(acc: dict, terms: dict, shift: int, sign: int) -> None:
+    """Add packed terms, each moved by the packed step ``shift`` and
+    multiplied by ``sign``, into ``acc``, deleting each entry that cancels,
+    so no zero is kept.  Into an empty ``acc`` unmoved terms of sign 1 are
+    copied whole."""
+    if not acc and not shift and sign == 1:
         acc.update(terms)
         return
     get = acc.get
     for p, c in terms.items():
         p += shift
-        c += get(p, 0)
+        c = get(p, 0) + sign * c
         if c:
             acc[p] = c
         else:

@@ -24,19 +24,19 @@ def test_tracer_binds_every_name():
     tracing = _load_tracing()
     originals = (
         demazure.apply_D_simple, polysum.polytope_sum_demazure,
-        polysum.apply_d_root, weyl.weyl_group, vars(rootsys.RootSystem)["coroot_labels"],
+        polysum.apply_D_root, weyl.weyl_group, vars(rootsys.RootSystem)["coroot_labels"],
     )
     undo = tracing.install(tracing.Tracer())
     try:
         assert undo
         assert demazure.apply_D_simple is not originals[0]
         assert polysum.polytope_sum_demazure is not originals[1]
-        assert polysum.apply_d_root is not originals[2]
+        assert polysum.apply_D_root is not originals[2]
     finally:
         tracing.restore(undo)
     assert (
         demazure.apply_D_simple, polysum.polytope_sum_demazure,
-        polysum.apply_d_root, weyl.weyl_group, vars(rootsys.RootSystem)["coroot_labels"],
+        polysum.apply_D_root, weyl.weyl_group, vars(rootsys.RootSystem)["coroot_labels"],
     ) == originals
     assert hasattr(weyl.weyl_group, "cache_clear")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polychar import (
     FormalSum,
+    PolytopeSizeError,
     Root,
     apply_D_root,
     apply_D_simple,
@@ -22,6 +23,8 @@ from polychar import (
     character_demazure_sum,
     character_freudenthal,
     dominant_representative,
+    dominant_weights_below,
+    orbit_size,
     weyl_group,
 )
 from polychar import gamma_sequence, polysum
@@ -459,6 +462,58 @@ def test_character_rank_8_fundamental_matches_freudenthal():
     ch = character_demazure(rs, omega1)
     assert ch == character_freudenthal(rs, omega1)
     assert len(ch) == 16  # the vector representation's weights, +-e_i
+
+
+# every algebra the sweep below draws: A-D at ranks 1-8, plus G2
+_SWEEP_ALGEBRAS = tuple(
+    f"{family}{rank}" for family, first in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+    for rank in range(first, 9)
+) + ("G2",)
+# the largest polytope, in lattice points, the sweep takes a weight of
+_SWEEP_POINT_BUDGET = 1000
+
+
+def _fits_budget(rs, lam):
+    try:
+        points = sum(orbit_size(rs, mu) for mu in dominant_weights_below(rs, lam))
+    except PolytopeSizeError:
+        return False
+    return points <= _SWEEP_POINT_BUDGET
+
+
+def _first_difference(left, right):
+    """The first weight, in canonical order, where two sums differ, and
+    the two coefficients there."""
+    diff = (left - right).terms
+    weight = min(diff)
+    return weight, left.terms.get(weight, 0), right.terms.get(weight, 0)
+
+
+@pytest.mark.parametrize("name", _SWEEP_ALGEBRAS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_char_is_freudenthal_and_weyl_invariant_at_every_rank(name, data):
+    # a drawn weight loses one from its largest label (the last of equals)
+    # until its polytope fits the point budget, so every draw is used
+    rs = build_root_system(name)
+    lam = list(data.draw(st.tuples(*[st.integers(0, 3)] * rs.rank)))
+    while not _fits_budget(rs, lam):
+        top = max(lam)
+        lam[max(k for k, x in enumerate(lam) if x == top)] -= 1
+    lam = tuple(lam)
+    ch = character_demazure(rs, lam)
+    freudenthal = character_freudenthal(rs, lam)
+    assert ch == freudenthal, (
+        "char equals character_freudenthal fails on {} {}: at weight {}, "
+        "operators {} against Freudenthal {}".format(
+            name, lam, *_first_difference(ch, freudenthal))
+    )
+    for i in range(1, rs.rank + 1):
+        reflected = apply_r_simple(rs, i, ch)
+        assert reflected == ch, (
+            "s_{} fixes char fails on {} {}: at weight {}, reflected {} "
+            "against char {}".format(i, name, lam, *_first_difference(reflected, ch))
+        )
 
 
 def test_character_requires_dominant(a2):

@@ -488,6 +488,53 @@ def test_edge_bracket_drops_cancelled_terms(a1, a2):
     assert out == expected
 
 
+def _d_form_bracket(rs, bracket, s):
+    """The edge bracket as its factors read, one d = D - 1 term per root:
+    the d terms add up in one dict of packed ints, then join the input, and
+    a translate adds each d term again, moved by the translate's step.  The
+    reference for `polysum._edge_bracket`'s telescoped D form."""
+    start = staged = FormalSum._of(rs.rank, *s._packed_for(rs))
+    codec = start._codec
+    acc = {}
+
+    def accumulate(terms, shift):
+        for p, c in terms.items():
+            c += acc.get(p + shift, 0)
+            if c:
+                acc[p + shift] = c
+            else:
+                del acc[p + shift]
+
+    for k, (root, translate) in enumerate(bracket, 1):
+        terms = apply_d_root(rs, root, staged)._terms
+        accumulate(terms, 0)
+        if translate is not None:
+            accumulate(terms, codec.roots[translate.root_coords][0])
+        if k < len(bracket):
+            staged = apply_r_root(rs, root, staged)
+    return FormalSum._of(rs.rank, acc, codec) + start
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_edge_bracket_equals_its_d_form(name, data):
+    # every bracket of every formula row, G2's translated one included, on
+    # packed sums with mixed signs, and on what the previous bracket made
+    rs = build_root_system(name)
+    weights = st.tuples(*[st.integers(-4, 4)] * rs.rank)
+    terms = data.draw(st.dictionaries(weights, st.integers(-3, 3).filter(bool), max_size=12))
+    s = FormalSum._of(rs.rank, *FormalSum(rs.rank, terms)._packed_for(rs))
+    staged = s
+    for bracket in polysum._formula(rs)[2]:
+        for x in (s, staged):
+            out = polysum._edge_bracket(rs, bracket, x)
+            assert out == _d_form_bracket(rs, bracket, x)
+            assert out._codec is x._codec
+            assert 0 not in out.terms.values()
+        staged = out
+
+
 @pytest.mark.parametrize(
     "name, word",
     [
