@@ -98,7 +98,7 @@ def _sum_result(s: FormalSum) -> tuple:
 def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
-    _check_support_size(rs, (lam,), f"the polytope of {list(lam)}")
+    _check_support_size(rs, (lam,), lam)
     return _sum_result(character_demazure(rs, lam))
 
 
@@ -109,7 +109,7 @@ def _cmd_bsum(args) -> tuple:
     if args.method == "demazure":
         _formula(rs)  # without a formula, refused before the size guard
         lam = check_weight(rs, args.labels, dominant=True)
-        _check_support_size(rs, (lam,), f"the polytope of {list(lam)}")
+        _check_support_size(rs, (lam,), lam)
         return _sum_result(polytope_sum_demazure(rs, lam))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()

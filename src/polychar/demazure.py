@@ -27,9 +27,10 @@ sum of the entries with R >= r.  A string is keyed by its point of pairing
 -1 by parity, the floor that ends its last segment.  The fill walks the
 radii down with a running total and writes each radius r as a mirror
 pair, the point of pairing r and its s_beta image of pairing -r; r = 0 is
-the key, one point, written once.  d subtracts the input once, after the
-fill.  (The cases are (f - e^{-beta} s_beta f) / (1 - e^{-beta}) on one
-term, Demazure, 1974.)
+the key, one point, written once.  d then subtracts the input from that
+fresh output in place (`formal._accumulate`), with no second sum.  (The
+cases are (f - e^{-beta} s_beta f) / (1 - e^{-beta}) on one term,
+Demazure, 1974.)
 
 The core and the reflection work on packed exponents (`formal`): each
 exponent is one int, so going down a string is ``p - step``, a string's key
@@ -46,7 +47,7 @@ and stays packed.
 
 from functools import reduce
 
-from .formal import FormalSum
+from .formal import FormalSum, _accumulate
 from .rootsys import Root, RootSystem, check_weight
 from .weyl import dominant_representative, weyl_group
 
@@ -73,7 +74,8 @@ def _packed_root(rs: RootSystem, root: Root, s: FormalSum) -> tuple:
 
 def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> FormalSum:
     """String operator of a positive root: D with ``keep_identity``, else
-    d = D - 1.  One radius table per beta-string (module docstring)."""
+    d = D - 1, the input subtracted from the fresh output in place.  One
+    radius table per beta-string (module docstring)."""
     terms, codec, step, mask, fields, lift = _packed_root(rs, root, s)
     strings: dict = {}
     for p, coeff in terms.items():
@@ -107,8 +109,9 @@ def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> 
             # radius 0, the key alone, under a new int: the key object
             # itself would keep the tables' memory from being reused
             out[key - upper] = total
-    value = FormalSum._of(rs.rank, out, codec)
-    return value if keep_identity else value - FormalSum._of(rs.rank, terms, codec)
+    if not keep_identity:
+        _accumulate(out, terms, 0, -1)
+    return FormalSum._of(rs.rank, out, codec)
 
 
 def _reflect(rs: RootSystem, root: Root, s: FormalSum) -> FormalSum:

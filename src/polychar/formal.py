@@ -43,6 +43,13 @@ Two sums add packed only when they share one codec; any other pair adds on
 tuples, so no codec is ever widened.  Two sums of one codec compare their
 packed dicts; any other pair compares on tuples.
 
+One accumulator, `_accumulate`, adds signed terms into a dict, optionally
+moved by a packed step, and drops each entry that cancels: `+`, `-` and
+`add` run it on a copy of the left operand, the operator d on its fresh
+output, and the polytope formula's brackets on their staged parts.  Only
+the constructor, which checks each term it is given, keeps a loop of its
+own.
+
 The Weyl orbit walk (`_Codec.orbit`) runs on the same packed ints, so the
 oracle's polytope sum and Freudenthal's character are packed sums of
 lam's codec, the codec of e^lam and so of the operator formulas' sums.
@@ -242,6 +249,27 @@ def _codec_for(rs: RootSystem, weights) -> _Codec:
     return _codec(rs, _WIDTHS.get(need, need))
 
 
+def _accumulate(acc: dict, terms: dict, shift: int, sign: int) -> None:
+    """Add ``terms``, each multiplied by ``sign`` and, when ``shift`` is
+    nonzero, each key moved by that packed step, into ``acc``, deleting
+    each entry that cancels, so no zero is kept.  Into an empty ``acc``
+    unmoved terms of sign 1 are copied whole.  Tuple keys pass through
+    with ``shift`` 0.  The one loop that adds signed terms into a dict
+    (module docstring)."""
+    if not acc and not shift and sign == 1:
+        acc.update(terms)
+        return
+    get = acc.get
+    for p, c in terms.items():
+        if shift:
+            p += shift
+        c = get(p, 0) + sign * c
+        if c:
+            acc[p] = c
+        else:
+            del acc[p]
+
+
 class FormalSum:
     """Immutable Z-linear combination of exponentials, zero terms pruned.
 
@@ -308,10 +336,6 @@ class FormalSum:
         return {codec.pack(w): c for w, c in terms.items()}, codec
 
     @classmethod
-    def zero(cls, rank: int) -> "FormalSum":
-        return cls(rank)
-
-    @classmethod
     def exp(cls, weight) -> "FormalSum":
         """The single exponential e^weight."""
         w = tuple(weight)
@@ -334,9 +358,6 @@ class FormalSum:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def _canonical(self) -> tuple:
         """The terms in lexicographic exponent order, as a shared tuple,
@@ -363,28 +384,25 @@ class FormalSum:
         return self._merge(other, 1)
 
     def _merge(self, other: "FormalSum", sign: int) -> "FormalSum":
-        """self + sign * other in one pass over other's terms: packed when
-        both sides are packed by one codec, else on tuples."""
+        """self + sign * other: a copy of self's dict, other's terms added
+        into it by `_accumulate`, packed when both sides are packed by one
+        codec, else on tuples."""
         if other._rank != self._rank:
             raise ValueError(f"rank mismatch: {self._rank} vs {other._rank}")
         codec = self._codec
         if codec is other._codec:
-            merged, items = dict(self._terms), other._terms.items()
+            merged, terms = dict(self._terms), other._terms
         else:
             codec = None
-            merged, items = dict(self._tuples()), other._tuples().items()
-        pop = merged.pop
-        for w, c in items:
-            t = pop(w, 0) + sign * c
-            if t:
-                merged[w] = t
+            merged, terms = dict(self._tuples()), other._tuples()
+        _accumulate(merged, terms, 0, sign)
         return FormalSum._of(self._rank, merged, codec)
 
     def scale(self, factor: int) -> "FormalSum":
         if not isinstance(factor, int) or isinstance(factor, bool):
             raise TypeError("scale factor must be an integer")
         if factor == 0:
-            return FormalSum.zero(self._rank)
+            return FormalSum(self._rank)
         terms = {w: factor * c for w, c in self._terms.items()}
         return FormalSum._of(self._rank, terms, self._codec)
 

@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_D_root, apply_r_root, character_demazure
-from .formal import FormalSum, _codec_for, check_point, evaluate, exp_table
+from .formal import FormalSum, _accumulate, _codec_for, check_point, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
 # ``orbit`` stays bound here, uncalled: benchmarks/tests/test_bench.py
 # checks that the tracer rebinds this name along with weyl's
@@ -223,9 +223,9 @@ def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     the k = 1 term's -s_0 cancelling the 1.  A translate on term k
     multiplies both D(b_k) s_{k-1} and -s_{k-1}; for k = 1 only the
     -e^mu s_0 part stays.  Every part but the last D term adds up in one
-    dict of packed ints owned here (`_accumulate`), and the last D term
-    joins it in one `FormalSum.add`, with no pass of its own when it is the
-    longer.
+    dict of packed ints owned here, by `formal._accumulate`, and the last
+    D term joins it in one `FormalSum.add`, with no pass of its own when it
+    is the longer.
 
     The staged sums start from a packed copy of the input and stay packed
     by its codec (`formal`).  A translate is one addition per packed int,
@@ -252,24 +252,6 @@ def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     acc = FormalSum._of(rs.rank, acc, codec)
     # the sum adds the other's terms one by one: the shorter goes second
     return term.add(acc) if len(term) >= len(acc) else acc.add(term)
-
-
-def _accumulate(acc: dict, terms: dict, shift: int, sign: int) -> None:
-    """Add packed terms, each moved by the packed step ``shift`` and
-    multiplied by ``sign``, into ``acc``, deleting each entry that cancels,
-    so no zero is kept.  Into an empty ``acc`` unmoved terms of sign 1 are
-    copied whole."""
-    if not acc and not shift and sign == 1:
-        acc.update(terms)
-        return
-    get = acc.get
-    for p, c in terms.items():
-        p += shift
-        c = get(p, 0) + sign * c
-        if c:
-            acc[p] = c
-        else:
-            del acc[p]
 
 
 def polytope_sum_demazure(rs: RootSystem, lam) -> FormalSum:
@@ -462,7 +444,6 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
         strings.append((j, codec.roots[root.root_coords][0], cov, sum(map(mul, wc, cov))))
     mult = {pack(lam): 1}  # packed dominant weight -> multiplicity; doms[0] is lam
     tails = {pack(lam): [0] * len(strings)}  # the same keys -> S_beta, per root
-    values = [1]
     for mu in doms[1:]:
         p = pack(mu)
         own = []
@@ -495,8 +476,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
             )
         mult[p] = value
         tails[p] = own
-        values.append(value)
-    return dict(zip(doms, values))
+    return dict(zip(doms, mult.values()))  # mult was filled in doms' order
 
 
 def character_freudenthal(rs: RootSystem, lam) -> FormalSum:
@@ -534,11 +514,12 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return value
 
 
-def _check_support_size(rs: RootSystem, weights, what: str) -> None:
+def _check_support_size(rs: RootSystem, weights, what) -> None:
     """Refuse ``what``, the polytopes of the dominant ``weights`` together,
     with PolytopeSizeError when they hold more lattice points than the cap:
     `char` and `bsum --method demazure` size their lam, `verify` its grid,
-    before any sum is built.  A module has no more distinct weights than its
+    before any sum is built.  ``what`` is text, or a dominant weight, as in
+    `_check_point_count`, which writes the refusal.  A module has no more distinct weights than its
     dimension, so dimensions adding up to at most the cap pass at once (read
     lazily, up to the first weight past it); otherwise the exact counts over
     `dominant_weights_below` are added in order, refused past the cap."""

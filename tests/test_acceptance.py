@@ -227,7 +227,7 @@ def test_acceptance_7_polytope_expansion(capsys):
             if coeffs.get(labels) != 1:
                 bad.append((name, labels, "leading coefficient"))
                 continue
-            rebuilt = FormalSum.zero(rs.rank)
+            rebuilt = FormalSum(rs.rank)
             for mu, c in coeffs.items():
                 block = polytope_sum_oracle(rs, mu).sum
                 rebuilt = rebuilt.add(

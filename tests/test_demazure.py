@@ -25,6 +25,9 @@ from polychar import (
     dominant_representative,
     dominant_weights_below,
     orbit_size,
+    polytope_expansion,
+    polytope_sum_demazure,
+    polytope_sum_oracle,
     weyl_group,
 )
 from polychar import gamma_sequence, polysum
@@ -481,6 +484,17 @@ def _fits_budget(rs, lam):
     return points <= _SWEEP_POINT_BUDGET
 
 
+def _draw_under_budget(rs, data, top):
+    """A weight drawn with labels 0..top that loses one from its largest
+    label (the last of equals) until its polytope fits the point budget,
+    so every draw is used."""
+    lam = list(data.draw(st.tuples(*[st.integers(0, top)] * rs.rank)))
+    while not _fits_budget(rs, lam):
+        largest = max(lam)
+        lam[max(k for k, x in enumerate(lam) if x == largest)] -= 1
+    return tuple(lam)
+
+
 def _first_difference(left, right):
     """The first weight, in canonical order, where two sums differ, and
     the two coefficients there."""
@@ -493,14 +507,8 @@ def _first_difference(left, right):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_char_is_freudenthal_and_weyl_invariant_at_every_rank(name, data):
-    # a drawn weight loses one from its largest label (the last of equals)
-    # until its polytope fits the point budget, so every draw is used
     rs = build_root_system(name)
-    lam = list(data.draw(st.tuples(*[st.integers(0, 3)] * rs.rank)))
-    while not _fits_budget(rs, lam):
-        top = max(lam)
-        lam[max(k for k, x in enumerate(lam) if x == top)] -= 1
-    lam = tuple(lam)
+    lam = _draw_under_budget(rs, data, 3)
     ch = character_demazure(rs, lam)
     freudenthal = character_freudenthal(rs, lam)
     assert ch == freudenthal, (
@@ -514,6 +522,43 @@ def test_char_is_freudenthal_and_weyl_invariant_at_every_rank(name, data):
             "s_{} fixes char fails on {} {}: at weight {}, reflected {} "
             "against char {}".format(i, name, lam, *_first_difference(reflected, ch))
         )
+
+
+@pytest.mark.parametrize("name", _SWEEP_ALGEBRAS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_polytope_expansion_rebuilds_char_at_every_rank(name, data):
+    # the peel, the oracle and the operators meet past rank 3
+    rs = build_root_system(name)
+    lam = _draw_under_budget(rs, data, 3)
+    coeffs = polytope_expansion(rs, lam)
+    assert coeffs.get(lam) == 1, (
+        "the expansion's coefficient at lam is 1 fails on {} {}: at weight {}, "
+        "expansion {} against 1".format(name, lam, lam, coeffs.get(lam, 0))
+    )
+    total = FormalSum(rs.rank)
+    for mu, c in coeffs.items():
+        total = total + polytope_sum_oracle(rs, mu).sum.scale(c)
+    ch = character_demazure(rs, lam)
+    assert total == ch, (
+        "the sum of c_mu B_mu equals char fails on {} {}: at weight {}, "
+        "expansion {} against char {}".format(name, lam, *_first_difference(total, ch))
+    )
+
+
+@pytest.mark.parametrize("name,top", [("A1", 12), ("A2", 12), ("B2", 12), ("G2", 12), ("A3", 4)],
+                         ids=["A1", "A2", "B2", "G2", "A3"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_polytope_formula_equals_oracle_drawn(name, top, data):
+    rs = build_root_system(name)
+    lam = _draw_under_budget(rs, data, top)
+    formula = polytope_sum_demazure(rs, lam)
+    oracle = polytope_sum_oracle(rs, lam).sum
+    assert formula == oracle, (
+        "the polytope formula equals the oracle fails on {} {}: at weight {}, "
+        "formula {} against oracle {}".format(name, lam, *_first_difference(formula, oracle))
+    )
 
 
 def test_character_requires_dominant(a2):

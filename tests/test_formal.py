@@ -39,7 +39,7 @@ def test_scale_by_zero_is_the_zero_sum():
     s = FormalSum(2, {(1, 0): 3, (0, 1): -2})
     for x in (s, _packed_only(build_root_system("A2"), dict(s.terms))):
         assert x.scale(0).is_zero() and len(x.scale(0)) == 0
-        assert x.scale(0) == FormalSum.zero(2)
+        assert x.scale(0) == FormalSum(2)
 
 
 def test_equality_against_other_objects_and_ranks():
@@ -47,7 +47,7 @@ def test_equality_against_other_objects_and_ranks():
     assert s.__eq__(3) is NotImplemented and s.__eq__({(1, 0): 3}) is NotImplemented
     assert (s == 3) is False and (s != {(1, 0): 3}) is True
     # sums of different ranks are never equal, not even two zeros
-    assert FormalSum.zero(1) != FormalSum.zero(2)
+    assert FormalSum(1) != FormalSum(2)
     assert FormalSum.exp((0,)) != FormalSum.exp((0, 0))
 
 
@@ -375,7 +375,7 @@ def test_json_text_is_json_dumps(case):
 
 def test_json_text_of_the_empty_sum(a2):
     for rank in (1, 4):
-        assert FormalSum.zero(rank).to_json_text() == "[]"
+        assert FormalSum(rank).to_json_text() == "[]"
         assert terms_json_text([], [], rank) == "[]"
     for nbytes in (1, 9):
         assert FormalSum._of(2, {}, _codec(a2, nbytes)).to_json_text() == "[]"
