@@ -3,11 +3,16 @@
 It does what ``dataclasses.dataclass(frozen=True)`` did for them without
 importing ``dataclasses`` (and with it ``inspect``), whose import and
 per-class code generation took longer than the rest of the package's import.
-A subclass names its fields in ``_fields``, also its ``__slots__``, and its
-``__init__`` stores them with `Frozen._store`.  It then compares and hashes
-as the tuple of its fields (an unhashable field makes it unhashable), shows
-the dataclass repr, pickles and copies by its constructor, and refuses
-attribute assignment and deletion with AttributeError.
+A subclass names its fields once, in ``_fields``, also its ``__slots__``.
+The one constructor, `Frozen.__init__`, fills them by position and then by
+keyword, each exactly once, and raises TypeError on a wrong set of fields:
+one missing, an extra value, an unknown keyword, or a field given both
+ways.  A subclass that validates its fields (`AlgebraId`) ends its own
+``__init__`` with ``super().__init__(...)``.  A value then compares and
+hashes as the tuple of its fields (an unhashable field makes it
+unhashable), shows the dataclass repr, pickles and copies by its
+constructor, and refuses attribute assignment and deletion with
+AttributeError.
 """
 
 
@@ -15,8 +20,13 @@ class Frozen:
     __slots__ = ()
     _fields: tuple = ()
 
-    def _store(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named:
+            values += tuple([named.pop(name) for name in fields[len(values):] if name in named])
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

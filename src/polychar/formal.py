@@ -361,16 +361,15 @@ class FormalSum:
 
     def _canonical(self) -> tuple:
         """The terms in lexicographic exponent order, as a shared tuple,
-        sorted once: the terms never change form.  A packed sum sorts its
-        ints, whose order is the tuples' order, and unpacks them in one
-        pass."""
+        sorted once: the terms never change form.  Both forms sort their
+        keys and read the coefficients by them.  A tuple key is its own
+        weight; a packed sum's ints sort in the tuples' order and unpack in
+        one pass."""
         if self._sorted is None:
             terms, codec = self._terms, self._codec
-            if codec is None:
-                self._sorted = tuple(sorted(terms.items()))
-            else:
-                keys = sorted(terms)
-                self._sorted = tuple(zip(codec.unpack_all(keys), map(terms.__getitem__, keys)))
+            keys = sorted(terms)
+            weights = keys if codec is None else codec.unpack_all(keys)
+            self._sorted = tuple(zip(weights, map(terms.__getitem__, keys)))
         return self._sorted
 
     def items_sorted(self) -> list:
@@ -438,17 +437,13 @@ class FormalSum:
 
     def to_json_text(self) -> str:
         """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
-        written by `terms_json_text`: a tuple sum from its sorted terms, a
-        packed sum from its sorted keys, their labels decoded in one pass
-        (`_Codec.unpack_flat`) and no exponent tuple built."""
+        written by `terms_json_text` from the sorted keys: a tuple key is its
+        own labels, and a packed sum's labels are decoded in one pass
+        (`_Codec.unpack_flat`), with no exponent tuple built."""
         codec, terms = self._codec, self._terms
-        if codec is None:
-            items = sorted(terms.items())
-            return terms_json_text([x for w, _c in items for x in w],
-                                   [c for _w, c in items], self._rank)
         keys = sorted(terms)
-        return terms_json_text(codec.unpack_flat(keys), list(map(terms.__getitem__, keys)),
-                               self._rank)
+        labels = [x for w in keys for x in w] if codec is None else codec.unpack_flat(keys)
+        return terms_json_text(labels, list(map(terms.__getitem__, keys)), self._rank)
 
 
 def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:

@@ -46,12 +46,9 @@ class CrossCheckError(ArithmeticError):
 
 
 class PolytopeSum(Frozen):
-    """Lattice sum over a weight polytope."""
+    """Lattice sum over a weight polytope: ``sum``, a FormalSum."""
 
     __slots__ = _fields = ("sum",)
-
-    def __init__(self, sum: FormalSum):
-        self._store(sum)
 
 
 def polytope_member(rs: RootSystem, lam, mu) -> bool:
@@ -607,7 +604,7 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     def grid():
         # lexicographic, as itertools.product would give it, but lazily:
         # product holds its ranges as tuples, and the budget may stop early
-        return (tuple([i // n**k % n for k in range(rs.rank - 1, -1, -1)]) for i in range(n**rs.rank))
+        return (tuple([i // n**k % n for k in range(rs.rank)[::-1]]) for i in range(n**rs.rank))
 
     _check_support_size(rs, grid(), f"the sweep of {rs.name} up to {max_label}")
     reports = []

@@ -52,7 +52,7 @@ class AlgebraId(Frozen):
             raise ValueError("the G family only exists at rank 2")
         if rank < _LOWEST_RANK[family]:
             raise ValueError(f"family {family} starts at rank {_LOWEST_RANK[family]}")
-        self._store(family, rank)
+        super().__init__(family, rank)
 
     @classmethod
     def parse(cls, name: str) -> "AlgebraId":
@@ -67,12 +67,11 @@ class AlgebraId(Frozen):
 
 
 class Root(Frozen):
-    """A root in both coordinate systems: Dynkin labels and simple-root basis."""
+    """A root in both coordinate systems: ``weight_coords``, its Dynkin
+    labels, and ``root_coords``, its coordinates over the simple roots,
+    each a tuple of ints."""
 
     __slots__ = _fields = ("weight_coords", "root_coords")
-
-    def __init__(self, weight_coords: Weight, root_coords: tuple[int, ...]):
-        self._store(weight_coords, root_coords)
 
     @property
     def height(self) -> int:
@@ -112,21 +111,6 @@ class RootSystem(Frozen):
     __slots__ = _fields + ("__dict__",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        id: AlgebraId,
-        cartan: tuple[tuple[int, ...], ...],
-        positive_roots: tuple[Root, ...],
-        coroots: dict,
-        weyl_vector: Weight,
-        cartan_det: int,
-        cartan_adjugate: tuple[tuple[int, ...], ...],
-        form_scale: int,
-        gram_scaled: tuple[tuple[int, ...], ...],
-    ):
-        self._store(id, cartan, positive_roots, coroots, weyl_vector,
-                    cartan_det, cartan_adjugate, form_scale, gram_scaled)
 
     def __reduce__(self):
         return build_root_system, (self.id,)

@@ -69,16 +69,13 @@ def _orbit_size(rs: RootSystem, support: tuple) -> int:
 
 
 class WeylElement(Frozen):
-    """One group element: fingerprint = image of rho, a reduced word
-    (rightmost letter acts first; its length is the element's, and its
-    parity the sign), and the matrix acting on Dynkin labels (column j =
-    image of the j-th fundamental weight)."""
+    """One group element: fingerprint = image of rho, a tuple of ints; a
+    reduced word, a tuple of simple-reflection indices from 1 (rightmost
+    letter acts first; its length is the element's, and its parity the
+    sign); and the matrix acting on Dynkin labels, a tuple of int rows
+    (column j = image of the j-th fundamental weight)."""
 
     __slots__ = _fields = ("fingerprint", "word", "matrix")
-
-    def __init__(self, fingerprint: Weight, word: tuple[int, ...],
-                 matrix: tuple[tuple[int, ...], ...]):
-        self._store(fingerprint, word, matrix)
 
     def apply(self, weight) -> Weight:
         """The image of a weight of the rank's length, in exact integers."""

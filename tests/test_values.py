@@ -127,6 +127,34 @@ def test_polytope_sum():
     _check_frozen(value, "sum")
 
 
+_A1 = build_root_system("A1")
+
+
+@pytest.mark.parametrize("cls, values", [
+    (Root, ((2, -1), (1, 0))),
+    (WeylElement, ((-1,), (1,), ((-1,),))),
+    (PolytopeSum, (FormalSum.exp((1,)),)),
+    (RootSystem, tuple([getattr(_A1, name) for name in _ROOT_SYSTEM_FIELDS])),
+], ids=["Root", "WeylElement", "PolytopeSum", "RootSystem"])
+def test_one_constructor_fills_each_field_once(cls, values):
+    fields = cls._fields
+    positional = [getattr(cls(*values), name) for name in fields]
+    assert positional == list(values)
+    for split in range(len(fields)):
+        # the leading fields by position, the rest by keyword; a root
+        # system equals only itself, so the fields are compared
+        mixed = cls(*values[:split], **dict(zip(fields[split:], values[split:])))
+        assert [getattr(mixed, name) for name in fields] == positional
+    with pytest.raises(TypeError, match=f"{cls.__name__} takes the fields {fields[0]}"):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(*values, not_a_field=None)
+    with pytest.raises(TypeError):
+        cls(values[0], **dict(zip(fields, values)))
+
+
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
                                     lambda v: pickle.loads(pickle.dumps(v))])
 def test_values_copy_and_pickle(a2, copier):
