@@ -61,7 +61,7 @@ from functools import lru_cache
 from operator import lshift
 from types import MappingProxyType
 
-from .rootsys import RootSystem, dot_float
+from .rootsys import RootSystem, covector_at, dot_float
 
 
 def terms_json_text(labels, coeffs, rank: int) -> str:
@@ -451,7 +451,7 @@ def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
     Finiteness is checked once per point, by `exp_table`."""
     if len(sigma) != rs.rank:
         raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
-    return tuple(float(x) for x in sigma)
+    return tuple(map(float, sigma))
 
 
 @lru_cache(maxsize=1)
@@ -459,7 +459,9 @@ def exp_table(rs: RootSystem, sig) -> tuple:
     """The exponential table of a checked point ``sig`` of ``rs``: the pair
     (``form_float(sig)``, a dict from integer weight w to
     math.exp(dot_float(w, form_float(sig)))), the dict filled by its readers
-    on first lookup of each weight.
+    on first lookup of each weight.  The covector is the point's one
+    (`rootsys.covector_at`), which the root pairings of the point's factor
+    table read too.
 
     `evaluate` and the vertex-cone evaluators all read this one table, and
     `eval` visits its points one at a time, so it keeps one point.  Raises
@@ -468,7 +470,7 @@ def exp_table(rs: RootSystem, sig) -> tuple:
     """
     if not all(map(math.isfinite, sig)):
         raise ValueError(f"sigma {sig} has a non-finite coordinate")
-    return rs.form_float(sig), {}
+    return covector_at(rs, sig), {}
 
 
 def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:

@@ -280,10 +280,12 @@ def _root_permutation(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=1)
 def _weight_table(rs: RootSystem, lam) -> tuple:
     """What the evaluators need of a checked dominant lam, one entry per Weyl
-    element in `weyl_group`'s order: the pairs (w lam, w's root-permutation
-    row) and the pairs (sign of w, w(lam + rho) - rho); the sign is the
-    parity of w's reduced word.  It keeps its last lam, which serves the run
-    of points `numeric_formula_check` evaluates at one weight."""
+    element in `weyl_group`'s order: the triples (w lam, the first rank
+    entries of w's root-permutation row, the rest of the row) and the pairs
+    (sign of w, w(lam + rho) - rho); the sign is the parity of w's reduced
+    word.  The first rank entries index the simple roots' images, Brion's
+    denominators.  It keeps its last lam, which serves the run of points
+    `numeric_formula_check` evaluates at one weight."""
     group = weyl_group(rs)
     images = [el.apply(lam) for el in group]
     # w(lam + rho) - rho = w lam + (w rho - rho), and w rho is w's fingerprint
@@ -291,22 +293,25 @@ def _weight_table(rs: RootSystem, lam) -> tuple:
         (-1 if len(el.word) & 1 else 1, tuple([x + f - 1 for x, f in zip(w_lam, el.fingerprint)]))
         for el, w_lam in zip(group, images)
     )
-    return tuple(zip(images, _root_permutation(rs))), shifted
+    r = rs.rank
+    rows = ((w_lam, row[:r], row[r:]) for w_lam, row in zip(images, _root_permutation(rs)))
+    return tuple(rows), shifted
 
 
 @lru_cache(maxsize=1)
 def _point_table(rs: RootSystem, sig) -> tuple:
-    """What the evaluators need of a checked point: ``form_float(sig)`` and
-    the dict of exponentials, both from `formal.exp_table`, and the
-    denominator factors, indexed by the root permutation's signed entries:
-    index k gives 1 - e^{-p_k} and index -k, by Python's negative indexing,
-    1 - e^{p_k} (index 0 is unused), with p_k = <beta_k, sig> paired by
-    `RootSystem.inner_float`: the same bits as `dot_float` against the
-    covector, but the benchmark's tests require `eval` to reach it
-    (`EXERCISED` in `benchmarks/tests/test_bench.py`).  Every root is a
-    Weyl image of a simple root, so each pairing <w beta, sig> a
-    vertex-cone denominator needs is some +-p_k, in floats too: negation is
-    exact, and p_k = 0 is a pole.
+    """What the evaluators need of a checked point: the point's covector
+    ``form_float(sig)`` and dict of exponentials, both from
+    `formal.exp_table`, and the denominator factors, indexed by the root
+    permutation's signed entries: index k gives 1 - e^{-p_k} and index -k,
+    by Python's negative indexing, 1 - e^{p_k} (index 0 is unused), with
+    p_k = <beta_k, sig> paired by `RootSystem.inner_float`.  That reads the
+    same covector (`rootsys.covector_at`), so the Gram loop runs once per
+    point; the benchmark's tests require `eval` to reach it (`EXERCISED` in
+    `benchmarks/tests/test_bench.py`).  Every root is a Weyl image of a
+    simple root, so each pairing <w beta, sig> a vertex-cone denominator
+    needs is some +-p_k, in floats too: negation is exact, and p_k = 0 is a
+    pole.
 
     Raises ValueError when a coordinate of sig is not finite, then
     GenericityError when sig is within 1e-6 of a pole hyperplane; a raise is
@@ -323,66 +328,68 @@ def _point_table(rs: RootSystem, sig) -> tuple:
     return covector, exps, (None, *plus, *minus)
 
 
-def _at_point(rs: RootSystem, lam, sigma) -> tuple:
-    """What both evaluators need at one point: lam's Weyl images, then the
-    point's exponential table and factors, after checking lam, then sigma,
-    then the Weyl group cap, then that sigma is finite, then the pole
-    test."""
-    lam = check_weight(rs, lam, dominant=True)
-    sig = check_point(rs, sigma)
-    weyl_group(rs)
+@lru_cache(maxsize=1)
+def _cone_sums(rs: RootSystem, lam, sig) -> tuple:
+    """Both vertex-cone sums at a checked point, from one quotient per Weyl
+    element w: e^{<w lam, sig>} divided by the factors of the simple roots'
+    images, in root order, is Brion's term, and divided on by the other
+    roots' factors it is the invariant character sum's term, the same
+    divisions in the same order as dividing afresh.  Returns Brion's sum,
+    the invariant sum, lam's shifted weights and the point's covector and
+    factors.  Both evaluators check lam, then sigma, and look this up once;
+    it checks the Weyl group cap (`_weight_table`), then that sigma is
+    finite, then the pole test (`_point_table`).
+
+    The exponentials come from the point's table, computed and stored only
+    for an image not met before at this point.  It keeps its last (rs, lam,
+    point): `eval` runs both evaluators at one point before the next.
+    """
+    images, shifted = _weight_table(rs, lam)
     covector, exps, factors = _point_table(rs, sig)
-    return _weight_table(rs, lam), covector, exps, factors
-
-
-def _cone_sum(images, covector, exps, factors, count: int) -> float:
-    """Sum over the Weyl elements w of e^{<w lam, sigma>} divided by the
-    product of (1 - e^{-<w beta_k, sigma>}) over the first ``count`` positive
-    roots (the simple roots, or all of them).  ``images`` holds the pairs
-    (w lam, its `_root_permutation` row); ``covector`` is
-    ``form_float(sigma)``.  The exponentials come from the point's table
-    ``exps``, computed and stored only for an image not met before at this
-    point, and the factors from its factor table, divided in root order."""
-    get = exps.get
-    total = 0.0
-    for image, row in images:
-        term = get(image)
+    brion = invariant = 0.0
+    for image, simple, rest in images:
+        term = exps.get(image)
         if term is None:
             term = exps[image] = math.exp(dot_float(image, covector))
-        for k in row[:count]:
+        for k in simple:
             term /= factors[k]
-        total += term
-    return total
+        brion += term
+        for k in rest:
+            term /= factors[k]
+        invariant += term
+    return brion, invariant, shifted, covector, factors
 
 
 def brion_eval(rs: RootSystem, lam, sigma) -> float:
     """Numeric value at sigma of the vertex-cone rational expression for the
     polytope lattice sum: one exponential per Weyl image of lam, divided by
-    the product of (1 - e^{-<w alpha, sigma>}) over the simple roots.
+    the product of (1 - e^{-<w alpha, sigma>}) over the simple roots, summed
+    in Weyl order (`_cone_sums`, kept for `weyl_character_eval` at the same
+    lam and point).
 
     Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
     """
-    (images, _shifted), covector, exps, factors = _at_point(rs, lam, sigma)
-    return _cone_sum(images, covector, exps, factors, rs.rank)
+    return _cone_sums(rs, check_weight(rs, lam, dominant=True), check_point(rs, sigma))[0]
 
 
 def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
     """Numeric character value at sigma, computed both as the alternating
     sum over the shifted Weyl action divided by the denominator product and
     as the manifestly invariant sum of vertex-cone terms over all positive
-    roots.  The two must agree to 1e-9 relative; the first is returned."""
-    (images, shifted), covector, exps, factors = _at_point(rs, lam, sigma)
+    roots, whose terms continue Brion's (`_cone_sums`, shared with
+    `brion_eval` at the same lam and point).  The two must agree to 1e-9
+    relative; the first is returned."""
+    lam, sig = check_weight(rs, lam, dominant=True), check_point(rs, sigma)
+    _brion, invariant, shifted, covector, factors = _cone_sums(rs, lam, sig)
     # only w = 1 gives a lattice point of the polytope, so the table would
     # keep the others for nothing: each is exponentiated directly
     num = 0.0
     for sign, mu in shifted:
         num += sign * math.exp(dot_float(mu, covector))
-    count = len(rs.positive_roots)
     den = 1.0
-    for k in range(1, count + 1):
+    for k in range(1, len(rs.positive_roots) + 1):
         den *= factors[k]
     alternating = num / den
-    invariant = _cone_sum(images, covector, exps, factors, count)
     scale = max(abs(alternating), abs(invariant), 1e-300)
     # written so that a NaN difference fails too
     if not abs(alternating - invariant) / scale <= _CROSS_CHECK_TOL:

@@ -9,7 +9,7 @@ adjugate, and the quadratic form on weight space is kept as an integer Gram
 matrix plus one scale (the lcm of its denominators), so every exact inner
 product is an integer loop, and ``inner`` divides by the scale only at the
 end.  Floats serve only the numeric checks, through
-``form_float``, ``inner_float`` and ``dot_float``.
+``form_float``, ``covector_at``, ``inner_float`` and ``dot_float``.
 
 Fixed conventions, asserted throughout the test suite:
 
@@ -215,10 +215,13 @@ class RootSystem(Frozen):
         return tuple(out)
 
     def inner_float(self, mu, nu) -> float:
-        """The inner product in floats: ``dot_float(mu, form_float(nu))``."""
+        """The inner product in floats: ``dot_float(mu, form_float(nu))``.
+        The covector is read through `covector_at`, shared with every other
+        reader of the same point, so pairing many mu with one point runs the
+        Gram loop once."""
         if len(mu) != self.rank:
             raise ValueError("weight length mismatch")
-        return dot_float(mu, self.form_float(nu))
+        return dot_float(mu, covector_at(self, tuple(nu)))
 
     def coroot_labels(self, root: Root) -> tuple[int, ...]:
         """Pairings <Lambda^j, root^vee> for j = 1..rank; requires a positive root."""
@@ -226,6 +229,13 @@ class RootSystem(Frozen):
         if stored is not root and stored != root:
             raise ValueError(f"inconsistent root data for {root}")
         return self.coroots[root.root_coords]
+
+
+# ``rs.form_float(nu)`` for the last point only: `formal.exp_table` and
+# `RootSystem.inner_float` read this one entry, so `eval` builds each
+# point's covector once.  Points compare by value, as tuples do; a raise is
+# not kept
+covector_at = lru_cache(maxsize=1)(RootSystem.form_float)
 
 
 def dot_float(mu, covector) -> float:

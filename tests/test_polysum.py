@@ -770,8 +770,9 @@ def test_numeric_evaluators_bit_identical_to_reference(name, data):
 
 
 def test_numeric_memos_give_fresh_outcomes_in_any_order():
-    # the per-weight and per-point tables each keep their last entry, and the
-    # exponentials at a point are shared by evaluate and both evaluators;
+    # the per-weight and per-point tables, the covector and the vertex-cone
+    # sums each keep their last entry, and the exponentials at a point are
+    # shared by evaluate and both evaluators;
     # calls interleaved across algebras, weights, sums and points, with a
     # pole between good points, zeros of either sign and an overflow part
     # way through a sum, must match a fresh computation
@@ -808,6 +809,26 @@ def test_numeric_memos_give_fresh_outcomes_in_any_order():
         (evaluate, a1, lattice[a1, (2000,)], (1.0,)),  # overflows again
         (brion_eval, a2, (1, 1), good),
         (evaluate, a2, lattice[a2, (1, 1)], good),
+        # the vertex-cone sums at one (lam, point) are built by whichever
+        # evaluator comes first
+        (weyl_character_eval, a2, (0, 2), other),
+        (brion_eval, a2, (0, 2), other),
+        # two weights at one point
+        (brion_eval, a2, (1, 1), other),
+        (weyl_character_eval, a2, (2, 0), other),
+        (brion_eval, a2, (2, 0), other),
+        (weyl_character_eval, a2, (1, 1), other),
+        # one weight on two algebras at one point: terms and covector differ
+        (brion_eval, g2, (1, 1), good),
+        (brion_eval, a2, (1, 1), good),
+        (weyl_character_eval, g2, (1, 1), good),
+        (weyl_character_eval, a2, (1, 1), good),
+        # a pole between two good points, at one weight
+        (weyl_character_eval, a2, (0, 2), good),
+        (weyl_character_eval, a2, (0, 2), pole),
+        (brion_eval, a2, (0, 2), other),
+        (brion_eval, a2, (0, 2), pole),
+        (weyl_character_eval, a2, (0, 2), good),
     ]
     refs = {
         brion_eval: _ref_brion, weyl_character_eval: _ref_weyl_character,
@@ -819,8 +840,44 @@ def test_numeric_memos_give_fresh_outcomes_in_any_order():
         assert outcome == _outcome(refs[fn], rs, arg, sigma), (fn.__name__, rs.name, arg, sigma)
         outcomes.append(outcome)
     genericity = (GenericityError, "sigma is within 1e-06 of a pole hyperplane; resample")
-    assert [i for i, o in enumerate(outcomes) if o == genericity] == [9, 10, 13, 14]
+    assert [i for i, o in enumerate(outcomes) if o == genericity] == [9, 10, 13, 14, 37, 39]
     assert [i for i, o in enumerate(outcomes) if o[0] is OverflowError] == [18, 21, 23]
+
+
+def _ref_numeric_check(rs, lam, sigma_count, seed):
+    lattice_sum = polytope_sum_oracle(rs, lam).sum
+    character = _cached_character(rs, lam)
+    brion_err = weyl_err = 0.0
+    for sig in _ref_sample(rs, sigma_count, seed):
+        ref = _ref_evaluate(rs, lattice_sum, sig)
+        brion_err = max(brion_err, abs(_ref_brion(rs, lam, sig) - ref) / abs(ref))
+        ref_ch = _ref_evaluate(rs, character, sig)
+        weyl_err = max(weyl_err, abs(_ref_weyl_character(rs, lam, sig) - ref_ch) / abs(ref_ch))
+    return {
+        "algebra": rs.name, "lambda": list(lam), "sigma_count": sigma_count, "seed": seed,
+        "brion_max_rel_err": brion_err, "weyl_max_rel_err": weyl_err, "tolerance": 1e-9,
+        "pass": brion_err < 1e-9 and weyl_err < 1e-9,
+    }
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_NUMERIC_ALGEBRAS), st.data())
+def test_numeric_formula_check_bit_identical_to_reference_loop(name, data):
+    # the whole check, whose points share every table, against the
+    # reference evaluators point by point: the same report, its floats bit
+    # for bit, or the same exception
+    rs = _cached_root_system(name)
+    lam = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank).map(tuple))
+    count, seed = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 2**32))
+
+    def outcome(check):
+        try:
+            report = check(rs, lam, count, seed)
+        except Exception as exc:  # compared, not handled
+            return type(exc), str(exc)
+        return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
+
+    assert outcome(numeric_formula_check) == outcome(_ref_numeric_check)
 
 
 _NON_FINITE_POINTS = [(math.nan, 0.5), (math.inf, 0.5), (0.3, -math.inf)]
@@ -844,8 +901,12 @@ def test_non_finite_points_are_refused(a2, sigma):
 
 def test_character_cross_check_fails_on_nan(monkeypatch, a2):
     # a NaN difference between the two character values is a failed check,
-    # not a vacuous pass
-    monkeypatch.setattr(polysum, "_cone_sum", lambda *args: math.nan)
+    # not a vacuous pass: the vertex-cone sums are NaN, and the alternating
+    # sum does not read them
+    cone_sums = polysum._cone_sums
+    monkeypatch.setattr(
+        polysum, "_cone_sums", lambda *args: (math.nan, math.nan, *cone_sums(*args)[2:])
+    )
     with pytest.raises(CrossCheckError, match="disagree beyond 1e-9"):
         weyl_character_eval(a2, (1, 1), (0.3, 0.5))
 

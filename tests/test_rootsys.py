@@ -14,9 +14,10 @@ from polychar import (
     Root,
     build_root_system,
     gamma_sequence,
+    rootsys,
     weyl_dimension,
 )
-from polychar.rootsys import check_weight
+from polychar.rootsys import check_weight, dot_float
 
 _SUPPORTED = (
     [f"A{r}" for r in range(1, 9)]
@@ -358,6 +359,35 @@ def test_inner_products_check_their_lengths(a2):
     for nu in ((1.0,), (1.0, 0.0, 0.0)):
         with pytest.raises(ValueError, match="weight length mismatch"):
             a2.form_float(nu)
+
+
+def _inner_float_mismatches(rs) -> list:
+    """The calls of ``rs.inner_float`` whose bits differ from a fresh
+    ``dot_float(mu, form_float(nu))``: every positive root paired with
+    points given as float tuples, lists and int tuples, revisited between
+    other points, so a covector kept from the wrong point shows."""
+    points = [(0.3, 0.8), [0.3, 0.8], (1, 2), (0.55, 0.21), [1, 2], (0.3, 0.8), (1, 2), (1.0, 2.0)]
+    return [
+        (mu, nu)
+        for nu in points
+        for mu in [root.weight_coords for root in rs.positive_roots]
+        if rs.inner_float(mu, nu).hex() != dot_float(mu, rs.form_float(nu)).hex()
+    ]
+
+
+def test_inner_float_reads_each_points_covector(a2):
+    assert _inner_float_mismatches(a2) == []
+    # a point kept for the covector does not excuse a wrong length
+    a2.inner_float((1, 0), (0.3, 0.8))
+    for mu, nu in (((1, 0), (0.3,)), ((1, 0), (0.3, 0.8, 0.1)), ((1,), (0.3, 0.8))):
+        with pytest.raises(ValueError, match="weight length mismatch"):
+            a2.inner_float(mu, nu)
+
+
+def test_inner_float_check_catches_a_memo_that_ignores_the_point(monkeypatch, a2):
+    kept = {}
+    monkeypatch.setattr(rootsys, "covector_at", lambda rs, nu: kept.setdefault(rs, rs.form_float(nu)))
+    assert _inner_float_mismatches(a2) != []
 
 
 def test_weyl_vector(a3):
