@@ -2,8 +2,8 @@
 
 A FormalSum is an element of the group ring Z[P]: a dict from exponent
 tuples to nonzero integer coefficients.  All algebra here is exact; the only
-numeric door is `evaluate`, which substitutes a real point, checked by
-`check_point`, for the exponent pairing.
+numeric door is `evaluate`, which substitutes each point of a real
+sample, checked by `check_sample`, for the exponent pairing.
 
 The Demazure operators (`demazure`) work on a packed form instead: each
 exponent is one int, its labels in fixed-width fields, the first label most
@@ -446,55 +446,71 @@ class FormalSum:
         return terms_json_text(labels, list(map(terms.__getitem__, keys)), self._rank)
 
 
-def check_point(rs: RootSystem, sigma) -> tuple[float, ...]:
-    """An evaluation point of ``rs`` as floats, after checking its length.
-    Finiteness is checked once per point, by `exp_table`."""
-    if len(sigma) != rs.rank:
-        raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
-    return tuple(map(float, sigma))
+def check_sample(rs: RootSystem, sigmas) -> tuple:
+    """A sample of evaluation points of ``rs``, in order, as a tuple of
+    float tuples, after checking every point's length: the float layer's
+    one input form, in which a single point is a one-point sample.
+    Finiteness is checked later, by `exp_table`."""
+    points = []
+    for sigma in sigmas:
+        if len(sigma) != rs.rank:
+            raise ValueError(f"sigma {tuple(sigma)} has wrong length for {rs.name}")
+        points.append(tuple(map(float, sigma)))
+    return tuple(points)
 
 
 @lru_cache(maxsize=1)
-def exp_table(rs: RootSystem, sig) -> tuple:
-    """The exponential table of a checked point ``sig`` of ``rs``: the pair
-    (``form_float(sig)``, a dict from integer weight w to
-    math.exp(dot_float(w, form_float(sig)))), the dict filled by its readers
-    on first lookup of each weight.  The covector is the point's one
-    (`rootsys.covector_at`), which the root pairings of the point's factor
-    table read too.
+def exp_table(rs: RootSystem, points) -> tuple:
+    """The exponential tables of a checked sample ``points`` of ``rs``, one
+    per point, in order: the pair (``form_float(sig)``, a dict from integer
+    weight w to math.exp(dot_float(w, form_float(sig)))), the dict filled
+    by its readers on first lookup of each weight.  The covector is the
+    point's one (`rootsys.covector_at`), which the root pairings of the
+    sample's factor table read too.
 
-    `evaluate` and the vertex-cone evaluators all read this one table, and
-    `eval` visits its points one at a time, so it keeps one point.  Raises
-    ValueError, and keeps nothing, when a coordinate of ``sig`` is NaN or
-    infinite.
+    `evaluate` and the vertex-cone evaluators all read this one entry, and
+    `eval` passes them one chunk of its points at a time, so it keeps one
+    sample: after a direct call it holds about len(s) * len(points)
+    exponentials until the next call with another sample.  Raises
+    ValueError, and keeps nothing, when a coordinate of any point is NaN
+    or infinite; every point's finiteness is checked before any covector
+    is built.
     """
-    if not all(map(math.isfinite, sig)):
-        raise ValueError(f"sigma {sig} has a non-finite coordinate")
-    return covector_at(rs, sig), {}
+    for sig in points:
+        if not all(map(math.isfinite, sig)):
+            raise ValueError(f"sigma {sig} has a non-finite coordinate")
+    return tuple([(covector_at(rs, sig), {}) for sig in points])
 
 
-def evaluate(rs: RootSystem, s: FormalSum, sigma) -> float:
-    """Numeric value of ``s`` at ``sigma``: sum of coeff * exp(<w, sigma>).
+def evaluate(rs: RootSystem, s: FormalSum, sigmas) -> list:
+    """Numeric values of ``s`` at a sample of points ``sigmas``, one float
+    per point, in order: the sum of coeff * exp(<w, sigma>) at each.
 
-    ``sigma`` lives in fundamental-weight coordinates and the pairing runs
-    through the algebra's quadratic form.  Each exponential comes from the
-    point's table (`exp_table`): a weight met before at this point, by
-    another sum or by the vertex-cone evaluators, costs one lookup, and an
-    exponential that overflows raises OverflowError and is not stored.  So
-    does a total that overflows though no exponential does.  Terms
-    accumulate in lexicographic exponent order, so equal inputs give
-    bit-equal outputs.
+    Each sigma lives in fundamental-weight coordinates and the pairing runs
+    through the algebra's quadratic form.  The sum's rank is checked, then
+    every point's length (`check_sample`), then every point's finiteness
+    (`exp_table`).  Each exponential comes from its point's table: a weight
+    met before at that point, by another sum or by the vertex-cone
+    evaluators, costs one lookup, and an exponential that overflows raises
+    OverflowError and is not stored.  So does a total that overflows
+    though no exponential does; the first point, in order, that overflows
+    raises.  Terms accumulate in lexicographic exponent order, so equal
+    inputs give bit-equal outputs.  The tables keep the last sample, about
+    len(s) * len(sigmas) exponentials, until a call with another sample.
     """
     if s.rank != rs.rank:
         raise ValueError(f"sum has rank {s.rank}, algebra {rs.name} has rank {rs.rank}")
-    covector, exps = exp_table(rs, check_point(rs, sigma))
-    get = exps.get
-    total = 0.0
-    for w, c in s._canonical():
-        e = get(w)
-        if e is None:
-            e = exps[w] = math.exp(dot_float(w, covector))
-        total += c * e
-    if not math.isfinite(total):
-        raise OverflowError("the sum's value is past the float range")
-    return total
+    terms = s._canonical()
+    values = []
+    for covector, exps in exp_table(rs, check_sample(rs, sigmas)):
+        get = exps.get
+        total = 0.0
+        for w, c in terms:
+            e = get(w)
+            if e is None:
+                e = exps[w] = math.exp(dot_float(w, covector))
+            total += c * e
+        if not math.isfinite(total):
+            raise OverflowError("the sum's value is past the float range")
+        values.append(total)
+    return values

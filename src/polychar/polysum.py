@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from ._frozen import Frozen
 from .demazure import apply_D_root, apply_r_root, character_demazure
-from .formal import FormalSum, _accumulate, _codec_for, check_point, evaluate, exp_table
+from .formal import FormalSum, _accumulate, _codec_for, check_sample, evaluate, exp_table
 from .rootsys import Root, RootSystem, check_weight, dot_float
 # ``orbit`` stays bound here, uncalled: benchmarks/tests/test_bench.py
 # checks that the tracer rebinds this name along with weyl's
@@ -30,6 +30,10 @@ _POINT_CAP = 10**6
 _SIGMA_CAP = 10**4
 _POLE_TOLERANCE = 1e-6
 _CROSS_CHECK_TOL = 1e-9
+# exponentials per sample `numeric_formula_check` passes the evaluators:
+# its points go in chunks of this many over the lattice sum's size, which
+# bounds the one-entry tables they fill
+_TABLE_BUDGET = 2**16
 DEFAULT_SEED = 20240914
 
 
@@ -299,104 +303,124 @@ def _weight_table(rs: RootSystem, lam) -> tuple:
 
 
 @lru_cache(maxsize=1)
-def _point_table(rs: RootSystem, sig) -> tuple:
-    """What the evaluators need of a checked point: the point's covector
-    ``form_float(sig)`` and dict of exponentials, both from
-    `formal.exp_table`, and the denominator factors, indexed by the root
-    permutation's signed entries: index k gives 1 - e^{-p_k} and index -k,
-    by Python's negative indexing, 1 - e^{p_k} (index 0 is unused), with
-    p_k = <beta_k, sig> paired by `RootSystem.inner_float`.  That reads the
-    same covector (`rootsys.covector_at`), so the Gram loop runs once per
-    point; the benchmark's tests require `eval` to reach it (`EXERCISED` in
+def _point_table(rs: RootSystem, points) -> tuple:
+    """What the evaluators need of a checked sample, one triple per point,
+    in order: the point's covector ``form_float(sig)`` and dict of
+    exponentials, both from `formal.exp_table`, and its denominator
+    factors, indexed by the root permutation's signed entries: index k
+    gives 1 - e^{-p_k} and index -k, by Python's negative indexing,
+    1 - e^{p_k} (index 0 is unused), with p_k = <beta_k, sig> paired by
+    `RootSystem.inner_float`.  That reads the covector through
+    `rootsys.covector_at`, so each point's pairings run the Gram loop once;
+    the benchmark's tests require `eval` to reach it (`EXERCISED` in
     `benchmarks/tests/test_bench.py`).  Every root is a Weyl image of a
     simple root, so each pairing <w beta, sig> a vertex-cone denominator
     needs is some +-p_k, in floats too: negation is exact, and p_k = 0 is a
     pole.
 
-    Raises ValueError when a coordinate of sig is not finite, then
-    GenericityError when sig is within 1e-6 of a pole hyperplane; a raise is
-    not kept, so a repeated call raises again.
+    Raises ValueError when a coordinate of any point is not finite, then
+    GenericityError when any point is within 1e-6 of a pole hyperplane:
+    every point's finiteness is checked before any point's pole test.  A
+    raise is not kept, so a repeated call raises again.  It keeps its last
+    sample, as `exp_table` does.
     """
-    covector, exps = exp_table(rs, sig)
-    pairings = [rs.inner_float(root.weight_coords, sig) for root in rs.positive_roots]
-    if any(abs(p) <= _POLE_TOLERANCE for p in pairings):
+    exp_tables = exp_table(rs, points)
+    roots = [root.weight_coords for root in rs.positive_roots]
+    pairings = [[rs.inner_float(beta, sig) for beta in roots] for sig in points]
+    if any(abs(p) <= _POLE_TOLERANCE for row in pairings for p in row):
         raise GenericityError(
             f"sigma is within {_POLE_TOLERANCE} of a pole hyperplane; resample"
         )
-    plus = [1.0 - math.exp(-p) for p in pairings]  # indices 1..N
-    minus = [1.0 - math.exp(p) for p in reversed(pairings)]  # indices -N..-1
-    return covector, exps, (None, *plus, *minus)
+    rows = []
+    for (covector, exps), row in zip(exp_tables, pairings):
+        plus = [1.0 - math.exp(-p) for p in row]  # indices 1..N
+        minus = [1.0 - math.exp(p) for p in reversed(row)]  # indices -N..-1
+        rows.append((covector, exps, (None, *plus, *minus)))
+    return tuple(rows)
 
 
 @lru_cache(maxsize=1)
-def _cone_sums(rs: RootSystem, lam, sig) -> tuple:
-    """Both vertex-cone sums at a checked point, from one quotient per Weyl
+def _cone_sums(rs: RootSystem, lam, points) -> tuple:
+    """Both vertex-cone sums at each point of a checked sample, in order,
+    as (Brion's sum, the invariant sum) pairs, from one quotient per Weyl
     element w: e^{<w lam, sig>} divided by the factors of the simple roots'
     images, in root order, is Brion's term, and divided on by the other
     roots' factors it is the invariant character sum's term, the same
-    divisions in the same order as dividing afresh.  Returns Brion's sum,
-    the invariant sum, lam's shifted weights and the point's covector and
-    factors.  Both evaluators check lam, then sigma, and look this up once;
-    it checks the Weyl group cap (`_weight_table`), then that sigma is
-    finite, then the pole test (`_point_table`).
+    divisions in the same order as dividing afresh.  Both evaluators check
+    lam, then every point's length, and look this up once; it checks the
+    Weyl group cap (`_weight_table`), then every point's finiteness, then
+    every pole test (`_point_table`).
 
-    The exponentials come from the point's table, computed and stored only
-    for an image not met before at this point.  It keeps its last (rs, lam,
-    point): `eval` runs both evaluators at one point before the next.
+    The exponentials come from each point's table, computed and stored only
+    for an image not met before at that point.  It keeps its last (rs, lam,
+    sample): `eval` runs both evaluators on one sample before the next.
     """
-    images, shifted = _weight_table(rs, lam)
-    covector, exps, factors = _point_table(rs, sig)
-    brion = invariant = 0.0
-    for image, simple, rest in images:
-        term = exps.get(image)
-        if term is None:
-            term = exps[image] = math.exp(dot_float(image, covector))
-        for k in simple:
-            term /= factors[k]
-        brion += term
-        for k in rest:
-            term /= factors[k]
-        invariant += term
-    return brion, invariant, shifted, covector, factors
+    images = _weight_table(rs, lam)[0]
+    sums = []
+    for covector, exps, factors in _point_table(rs, points):
+        brion = invariant = 0.0
+        for image, simple, rest in images:
+            term = exps.get(image)
+            if term is None:
+                term = exps[image] = math.exp(dot_float(image, covector))
+            for k in simple:
+                term /= factors[k]
+            brion += term
+            for k in rest:
+                term /= factors[k]
+            invariant += term
+        sums.append((brion, invariant))
+    return tuple(sums)
 
 
-def brion_eval(rs: RootSystem, lam, sigma) -> float:
-    """Numeric value at sigma of the vertex-cone rational expression for the
-    polytope lattice sum: one exponential per Weyl image of lam, divided by
-    the product of (1 - e^{-<w alpha, sigma>}) over the simple roots, summed
-    in Weyl order (`_cone_sums`, kept for `weyl_character_eval` at the same
-    lam and point).
+def brion_eval(rs: RootSystem, lam, sigmas) -> list:
+    """Numeric values at a sample of points of the vertex-cone rational
+    expression for the polytope lattice sum, one float per point, in order:
+    one exponential per Weyl image of lam, divided by the product of
+    (1 - e^{-<w alpha, sigma>}) over the simple roots, summed in Weyl order
+    (`_cone_sums`, kept for `weyl_character_eval` at the same lam and
+    sample).
 
-    Raises GenericityError when sigma is within 1e-6 of a pole hyperplane.
+    Checks lam, every point's length, the Weyl group cap, every point's
+    finiteness, then every pole test: raises GenericityError when any
+    point is within 1e-6 of a pole hyperplane.
     """
-    return _cone_sums(rs, check_weight(rs, lam, dominant=True), check_point(rs, sigma))[0]
+    lam, points = check_weight(rs, lam, dominant=True), check_sample(rs, sigmas)
+    return [brion for brion, _invariant in _cone_sums(rs, lam, points)]
 
 
-def weyl_character_eval(rs: RootSystem, lam, sigma) -> float:
-    """Numeric character value at sigma, computed both as the alternating
-    sum over the shifted Weyl action divided by the denominator product and
-    as the manifestly invariant sum of vertex-cone terms over all positive
-    roots, whose terms continue Brion's (`_cone_sums`, shared with
-    `brion_eval` at the same lam and point).  The two must agree to 1e-9
-    relative; the first is returned."""
-    lam, sig = check_weight(rs, lam, dominant=True), check_point(rs, sigma)
-    _brion, invariant, shifted, covector, factors = _cone_sums(rs, lam, sig)
-    # only w = 1 gives a lattice point of the polytope, so the table would
-    # keep the others for nothing: each is exponentiated directly
-    num = 0.0
-    for sign, mu in shifted:
-        num += sign * math.exp(dot_float(mu, covector))
-    den = 1.0
-    for k in range(1, len(rs.positive_roots) + 1):
-        den *= factors[k]
-    alternating = num / den
-    scale = max(abs(alternating), abs(invariant), 1e-300)
-    # written so that a NaN difference fails too
-    if not abs(alternating - invariant) / scale <= _CROSS_CHECK_TOL:
-        raise CrossCheckError(
-            "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
-        )
-    return alternating
+def weyl_character_eval(rs: RootSystem, lam, sigmas) -> list:
+    """Numeric character values at a sample of points, one float per point,
+    in order, each computed both as the alternating sum over the shifted
+    Weyl action divided by the denominator product and as the manifestly
+    invariant sum of vertex-cone terms over all positive roots, whose
+    terms continue Brion's (`_cone_sums`, shared with `brion_eval` at the
+    same lam and sample).  The checks run as in `brion_eval`.  The two
+    values must agree to 1e-9 relative at every point, the first point
+    that fails raising CrossCheckError; the alternating value is returned."""
+    lam, points = check_weight(rs, lam, dominant=True), check_sample(rs, sigmas)
+    sums = _cone_sums(rs, lam, points)
+    shifted = _weight_table(rs, lam)[1]
+    n = len(rs.positive_roots)
+    values = []
+    for (_brion, invariant), (covector, _exps, factors) in zip(sums, _point_table(rs, points)):
+        # only w = 1 gives a lattice point of the polytope, so the table
+        # would keep the others for nothing: each is exponentiated directly
+        num = 0.0
+        for sign, mu in shifted:
+            num += sign * math.exp(dot_float(mu, covector))
+        den = 1.0
+        for k in range(1, n + 1):
+            den *= factors[k]
+        alternating = num / den
+        scale = max(abs(alternating), abs(invariant), 1e-300)
+        # written so that a NaN difference fails too
+        if not abs(alternating - invariant) / scale <= _CROSS_CHECK_TOL:
+            raise CrossCheckError(
+                "the two character evaluations disagree beyond 1e-9; sigma is ill-conditioned"
+            )
+        values.append(alternating)
+    return values
 
 
 def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
@@ -633,7 +657,15 @@ def numeric_formula_check(
 ) -> dict:
     """Max relative errors, over seeded generic points, of the vertex-cone
     expression against the enumerated polytope sum and of the Weyl character
-    value against the Demazure character."""
+    value against the Demazure character.
+
+    The points go in chunks of max(1, _TABLE_BUDGET // len(lattice sum)),
+    so the tables each chunk fills hold about _TABLE_BUDGET exponentials.
+    Each chunk is one sample for `evaluate` on the lattice sum, then
+    `brion_eval`, `evaluate` on the character and `weyl_character_eval`;
+    the errors are then folded in point order.  So within a chunk an
+    earlier layer's error at any point comes before a later layer's error
+    at an earlier point."""
     lam = check_weight(rs, lam, dominant=True)
     if sigma_count < 1:
         raise ValueError(f"sigma_count must be at least 1, got {sigma_count}")
@@ -643,15 +675,19 @@ def numeric_formula_check(
     weyl_group(rs)
     lattice_sum = polytope_sum_oracle(rs, lam).sum
     character = character_demazure(rs, lam)
+    sigmas = sample_generic_sigmas(rs, sigma_count, seed)
+    size = max(1, _TABLE_BUDGET // len(lattice_sum))
     brion_err = 0.0
     weyl_err = 0.0
-    for sig in sample_generic_sigmas(rs, sigma_count, seed):
-        ref = evaluate(rs, lattice_sum, sig)
-        brion_err = max(brion_err, abs(brion_eval(rs, lam, sig) - ref) / abs(ref))
-        ref_ch = evaluate(rs, character, sig)
-        weyl_err = max(
-            weyl_err, abs(weyl_character_eval(rs, lam, sig) - ref_ch) / abs(ref_ch)
-        )
+    for start in range(0, sigma_count, size):
+        chunk = sigmas[start:start + size]
+        refs = evaluate(rs, lattice_sum, chunk)
+        brions = brion_eval(rs, lam, chunk)
+        ref_chs = evaluate(rs, character, chunk)
+        weyls = weyl_character_eval(rs, lam, chunk)
+        for ref, brion, ref_ch, weyl in zip(refs, brions, ref_chs, weyls):
+            brion_err = max(brion_err, abs(brion - ref) / abs(ref))
+            weyl_err = max(weyl_err, abs(weyl - ref_ch) / abs(ref_ch))
     return {
         "algebra": rs.name,
         "lambda": list(lam),

@@ -232,9 +232,10 @@ class RootSystem(Frozen):
 
 
 # ``rs.form_float(nu)`` for the last point only: `formal.exp_table` and
-# `RootSystem.inner_float` read this one entry, so `eval` builds each
-# point's covector once.  Points compare by value, as tuples do; a raise is
-# not kept
+# `RootSystem.inner_float` read this one entry, so a run of pairings at one
+# point builds its covector once (`exp_table` builds a whole sample's
+# first, so `eval`'s root pairings build each point's once more).  Points
+# compare by value, as tuples do; a raise is not kept
 covector_at = lru_cache(maxsize=1)(RootSystem.form_float)
 
 

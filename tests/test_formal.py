@@ -425,24 +425,24 @@ def test_evaluate_simple(a1, a2):
     s = FormalSum.exp((2,))
     sigma = (0.7,)
     # <2*Lambda1, sigma> with quadratic form 1/2 gives 0.7
-    assert evaluate(a1, s, sigma) == pytest.approx(math.exp(0.7))
+    assert evaluate(a1, s, [sigma]) == [pytest.approx(math.exp(0.7))]
     ch = FormalSum(2, {(1, 0): 1, (-1, 1): 1, (0, -1): 1})
     # at sigma = 0 every exponential is 1
-    assert evaluate(a2, ch, (0.0, 0.0)) == pytest.approx(3.0)
+    assert evaluate(a2, ch, [(0.0, 0.0)]) == [pytest.approx(3.0)]
 
 
 def test_evaluate_refuses_a_total_past_the_float_range(a1):
     # e^{<1400 Lambda1, sigma>} = e^700 is finite; 10**20 of it is not
     s = FormalSum(1, {(1400,): 10**20})
-    assert math.isfinite(evaluate(a1, FormalSum.exp((1400,)), (1.0,)))
+    assert math.isfinite(evaluate(a1, FormalSum.exp((1400,)), [(1.0,)])[0])
     with pytest.raises(OverflowError):
-        evaluate(a1, s, (1.0,))
+        evaluate(a1, s, [(1.0,)])
     with pytest.raises(OverflowError):
-        evaluate(a1, s + FormalSum(1, {(1398,): -2 * 10**20}), (1.0,))  # inf - inf: NaN
+        evaluate(a1, s + FormalSum(1, {(1398,): -2 * 10**20}), [(1.0,)])  # inf - inf: NaN
 
 
 def test_evaluate_rank_checks(a2):
     with pytest.raises(ValueError):
-        evaluate(a2, FormalSum.exp((1,)), (0.1, 0.2))
+        evaluate(a2, FormalSum.exp((1,)), [(0.1, 0.2)])
     with pytest.raises(ValueError):
-        evaluate(a2, FormalSum.exp((1, 0)), (0.1,))
+        evaluate(a2, FormalSum.exp((1, 0)), [(0.1,)])

@@ -53,7 +53,8 @@ from polychar import (
     weyl_dimension,
     weyl_group,
 )
-from polychar.formal import _Codec, _codec_for, check_point
+from polychar import formal
+from polychar.formal import _Codec, _codec_for, check_sample
 from polychar.polysum import inversion_sequence
 from polychar.rootsys import check_weight
 
@@ -565,7 +566,7 @@ def test_dispatcher_a1(a1):
 
 def test_brion_trivial_weight(a2):
     for sigma in sample_generic_sigmas(a2, 3):
-        assert brion_eval(a2, (0, 0), sigma) == pytest.approx(1.0, abs=1e-12)
+        assert brion_eval(a2, (0, 0), [sigma]) == [pytest.approx(1.0, abs=1e-12)]
 
 
 def test_brion_a1_closed_form(a1):
@@ -576,14 +577,14 @@ def test_brion_a1_closed_form(a1):
         expected = math.exp(lam) / (1 - math.exp(-x)) + math.exp(-lam) / (
             1 - math.exp(x)
         )
-        assert brion_eval(a1, (n,), sigma) == pytest.approx(expected, rel=1e-12)
+        assert brion_eval(a1, (n,), [sigma]) == [pytest.approx(expected, rel=1e-12)]
 
 
 def test_brion_matches_oracle_numerically(a2):
     s = polytope_sum_oracle(a2, (2, 1)).sum
     for sigma in sample_generic_sigmas(a2, 10):
-        assert brion_eval(a2, (2, 1), sigma) == pytest.approx(
-            evaluate(a2, s, sigma), rel=1e-9
+        assert brion_eval(a2, (2, 1), [sigma]) == pytest.approx(
+            evaluate(a2, s, [sigma]), rel=1e-9
         )
 
 
@@ -597,27 +598,27 @@ def test_brion_pole_detection(a2, evaluator):
     # sigma is orthogonal to the non-simple root alpha1 + alpha2, which is the
     # image of a simple root under a Weyl element; no simple root pairs to zero
     with pytest.raises(GenericityError, match="pole hyperplane"):
-        evaluator(a2, (1, 1), (0.5, -0.5))
+        evaluator(a2, (1, 1), [(0.5, -0.5)])
 
 
 @_EVALUATORS
 def test_evaluator_rejects_wrong_length_sigma(a2, evaluator):
     with pytest.raises(ValueError, match="wrong length for A2"):
-        evaluator(a2, (1, 1), (0.5, 0.25, 0.125))
+        evaluator(a2, (1, 1), [(0.5, 0.25, 0.125)])
 
 
 def test_weyl_character_eval(a1, a2):
     for sigma in sample_generic_sigmas(a1, 5):
         t = a1.inner_float((1,), sigma)
-        assert weyl_character_eval(a1, (1,), sigma) == pytest.approx(
+        assert weyl_character_eval(a1, (1,), [sigma]) == [pytest.approx(
             2 * math.cosh(t), rel=1e-12
-        )
+        )]
     ch = character_demazure(a2, (1, 1))
     for sigma in sample_generic_sigmas(a2, 10):
-        assert weyl_character_eval(a2, (1, 1), sigma) == pytest.approx(
-            evaluate(a2, ch, sigma), rel=1e-9
+        assert weyl_character_eval(a2, (1, 1), [sigma]) == pytest.approx(
+            evaluate(a2, ch, [sigma]), rel=1e-9
         )
-        assert weyl_character_eval(a2, (0, 0), sigma) == pytest.approx(1.0)
+        assert weyl_character_eval(a2, (0, 0), [sigma]) == [pytest.approx(1.0)]
 
 
 # Reference numeric evaluators with no per-point table: every pairing runs
@@ -668,7 +669,7 @@ def _ref_finite(sig):
 
 def _ref_prelude(rs, lam, sigma):
     lam = check_weight(rs, lam, dominant=True)
-    sig = check_point(rs, sigma)
+    (sig,) = check_sample(rs, [sigma])
     elements = weyl_group(rs)
     _ref_finite(sig)
     if _ref_near_pole(rs, sig, 1e-6):
@@ -702,7 +703,7 @@ def _ref_weyl_character(rs, lam, sigma):
 
 
 def _ref_evaluate(rs, s, sigma):
-    sig = check_point(rs, sigma)
+    (sig,) = check_sample(rs, [sigma])
     _ref_finite(sig)
     total = 0.0
     for w, c in s.items_sorted():
@@ -723,11 +724,18 @@ def _ref_sample(rs, count, seed):
 
 
 def _outcome(fn, *args):
-    """The float's bits, or the exception's type and message."""
+    """Each value's bits, in order, or the exception's type and message."""
     try:
-        return fn(*args).hex()
+        return [x.hex() for x in fn(*args)]
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
+
+
+def _on_sample(ref):
+    """A reference evaluator run point by point over a sample.  The library
+    runs each check over the whole sample before the next, so the two agree
+    when the sample's bad points, if any, fail one check."""
+    return lambda rs, arg, sample: [ref(rs, arg, sig) for sig in sample]
 
 
 _NUMERIC_ALGEBRAS = ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2")
@@ -762,85 +770,117 @@ def test_numeric_evaluators_bit_identical_to_reference(name, data):
     lam = data.draw(labels)
     sigma = data.draw(_evaluation_points(rs))
     for fn, ref in ((brion_eval, _ref_brion), (weyl_character_eval, _ref_weyl_character)):
-        assert _outcome(fn, rs, lam, sigma) == _outcome(ref, rs, lam, sigma)
+        assert _outcome(fn, rs, lam, [sigma]) == _outcome(_on_sample(ref), rs, lam, [sigma])
     for s in (_cached_character(rs, lam), polytope_sum_oracle(rs, lam).sum):
-        assert _outcome(evaluate, rs, s, sigma) == _outcome(_ref_evaluate, rs, s, sigma)
+        assert _outcome(evaluate, rs, s, [sigma]) == _outcome(
+            _on_sample(_ref_evaluate), rs, s, [sigma]
+        )
     seed = data.draw(st.integers(0, 2**32))
     assert sample_generic_sigmas(rs, 3, seed) == _ref_sample(rs, 3, seed)
 
 
 def test_numeric_memos_give_fresh_outcomes_in_any_order():
-    # the per-weight and per-point tables, the covector and the vertex-cone
+    # the per-weight and per-sample tables, the covector and the vertex-cone
     # sums each keep their last entry, and the exponentials at a point are
     # shared by evaluate and both evaluators;
-    # calls interleaved across algebras, weights, sums and points, with a
+    # calls interleaved across algebras, weights, sums and samples, with a
     # pole between good points, zeros of either sign and an overflow part
-    # way through a sum, must match a fresh computation
+    # way through a sum, must match a fresh computation point by point
     a1, a2, g2 = (build_root_system(name) for name in ("A1", "A2", "G2"))
     good, other, pole = (0.3, 0.8), (0.55, 0.21), (0.0, 0.7)  # <alpha_1, pole> = 0
+    third = (0.9, 0.4)
     lattice = {(rs, lam): polytope_sum_oracle(rs, lam).sum
                for rs, lams in ((a1, [(2,), (3,), (2000,)]), (a2, [(1, 1), (2, 0)]), (g2, [(1, 1)]))
                for lam in lams}
     calls = [
-        (brion_eval, a2, (1, 1), good),
-        (evaluate, a2, lattice[a2, (1, 1)], good),
-        (weyl_character_eval, a2, (1, 1), good),
-        (evaluate, g2, lattice[g2, (1, 1)], good),  # same point, other algebra
-        (evaluate, a2, lattice[a2, (1, 1)], good),
-        (evaluate, a2, lattice[a2, (2, 0)], good),  # weights not in the table yet
-        (weyl_character_eval, a2, (2, 0), good),
-        (brion_eval, g2, (2, 0), good),  # same lam and point, other algebra
-        (brion_eval, a2, (2, 0), good),
-        (brion_eval, a2, (2, 0), pole),
-        (brion_eval, a2, (2, 0), pole),  # raised again, not remembered
-        (evaluate, a2, lattice[a2, (2, 0)], pole),  # no pole test here
-        (weyl_character_eval, a2, (2, 0), other),
-        (weyl_character_eval, g2, (1, 1), (-0.0, 0.7)),
-        (weyl_character_eval, g2, (1, 1), pole),
-        (brion_eval, g2, (1, 1), other),
-        (brion_eval, g2, (1, 1), [1, 2]),  # ints, checked to (1.0, 2.0)
-        (weyl_character_eval, g2, (1, 1), (1.0, 2.0)),
-        (evaluate, a1, lattice[a1, (2000,)], (1.0,)),  # overflows part way
-        (evaluate, a1, lattice[a1, (2,)], (1.0,)),  # all weights met before
-        (evaluate, a1, lattice[a1, (3,)], (1.0,)),  # none met before
+        (brion_eval, a2, (1, 1), [good]),
+        (evaluate, a2, lattice[a2, (1, 1)], [good]),
+        (weyl_character_eval, a2, (1, 1), [good]),
+        (evaluate, g2, lattice[g2, (1, 1)], [good]),  # same point, other algebra
+        (evaluate, a2, lattice[a2, (1, 1)], [good]),
+        (evaluate, a2, lattice[a2, (2, 0)], [good]),  # weights not in the table yet
+        (weyl_character_eval, a2, (2, 0), [good]),
+        (brion_eval, g2, (2, 0), [good]),  # same lam and point, other algebra
+        (brion_eval, a2, (2, 0), [good]),
+        (brion_eval, a2, (2, 0), [pole]),
+        (brion_eval, a2, (2, 0), [pole]),  # raised again, not remembered
+        (evaluate, a2, lattice[a2, (2, 0)], [pole]),  # no pole test here
+        (weyl_character_eval, a2, (2, 0), [other]),
+        (weyl_character_eval, g2, (1, 1), [(-0.0, 0.7)]),
+        (weyl_character_eval, g2, (1, 1), [pole]),
+        (brion_eval, g2, (1, 1), [other]),
+        (brion_eval, g2, (1, 1), [[1, 2]]),  # ints, checked to (1.0, 2.0)
+        (weyl_character_eval, g2, (1, 1), [(1.0, 2.0)]),
+        (evaluate, a1, lattice[a1, (2000,)], [(1.0,)]),  # overflows part way
+        (evaluate, a1, lattice[a1, (2,)], [(1.0,)]),  # all weights met before
+        (evaluate, a1, lattice[a1, (3,)], [(1.0,)]),  # none met before
         # e^{<1420 omega, omega>} = e^710 is the first term past the float range
-        (evaluate, a1, FormalSum.exp((1420,)), (1.0,)),
-        (brion_eval, a1, (2,), (1.0,)),
-        (evaluate, a1, lattice[a1, (2000,)], (1.0,)),  # overflows again
-        (brion_eval, a2, (1, 1), good),
-        (evaluate, a2, lattice[a2, (1, 1)], good),
+        (evaluate, a1, FormalSum.exp((1420,)), [(1.0,)]),
+        (brion_eval, a1, (2,), [(1.0,)]),
+        (evaluate, a1, lattice[a1, (2000,)], [(1.0,)]),  # overflows again
+        (brion_eval, a2, (1, 1), [good]),
+        (evaluate, a2, lattice[a2, (1, 1)], [good]),
         # the vertex-cone sums at one (lam, point) are built by whichever
         # evaluator comes first
-        (weyl_character_eval, a2, (0, 2), other),
-        (brion_eval, a2, (0, 2), other),
+        (weyl_character_eval, a2, (0, 2), [other]),
+        (brion_eval, a2, (0, 2), [other]),
         # two weights at one point
-        (brion_eval, a2, (1, 1), other),
-        (weyl_character_eval, a2, (2, 0), other),
-        (brion_eval, a2, (2, 0), other),
-        (weyl_character_eval, a2, (1, 1), other),
+        (brion_eval, a2, (1, 1), [other]),
+        (weyl_character_eval, a2, (2, 0), [other]),
+        (brion_eval, a2, (2, 0), [other]),
+        (weyl_character_eval, a2, (1, 1), [other]),
         # one weight on two algebras at one point: terms and covector differ
-        (brion_eval, g2, (1, 1), good),
-        (brion_eval, a2, (1, 1), good),
-        (weyl_character_eval, g2, (1, 1), good),
-        (weyl_character_eval, a2, (1, 1), good),
+        (brion_eval, g2, (1, 1), [good]),
+        (brion_eval, a2, (1, 1), [good]),
+        (weyl_character_eval, g2, (1, 1), [good]),
+        (weyl_character_eval, a2, (1, 1), [good]),
         # a pole between two good points, at one weight
-        (weyl_character_eval, a2, (0, 2), good),
-        (weyl_character_eval, a2, (0, 2), pole),
-        (brion_eval, a2, (0, 2), other),
-        (brion_eval, a2, (0, 2), pole),
-        (weyl_character_eval, a2, (0, 2), good),
+        (weyl_character_eval, a2, (0, 2), [good]),
+        (weyl_character_eval, a2, (0, 2), [pole]),
+        (brion_eval, a2, (0, 2), [other]),
+        (brion_eval, a2, (0, 2), [pole]),
+        (weyl_character_eval, a2, (0, 2), [good]),
+        # samples: the tables hold a whole sample, keyed by all its points
+        (brion_eval, a2, (1, 1), [good, other]),
+        (evaluate, a2, lattice[a2, (1, 1)], [good, other]),
+        # the first point shared with the previous sample, the second not
+        (evaluate, a2, lattice[a2, (1, 1)], [good, third]),
+        (brion_eval, a2, (1, 1), [good, third]),
+        (weyl_character_eval, a2, (1, 1), [good, third]),
+        # the same sample at another lam
+        (weyl_character_eval, a2, (2, 0), [good, third]),
+        (brion_eval, a2, (2, 0), [good, third]),
+        (evaluate, a2, lattice[a2, (2, 0)], [good, third]),
+        # the same points on another algebra
+        (brion_eval, g2, (2, 0), [good, third]),
+        (evaluate, g2, lattice[g2, (1, 1)], [good, third]),
+        (weyl_character_eval, g2, (1, 1), [good, third]),
+        # a pole as the last point: raised, not kept, raised again; the
+        # good prefix then evaluates afresh
+        (brion_eval, a2, (1, 1), [good, third, pole]),
+        (weyl_character_eval, a2, (1, 1), [good, third, pole]),
+        (brion_eval, a2, (1, 1), [good, third, pole]),
+        (evaluate, a2, lattice[a2, (1, 1)], [good, third, pole]),  # no pole test here
+        (weyl_character_eval, a2, (1, 1), [good, third]),
+        (brion_eval, a2, (1, 1), [good, third]),
+        # the points in another order, and one point twice
+        (brion_eval, a2, (1, 1), [third, good]),
+        (weyl_character_eval, a2, (1, 1), [third, third]),
     ]
     refs = {
         brion_eval: _ref_brion, weyl_character_eval: _ref_weyl_character,
         evaluate: _ref_evaluate,
     }
     outcomes = []
-    for fn, rs, arg, sigma in calls:
-        outcome = _outcome(fn, rs, arg, sigma)
-        assert outcome == _outcome(refs[fn], rs, arg, sigma), (fn.__name__, rs.name, arg, sigma)
+    for fn, rs, arg, sample in calls:
+        outcome = _outcome(fn, rs, arg, sample)
+        expected = _outcome(_on_sample(refs[fn]), rs, arg, sample)
+        assert outcome == expected, (fn.__name__, rs.name, arg, sample)
         outcomes.append(outcome)
     genericity = (GenericityError, "sigma is within 1e-06 of a pole hyperplane; resample")
-    assert [i for i, o in enumerate(outcomes) if o == genericity] == [9, 10, 13, 14, 37, 39]
+    assert [i for i, o in enumerate(outcomes) if o == genericity] == [
+        9, 10, 13, 14, 37, 39, 52, 53, 54,
+    ]
     assert [i for i, o in enumerate(outcomes) if o[0] is OverflowError] == [18, 21, 23]
 
 
@@ -865,7 +905,9 @@ def _ref_numeric_check(rs, lam, sigma_count, seed):
 def test_numeric_formula_check_bit_identical_to_reference_loop(name, data):
     # the whole check, whose points share every table, against the
     # reference evaluators point by point: the same report, its floats bit
-    # for bit, or the same exception
+    # for bit, or the same exception, whatever the chunk size: all points
+    # in one chunk, one point per chunk (a budget of 1, or of the lattice
+    # sum's size) and two per chunk, the last chunk short at odd counts
     rs = _cached_root_system(name)
     lam = data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank).map(tuple))
     count, seed = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 2**32))
@@ -877,7 +919,65 @@ def test_numeric_formula_check_bit_identical_to_reference_loop(name, data):
             return type(exc), str(exc)
         return {k: v.hex() if isinstance(v, float) else v for k, v in report.items()}
 
-    assert outcome(numeric_formula_check) == outcome(_ref_numeric_check)
+    expected = outcome(_ref_numeric_check)
+    size = len(polytope_sum_oracle(rs, lam).sum)
+    for budget in (polysum._TABLE_BUDGET, 1, size, 2 * size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(polysum, "_TABLE_BUDGET", budget)
+            assert outcome(numeric_formula_check) == expected, budget
+
+
+def test_numeric_formula_check_tables_stay_within_the_budget(monkeypatch):
+    # A1 (1000,) has 1001 lattice points, so 200 points go in chunks of
+    # _TABLE_BUDGET // 1001 = 65: the exponential table the check leaves
+    # holds its last chunk's, within the budget
+    a1 = build_root_system("A1")
+    exp_table, samples = formal.exp_table, []
+
+    def spy(rs, points):
+        samples.append(points)
+        return exp_table(rs, points)
+
+    monkeypatch.setattr(formal, "exp_table", spy)
+    monkeypatch.setattr(polysum, "exp_table", spy)
+    assert numeric_formula_check(a1, (1000,), 200)["pass"]
+    assert [len(points) for points in dict.fromkeys(samples)] == [65, 65, 65, 5]
+    hits = exp_table.cache_info().hits
+    last = exp_table(a1, samples[-1])
+    assert exp_table.cache_info().hits == hits + 1  # the entry the check left
+    assert 0 < sum(len(exps) for _covector, exps in last) <= polysum._TABLE_BUDGET
+
+
+@pytest.mark.parametrize("evaluator", [brion_eval, weyl_character_eval, evaluate])
+def test_sample_checks_run_in_order(a2, evaluator):
+    # lam (a sum's rank for evaluate), every point's length, the group cap,
+    # every point's finiteness, then every pole test: each check runs over
+    # the whole sample before the next, whatever the points' order
+    arg = polytope_sum_oracle(a2, (1, 1)).sum if evaluator is evaluate else (1, 1)
+    good, pole, nan, short = (0.3, 0.5), (0.0, 0.7), (math.nan, 0.5), (0.5,)
+    with pytest.raises(ValueError, match="wrong length"):
+        evaluator(a2, arg, [pole, nan, short])
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluator(a2, arg, [pole, good, nan])
+    if evaluator is not evaluate:
+        with pytest.raises(ValueError, match="not dominant"):
+            evaluator(a2, (-1, 0), [short])
+        with pytest.raises(GenericityError):
+            evaluator(a2, arg, [good, pole])
+    assert evaluator(a2, arg, []) == []
+
+
+def test_pole_test_comes_before_any_cross_check():
+    # a point of C3's seed-10 sample fails the character's cross-check at
+    # lam = 0; a pole later in the same sample is refused first
+    c3 = build_root_system("C3")
+    bad = [sig for sig in sample_generic_sigmas(c3, 20, 10)
+           if _outcome(weyl_character_eval, c3, (0, 0, 0), [sig])[0] is CrossCheckError]
+    assert bad
+    with pytest.raises(CrossCheckError):
+        weyl_character_eval(c3, (0, 0, 0), [bad[0], (0.5, 0.25, 0.125)])
+    with pytest.raises(GenericityError):
+        weyl_character_eval(c3, (0, 0, 0), [bad[0], (0.0, 0.25, 0.125)])
 
 
 _NON_FINITE_POINTS = [(math.nan, 0.5), (math.inf, 0.5), (0.3, -math.inf)]
@@ -892,30 +992,32 @@ def test_non_finite_points_are_refused(a2, sigma):
         (weyl_character_eval, (1, 1), _ref_weyl_character),
         (evaluate, polytope_sum_oracle(a2, (1, 1)).sum, _ref_evaluate),
     ]
-    message = f"sigma {check_point(a2, sigma)} has a non-finite coordinate"
+    message = f"sigma {check_sample(a2, [sigma])[0]} has a non-finite coordinate"
     for fn, arg, ref in calls:
         for _ in range(2):
-            assert _outcome(fn, a2, arg, sigma) == (ValueError, message)
-        assert _outcome(fn, a2, arg, (0.3, 0.5)) == _outcome(ref, a2, arg, (0.3, 0.5))
+            assert _outcome(fn, a2, arg, [sigma]) == (ValueError, message)
+        good = [(0.3, 0.5)]
+        assert _outcome(fn, a2, arg, good) == _outcome(_on_sample(ref), a2, arg, good)
 
 
 def test_character_cross_check_fails_on_nan(monkeypatch, a2):
     # a NaN difference between the two character values is a failed check,
-    # not a vacuous pass: the vertex-cone sums are NaN, and the alternating
+    # not a vacuous pass: the invariant sums are NaN, and the alternating
     # sum does not read them
     cone_sums = polysum._cone_sums
     monkeypatch.setattr(
-        polysum, "_cone_sums", lambda *args: (math.nan, math.nan, *cone_sums(*args)[2:])
+        polysum, "_cone_sums",
+        lambda *args: tuple((brion, math.nan) for brion, _invariant in cone_sums(*args)),
     )
     with pytest.raises(CrossCheckError, match="disagree beyond 1e-9"):
-        weyl_character_eval(a2, (1, 1), (0.3, 0.5))
+        weyl_character_eval(a2, (1, 1), [(0.3, 0.5)])
 
 
 @_EVALUATORS
 def test_evaluator_group_cap_comes_before_pole_test(evaluator):
     # sigma = 0 lies on every root hyperplane; rank 4 fails on the group first
     with pytest.raises(ValueError, match="capped at rank 3"):
-        evaluator(build_root_system("A4"), (1, 0, 0, 0), (0.0, 0.0, 0.0, 0.0))
+        evaluator(build_root_system("A4"), (1, 0, 0, 0), [(0.0, 0.0, 0.0, 0.0)])
 
 
 def test_freudenthal_a2(a2):
