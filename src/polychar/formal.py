@@ -31,8 +31,8 @@ support point mu, plus the largest label of a positive root, both found once
 per root system.  So no operator's arithmetic ever carries between fields,
 and every W-image of a weight one root step past the hull, w mu + w beta,
 still reads back: `polysum`'s dominant-weight walk and Freudenthal strings
-form such weights, and read them with ``top`` (dominance), ``unpack`` and
-``fold`` (the dominant representative).
+form such weights, and read them with ``top`` (dominance) and ``fold`` (the
+dominant representative).
 
 A sum holds its terms in one form, fixed when it is built: keyed by
 tuples, or packed with its codec.  No function changes a sum it is given.

@@ -80,55 +80,86 @@ def _check_point_count(what, points: int) -> None:
         raise PolytopeSizeError(f"{what} has at least {points} points; cap is {_POINT_CAP}")
 
 
-def dominant_weights_below(rs: RootSystem, lam) -> list:
-    """Dominant weights of lam's root-lattice coset lying under lam in
-    dominance order, sorted from lam downward by depth, the height of
-    lam - mu (then lexicographically).
+def _walk_below(rs: RootSystem, lam) -> tuple:
+    """(codec, packed, depths): lam's codec, ``formal._codec_for(rs,
+    (lam,))``, the dominant weights of lam's root-lattice coset lying under
+    lam in dominance order, packed by it, in breadth-first order from lam,
+    and their depths, the heights of lam - mu, in the same order.
 
     A downward walk: subtract each positive root and keep what stays
     dominant.  It misses nothing, because above every dominant mu < lam
     some positive root alpha leaves lam - alpha dominant with mu below it
-    (Stembridge, The partial order of dominant weights, 1998).  It runs on
-    packed ints of lam's codec, ``formal._codec_for(rs, (lam,))``, the one
-    the Freudenthal strings fold with (`formal._Codec.fold`): a step is one
-    subtraction, the dominance test one AND with the codec's ``top``, and
-    only a dominant candidate reaches the visited set.  A candidate lies at
-    most one root step past lam's hull, which the codec's fields hold.
-    Each weight kept is unpacked once, for its orbit size; packed ints sort
-    as their tuples do, so sorting by (depth, packed) gives the order of
-    (depth, weight).
+    (Stembridge, The partial order of dominant weights, 1998).  A step is
+    one subtraction, the dominance test one AND with the codec's ``top``,
+    and only a dominant candidate reaches the visited set.  A candidate
+    lies at most one root step past lam's hull, which the codec's fields
+    hold.  Each root's step and height come from the codec's root table.
 
     The orbits of these weights are disjoint and cover lam's polytope, so
     their sizes add up to its point count.  Before the walk, a cheap lower
     bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
     and, for each positive root beta, the <lam, beta^vee> + 1 points of the
     beta-string from lam to s_beta(lam), longest for the highest coroot.
-    The walk refuses as soon as its running count passes the cap; it visits
-    weights in breadth-first order, so the refusal comes at the same weight
-    on every run.  The walked weights are dominant, so each size is read
-    unchecked from `_orbit_size`'s table, kept per algebra and zero pattern.
-    Each root's step and height come from the codec's root table.
+    The walk refuses as soon as its running count passes the cap, so the
+    refusal comes at the same weight, with the same count, on every run.
+    No orbit is larger than |W|, so the first k weights hold at most
+    |W| k points, and while that bound stays within the cap no size is
+    read.  From the first weight that takes it past the cap the count is
+    exact: each size is `_orbit_size` at the weight's zero pattern, read
+    from its packed fields (a label is 0 when its field holds the offset),
+    for every weight walked so far and then for each weight it reaches.
     """
     lam = check_weight(rs, lam, dominant=True)
     longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
     _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
     codec = _codec_for(rs, (lam,))
-    top, unpack = codec.top, codec.unpack
-    roots = codec.roots.values()
-    p = codec.pack(lam)
-    seen = {p}
-    walked = [(0, p, lam)]
-    points = 0
-    for depth, p, mu in walked:  # the list grows as the walk reaches new weights
-        points += _orbit_size(rs, tuple([x > 0 for x in mu]))
-        _check_point_count(lam, points)
-        for d, _fields, _lift, h in roots:
+    top = codec.top
+    roots = [(d, h) for d, _fields, _lift, h in codec.roots.values()]
+    packed, depths = [codec.pack(lam)], [0]
+    seen = set(packed)
+    # the weights the bound |W| k admits: none of them is counted
+    bounded = _POINT_CAP // _orbit_size(rs, (True,) * rs.rank)
+    queue = zip(packed, depths)  # the lists grow as the walk reaches new weights
+    counted = _counted(rs, lam, codec, packed, queue, bounded)
+    for p, depth in chain(islice(queue, bounded), counted):
+        for d, h in roots:
             q = p - d
             if q & top == top and q not in seen:
                 seen.add(q)
-                walked.append((depth + h, q, unpack(q)))
-    walked.sort()  # (depth, packed) is unique: no weight tuple is compared
-    return [mu for _depth, _p, mu in walked]
+                packed.append(q)
+                depths.append(depth + h)
+    return codec, packed, depths
+
+
+def _counted(rs: RootSystem, lam, codec, packed: list, queue, start: int):
+    """The walk's queue from its weight number ``start`` on, each weight
+    passed on once the exact point count through it is within the cap.
+    The count begins with the sizes of the ``start`` weights before it,
+    read only if the queue holds another weight."""
+    mask, offset, shifts = codec.mask, codec.offset, codec.shifts
+
+    def size(q):  # |W| / |W_mu|, mu's zero pattern read from its fields
+        return _orbit_size(rs, tuple([q >> s & mask != offset for s in shifts]))
+
+    points = None
+    for p, depth in queue:
+        if points is None:
+            points = sum(map(size, packed[:start]))
+        points += size(p)
+        _check_point_count(lam, points)
+        yield p, depth
+
+
+def dominant_weights_below(rs: RootSystem, lam) -> list:
+    """Dominant weights of lam's root-lattice coset lying under lam in
+    dominance order, sorted from lam downward by depth, the height of
+    lam - mu (then lexicographically): the sorted reader of the packed
+    walk, `_walk_below`, which refuses lam past the point cap.  Packed ints
+    sort as their tuples do, so sorting by (depth, packed) gives the order
+    of (depth, weight), and the sorted weights are decoded in one pass
+    (`formal._Codec.unpack_all`)."""
+    codec, packed, depths = _walk_below(rs, lam)
+    return codec.unpack_all([p for _depth, p in sorted(zip(depths, packed))])
 
 
 def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
@@ -136,18 +167,18 @@ def polytope_sum_oracle(rs: RootSystem, lam) -> PolytopeSum:
 
     The lattice points are exactly the weights `polytope_member` accepts:
     the union of the Weyl orbits of the dominant weights below lam.  The
-    walk that finds those weights (`dominant_weights_below`) refuses lam
-    past the point cap before any orbit is built.  The orbits are walked
-    on packed ints of lam's codec (`formal._Codec.orbit`), the codec of
-    ``FormalSum.exp(lam)`` and so of the operator formula's sum: every
-    weight below lam lies in lam's hull, which its fields hold.  Distinct
-    dominant weights have disjoint orbits, so one walk from all of them
-    builds the terms, with no merge, and the sum stays packed until it is
-    read.  All coefficients are 1.
+    walk that finds those weights (`_walk_below`) refuses lam past the
+    point cap before any orbit is built, and hands them over packed by
+    lam's codec, in the order it reached them.  The orbits are walked
+    from those ints (`formal._Codec.orbit`), with no decode and no sort:
+    the codec is the one of ``FormalSum.exp(lam)`` and so of the operator
+    formula's sum, and every weight below lam lies in lam's hull, which
+    its fields hold.  Distinct dominant weights have disjoint orbits, so
+    one walk from all of them builds the terms, with no merge, and the sum
+    stays packed until it is read.  All coefficients are 1.
     """
-    below = dominant_weights_below(rs, lam)  # lam first, checked by the walk
-    codec = _codec_for(rs, (below[0],))
-    terms = dict.fromkeys(codec.orbit(*map(codec.pack, below)), 1)
+    codec, packed, _depths = _walk_below(rs, lam)
+    terms = dict.fromkeys(codec.orbit(*packed), 1)
     return PolytopeSum(FormalSum._of(rs.rank, terms, codec))
 
 

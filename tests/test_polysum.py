@@ -13,7 +13,8 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import accumulate, chain, product
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -353,6 +354,82 @@ def test_dominant_walk_refuses_by_the_exact_count(monkeypatch, entry):
     message = r"^the polytope of \[1, 0, 0, 1\] has at least 21 points; cap is 20$"
     with pytest.raises(PolytopeSizeError, match=message):
         entry(a4, (1, 0, 0, 1))
+
+
+def _tuple_walk_orbits(rs, lam) -> list:
+    """Reference for the walk's count: the dominant weights below lam in
+    the breadth-first order of the walk on weight tuples, roots in
+    `RootSystem.positive_roots` order, each with its orbit as a closure
+    under the simple reflections.  The orbits' sizes, added in this order,
+    are the counts the oracle checks against the cap."""
+    from test_weyl import _closure_orbit
+
+    steps = [root.weight_coords for root in rs.positive_roots]
+    seen, walked = {lam}, [lam]
+    for mu in walked:
+        for alpha in steps:
+            nu = tuple(m - a for m, a in zip(mu, alpha))
+            if nu not in seen and min(nu) >= 0:
+                seen.add(nu)
+                walked.append(nu)
+    return [_closure_orbit(rs, mu) for mu in walked]
+
+
+@pytest.mark.parametrize("name,lam", [("G2", (6, 4)), ("A2", (6, 6)), ("B3", (2, 1, 2))])
+def test_walk_counts_exactly_once_its_bound_passes_the_cap(monkeypatch, name, lam):
+    # the first k weights hold at most |W| k points, so the walk counts
+    # nothing while that bound is within the cap and exactly from the first
+    # weight that takes it past.  Every cap up to |W| times the number of
+    # weights, one past it, must give the reference's sum or refusal
+    rs = build_root_system(name)
+    group = len(weyl_group(rs))
+    orbits = _tuple_walk_orbits(rs, lam)
+    reference = FormalSum(rs.rank, dict.fromkeys(chain.from_iterable(orbits), 1))
+    counts = list(accumulate(map(len, orbits)))
+    lower = max(len(orbits[0]), 1 + max(sum(map(mul, lam, cv)) for cv in rs.coroots.values()))
+    at_the_switch = []
+    for cap in range(1, group * len(orbits) + 2):
+        monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+        if counts[-1] <= cap:
+            assert polytope_sum_oracle(rs, lam).sum == reference, cap
+            continue
+        # the lower bound, else the running count at the first weight past the cap
+        k = next(k for k, points in enumerate(counts) if points > cap)
+        points = lower if lower > cap else counts[k]
+        if lower <= cap and k == cap // group:  # the first weight counted exactly
+            at_the_switch.append(cap)
+        message = f"the polytope of {list(lam)} has at least {points} points; cap is {cap}"
+        with pytest.raises(PolytopeSizeError) as refused:
+            polytope_sum_oracle(rs, lam)
+        assert str(refused.value) == message
+    assert at_the_switch
+
+
+@pytest.mark.parametrize("lam", [(6, 4), (6, 0), (0, 4)])
+def test_walk_reads_no_orbit_size_under_the_cap(monkeypatch, lam):
+    # at the real cap, |W| times G2's walked weights stays far under it:
+    # the oracle reads lam's pattern and |W|'s, both before the walk, and no
+    # walked weight's, though the walk meets other zero patterns
+    g2 = build_root_system("G2")
+    assert {tuple(x > 0 for x in mu) for mu in dominant_weights_below(g2, lam)} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    patterns = []
+    size = polysum._orbit_size
+    monkeypatch.setattr(polysum, "_orbit_size",
+                        lambda rs, support: patterns.append(support) or size(rs, support))
+    polytope_sum_oracle(g2, lam)
+    assert patterns == [tuple(x > 0 for x in lam), (True, True)]
+
+
+@pytest.mark.parametrize("n,nbytes", [(125, 1), (126, 2), (32765, 2), (32766, 4)])
+def test_walk_decodes_across_codec_widths(n, nbytes):
+    # A1 (n)'s dominant weights are n, n - 2, ..., down to 0 or 1, and its
+    # polytope holds the n + 1 points of the string from n to -n: on each
+    # side of the 1- to 2-byte and the 2- to 4-byte steps of the codec
+    a1 = build_root_system("A1")
+    assert _codec_for(a1, ((n,),)).nbytes == nbytes
+    assert dominant_weights_below(a1, (n,)) == [(m,) for m in range(n, -1, -2)]
+    assert len(polytope_sum_oracle(a1, (n,)).sum) == n + 1
 
 
 def test_oracle_refuses_before_building_an_orbit(monkeypatch):
@@ -1127,13 +1204,14 @@ def test_broken_products_name_their_fraction(a1, monkeypatch):
 def test_verify_budget_walks_no_weight_under_the_cap(monkeypatch, name, max_label, dims):
     # the verify-sweep workload's grids: their dimensions add up far under
     # the cap, so the sweep's budget makes no walk, and each lam is walked
-    # once, by its oracle
+    # once, by its oracle.  The spy sits on the packed walk, which both the
+    # budget (through `dominant_weights_below`) and the oracle run
     rs = build_root_system(name)
     grid = list(product(range(max_label + 1), repeat=rs.rank))
     assert sum(weyl_dimension(rs, lam) for lam in grid) == dims
     walked = []
-    walk = polysum.dominant_weights_below
-    monkeypatch.setattr(polysum, "dominant_weights_below",
+    walk = polysum._walk_below
+    monkeypatch.setattr(polysum, "_walk_below",
                         lambda rs, lam: walked.append(lam) or walk(rs, lam))
     polysum._check_support_size(rs, grid, "the grid")
     assert walked == []
