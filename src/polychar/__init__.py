@@ -27,7 +27,6 @@ from .polysum import (
     character_freudenthal,
     dominant_weight_multiplicities,
     dominant_weights_below,
-    gamma_sequence,
     numeric_formula_check,
     polytope_expansion,
     polytope_member,
@@ -81,7 +80,6 @@ __all__ = [
     "dominant_weight_multiplicities",
     "dominant_weights_below",
     "evaluate",
-    "gamma_sequence",
     "numeric_formula_check",
     "orbit",
     "orbit_size",

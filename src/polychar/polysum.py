@@ -80,6 +80,15 @@ def _check_point_count(what, points: int) -> None:
         raise PolytopeSizeError(f"{what} has at least {points} points; cap is {_POINT_CAP}")
 
 
+def _packed_orbit_size(rs: RootSystem, codec, p: int) -> int:
+    """|W| / |W_mu| for the dominant weight mu packed as ``p`` by ``codec``:
+    `_orbit_size` at mu's zero pattern, read from its packed fields (a label
+    is 0 when its field holds the offset).  The one reader of a packed
+    weight's orbit size: the walk's count and the budget's both read it."""
+    mask, offset = codec.mask, codec.offset
+    return _orbit_size(rs, tuple([p >> s & mask != offset for s in codec.shifts]))
+
+
 def _walk_below(rs: RootSystem, lam) -> tuple:
     """(codec, packed, depths): lam's codec, ``formal._codec_for(rs,
     (lam,))``, the dominant weights of lam's root-lattice coset lying under
@@ -100,14 +109,14 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
     and, for each positive root beta, the <lam, beta^vee> + 1 points of the
     beta-string from lam to s_beta(lam), longest for the highest coroot.
-    The walk refuses as soon as its running count passes the cap, so the
-    refusal comes at the same weight, with the same count, on every run.
-    No orbit is larger than |W|, so the first k weights hold at most
-    |W| k points, and while that bound stays within the cap no size is
-    read.  From the first weight that takes it past the cap the count is
-    exact: each size is `_orbit_size` at the weight's zero pattern, read
-    from its packed fields (a label is 0 when its field holds the offset),
-    for every weight walked so far and then for each weight it reaches.
+    The walk counts in its own loop and refuses as soon as its running
+    count passes the cap, so the refusal comes at the same weight, with the
+    same count, on every run.  No orbit is larger than |W|, so the first k
+    weights hold at most |W| k points: up to weight number
+    ``_POINT_CAP // |W|`` that bound stays within the cap and no size is
+    read.  At that weight the sizes of the weights before it are added up
+    once, and from then on each weight's size (`_packed_orbit_size`) is
+    added before the weight is expanded.
     """
     lam = check_weight(rs, lam, dominant=True)
     longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
@@ -119,9 +128,13 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     seen = set(packed)
     # the weights the bound |W| k admits: none of them is counted
     bounded = _POINT_CAP // _orbit_size(rs, (True,) * rs.rank)
-    queue = zip(packed, depths)  # the lists grow as the walk reaches new weights
-    counted = _counted(rs, lam, codec, packed, queue, bounded)
-    for p, depth in chain(islice(queue, bounded), counted):
+    # the lists grow as the walk reaches new weights
+    for k, (p, depth) in enumerate(zip(packed, depths)):
+        if k >= bounded:
+            if k == bounded:  # the weights before this one, once
+                points = sum([_packed_orbit_size(rs, codec, q) for q in packed[:k]])
+            points += _packed_orbit_size(rs, codec, p)
+            _check_point_count(lam, points)
         for d, h in roots:
             q = p - d
             if q & top == top and q not in seen:
@@ -131,25 +144,6 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     return codec, packed, depths
 
 
-def _counted(rs: RootSystem, lam, codec, packed: list, queue, start: int):
-    """The walk's queue from its weight number ``start`` on, each weight
-    passed on once the exact point count through it is within the cap.
-    The count begins with the sizes of the ``start`` weights before it,
-    read only if the queue holds another weight."""
-    mask, offset, shifts = codec.mask, codec.offset, codec.shifts
-
-    def size(q):  # |W| / |W_mu|, mu's zero pattern read from its fields
-        return _orbit_size(rs, tuple([q >> s & mask != offset for s in shifts]))
-
-    points = None
-    for p, depth in queue:
-        if points is None:
-            points = sum(map(size, packed[:start]))
-        points += size(p)
-        _check_point_count(lam, points)
-        yield p, depth
-
-
 def dominant_weights_below(rs: RootSystem, lam) -> list:
     """Dominant weights of lam's root-lattice coset lying under lam in
     dominance order, sorted from lam downward by depth, the height of
@@ -157,7 +151,9 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     walk, `_walk_below`, which refuses lam past the point cap.  Packed ints
     sort as their tuples do, so sorting by (depth, packed) gives the order
     of (depth, weight), and the sorted weights are decoded in one pass
-    (`formal._Codec.unpack_all`)."""
+    (`formal._Codec.unpack_all`).  Freudenthal reads the walk here, in
+    this order; the oracle and the point budget read it packed, from
+    `_walk_below` itself."""
     codec, packed, depths = _walk_below(rs, lam)
     return codec.unpack_all([p for _depth, p in sorted(zip(depths, packed))])
 
@@ -233,13 +229,6 @@ def inversion_sequence(rs: RootSystem, word) -> tuple[Root, ...]:
     if len(set(roots)) != len(rs.positive_roots):
         raise AssertionError(f"{word} is not a reduced word of w0 for {rs.name}")
     return tuple(roots)
-
-
-def gamma_sequence(rs: RootSystem) -> tuple[Root, ...]:
-    """The inversion sequence of the operator formula's reduced word of w0:
-    the positive roots in bracket order (A1, A2, B2, G2 and A3), as
-    `_formula` keeps it.  An algebra without a formula raises."""
-    return _formula(rs)[1]
 
 
 def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
@@ -578,17 +567,20 @@ def _check_support_size(rs: RootSystem, weights, what) -> None:
     with PolytopeSizeError when they hold more lattice points than the cap:
     `char` and `bsum --method demazure` size their lam, `verify` its grid,
     before any sum is built.  ``what`` is text, or a dominant weight, as in
-    `_check_point_count`, which writes the refusal.  A module has no more distinct weights than its
-    dimension, so dimensions adding up to at most the cap pass at once (read
-    lazily, up to the first weight past it); otherwise the exact counts over
-    `dominant_weights_below` are added in order, refused past the cap."""
+    `_check_point_count`, which writes the refusal.  A module has no more
+    distinct weights than its dimension, so dimensions adding up to at most
+    the cap pass at once (read lazily, up to the first weight past it).
+    Otherwise each lam's polytope is counted on the walk's packed weights
+    (`_walk_below`, which refuses lam's own polytope past the cap), by the
+    walk's reader of orbit sizes, `_packed_orbit_size`, and the counts are
+    added in order, refused past the cap."""
     ahead, weights = tee(weights)
     if all(dims <= _POINT_CAP for dims in accumulate(weyl_dimension(rs, lam) for lam in ahead)):
         return
     points = 0
     for lam in weights:
-        below = dominant_weights_below(rs, lam)  # refuses lam's own polytope past the cap
-        points += sum([_orbit_size(rs, tuple([x > 0 for x in mu])) for mu in below])
+        codec, packed, _depths = _walk_below(rs, lam)
+        points += sum([_packed_orbit_size(rs, codec, p) for p in packed])
         _check_point_count(what, points)
 
 

@@ -16,7 +16,6 @@ from polychar import (
     character_demazure,
     cli,
     demazure,
-    gamma_sequence,
     polysum,
 )
 from polychar import cli
@@ -34,7 +33,7 @@ def _uncorrected_g2_sweep(rs, lam):
     """The G2 sweep without the (1 + e^{gamma_2}) factor on its long-root
     term.  It misses 3a^2 + 2ab points of lam = (a, b), so it drives the
     mismatch path of the commands that compare against the enumerator."""
-    gammas = gamma_sequence(rs)
+    gammas = polysum._formula(rs)[1]
     total = staged = FormalSum.exp(tuple(lam))
     for root in gammas[:-1]:
         total = total + apply_d_root(rs, root, staged)
@@ -223,7 +222,7 @@ def test_operator_routes_point_cap_boundary(capsys, monkeypatch, argv):
 
     # a dimension within the cap passes without the walk
     monkeypatch.setattr(polysum, "_POINT_CAP", 8)
-    monkeypatch.setattr(polysum, "dominant_weights_below", unreachable)
+    monkeypatch.setattr(polysum, "_walk_below", unreachable)
     assert _capture(capsys, argv)[0] == 0
     monkeypatch.undo()
     # past it, the walk's exact count decides: 7 points pass a cap of 7
@@ -279,7 +278,7 @@ def test_operator_routes_refuse_structure_before_the_size_guard(capsys, monkeypa
         raise AssertionError("unreachable")
 
     monkeypatch.setattr(polysum, "weyl_dimension", unreachable)
-    monkeypatch.setattr(polysum, "dominant_weights_below", unreachable)
+    monkeypatch.setattr(polysum, "_walk_below", unreachable)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

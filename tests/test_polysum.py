@@ -39,7 +39,6 @@ from polychar import (
     dominant_weight_multiplicities,
     dominant_weights_below,
     evaluate,
-    gamma_sequence,
     numeric_formula_check,
     orbit,
     orbit_size,
@@ -421,6 +420,56 @@ def test_walk_reads_no_orbit_size_under_the_cap(monkeypatch, lam):
     assert patterns == [tuple(x > 0 for x in lam), (True, True)]
 
 
+def _tuple_budget_refusal(rs, weights, what, cap):
+    """Reference for `_check_support_size` at a cap: its refusal text, or
+    None.  The dimensions first; then, lam by lam, the walk's refusal of
+    lam's own polytope (the lower bound, else the running count at the
+    first weight past the cap, which the bound |W| k never passes) and the
+    budget's total, each recounted on weight tuples, with closure orbits."""
+    if sum(weyl_dimension(rs, lam) for lam in weights) <= cap:
+        return None
+    name = what if isinstance(what, str) else f"the polytope of {list(what)}"
+    points = 0
+    for lam in weights:
+        orbits = _tuple_walk_orbits(rs, lam)
+        counts = list(accumulate(map(len, orbits)))
+        lower = max(len(orbits[0]), 1 + max(sum(map(mul, lam, cv)) for cv in rs.coroots.values()))
+        own = lower if lower > cap else next((c for c in counts if c > cap), None)
+        if own is not None:
+            return f"the polytope of {list(lam)} has at least {own} points; cap is {cap}"
+        points += counts[-1]
+        if points > cap:
+            return f"{name} has at least {points} points; cap is {cap}"
+    return None
+
+
+@pytest.mark.parametrize("name,weights,what", [
+    ("A2", [(1, 1)], (1, 1)), ("G2", [(2, 1)], (2, 1)), ("B3", [(1, 0, 1)], (1, 0, 1)),
+    ("A2", list(product(range(3), repeat=2)), "the sweep of A2 up to 2"),
+    ("G2", list(product(range(3), repeat=2)), "the sweep of G2 up to 2"),
+], ids=["A2-1-1", "G2-2-1", "B3-1-0-1", "A2-grid-2", "G2-grid-2"])
+def test_budget_counts_the_walk_exactly_at_every_cap(monkeypatch, name, weights, what):
+    # every cap from 1 to one past the weights' point total: the budget's
+    # exact phase (the dimensions add up past the total, so they pass no
+    # cap below it) must refuse, or pass, as the tuple recount does.  A2's
+    # and G2's two one-zero patterns have equal orbit sizes, B3's do not
+    rs = build_root_system(name)
+    total = sum(len(orbit) for lam in weights for orbit in _tuple_walk_orbits(rs, lam))
+    assert sum(weyl_dimension(rs, lam) for lam in weights) > total
+    refused = 0
+    for cap in range(1, total + 2):
+        monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+        expected = _tuple_budget_refusal(rs, weights, what, cap)
+        if expected is None:
+            polysum._check_support_size(rs, iter(weights), what)
+            continue
+        refused += 1
+        with pytest.raises(PolytopeSizeError) as refusal:
+            polysum._check_support_size(rs, iter(weights), what)
+        assert str(refusal.value) == expected, cap
+    assert refused == total - 1  # every cap below the total
+
+
 @pytest.mark.parametrize("n,nbytes", [(125, 1), (126, 2), (32765, 2), (32766, 4)])
 def test_walk_decodes_across_codec_widths(n, nbytes):
     # A1 (n)'s dominant weights are n, n - 2, ..., down to 0 or 1, and its
@@ -453,7 +502,7 @@ def test_rank2_formula_g2_splits_by_first_label(g2):
     # the long-root term d(gamma_3) r(gamma_2) r(gamma_1) e^lam walks an edge
     # of length a: it is empty when a = 0, and for a >= 1 its (1 + e^{gamma_2})
     # factor fills the alpha_2-lines that the edge's double step skips
-    gammas = gamma_sequence(g2)
+    gammas = polysum._formula(g2)[1]
 
     def long_root_term(lam):
         staged = apply_r_root(g2, gammas[1], apply_r_root(g2, gammas[0], FormalSum.exp(lam)))
@@ -501,7 +550,7 @@ def test_formula_wrong_algebra():
 
 
 def test_gamma_sequence_is_kept_per_algebra(monkeypatch):
-    # `_formula` builds an algebra's record once; gamma_sequence reads it
+    # `_formula` builds an algebra's record once; its gamma order is read from it
     polysum._formula.cache_clear()
     calls = []
 
@@ -513,14 +562,14 @@ def test_gamma_sequence_is_kept_per_algebra(monkeypatch):
     g2 = build_root_system("G2")
     record = polysum._formula(g2)
     assert polysum._formula(build_root_system("G2")) is record
-    assert gamma_sequence(g2) is record[1]
+    assert polysum._formula(g2)[1] is record[1]
     assert [root.root_coords for root in record[1]] == [
         (1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1)
     ]
     assert calls == ["G2"]
     # a raise is not kept: an algebra without a formula raises every time
     for _ in range(2):
-        for lookup in (polysum._formula, gamma_sequence):
+        for lookup in (polysum._formula, lambda rs: polysum._formula(rs)[1]):
             with pytest.raises(ValueError, match="no operator polytope-sum formula for B3"):
                 lookup(build_root_system("B3"))
     assert calls == ["G2"]
@@ -544,7 +593,7 @@ def test_formula_brackets_cut_the_gamma_order(name, report, lengths):
     assert record_name == report
     assert tuple(map(len, brackets)) == lengths
     terms = list(chain.from_iterable(brackets))
-    assert tuple(root for root, _translate in terms) == gamma_sequence(rs)
+    assert tuple(root for root, _translate in terms) == polysum._formula(rs)[1]
     translates = [(k, t) for k, (_root, t) in enumerate(terms) if t is not None]
     assert translates == ([(2, gammas[1])] if name == "G2" else [])
 
@@ -556,7 +605,7 @@ def test_edge_bracket_drops_cancelled_terms(a1, a2):
     out = polysum._edge_bracket(a1, bracket, FormalSum.exp((-1,)))
     assert out.is_zero() and out.to_json_obj() == []
     # on A2 the first bracket cancels two of a signed input's terms
-    gammas = gamma_sequence(a2)
+    gammas = polysum._formula(a2)[1]
     s = FormalSum(2, {(-1, 0): 1, (1, 1): 1, (0, -1): -1})
     out = polysum._edge_bracket(a2, polysum._formula(a2)[2][0], s)
     assert 0 not in out.terms.values()
@@ -1205,7 +1254,7 @@ def test_verify_budget_walks_no_weight_under_the_cap(monkeypatch, name, max_labe
     # the verify-sweep workload's grids: their dimensions add up far under
     # the cap, so the sweep's budget makes no walk, and each lam is walked
     # once, by its oracle.  The spy sits on the packed walk, which both the
-    # budget (through `dominant_weights_below`) and the oracle run
+    # budget and the oracle call directly
     rs = build_root_system(name)
     grid = list(product(range(max_label + 1), repeat=rs.rank))
     assert sum(weyl_dimension(rs, lam) for lam in grid) == dims

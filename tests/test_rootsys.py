@@ -13,7 +13,7 @@ from polychar import (
     AlgebraId,
     Root,
     build_root_system,
-    gamma_sequence,
+    polysum,
     rootsys,
     weyl_dimension,
 )
@@ -332,22 +332,22 @@ def test_check_weight(a2):
 
 
 def test_gamma_sequences(a1, a2, b2, g2, a3):
-    assert [r.root_coords for r in gamma_sequence(a1)] == [(1,)]
-    assert [r.root_coords for r in gamma_sequence(a2)] == [(1, 0), (1, 1), (0, 1)]
-    assert [r.root_coords for r in gamma_sequence(b2)] == [
+    assert [r.root_coords for r in polysum._formula(a1)[1]] == [(1,)]
+    assert [r.root_coords for r in polysum._formula(a2)[1]] == [(1, 0), (1, 1), (0, 1)]
+    assert [r.root_coords for r in polysum._formula(b2)[1]] == [
         (1, 0), (1, 1), (1, 2), (0, 1),
     ]
-    assert [r.root_coords for r in gamma_sequence(g2)] == [
+    assert [r.root_coords for r in polysum._formula(g2)[1]] == [
         (1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1),
     ]
-    assert [r.root_coords for r in gamma_sequence(a3)] == [
+    assert [r.root_coords for r in polysum._formula(a3)[1]] == [
         (1, 0, 0), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1),
     ]
 
 
 def test_gamma_sequence_undefined_elsewhere():
     with pytest.raises(ValueError):
-        gamma_sequence(build_root_system("B3"))
+        polysum._formula(build_root_system("B3"))[1]
 
 
 def test_inner_products_check_their_lengths(a2):

@@ -12,7 +12,6 @@ from polychar import (
     apply_r_simple,
     build_root_system,
     dominant_representative,
-    gamma_sequence,
     orbit,
     orbit_size,
     weyl_group,
@@ -307,7 +306,7 @@ def longest_element_via_gammas(rs):
     """The reflections at the gamma-sequence roots, first root acting first,
     composed into a map on weights: s_beta_N ... s_beta_1 is w0 for any
     inversion sequence of w0."""
-    roots = gamma_sequence(rs)
+    roots = polysum._formula(rs)[1]
 
     def act(weight):
         s = FormalSum.exp(weight)
