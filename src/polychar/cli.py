@@ -14,10 +14,13 @@ passes through ``json.dumps``.  ``json`` is imported there, in `_canon`, so
 importing this module and running ``char``, ``bsum`` or ``expand`` never load
 it; ``verify``, ``eval`` and ``vertices`` load it when they print.
 
-Parsing: when the first argument names a subcommand, `run` hands the rest
-straight to that subcommand's parser, as the top-level parser would, and
-reports leftovers through the top-level parser's error, as ``parse_args``
-does; any other command line goes through the top-level parser.
+Parsing: when the first argument names a subcommand, `run` reads the rest
+off that subcommand's table (`_parse_plain`), which takes only the plain
+shape the CLI documents and gives the namespace argparse would.  Any other
+shape it hands to that subcommand's parser, as the top-level parser would,
+and reports leftovers through the top-level parser's error, as
+``parse_args`` does; so help, usage errors and abbreviations stay
+argparse's.  Any other command line goes through the top-level parser.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
@@ -277,17 +280,110 @@ def _build_parser() -> tuple:
     return parser, sub.choices
 
 
+@functools.cache
+def _plain_table(sub) -> tuple | None:
+    """What `_parse_plain` reads off the subcommand parser ``sub``'s own
+    actions: its positionals as (dest, convert, many) in order, its options
+    as (dest, convert, nargs, const, choices) by full option string, and
+    the namespace's defaults, in the order ``parse_known_args`` sets them,
+    the ``set_defaults`` handler last.  ``convert`` is the action's type, as
+    argparse resolves it.  None when ``sub`` holds an action the table does
+    not read (another kind, other nargs, a positional with choices): then
+    every command line goes to argparse."""
+    positionals, options, defaults = [], {}, {}
+    for action in sub._actions:
+        if type(action) is argparse._HelpAction:
+            continue
+        plain = type(action) is argparse._StoreTrueAction or (
+            type(action) is argparse._StoreAction and action.nargs in (None, "+")
+            and (action.option_strings or action.choices is None))
+        if not plain:
+            return None
+        convert = sub._registry_get("type", action.type, action.type)
+        if action.option_strings:
+            for option in action.option_strings:
+                options[option] = (action.dest, convert, action.nargs, action.const,
+                                   action.choices)
+        else:
+            positionals.append((action.dest, convert, action.nargs == "+"))
+        defaults.setdefault(action.dest, action.default)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return tuple(positionals), options, defaults
+
+
+def _parse_plain(sub, argv) -> argparse.Namespace | None:
+    """``sub.parse_known_args(argv)``'s namespace, when ``argv`` has the
+    plain shape the CLI documents and argparse would leave nothing over;
+    else None.  The shape: the positionals first, in one run; then each
+    option spelled in full, at most once; every value and every positional
+    a token that does not start with "-", converted by its type and within
+    its choices.  Anything else (``-h``, ``--``, ``--x=y``, abbreviations,
+    options before positionals, repeats, negative numbers, bad values,
+    leftovers) is argparse's to parse, or to refuse."""
+    table = _plain_table(sub)
+    if table is None:
+        return None
+    positionals, options, values = table
+    values = dict(values)
+    end = len(argv)
+    i = 0
+    while i < end and not argv[i].startswith("-"):
+        i += 1
+    try:
+        k = 0
+        for dest, convert, many in positionals:
+            if k >= i:
+                return None
+            if many:
+                values[dest] = [convert(token) for token in argv[k:i]]
+                k = i
+            else:
+                values[dest] = convert(argv[k])
+                k += 1
+        if k != i:
+            return None
+        seen = set()
+        while i < end:
+            entry = options.get(argv[i])
+            if entry is None:
+                return None
+            dest, convert, nargs, const, choices = entry
+            if dest in seen:
+                return None
+            seen.add(dest)
+            i += 1
+            if nargs == 0:
+                values[dest] = const
+                continue
+            k = i
+            while i < end and not argv[i].startswith("-"):
+                i += 1
+                if nargs is None:  # one value
+                    break
+            if i == k:
+                return None
+            got = [convert(token) for token in argv[k:i]]
+            if choices is not None and any(value not in choices for value in got):
+                return None
+            values[dest] = got if nargs == "+" else got[0]
+    except (TypeError, ValueError, argparse.ArgumentTypeError):  # argparse's bad value
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv=None) -> int:
     parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
         # what the top-level parse does for a named subcommand: its parser
-        # takes the rest (parse_known_args), and parse_args fails leftovers
+        # takes the rest (parse_known_args), and parse_args fails leftovers;
+        # a plain command line is read off the subcommand's table instead
         sub = commands.get(argv[0]) if argv else None
         if sub is None:
             args = parser.parse_args(argv)
-        else:
+        elif (args := _parse_plain(sub, argv[1:])) is None:
             args, extras = sub.parse_known_args(argv[1:])
             if extras:
                 parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -177,12 +177,17 @@ def apply_word(rs: RootSystem, word, s: FormalSum, flavor: str = "D") -> FormalS
 
 def character_demazure(rs: RootSystem, weight) -> FormalSum:
     """Character of the irreducible highest-weight module, D_{w0} e^weight.
-    The word `dominant_representative` takes from -rho to rho is w0's (only
-    w0 maps -rho to rho), and reduced: each step makes one more positive
-    root pair positively with the weight.  No Weyl table is built."""
+    Only the word of u, the shortest element taking weight to w0 weight, is
+    applied: the word `dominant_representative` takes from -weight to its
+    dominant image, reduced, since each step makes one more positive root
+    pair positively with the weight.  w0 = u w_{0,weight} with lengths
+    adding, where w_{0,weight} is the longest element of weight's
+    stabilizer, so D_{w0} = D_u D_{w0,weight}, and D_{w0,weight} fixes
+    e^weight (Demazure, 1974).  At a regular weight u = w0.  No Weyl table
+    is built."""
     lam = check_weight(rs, weight, dominant=True)
-    w0_word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
-    return apply_word(rs, w0_word, FormalSum.exp(lam), flavor="D")
+    word = dominant_representative(rs, tuple([-x for x in lam]))[1]
+    return apply_word(rs, word, FormalSum.exp(lam), flavor="D")
 
 
 def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:

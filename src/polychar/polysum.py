@@ -570,16 +570,22 @@ def _check_support_size(rs: RootSystem, weights, what) -> None:
     `_check_point_count`, which writes the refusal.  A module has no more
     distinct weights than its dimension, so dimensions adding up to at most
     the cap pass at once (read lazily, up to the first weight past it).
-    Otherwise each lam's polytope is counted on the walk's packed weights
-    (`_walk_below`, which refuses lam's own polytope past the cap), by the
-    walk's reader of orbit sizes, `_packed_orbit_size`, and the counts are
-    added in order, refused past the cap."""
+    Otherwise each lam's polytope is walked (`_walk_below`, which refuses
+    lam's own polytope past the cap).  One lam is then done: its count is
+    its walk's.  Of two or more, each polytope is counted on the walk's
+    packed weights, by the walk's reader of orbit sizes,
+    `_packed_orbit_size`, and the counts are added in order, refused past
+    the cap."""
     ahead, weights = tee(weights)
     if all(dims <= _POINT_CAP for dims in accumulate(weyl_dimension(rs, lam) for lam in ahead)):
         return
+    walks = (_walk_below(rs, lam) for lam in weights)
+    first = next(walks)
+    second = next(walks, None)
+    if second is None:
+        return
     points = 0
-    for lam in weights:
-        codec, packed, _depths = _walk_below(rs, lam)
+    for codec, packed, _depths in chain((first, second), walks):
         points += sum([_packed_orbit_size(rs, codec, p) for p in packed])
         _check_point_count(what, points)
 

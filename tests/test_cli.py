@@ -1,7 +1,10 @@
 """CLI behavior: canonical JSON, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -505,6 +508,80 @@ def test_parse_shortcut_matches_the_top_level_parser(capsys, monkeypatch, argv):
     if argv and argv[0] in commands:
         monkeypatch.setattr(parser, "parse_args", _top_level_only)
     assert (run(list(argv)), *capsys.readouterr()) == want
+
+
+# the tokens the table-parse test draws command lines from: those every
+# subcommand shares, then each one's own
+_COMMON_TOKENS = ("A2", "0", "1", "2", "-1", "x", "", "1.5", "-h", "--help", "--", "-",
+                  "--table", "--tab", "--t", "--table=1", "--out", "--ou", "o.json",
+                  "--out=o.json", "--bogus", "-x")
+_OWN_TOKENS = {
+    "char": (),
+    "bsum": ("--method", "--meth", "--m", "--method=both", "oracle", "demazure", "both",
+             "sideways"),
+    "verify": ("--algebra", "--alg", "--algebra=B2", "--max-label", "--max", "--max-label=2"),
+    "eval": ("--algebra", "--a", "--lam", "--la", "--lam=1", "--sigma-count", "--sigma", "--s",
+             "--seed", "--se", "--seed=3"),
+    "expand": (),
+    "vertices": (),
+}
+
+
+def _command_line(rng, sub, tokens):
+    """A random command line for the subcommand parser ``sub``: half of
+    them in the plain shape (positionals, then options with values), and
+    of those half changed at one or two places by a pool token; the rest
+    drawn from the pool alone."""
+    if rng.random() < 0.5:
+        return [rng.choice(tokens) for _ in range(rng.randrange(8))]
+    argv = []
+    for action in sub._actions:
+        if action.nargs == "+" and not action.option_strings:
+            argv += [str(rng.randrange(-1, 4)) for _ in range(rng.randrange(1, 4))]
+        elif not action.option_strings:
+            argv.append(rng.choice(("A2", "B3")))
+    options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+    for action in rng.sample(options, rng.randrange(len(options) + 1)):
+        argv.append(action.option_strings[0])
+        if action.choices:
+            argv.append(rng.choice(action.choices))
+        elif action.nargs == "+":
+            argv += [str(rng.randrange(3)) for _ in range(rng.randrange(1, 3))]
+        elif action.nargs is None:
+            argv.append(rng.choice(("A2", "3", "o.json")))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        k = rng.randrange(len(argv) + 1)
+        argv[k:k + rng.randrange(2)] = [rng.choice(tokens)]
+    return argv
+
+
+def test_table_parse_is_argparses_or_declines():
+    # over random command lines of every subcommand, the table parse gives
+    # the subcommand parser's own namespace, with nothing left over, or
+    # None; it accepts no option that is not spelled in full
+    _parser, commands = cli._build_parser()
+    rng = random.Random(1)
+    for name, sub in commands.items():
+        tokens = _COMMON_TOKENS + _OWN_TOKENS[name]
+        full = set(sub._option_string_actions)
+        taken = declined = 0
+        for _ in range(1000):
+            argv = _command_line(rng, sub, tokens)
+            got = cli._parse_plain(sub, list(argv))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    want = sub.parse_known_args(list(argv))
+                except SystemExit:
+                    want = None
+            if got is None:
+                declined += want is not None
+                continue
+            taken += 1
+            assert want == (got, []), f"{name} {argv}"
+            assert all(token in full for token in argv if token.startswith("-")), f"{name} {argv}"
+        # both paths are exercised: the table takes some, argparse the rest
+        assert taken > 150 and declined > 100, (name, taken, declined)
 
 
 def _unreachable(*args):

@@ -443,12 +443,45 @@ def test_character_word_independence(b2):
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3"])
 def test_w0_word_from_dominant_representative_is_the_tables(name):
-    # character_demazure reads w0's word off the walk from -rho to rho; up
-    # to rank 3 it is the word the Weyl table stores for w0, so the operators
-    # run in the same order as when the table supplied it
+    # character_demazure reads its word off the walk from -lam to its
+    # dominant image; at a regular lam it is w0's, and up to rank 3 it is
+    # the word the Weyl table stores for w0, so at regular weights the
+    # operators run in the same order as when the table supplied it
     rs = build_root_system(name)
-    word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
-    assert word == weyl_group(rs)[-1].word
+    w0_word = weyl_group(rs)[-1].word
+    for lam in product(range(1, 4), repeat=rs.rank):
+        assert dominant_representative(rs, tuple(-x for x in lam))[1] == w0_word, lam
+
+
+def _w0_route(rs, lam):
+    """D_{w0} e^lam through the whole of w0's word, read off the walk from
+    -rho to rho (only w0 maps -rho to rho)."""
+    w0_word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
+    return apply_word(rs, w0_word, FormalSum.exp(lam), "D")
+
+
+# the grids the coset word is checked on: every label up to 2 at ranks 2-3,
+# up to 1 at ranks 4-5 (B5's and C5's grids take 2 s each, so rank 5 is A5
+# and D5)
+_COSET_GRIDS = [(name, 2) for name in ("A2", "B2", "C2", "G2", "A3", "B3", "C3", "D3")] + [
+    (name, 1) for name in ("A4", "B4", "C4", "D4", "A5", "D5")]
+
+
+@pytest.mark.parametrize("name,top", _COSET_GRIDS, ids=[name for name, _top in _COSET_GRIDS])
+def test_character_applies_only_the_coset_word(name, top):
+    # D_{w0} = D_u D_{w0,lam}, with u the shortest element taking lam to
+    # w0 lam, and D_{w0,lam} fixes e^lam: so u's word alone gives w0's
+    # character, with fewer letters than w0's word unless it is w0's (at a
+    # regular lam, where the two routes are one computation)
+    rs = build_root_system(name)
+    w0_word = dominant_representative(rs, tuple(-x for x in rs.weyl_vector))[1]
+    for lam in product(range(top + 1), repeat=rs.rank):
+        word = dominant_representative(rs, tuple(-x for x in lam))[1]
+        if word == w0_word:
+            assert all(lam), lam
+            continue
+        assert len(word) < len(w0_word)
+        assert character_demazure(rs, lam) == _w0_route(rs, lam), lam
 
 
 @pytest.mark.parametrize("name", ["A4", "B4", "C4", "D4"])

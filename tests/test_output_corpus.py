@@ -1,11 +1,14 @@
 """Hashed output corpus and reachability guard.
 
-``tests/data/cli_hashes.json`` lists about 800 requests, one per line,
+``tests/data/cli_hashes.json`` lists about 840 requests, one per line,
 each with the sha256 of its output: the golden corpus's requests
 (`test_golden_cli`), the three benchmark workloads' request lists at seeds
 1-3 (kept here as argv lists), ``--table`` and ``--out`` requests, a
-``vertices`` request whose labels need fields wider than 8 bytes, and the
-size refusals made mid-walk and by the point budget.  A request's hash is
+``vertices`` request whose labels need fields wider than 8 bytes, the
+size refusals made mid-walk and by the point budget, and command lines
+that only argparse parses: abbreviated options, ``--x=y``, ``--``, options
+before positionals, repeated options, negative labels, bad ints, missing
+values and ``-h`` on every subcommand.  A request's hash is
 taken over the JSON list [stdout, stderr, exit code], with ``eval``'s
 ``*_max_rel_err`` floats masked as the golden corpus masks them; a
 request that names ``--out OUT`` writes to a temporary file instead, and
@@ -168,7 +171,11 @@ def test_corpus_holds_the_golden_requests_and_the_refusals():
     for request in ("expand A3 40 40 40", "bsum G2 3000 3000", "bsum G2 300 300 --method demazure",
                     "char A8 3 3 3 3 3 3 3 3", "verify --algebra A3 --max-label 12",
                     "verify --algebra G2 --max-label 40",
-                    "vertices A2 4611686018427387904 4611686018427387904"):
+                    "vertices A2 4611686018427387904 4611686018427387904",
+                    # parsed by argparse, not by the table
+                    "bsum A2 1 1 --meth both", "bsum A2 1 1 --method=both", "char -- A2 1 1",
+                    "bsum --method both A2 1 1", "bsum A2 1 1 --method oracle --method both",
+                    "char A2 -1 0", "char A2 1 x", "bsum A2 1 1 --method", "eval -h"):
         assert request.split() in argvs, request
     assert any("--out" in argv for argv in argvs)
     assert len(set(map(tuple, argvs))) == len(argvs)

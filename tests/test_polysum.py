@@ -9,6 +9,7 @@ The oracle enumerates Weyl orbits of the dominant weights below lam; the
 bounding-box scan below is kept as the reference that certifies it.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -468,6 +469,30 @@ def test_budget_counts_the_walk_exactly_at_every_cap(monkeypatch, name, weights,
             polysum._check_support_size(rs, iter(weights), what)
         assert str(refusal.value) == expected, cap
     assert refused == total - 1  # every cap below the total
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 1)), ("G2", (2, 1)), ("B3", (1, 0, 1))])
+def test_one_weight_budget_reads_only_its_walks_sizes(monkeypatch, name, lam):
+    # one lam's walk refuses its own polytope past the cap, so at every cap
+    # its budget reads the orbit sizes the walk reads, and no more
+    rs = build_root_system(name)
+    total = sum(len(orbit) for orbit in _tuple_walk_orbits(rs, lam))
+    assert weyl_dimension(rs, lam) > total
+    reads = []
+    size = polysum._packed_orbit_size
+    monkeypatch.setattr(polysum, "_packed_orbit_size",
+                        lambda rs, codec, p: reads.append(p) or size(rs, codec, p))
+
+    def reads_of(call):
+        reads.clear()
+        with contextlib.suppress(PolytopeSizeError):
+            call()
+        return list(reads)
+
+    for cap in range(1, total + 1):
+        monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+        walk = reads_of(lambda: polysum._walk_below(rs, lam))
+        assert reads_of(lambda: polysum._check_support_size(rs, (lam,), lam)) == walk, cap
 
 
 @pytest.mark.parametrize("n,nbytes", [(125, 1), (126, 2), (32765, 2), (32766, 4)])
