@@ -14,7 +14,6 @@ from .demazure import (
     apply_r_simple,
     apply_word,
     character_demazure,
-    character_demazure_sum,
 )
 from .formal import FormalSum, evaluate
 from .polysum import (
@@ -74,7 +73,6 @@ __all__ = [
     "brion_eval",
     "build_root_system",
     "character_demazure",
-    "character_demazure_sum",
     "character_freudenthal",
     "dominant_representative",
     "dominant_weight_multiplicities",

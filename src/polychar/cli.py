@@ -14,23 +14,25 @@ passes through ``json.dumps``.  ``json`` is imported there, in `_canon`, so
 importing this module and running ``char``, ``bsum`` or ``expand`` never load
 it; ``verify``, ``eval`` and ``vertices`` load it when they print.
 
-Parsing: when the first argument names a subcommand, `run` reads the rest
-off that subcommand's table (`_parse_plain`), which takes only the plain
-shape the CLI documents and gives the namespace argparse would.  Any other
-shape it hands to that subcommand's parser, as the top-level parser would,
-and reports leftovers through the top-level parser's error, as
-``parse_args`` does; so help, usage errors and abbreviations stay
-argparse's.  Any other command line goes through the top-level parser.
+Parsing: each subcommand is declared once, as data (`_COMMANDS`): its help,
+its handler and its arguments as they are handed to ``add_argument``.  A
+command line that names a subcommand and has the plain shape the CLI
+documents is read off a table derived from that declaration
+(`_parse_plain`), into the values ``parse_args`` would give.  Any other
+command line goes to the argparse parser built from the same declaration
+(`_build_parser`), so help, usage errors and abbreviations stay argparse's.
+``argparse`` is imported there, so a plain command line neither loads it
+nor builds a parser.
 
 Exit codes: 0 when the command (and any check it performs) succeeds, 1 when
 a comparison or tolerance check fails, 2 on usage errors or bad input, and
 141 (128 + SIGPIPE) when the reader closes stdout early.
 """
 
-import argparse
 import functools
 import os
 import sys
+from types import SimpleNamespace
 
 from . import polysum
 from .demazure import character_demazure
@@ -218,143 +220,105 @@ def _cmd_vertices(args) -> tuple:
     return payload, table, 0
 
 
-# Built on the first run and kept: parsing leaves the parsers unchanged.
-@functools.cache
-def _build_parser() -> tuple:
-    """(the top-level parser, its subcommands' parsers by name)."""
-    parser = argparse.ArgumentParser(
-        prog="polychar",
-        description=(
-            "Exact characters and weight-polytope lattice sums for simple "
-            "Lie algebras, with enumerated and numeric cross-checks."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # --out and --table come last on every subcommand, after its own options
-    def common(p, handler):
-        p.add_argument("--out", metavar="FILE", help="also write the JSON payload to FILE")
-        p.add_argument(
-            "--table", action="store_true", help="print a readable table instead of JSON"
-        )
-        p.set_defaults(handler=handler)
-
-    def weight(p, algebra_help=None, labels_help=None):
-        p.add_argument("algebra", help=algebra_help)
-        p.add_argument("labels", nargs="+", type=int, help=labels_help)
-
-    p = sub.add_parser("char", help="irreducible character as exact JSON")
-    weight(p, "algebra name such as A2, B3, G2", "dominant weight labels")
-    common(p, _cmd_char)
-
-    p = sub.add_parser("bsum", help="lattice sum over the weight polytope")
-    weight(p)
-    p.add_argument(
-        "--method",
-        choices=("oracle", "demazure", "both"),
-        default="demazure",
-        help="enumerator, operator formula, or both with a comparison",
-    )
-    common(p, _cmd_bsum)
-
-    p = sub.add_parser("verify", help="sweep the operator formula against the enumerator")
-    p.add_argument("--algebra", default="B2")
-    p.add_argument("--max-label", type=int, default=3)
-    common(p, _cmd_verify)
-
-    p = sub.add_parser("eval", help="numeric cross-checks at seeded generic points")
-    p.add_argument("--algebra")
-    p.add_argument("--lam", nargs="+", type=int)
-    p.add_argument("--sigma-count", type=int, default=20)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common(p, _cmd_eval)
-
-    p = sub.add_parser("expand", help="character as a combination of polytope sums")
-    weight(p)
-    common(p, _cmd_expand)
-
-    p = sub.add_parser("vertices", help="Weyl orbit of a dominant weight")
-    weight(p)
-    common(p, _cmd_vertices)
-
-    return parser, sub.choices
+def _weight(algebra_help=None, labels_help=None) -> tuple:
+    """The positionals of a subcommand that takes a weight: the algebra's
+    name, then the weight's labels."""
+    return (("algebra", {"help": algebra_help}),
+            ("labels", {"nargs": "+", "type": int, "help": labels_help}))
 
 
-@functools.cache
-def _plain_table(sub) -> tuple | None:
-    """What `_parse_plain` reads off the subcommand parser ``sub``'s own
-    actions: its positionals as (dest, convert, many) in order, its options
-    as (dest, convert, nargs, const, choices) by full option string, and
-    the namespace's defaults, in the order ``parse_known_args`` sets them,
-    the ``set_defaults`` handler last.  ``convert`` is the action's type, as
-    argparse resolves it.  None when ``sub`` holds an action the table does
-    not read (another kind, other nargs, a positional with choices): then
-    every command line goes to argparse."""
-    positionals, options, defaults = [], {}, {}
-    for action in sub._actions:
-        if type(action) is argparse._HelpAction:
+# Each subcommand once, by name in help-listing order: its help, its
+# handler and its own arguments as (flag, add_argument options); every
+# subcommand takes --out and --table after them.  `_build_parser` hands
+# these entries to argparse, `_PLAIN` is read off them, and `run` calls
+# the handler the parsed "command" names.
+_COMMON = (
+    ("--out", {"metavar": "FILE", "help": "also write the JSON payload to FILE"}),
+    ("--table", {"action": "store_true", "help": "print a readable table instead of JSON"}),
+)
+_COMMANDS = {
+    "char": ("irreducible character as exact JSON", _cmd_char,
+             _weight("algebra name such as A2, B3, G2", "dominant weight labels")),
+    "bsum": ("lattice sum over the weight polytope", _cmd_bsum, (
+        *_weight(),
+        ("--method", {"choices": ("oracle", "demazure", "both"), "default": "demazure",
+                      "help": "enumerator, operator formula, or both with a comparison"}),
+    )),
+    "verify": ("sweep the operator formula against the enumerator", _cmd_verify, (
+        ("--algebra", {"default": "B2"}),
+        ("--max-label", {"type": int, "default": 3}),
+    )),
+    "eval": ("numeric cross-checks at seeded generic points", _cmd_eval, (
+        ("--algebra", {}),
+        ("--lam", {"nargs": "+", "type": int}),
+        ("--sigma-count", {"type": int, "default": 20}),
+        ("--seed", {"type": int, "default": DEFAULT_SEED}),
+    )),
+    "expand": ("character as a combination of polytope sums", _cmd_expand, _weight()),
+    "vertices": ("Weyl orbit of a dominant weight", _cmd_vertices, _weight()),
+}
+
+
+def _plain_entry(name, arguments) -> tuple:
+    """The table `_parse_plain` reads for the subcommand ``name``: its
+    positionals as (dest, convert, many) in order, its options as (dest,
+    convert, nargs, choices) by flag, a flag that takes no value with nargs
+    0, and the namespace's defaults, ``command`` included."""
+    positionals, options, defaults = [], {}, {"command": name}
+    for flag, spec in (*arguments, *_COMMON):
+        convert = spec.get("type", str)
+        if not flag.startswith("-"):
+            positionals.append((flag, convert, spec.get("nargs") == "+"))
             continue
-        plain = type(action) is argparse._StoreTrueAction or (
-            type(action) is argparse._StoreAction and action.nargs in (None, "+")
-            and (action.option_strings or action.choices is None))
-        if not plain:
-            return None
-        convert = sub._registry_get("type", action.type, action.type)
-        if action.option_strings:
-            for option in action.option_strings:
-                options[option] = (action.dest, convert, action.nargs, action.const,
-                                   action.choices)
-        else:
-            positionals.append((action.dest, convert, action.nargs == "+"))
-        defaults.setdefault(action.dest, action.default)
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
+        dest = flag[2:].replace("-", "_")
+        switch = spec.get("action") == "store_true"
+        options[flag] = (dest, convert, 0 if switch else spec.get("nargs"), spec.get("choices"))
+        defaults[dest] = spec.get("default", False if switch else None)
     return tuple(positionals), options, defaults
 
 
-def _parse_plain(sub, argv) -> argparse.Namespace | None:
-    """``sub.parse_known_args(argv)``'s namespace, when ``argv`` has the
-    plain shape the CLI documents and argparse would leave nothing over;
-    else None.  The shape: the positionals first, in one run; then each
-    option spelled in full, at most once; every value and every positional
-    a token that does not start with "-", converted by its type and within
-    its choices.  Anything else (``-h``, ``--``, ``--x=y``, abbreviations,
-    options before positionals, repeats, negative numbers, bad values,
-    leftovers) is argparse's to parse, or to refuse."""
-    table = _plain_table(sub)
+_PLAIN = {name: _plain_entry(name, arguments)
+          for name, (_help, _handler, arguments) in _COMMANDS.items()}
+
+
+def _parse_plain(argv) -> SimpleNamespace | None:
+    """The values ``parse_args(argv)`` would give, when ``argv`` names a
+    subcommand and the rest has the plain shape the CLI documents; else
+    None.  The shape: the positionals first, in one run;
+    then each option spelled in full, at most once; every value and every
+    positional a token that does not start with "-", converted by its type
+    and within its choices.  Anything else (``-h``, ``--``, ``--x=y``,
+    abbreviations, options before positionals, repeats, negative numbers,
+    bad values, leftovers) is argparse's to parse, or to refuse."""
+    table = _PLAIN.get(argv[0]) if argv else None
     if table is None:
         return None
     positionals, options, values = table
     values = dict(values)
     end = len(argv)
-    i = 0
+    i = 1
     while i < end and not argv[i].startswith("-"):
         i += 1
     try:
-        k = 0
+        k = 1
         for dest, convert, many in positionals:
             if k >= i:
                 return None
-            if many:
-                values[dest] = [convert(token) for token in argv[k:i]]
-                k = i
-            else:
-                values[dest] = convert(argv[k])
-                k += 1
+            j = i if many else k + 1  # a "+" positional takes the rest of the run
+            got = [convert(token) for token in argv[k:j]]
+            values[dest] = got if many else got[0]
+            k = j
         if k != i:
             return None
-        seen = set()
+        unseen = dict(options)  # each option once: a repeat finds no entry
         while i < end:
-            entry = options.get(argv[i])
+            entry = unseen.pop(argv[i], None)
             if entry is None:
                 return None
-            dest, convert, nargs, const, choices = entry
-            if dest in seen:
-                return None
-            seen.add(dest)
+            dest, convert, nargs, choices = entry
             i += 1
             if nargs == 0:
-                values[dest] = const
+                values[dest] = True
                 continue
             k = i
             while i < end and not argv[i].startswith("-"):
@@ -367,31 +331,39 @@ def _parse_plain(sub, argv) -> argparse.Namespace | None:
             if choices is not None and any(value not in choices for value in got):
                 return None
             values[dest] = got if nargs == "+" else got[0]
-    except (TypeError, ValueError, argparse.ArgumentTypeError):  # argparse's bad value
+    except ValueError:  # a bad int: argparse's to refuse
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
+
+
+# Built on the first command line `_parse_plain` declines, and kept:
+# parsing leaves the parser unchanged.
+@functools.cache
+def _build_parser():
+    import argparse  # deferred: a plain command line needs no parser (module docstring)
+
+    parser = argparse.ArgumentParser(prog="polychar", description=(
+        "Exact characters and weight-polytope lattice sums for simple "
+        "Lie algebras, with enumerated and numeric cross-checks."))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in (*arguments, *_COMMON):
+            p.add_argument(flag, **spec)
+    return parser
 
 
 def run(argv=None) -> int:
-    parser, commands = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    if (args := _parse_plain(argv)) is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+    _help, handler, _arguments = _COMMANDS[args.command]
     try:
-        # what the top-level parse does for a named subcommand: its parser
-        # takes the rest (parse_known_args), and parse_args fails leftovers;
-        # a plain command line is read off the subcommand's table instead
-        sub = commands.get(argv[0]) if argv else None
-        if sub is None:
-            args = parser.parse_args(argv)
-        elif (args := _parse_plain(sub, argv[1:])) is None:
-            args, extras = sub.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        payload, render, code = args.handler(args)
+        payload, render, code = handler(args)
         _emit(args, payload, render)
         return code
     except (ValueError, PolytopeSizeError, GenericityError, CrossCheckError) as exc:

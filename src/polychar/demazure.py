@@ -1,5 +1,5 @@
-"""Demazure operators on formal sums, word-indexed compositions, and the two
-Demazure character formulas.
+"""Demazure operators on formal sums, word-indexed compositions, and the
+Demazure character formula.
 
 The operator D attached to a positive root beta sends a single exponential
 e^mu, with n the pairing of mu against beta's coroot, to
@@ -45,11 +45,9 @@ builds an exponent tuple; the result builds them once, when it is read,
 and stays packed.
 """
 
-from functools import reduce
-
 from .formal import FormalSum, _accumulate
 from .rootsys import Root, RootSystem, check_weight
-from .weyl import dominant_representative, weyl_group
+from .weyl import dominant_representative
 
 
 def _check_sum(rs: RootSystem, s: FormalSum) -> None:
@@ -188,21 +186,3 @@ def character_demazure(rs: RootSystem, weight) -> FormalSum:
     lam = check_weight(rs, weight, dominant=True)
     word = dominant_representative(rs, tuple([-x for x in lam]))[1]
     return apply_word(rs, word, FormalSum.exp(lam), flavor="D")
-
-
-def character_demazure_sum(rs: RootSystem, weight) -> FormalSum:
-    """Character as the sum over the whole Weyl group of the d-flavored word
-    operators applied to e^weight (the identity term included).
-
-    Each element's value is derived from its parent's in the BFS word tree:
-    the reduced word of a child extends its parent's on the left, so one
-    more d operator finishes the job.  The memo starts from e^weight
-    packed, so every value shares its codec and the sum adds packed.
-    """
-    lam = check_weight(rs, weight, dominant=True)
-    group = weyl_group(rs)
-    memo = {(): FormalSum._of(rs.rank, *FormalSum.exp(lam)._packed_for(rs))}
-    for el in group[1:]:  # group[0] is the identity
-        word = el.word
-        memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])
-    return reduce(FormalSum.add, memo.values())

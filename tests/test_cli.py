@@ -481,8 +481,8 @@ _GOLDEN_ARGVS = [case["argv"] for case in json.loads(
     (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text(encoding="utf-8"))]
 
 
-def _top_level_only(*args, **kwargs):
-    raise AssertionError("a named subcommand reached the top-level parse")
+def _no_parser():
+    raise AssertionError("a plain command line built the argparse parser")
 
 
 @pytest.mark.parametrize(
@@ -498,16 +498,17 @@ def _top_level_only(*args, **kwargs):
     ids=lambda argv: " ".join(argv) or "(no arguments)",
 )
 def test_parse_shortcut_matches_the_top_level_parser(capsys, monkeypatch, argv):
-    # run hands a named subcommand's arguments to that subcommand's parser;
-    # the reference goes through the top-level parser's parse_args
-    parser, commands = cli._build_parser()
+    # run reads a plain command line off the declaration (_parse_plain) and
+    # hands any other to the top-level parser; the reference sends every
+    # line to that parser, and a plain line must not build it at all
     monkeypatch.setenv("COLUMNS", "80")
+    want = (run(list(argv)), *capsys.readouterr())
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_build_parser", lambda: (parser, {}))
-        want = (run(list(argv)), *capsys.readouterr())
-    if argv and argv[0] in commands:
-        monkeypatch.setattr(parser, "parse_args", _top_level_only)
-    assert (run(list(argv)), *capsys.readouterr()) == want
+        patch.setattr(cli, "_parse_plain", lambda argv: None)
+        assert (run(list(argv)), *capsys.readouterr()) == want
+    if cli._parse_plain(list(argv)) is not None:
+        monkeypatch.setattr(cli, "_build_parser", _no_parser)
+        assert (run(list(argv)), *capsys.readouterr()) == want
 
 
 # the tokens the table-parse test draws command lines from: those every
@@ -527,28 +528,29 @@ _OWN_TOKENS = {
 }
 
 
-def _command_line(rng, sub, tokens):
-    """A random command line for the subcommand parser ``sub``: half of
-    them in the plain shape (positionals, then options with values), and
-    of those half changed at one or two places by a pool token; the rest
-    drawn from the pool alone."""
+def _command_line(rng, arguments, tokens):
+    """A random command line for a subcommand that declares ``arguments``
+    (flag, add_argument options): half of them in the plain shape
+    (positionals, then options with values, an option sometimes twice or
+    abbreviated), and of those half changed at one or two places by a pool
+    token; the rest drawn from the pool alone."""
     if rng.random() < 0.5:
         return [rng.choice(tokens) for _ in range(rng.randrange(8))]
     argv = []
-    for action in sub._actions:
-        if action.nargs == "+" and not action.option_strings:
+    for flag, spec in arguments:
+        if spec.get("nargs") == "+" and not flag.startswith("-"):
             argv += [str(rng.randrange(-1, 4)) for _ in range(rng.randrange(1, 4))]
-        elif not action.option_strings:
+        elif not flag.startswith("-"):
             argv.append(rng.choice(("A2", "B3")))
-    options = [a for a in sub._actions if a.option_strings and a.dest != "help"]
-    for action in rng.sample(options, rng.randrange(len(options) + 1)):
-        argv.append(action.option_strings[0])
-        if action.choices:
-            argv.append(rng.choice(action.choices))
-        elif action.nargs == "+":
+    options = [(flag, spec) for flag, spec in arguments if flag.startswith("-")]
+    for flag, spec in rng.sample(options * 2, rng.randrange(len(options) + 1)):
+        argv.append(flag if rng.random() < 0.9 else flag[:rng.randrange(3, len(flag))])
+        if "choices" in spec:
+            argv.append(rng.choice(spec["choices"]))
+        elif spec.get("nargs") == "+":
             argv += [str(rng.randrange(3)) for _ in range(rng.randrange(1, 3))]
-        elif action.nargs is None:
-            argv.append(rng.choice(("A2", "3", "o.json")))
+        elif "action" not in spec:
+            argv.append(rng.choice(("3", "x") if "type" in spec else ("A2", "o.json")))
     for _ in range(rng.choice((0, 0, 1, 2))):
         k = rng.randrange(len(argv) + 1)
         argv[k:k + rng.randrange(2)] = [rng.choice(tokens)]
@@ -557,29 +559,30 @@ def _command_line(rng, sub, tokens):
 
 def test_table_parse_is_argparses_or_declines():
     # over random command lines of every subcommand, the table parse gives
-    # the subcommand parser's own namespace, with nothing left over, or
-    # None; it accepts no option that is not spelled in full
-    _parser, commands = cli._build_parser()
+    # the top-level parse_args's values, or None; it accepts no option that
+    # is not spelled in full
+    parser = cli._build_parser()
     rng = random.Random(1)
-    for name, sub in commands.items():
+    for name, (_help, _handler, own) in cli._COMMANDS.items():
+        arguments = (*own, *cli._COMMON)
         tokens = _COMMON_TOKENS + _OWN_TOKENS[name]
-        full = set(sub._option_string_actions)
+        full = {flag for flag, _spec in arguments if flag.startswith("-")}
         taken = declined = 0
-        for _ in range(1000):
-            argv = _command_line(rng, sub, tokens)
-            got = cli._parse_plain(sub, list(argv))
+        for _ in range(1500):
+            argv = [name, *_command_line(rng, arguments, tokens)]
+            got = cli._parse_plain(list(argv))
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 try:
-                    want = sub.parse_known_args(list(argv))
+                    want = vars(parser.parse_args(list(argv)))
                 except SystemExit:
                     want = None
             if got is None:
                 declined += want is not None
                 continue
             taken += 1
-            assert want == (got, []), f"{name} {argv}"
-            assert all(token in full for token in argv if token.startswith("-")), f"{name} {argv}"
+            assert vars(got) == want, argv
+            assert all(token in full for token in argv if token.startswith("-")), argv
         # both paths are exercised: the table takes some, argparse the rest
         assert taken > 150 and declined > 100, (name, taken, declined)
 

@@ -1,7 +1,9 @@
 """Demazure operators: string values, braid relations, both character
 formulas.  The point-by-point string formula below is kept as the
-reference that certifies the running-sum cores."""
+reference that certifies the running-sum cores, and the sum over the
+Weyl group (`character_demazure_sum`) as a reference for ``char``."""
 
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -20,7 +22,6 @@ from polychar import (
     apply_word,
     build_root_system,
     character_demazure,
-    character_demazure_sum,
     character_freudenthal,
     dominant_representative,
     dominant_weights_below,
@@ -33,6 +34,26 @@ from polychar import (
 from polychar import polysum
 from polychar.demazure import _demazure, _reflect, apply_r_root
 from polychar.formal import _codec_for
+from polychar.rootsys import check_weight
+
+
+def character_demazure_sum(rs, weight) -> FormalSum:
+    """Character as the sum over the whole Weyl group of the d-flavored word
+    operators applied to e^weight (the identity term included).
+
+    Each element's value is derived from its parent's in the BFS word tree:
+    the reduced word of a child extends its parent's on the left, so one
+    more d operator finishes the job.  The memo starts from e^weight
+    packed, so every value shares its codec and the sum adds packed.
+    """
+    lam = check_weight(rs, weight, dominant=True)
+    group = weyl_group(rs)
+    memo = {(): FormalSum._of(rs.rank, *FormalSum.exp(lam)._packed_for(rs))}
+    for el in group[1:]:  # group[0] is the identity
+        word = el.word
+        memo[word] = apply_d_simple(rs, word[0], memo[word[1:]])
+    return reduce(FormalSum.add, memo.values())
+
 
 weights2 = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 sums2 = st.dictionaries(weights2, st.integers(-4, 4), max_size=6).map(

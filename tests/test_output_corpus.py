@@ -1,18 +1,18 @@
 """Hashed output corpus and reachability guard.
 
-``tests/data/cli_hashes.json`` lists about 840 requests, one per line,
+``tests/data/cli_hashes.json`` lists about 850 requests, one per line,
 each with the sha256 of its output: the golden corpus's requests
 (`test_golden_cli`), the three benchmark workloads' request lists at seeds
-1-3 (kept here as argv lists), ``--table`` and ``--out`` requests, a
-``vertices`` request whose labels need fields wider than 8 bytes, the
-size refusals made mid-walk and by the point budget, and command lines
-that only argparse parses: abbreviated options, ``--x=y``, ``--``, options
-before positionals, repeated options, negative labels, bad ints, missing
-values and ``-h`` on every subcommand.  A request's hash is
-taken over the JSON list [stdout, stderr, exit code], with ``eval``'s
-``*_max_rel_err`` floats masked as the golden corpus masks them; a
-request that names ``--out OUT`` writes to a temporary file instead, and
-that file's text joins the list.
+1-3 (kept here as argv lists), ``--table`` and ``--out`` requests (a
+``--out`` with no file name among them), a ``vertices`` request whose
+labels need fields wider than 8 bytes, the size refusals made mid-walk
+and by the point budget, and command lines that only argparse parses:
+abbreviated options, ``--x=y``, ``--``, options before positionals,
+repeated options, negative labels, bad ints, missing values and ``-h`` on
+every subcommand.  A request's hash is taken over the JSON list [stdout,
+stderr, exit code], with ``eval``'s ``*_max_rel_err`` floats masked as the
+golden corpus masks them; a request that names ``--out OUT`` writes to a
+temporary file instead, and that file's text joins the list.
 
 The requests run in one fresh interpreter under ``sys.setprofile``, which
 records every call into the package from its first import on.  So the
@@ -62,7 +62,6 @@ _UNREACHED = {
     "_frozen.Frozen.__delattr__": _VALUE_PROTOCOL,
     "rootsys.RootSystem.__reduce__": _VALUE_PROTOCOL,
     "cli.main": "the console entry point; the corpus calls cli.run in-process",
-    "demazure.character_demazure_sum": "independent reference route for char",
     "polysum.character_freudenthal": "independent reference route for char",
     "polysum.polytope_member": _TRACER_NAME,
     "rootsys.RootSystem.root_coords_of_weight": _TRACER_NAME,
@@ -79,17 +78,22 @@ def _load() -> list:
 
 def _output(argv, run, mask) -> str:
     """The sha256 of one in-process request: over [stdout, stderr, exit
-    code], and the text it wrote when it names ``--out OUT``."""
+    code], and the text it wrote when it names ``--out OUT``.  Only a
+    token that does not start with "-" after ``--out`` is a file name: it
+    is swapped for a temporary file's path, and swapped back in what the
+    request printed, so an error that quotes it hashes the same anywhere."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.json")
-        if "--out" in argv:
-            argv = list(argv)
-            argv[argv.index("--out") + 1] = path
+        k = argv.index("--out") + 1 if "--out" in argv else len(argv)
+        name = argv[k] if k < len(argv) and not argv[k].startswith("-") else None
+        if name is not None:
+            argv = [*argv[:k], path, *argv[k + 1:]]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(argv)
-        record = [mask(out.getvalue()), mask(err.getvalue()), code]
-        if "--out" in argv:
+        shown = (out.getvalue(), err.getvalue())
+        record = [*(mask(text.replace(path, name or path)) for text in shown), code]
+        if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 record.append(mask(fh.read()))
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()
@@ -175,7 +179,8 @@ def test_corpus_holds_the_golden_requests_and_the_refusals():
                     # parsed by argparse, not by the table
                     "bsum A2 1 1 --meth both", "bsum A2 1 1 --method=both", "char -- A2 1 1",
                     "bsum --method both A2 1 1", "bsum A2 1 1 --method oracle --method both",
-                    "char A2 -1 0", "char A2 1 x", "bsum A2 1 1 --method", "eval -h"):
+                    "char A2 -1 0", "char A2 1 x", "bsum A2 1 1 --method", "eval -h",
+                    "char A2 1 1 --out", "char A2 1 1 --out --table"):
         assert request.split() in argvs, request
     assert any("--out" in argv for argv in argvs)
     assert len(set(map(tuple, argvs))) == len(argvs)
