@@ -74,7 +74,7 @@ def _emit(args, payload, render) -> None:
     `_canon` otherwise; ``render()`` builds the ``--table`` text, so it runs
     only when that text is printed."""
     text = payload if isinstance(payload, str) else _canon(payload)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -640,10 +640,11 @@ def test_out_flag(tmp_path, capsys, argv):
     assert table == _capture(capsys, [*argv, "--table"])[1]
 
 
-@pytest.mark.parametrize("name", ["", "missing/char.json"], ids=["directory", "no-parent"])
+@pytest.mark.parametrize("name", ["{tmp}", "{tmp}/missing/char.json", ""],
+                         ids=["directory", "no-parent", "empty"])
 def test_out_unwritable_exits_2(tmp_path, capsys, name):
-    target = tmp_path / name
-    assert run(["char", "A1", "2", "--out", str(target)]) == 2
+    target = name.format(tmp=tmp_path)
+    assert run(["char", "A1", "2", "--out", target]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
