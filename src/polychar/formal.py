@@ -69,21 +69,24 @@ def terms_json_text(labels, coeffs, rank: int) -> str:
     flat sequence of exponent labels, ``rank`` to a term, and the sequence
     of their coefficients: byte for byte what ``json.dumps([{"w": w, "c":
     c}, ...], sort_keys=True, separators=(",", ":"))`` prints.  The one sum
-    writer: one format string, the term pattern repeated once per term,
-    takes every number in one ``%``, the coefficients and labels
-    interleaved by slice assignment, so no per-term tuple, dict or string
+    writer: each coefficient value has one term pattern with the value
+    written in, the format string is those patterns in term order, and only
+    the labels go through its one ``%``.  A sum of one value, as every
+    polytope sum is, repeats one pattern; no per-term tuple, dict or string
     is built."""
     n = len(coeffs)
     if not n:
         return "[]"
-    step = rank + 1
-    values = [0] * (n * step)
-    values[::step] = coeffs
-    for j in range(rank):
-        values[j + 1::step] = labels[j::rank]
-    # one term, filled with (coefficient, *exponent): keys sorted, no spaces
-    term = '{"c":%d,"w":[' + ",".join(["%d"] * rank) + "]}"
-    return ("[" + term + ("," + term) * (n - 1) + "]") % tuple(values)
+    # a term's exponent part, keys sorted and no spaces: ',"w":[%d,%d]}'
+    exponent = ',"w":[' + ",".join(["%d"] * rank) + "]}"
+    first = coeffs[0]
+    if coeffs.count(first) == n:
+        term = '{"c":%d' % first + exponent
+        text = "[" + term + ("," + term) * (n - 1) + "]"
+    else:
+        patterns = {c: '{"c":%d' % c + exponent for c in set(coeffs)}
+        text = "[" + ",".join(map(patterns.__getitem__, coeffs)) + "]"
+    return text % tuple(labels)
 
 
 # struct codes of the field widths struct unpacks directly, by byte count;
@@ -439,11 +442,16 @@ class FormalSum:
         """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
         written by `terms_json_text` from the sorted keys: a tuple key is its
         own labels, and a packed sum's labels are decoded in one pass
-        (`_Codec.unpack_flat`), with no exponent tuple built."""
+        (`_Codec.unpack_flat`), with no exponent tuple built.  The
+        coefficients are read in key order only when they differ: a sum of
+        one value passes its dict's values as they stand."""
         codec, terms = self._codec, self._terms
         keys = sorted(terms)
         labels = [x for w in keys for x in w] if codec is None else codec.unpack_flat(keys)
-        return terms_json_text(labels, list(map(terms.__getitem__, keys)), self._rank)
+        coeffs = list(terms.values())
+        if coeffs and coeffs.count(coeffs[0]) < len(coeffs):
+            coeffs = list(map(terms.__getitem__, keys))
+        return terms_json_text(labels, coeffs, self._rank)
 
 
 def check_sample(rs: RootSystem, sigmas) -> tuple:

@@ -246,7 +246,8 @@ def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
     -e^mu s_0 part stays.  Every part but the last D term adds up in one
     dict of packed ints owned here, by `formal._accumulate`, and the last
     D term joins it in one `FormalSum.add`, with no pass of its own when it
-    is the longer.
+    is the longer; when nothing is staged, as in a one-root bracket with no
+    translate, the last D term is the result.
 
     The staged sums start from a packed copy of the input and stay packed
     by its codec (`formal`).  A translate is one addition per packed int,
@@ -270,6 +271,8 @@ def _edge_bracket(rs: RootSystem, bracket, s: FormalSum) -> FormalSum:
         if k < len(bracket) - 1:
             _accumulate(acc, term._terms, 0, 1)
             staged = apply_r_root(rs, root, staged)
+    if not acc:  # a one-root bracket with no translate stages nothing
+        return term
     acc = FormalSum._of(rs.rank, acc, codec)
     # the sum adds the other's terms one by one: the shorter goes second
     return term.add(acc) if len(term) >= len(acc) else acc.add(term)

@@ -343,26 +343,50 @@ _EDGE_LABELS = [x for n in (1, 2, 4, 8, 9) for x in (-(1 << 8 * n - 1), (1 << 8 
 _RANKED = {1: "A1", 2: "B2", 3: "C3", 4: "D4"}
 
 
+def _ranked_weights(rank):
+    labels = st.one_of(st.integers(-40, 40), st.sampled_from(_EDGE_LABELS))
+    return st.tuples(*[labels] * rank)
+
+
 @st.composite
 def ranked_terms(draw):
     rank = draw(st.integers(1, 4))
-    labels = st.one_of(st.integers(-40, 40), st.sampled_from(_EDGE_LABELS))
-    weights = st.tuples(*[labels] * rank)
-    return rank, draw(st.dictionaries(weights, coefficients, max_size=10))
+    return rank, draw(st.dictionaries(_ranked_weights(rank), coefficients, max_size=10))
 
 
-@given(ranked_terms())
-@settings(max_examples=200)
+# one coefficient for every term, as in a polytope sum: the writer's
+# one-pattern branch, at and past the 64-bit range
+@st.composite
+def one_valued_terms(draw):
+    rank = draw(st.integers(1, 4))
+    c = draw(st.sampled_from([1, -1, 2**63 - 2, 2**63 + 2, 2**100, -(2**100)]))
+    return rank, dict.fromkeys(draw(st.sets(_ranked_weights(rank), min_size=2, max_size=10)), c)
+
+
+# exactly two coefficients, each on at least one term, in any order
+@st.composite
+def two_valued_terms(draw):
+    rank = draw(st.integers(1, 4))
+    a, b = draw(st.lists(coefficients.filter(bool), min_size=2, max_size=2, unique=True))
+    weights = draw(st.lists(_ranked_weights(rank), min_size=2, max_size=10, unique=True))
+    picks = [a, b] + [draw(st.sampled_from((a, b))) for _ in weights[2:]]
+    return rank, dict(zip(weights, draw(st.permutations(picks))))
+
+
+@given(st.one_of(ranked_terms(), one_valued_terms(), two_valued_terms()))
+@settings(max_examples=400)
 def test_json_text_is_json_dumps(case):
     rank, terms = case
     s = FormalSum(rank, terms)
     text = s.to_json_text()
     assert text == _dumps(s.terms.items())
     assert _read_json(rank, json.loads(text)) == s
-    # `expand` writes its coefficient dict's sorted items the same way
+    # `expand` writes its coefficient dict's sorted items the same way, its
+    # labels a list; struct unpacks a packed sum's labels as a tuple
     items = sorted(terms.items())
     labels = [x for w, _c in items for x in w]
-    assert terms_json_text(labels, [c for _w, c in items], rank) == _dumps(terms.items())
+    for flat in (labels, tuple(labels)):
+        assert terms_json_text(flat, [c for _w, c in items], rank) == _dumps(terms.items())
     # packed: decoded in bulk by struct at 1, 2, 4 and 8 bytes, and field by
     # field at 9, each codec holding the terms whose labels fit its fields
     rs = build_root_system(_RANKED[rank])
