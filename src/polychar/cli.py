@@ -7,8 +7,8 @@ file either way.  The handlers only compute: each returns its payload, and
 `run` writes it, the one place output leaves the program.  Lattice sums
 (``char``, ``bsum``, ``expand``) reach `_emit` as canonical text already
 written by the one sum writer, `formal.terms_json_text`, in one ``%`` over
-their sorted labels and coefficients (a packed sum decodes its sorted keys'
-labels in one pass and builds no exponent tuple); that text must equal what
+their sorted labels (a packed sum decodes its sorted keys' labels in one
+pass and builds no exponent tuple); that text must equal what
 ``json.dumps`` would print.  The other payloads are objects that `_emit`
 passes through ``json.dumps``.  ``json`` is imported there, in `_canon`, so
 importing this module and running ``char``, ``bsum`` or ``expand`` never load

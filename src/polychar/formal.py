@@ -11,10 +11,12 @@ significant, each label stored plus half the field's range so that every
 field is nonnegative.  Packing is linear, so a step down a root string is
 one subtraction, and packed ints sort in the lexicographic order of their
 tuples.  A codec (`_Codec`) holds the field width for one root system and
-one packed zero, ``top``: it tests dominance, and XORed into packed ints it
-makes their fields two's-complement for the one struct decode,
-`_Codec.unpack_flat`.  A codec is derived per sum, by the rule below, and
-never refuses: ints are unbounded, so any exponent fits some width.
+one packed zero, ``top``, whose bits are the fields' top bits: it tests
+dominance, and flipping those bits makes the fields two's-complement for
+the bulk decode, `_Codec.unpack_flat`, which reads a whole sequence of
+packed ints in one struct round trip.  A codec is derived per sum, by the
+rule below, and never refuses: ints are unbounded, so any exponent fits
+some width.
 
 Bound.  Every operator output lies in conv(W . support), and for mu in the
 support and w in W, |<w mu, alpha_j^vee>| = |<mu, w^-1 alpha_j^vee>| is the
@@ -50,9 +52,10 @@ output, and the polytope formula's brackets on their staged parts.  Only
 the constructor, which checks each term it is given, keeps a loop of its
 own.
 
-The Weyl orbit walk (`_Codec.orbit`) runs on the same packed ints, so the
-oracle's polytope sum and Freudenthal's character are packed sums of
-lam's codec, the codec of e^lam and so of the operator formulas' sums.
+The Weyl orbit walk (`_Codec.orbit`) runs on the same packed ints, one
+level of its search at a time, so the oracle's polytope sum and
+Freudenthal's character are packed sums of lam's codec, the codec of e^lam
+and so of the operator formulas' sums.
 """
 
 import math
@@ -66,22 +69,23 @@ from .rootsys import RootSystem, covector_at, dot_float
 
 def terms_json_text(labels, coeffs, rank: int) -> str:
     """Canonical JSON text of a sum's terms, given in their order as one
-    flat sequence of exponent labels, ``rank`` to a term, and the sequence
-    of their coefficients: byte for byte what ``json.dumps([{"w": w, "c":
-    c}, ...], sort_keys=True, separators=(",", ":"))`` prints.  The one sum
-    writer: each coefficient value has one term pattern with the value
-    written in, the format string is those patterns in term order, and only
-    the labels go through its one ``%``.  A sum of one value, as every
-    polytope sum is, repeats one pattern; no per-term tuple, dict or string
-    is built."""
-    n = len(coeffs)
+    flat sequence of exponent labels, ``rank`` to a term, and their
+    coefficients: one int when every term has that value, as every
+    polytope sum's do, or else the sequence of the coefficients in term
+    order.  Byte for byte what ``json.dumps([{"w": w, "c": c}, ...],
+    sort_keys=True, separators=(",", ":"))`` prints.  The one sum writer:
+    each coefficient value has one term pattern with the value written in,
+    the format string is those patterns in term order, and only the labels
+    go through its one ``%``.  One value repeats one pattern; no per-term
+    tuple, dict or string is built, and the coefficients are not scanned
+    for a single value here: the caller knows."""
+    n = len(labels) // rank
     if not n:
         return "[]"
     # a term's exponent part, keys sorted and no spaces: ',"w":[%d,%d]}'
     exponent = ',"w":[' + ",".join(["%d"] * rank) + "]}"
-    first = coeffs[0]
-    if coeffs.count(first) == n:
-        term = '{"c":%d' % first + exponent
+    if isinstance(coeffs, int):
+        term = '{"c":%d' % coeffs + exponent
         text = "[" + term + ("," + term) * (n - 1) + "]"
     else:
         patterns = {c: '{"c":%d' % c + exponent for c in set(coeffs)}
@@ -89,14 +93,16 @@ def terms_json_text(labels, coeffs, rank: int) -> str:
     return text % tuple(labels)
 
 
-# struct codes of the field widths struct unpacks directly, by byte count;
-# one struct call over one bytes string (`_Codec.unpack_flat`) decodes many
-# packed ints faster than reading their fields one by one (BENCH_22.json,
-# "decode_paths"); only that bulk decode uses struct: `_Codec.unpack` reads
-# one weight's fields
+# signed struct codes of the widths struct reads, by byte count (upper case
+# for unsigned): `_Codec.unpack_flat`, the bulk decode, packs keys of at
+# most 8 bytes into unsigned words and reads their fields back signed, a
+# fixed number of C calls for the whole sequence; `_Codec.unpack` reads one
+# weight's fields, and wider keys, one by one
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-# the bytes a field needs -> the narrowest width struct decodes that holds it
+# the bytes a field or key needs -> the narrowest width struct reads that holds it
 _WIDTHS = {need: next(n for n in _STRUCT_CODES if n >= need) for need in range(1, 9)}
+# each byte with its top bit flipped: offset fields <-> two's-complement ones
+_FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
 class _Codec:
@@ -107,9 +113,9 @@ class _Codec:
     ``top``, the packed zero weight, sets each field's top bit and no
     other, and a field's top bit is set exactly when its label is >= 0; so
     the same int tests dominance in one AND: a packed weight is dominant
-    iff ``p & top == top``.  XORed with it, a packed int has
-    two's-complement fields, which `unpack_flat`, the one struct decode,
-    reads in bulk; `unpack_all` regroups its labels.
+    iff ``p & top == top``.  With those bits flipped, a packed int has
+    two's-complement fields, which `unpack_flat`, the bulk decode, reads
+    with struct; `unpack_all` regroups its labels.
 
     ``roots`` is the codec's root table, built here once, the one place a
     root's packed constants are derived: for each positive root, keyed by
@@ -188,17 +194,21 @@ class _Codec:
         is positive.  Off the diagonal the Cartan entries are <= 0, so s_i
         raises every other label, and s_i q has label -n at i: its parent
         is q exactly when the fields before i keep their top bits, one AND
-        with the mask of those bits.  Exact when the weights lie in the
-        hull the codec was sized for, which holds their whole orbits."""
+        with the mask of those bits.  The walk takes one level of the
+        forest at a time: per simple reflection, one comprehension takes
+        the children of the whole level, so the points come level by level
+        and, within a level, by field; no caller reads that order.  Exact
+        when the weights lie in the hull the codec was sized for, which
+        holds their whole orbits."""
         mask, offset, children = self.mask, self.offset, self._children
-        points = list(dominant)
-        for q in points:  # the list grows as the walk reaches new points
+        points, level = list(dominant), dominant
+        while level:
+            new = []
             for s, step, before in children:
-                n = (q >> s & mask) - offset
-                if n > 0:
-                    c = q - n * step
-                    if c & before == before:
-                        points.append(c)
+                new += [c for q in level if (n := (q >> s & mask) - offset) > 0
+                        and (c := q - n * step) & before == before]
+            points += new
+            level = new
         return points
 
     def unpack(self, p) -> tuple:
@@ -215,17 +225,25 @@ class _Codec:
 
     def unpack_flat(self, keys):
         """The labels of a sequence of packed ints, in their order, as one
-        flat sequence, ``rank`` to a weight.  For a width struct reads, one
-        `struct.unpack` of one big-endian bytes string, ``nbytes`` bytes a
-        field, each int XORed with ``top``: that flips each field's top bit,
-        which turns offset fields into two's-complement ones.  Wider fields
-        are read field by field."""
-        code = _STRUCT_CODES.get(self.nbytes)
-        if code is None:
+        flat sequence, ``rank`` to a weight.  A key of at most 8 bytes takes
+        a fixed number of C calls for the whole sequence: one `struct.pack`
+        of every key into a big-endian unsigned word, the narrowest that
+        holds a key; one extended-slice delete per pad byte, which strips
+        each word's leading zero bytes; one `bytes.translate` of each
+        field's first byte, which flips its top bit and so turns offset
+        fields into two's-complement ones; and one signed `struct.unpack`.
+        Wider keys are read field by field (`unpack`)."""
+        nbytes, rank = self.nbytes, self.rs.rank
+        size = nbytes * rank
+        if size > 8:
             return [x for p in keys for x in self.unpack(p)]
-        size, top = self.nbytes * self.rs.rank, self.top
-        data = b"".join([(p ^ top).to_bytes(size, "big") for p in keys])
-        return struct.unpack(f">{len(keys) * self.rs.rank}{code}", data)
+        width = _WIDTHS[size]
+        data = bytearray(len(keys) * width)
+        struct.pack_into(f">{len(keys)}{_STRUCT_CODES[width].upper()}", data, 0, *keys)
+        for j in range(width - size):
+            del data[::width - j]
+        data[::nbytes] = data[::nbytes].translate(_FLIP)
+        return struct.unpack(f">{len(keys) * rank}{_STRUCT_CODES[nbytes]}", data)
 
 
 @lru_cache(maxsize=None)  # one per root system and width in use
@@ -244,8 +262,8 @@ def _label_bounds(rs: RootSystem) -> tuple:
 def _codec_for(rs: RootSystem, weights) -> _Codec:
     """The narrowest codec of rs whose fields hold c_max * |mu|_1 for every
     weight mu given, plus the largest label of a positive root (module
-    docstring): 1, 2, 4 or 8 bytes, which struct decodes, while one of them
-    suffices."""
+    docstring): 1, 2, 4 or 8 bytes, the field widths struct reads, while
+    one of them suffices."""
     c_max, root_label = _label_bounds(rs)
     bound = c_max * max([sum(map(abs, w)) for w in weights], default=0) + root_label
     need = (bound.bit_length() + 8) // 8  # the bound's bits and a sign bit
@@ -442,14 +460,17 @@ class FormalSum:
         """`to_json_obj` as canonical JSON text (sorted keys, no whitespace),
         written by `terms_json_text` from the sorted keys: a tuple key is its
         own labels, and a packed sum's labels are decoded in one pass
-        (`_Codec.unpack_flat`), with no exponent tuple built.  The
-        coefficients are read in key order only when they differ: a sum of
-        one value passes its dict's values as they stand."""
+        (`_Codec.unpack_flat`), with no exponent tuple built.  The dict's
+        values are scanned once for a single value: a sum of one value
+        passes that int, and only a sum of several reads its coefficients
+        in key order."""
         codec, terms = self._codec, self._terms
         keys = sorted(terms)
         labels = [x for w in keys for x in w] if codec is None else codec.unpack_flat(keys)
-        coeffs = list(terms.values())
-        if coeffs and coeffs.count(coeffs[0]) < len(coeffs):
+        values = list(terms.values())
+        if values and values.count(values[0]) == len(values):
+            coeffs = values[0]
+        else:
             coeffs = list(map(terms.__getitem__, keys))
         return terms_json_text(labels, coeffs, self._rank)
 

@@ -125,6 +125,28 @@ def test_orbit_walk_matches_closure(name, max_label):
         assert len(points) == orbit_size(rs, lam), lam
 
 
+@pytest.mark.parametrize("name,max_label", _ORBIT_GRIDS + (("D6", 1), ("A7", 1), ("D8", 1)))
+def test_orbit_spread_below_matches_closures(name, max_label):
+    # the oracle's walk: every orbit below lam at once, from the dominant
+    # weights `_walk_below` hands over packed; each point once, and their
+    # union the union of the closures.  Past rank 5, only lam of label sum
+    # <= 1 (a rank-8 weight with more labels of 1 has millions of points)
+    rs = build_root_system(name)
+    closures = {}
+    for lam in product(range(max_label + 1), repeat=rs.rank):
+        if rs.rank > 5 and sum(lam) > 1:
+            continue
+        codec, packed, _depths = polysum._walk_below(rs, lam)
+        points = codec.unpack_all(codec.orbit(*packed))
+        assert len(points) == len(set(points)), lam
+        union = set()
+        for mu in codec.unpack_all(packed):
+            if mu not in closures:
+                closures[mu] = _closure_orbit(rs, mu)
+            union |= closures[mu]
+        assert set(points) == union, lam
+
+
 @pytest.mark.parametrize("name,lam,nbytes", [
     # either side of the edge between one-byte and two-byte fields
     ("A1", (125,), 1), ("A1", (126,), 2), ("A1", (127,), 2), ("A1", (128,), 2),
