@@ -22,12 +22,13 @@ pairing on it:
 
 So a term adds one entry R -> +-c to its string's table, for every
 positive root alike, simple or not, and the output at pairing +-r is the
-sum of the entries with R >= r.  A string is keyed by its point of pairing
-0 or 1, its parity, and its table starts with a zero entry at radius 0 or
--1 by parity, the floor that ends its last segment.  The fill walks the
-radii down with a running total and writes each radius r as a mirror
-pair, the point of pairing r and its s_beta image of pairing -r; r = 0 is
-the key, one point, written once.  d then subtracts the input from that
+sum of the entries with R >= r; a term of pairing -1 adds nothing.  A
+string is keyed by its point of pairing 0 or 1, its parity.  The fill
+walks each string once, from its top radius down to 0 or 1, with a
+running total, and writes each radius r with a nonzero total as a mirror
+pair, the point of pairing r and its s_beta image of pairing -r; at r = 0
+both are the key, one point.  A table of one entry is one value on every
+radius, written with no lookup.  d then subtracts the input from that
 fresh output in place (`formal._accumulate`), with no second sum.  (The
 cases are (f - e^{-beta} s_beta f) / (1 - e^{-beta}) on one term,
 Demazure, 1974.)
@@ -80,33 +81,41 @@ def _demazure(rs: RootSystem, root: Root, s: FormalSum, keep_identity: bool) -> 
         n = lift
         for sh, cv in fields:
             n += cv * (p >> sh & mask)
+        if n == -1:
+            continue  # radius -1: no point
         key = p - (n >> 1) * step
         if n < 0:
-            n, coeff = -n - 2, -coeff  # n is now the radius, -1 for no point
+            n, coeff = -n - 2, -coeff  # n is now the radius
         if (table := strings.get(key)) is None:
-            # the floor entry: radius 0 or -1, the string's parity
-            strings[key] = {-(n & 1): 0, n: coeff}
+            strings[key] = {n: coeff}
         else:
             table[n] = table.get(n, 0) + coeff
     out: dict = {}
     for key, table in strings.items():
-        total = 0
-        for radius in sorted(table, reverse=True):
+        # up, of pairing r, and down = s_beta(up), of pairing -r, from r = top
+        # down to 0 or 1; at r = 0 both are the key, one point written twice.
+        # Every point written is a new int, not a table's key, so the
+        # tables' memory can be reused
+        top = max(table)
+        up = key + (top >> 1) * step
+        down = up - top * step
+        if len(table) == 1:
+            # one segment of one value on every radius
+            total = table[top]
             if total:
-                # the radii from the one above down to this one, exclusive;
-                # down = s_beta(up), r steps below up at pairing r
-                up = key + (upper >> 1) * step
-                down = up - upper * step
-                for _ in range((upper >> 1) - (radius >> 1)):
+                for _ in range((top >> 1) + 1):
                     out[up] = out[down] = total
                     up -= step
                     down += step
-            upper = radius
-            total += table[radius]
-        if total and not upper:
-            # radius 0, the key alone, under a new int: the key object
-            # itself would keep the tables' memory from being reused
-            out[key - upper] = total
+            continue
+        get = table.get
+        total = 0
+        for r in range(top, -1, -2):
+            total += get(r, 0)
+            if total:
+                out[up] = out[down] = total
+            up -= step
+            down += step
     if not keep_identity:
         _accumulate(out, terms, 0, -1)
     return FormalSum._of(rs.rank, out, codec)

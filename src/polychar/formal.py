@@ -94,10 +94,11 @@ def terms_json_text(labels, coeffs, rank: int) -> str:
 
 
 # signed struct codes of the widths struct reads, by byte count (upper case
-# for unsigned): `_Codec.unpack_flat`, the bulk decode, packs keys of at
-# most 8 bytes into unsigned words and reads their fields back signed, a
-# fixed number of C calls for the whole sequence; `_Codec.unpack` reads one
-# weight's fields, and wider keys, one by one
+# for unsigned): `_Codec.unpack_flat`, the bulk decode, packs each key into
+# unsigned words, one of at most 8 bytes or, for a wider key, as many 8-byte
+# words as it needs, and reads their fields back signed, a fixed number of C
+# calls for the whole sequence; `_Codec.unpack` reads one weight's fields,
+# and fields past 8 bytes, one by one
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 # the bytes a field or key needs -> the narrowest width struct reads that holds it
 _WIDTHS = {need: next(n for n in _STRUCT_CODES if n >= need) for need in range(1, 9)}
@@ -225,21 +226,29 @@ class _Codec:
 
     def unpack_flat(self, keys):
         """The labels of a sequence of packed ints, in their order, as one
-        flat sequence, ``rank`` to a weight.  A key of at most 8 bytes takes
+        flat sequence, ``rank`` to a weight.  Fields of at most 8 bytes take
         a fixed number of C calls for the whole sequence: one `struct.pack`
-        of every key into a big-endian unsigned word, the narrowest that
-        holds a key; one extended-slice delete per pad byte, which strips
-        each word's leading zero bytes; one `bytes.translate` of each
-        field's first byte, which flips its top bit and so turns offset
-        fields into two's-complement ones; and one signed `struct.unpack`.
-        Wider keys are read field by field (`unpack`)."""
+        of every key into big-endian unsigned words, the narrowest word
+        that holds a key or, for a key past 8 bytes, ``ceil(size / 8)``
+        eight-byte words, most significant first; one extended-slice delete
+        per pad byte, which strips each key's leading zero bytes; one
+        `bytes.translate` of each field's first byte, which flips its top
+        bit and so turns offset fields into two's-complement ones; and one
+        signed `struct.unpack`.  Fields past 8 bytes are read one by one
+        (`unpack`)."""
         nbytes, rank = self.nbytes, self.rs.rank
+        if nbytes > 8:
+            return [x for p in keys for x in self.unpack(p)]
         size = nbytes * rank
         if size > 8:
-            return [x for p in keys for x in self.unpack(p)]
-        width = _WIDTHS[size]
+            shifts = range(64 * (size - 1 >> 3), -1, -64)
+            words = [p >> s & 0xFFFFFFFFFFFFFFFF for p in keys for s in shifts]
+            width, code = 8 * len(shifts), "Q"
+        else:
+            words, width = keys, _WIDTHS[size]
+            code = _STRUCT_CODES[width].upper()
         data = bytearray(len(keys) * width)
-        struct.pack_into(f">{len(keys)}{_STRUCT_CODES[width].upper()}", data, 0, *keys)
+        struct.pack_into(f">{len(words)}{code}", data, 0, *words)
         for j in range(width - size):
             del data[::width - j]
         data[::nbytes] = data[::nbytes].translate(_FLIP)

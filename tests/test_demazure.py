@@ -129,6 +129,17 @@ def _draw_sum(data, rs, edge_sizes):
     return terms
 
 
+def _far(rs, root, terms, big):
+    """``terms`` moved by ``big`` times a vector on root's hyperplane, so
+    its strings keep their lengths and the sum gets wide fields."""
+    labels = rs.coroot_labels(root)
+    i = next(k for k, cv in enumerate(labels) if cv)
+    j = next(k for k in range(rs.rank) if k != i)
+    v = [0] * rs.rank
+    v[i], v[j] = labels[j], -labels[i]  # <v, root^vee> = 0
+    return {tuple(x + big * a for x, a in zip(w, v)): c for w, c in terms.items()}
+
+
 @pytest.mark.parametrize("name", _REFERENCE_ALGEBRAS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -149,15 +160,64 @@ def test_cores_match_point_by_point_reference(name, data):
     # 8 bytes
     big = data.draw(st.sampled_from((2**70, -(2**70))))
     for root in rs.positive_roots:
-        labels = rs.coroot_labels(root)
-        i = next(k for k, cv in enumerate(labels) if cv)
-        j = next(k for k in range(rs.rank) if k != i)
-        v = [0] * rs.rank
-        v[i], v[j] = labels[j], -labels[i]  # <v, root^vee> = 0
-        far = FormalSum(rs.rank, {tuple(x + big * a for x, a in zip(w, v)): c
-                                  for w, c in terms.items()})
+        far = FormalSum(rs.rank, _far(rs, root, terms, big))
         assert far._packed_for(rs)[1].nbytes > 8
         _assert_cores_match(rs, root, far)
+
+
+def _string_edges(rs, root):
+    """Sums that meet each edge of the string fill on one root's strings,
+    by name: a table of one entry that cancels or holds one term, a running
+    total that returns to 0 partway down or that grows down to radius 0 or
+    1, and n = -1 terms, which write nothing."""
+    labels = rs.coroot_labels(root)
+
+    def at(n):  # the weight nearest 0 of pairing n with the coroot
+        box = product(range(-8, 9), repeat=rs.rank)
+        return min((mu for mu in box if sum(map(int.__mul__, labels, mu)) == n),
+                   key=lambda mu: (sum(map(abs, mu)), mu))
+
+    def down(mu, k):  # mu - k beta
+        return tuple(x - k * a for x, a in zip(mu, root.weight_coords))
+
+    return {
+        # e^{s_beta mu - beta} = e^{mu - (n+1) beta}: D gives 0
+        "one entry cancels": {at(3): 1, down(at(3), 4): 1},
+        "total returns to 0, even": {at(6): 1, down(at(6), 2): -1},
+        "total returns to 0, odd": {at(5): 1, down(at(5), 2): -1},
+        "total grows to radius 0": {at(2): 1, down(at(2), 1): 2},
+        "total grows to radius 1": {at(3): -1, down(at(3), 1): 3},
+        "one term at n = 0": {at(0): 2},
+        "one term at n = 1": {at(1): -3},
+        "n = -1 alone": {at(-1): 1},
+        "n = -1 beside a term": {at(-1): 1, down(at(-1), -2): 2},
+    }
+
+
+@pytest.mark.parametrize("name,big", [("A1", 0), ("G2", 0), ("G2", 2**63)],
+                         ids=["A1", "G2", "G2-9-byte"])
+def test_string_fill_edges_match_reference(name, big):
+    rs = build_root_system(name)
+    for root in rs.positive_roots:
+        for case, terms in _string_edges(rs, root).items():
+            s = FormalSum(rs.rank, _far(rs, root, terms, big) if big else terms)
+            assert s._packed_for(rs)[1].nbytes == (9 if big else 1), case
+            _assert_cores_match(rs, root, s)
+            if case in ("one entry cancels", "n = -1 alone"):
+                assert _demazure(rs, root, s, True).is_zero(), case
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "B2", "G2", "A3"))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cores_match_reference_on_dense_sums(name, data):
+    # up to 30 terms in a small box: most strings carry several entries
+    rs = build_root_system(name)
+    weights = st.tuples(*[st.integers(-2, 2)] * rs.rank)
+    terms = data.draw(st.dictionaries(weights, st.integers(-2, 2).filter(bool), max_size=30))
+    s = FormalSum(rs.rank, terms)
+    for root in rs.positive_roots:
+        _assert_cores_match(rs, root, s)
 
 
 def test_sum_packed_for_one_algebra_is_repacked_for_another(a2, g2):

@@ -284,9 +284,10 @@ def test_one_rule_sizes_the_operator_and_walk_codecs(name, lam):
 
 # (algebra, field bytes): every key size, rank times field bytes, from 1 to 8,
 # so every pad length of the unsigned words the bulk decode packs into (1
-# byte in an I word, 0 to 3 in a Q word); and keys past 8 bytes, which are
-# read field by field: 9-byte fields at ranks 1 to 3, 8-byte fields at rank
-# 2, and 2-byte fields at ranks 5 to 8
+# byte in an I word, 0 to 3 in a Q word); keys past 8 bytes, which it splits
+# into 8-byte words: 8-byte fields at ranks 2 and 3, 4-byte fields at rank
+# 3, and 2-byte fields at ranks 5 to 8 (0 to 6 pad bytes in the first
+# word); and 9-byte fields at ranks 1 to 3, which are read field by field
 _CODEC_GRID = [
     pytest.param(name, nbytes, id=f"{nbytes}-{name}")
     for name, nbytes in [*itertools.product(("A1", "A2", "G2", "B3"), (1, 2, 4, 8, 9)),
