@@ -118,11 +118,18 @@ def _cmd_bsum(args) -> tuple:
         return _sum_result(polytope_sum_demazure(rs, lam))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()
+    # --table reads only the two coefficient sums, so each sum is dropped
+    # once its text is built and the payload is written beside the texts
+    # alone; an equal formula sum has the oracle's text, and only a
+    # mismatch writes its own
+    points = (oracle.coefficient_sum(), formula.coefficient_sum()) if args.table else None
+    formula_text = None if match else formula.to_json_text()
+    del formula
     oracle_text = oracle.to_json_text()
-    # the keys in sorted order, as _canon writes them; an equal formula sum
-    # has the oracle's text
+    del oracle
+    # the keys in sorted order, as _canon writes them
     payload = '{"demazure":%s,"diff":%s,"match":%s,"oracle":%s}' % (
-        oracle_text if match else formula.to_json_text(),
+        oracle_text if match else formula_text,
         diff.to_json_text(),
         "true" if match else "false",
         oracle_text,
@@ -132,8 +139,8 @@ def _cmd_bsum(args) -> tuple:
         return "\n".join(
             [
                 f"match: {match}",
-                f"oracle points: {oracle.coefficient_sum()}",
-                f"demazure coefficient sum: {formula.coefficient_sum()}",
+                f"oracle points: {points[0]}",
+                f"demazure coefficient sum: {points[1]}",
             ]
         )
 
@@ -191,7 +198,7 @@ def _cmd_eval(args) -> tuple:
 
 def _cmd_expand(args) -> tuple:
     rs = build_root_system(args.algebra)
-    terms = sorted(polytope_expansion(rs, args.labels).items())
+    terms = polytope_expansion(rs, args.labels).items()  # sorted by weight
 
     def table() -> str:
         lines = ["dominant weight -> coeff"]

@@ -34,7 +34,9 @@ per root system.  So no operator's arithmetic ever carries between fields,
 and every W-image of a weight one root step past the hull, w mu + w beta,
 still reads back: `polysum`'s dominant-weight walk and Freudenthal strings
 form such weights, and read them with ``top`` (dominance) and ``fold`` (the
-dominant representative).
+dominant representative).  `polysum`'s straightening route packs by the
+codec of lam + rho, and every weight it folds (``straighten``) lies in
+conv(W(lam + rho)) (docs/expand.md).
 
 A sum holds its terms in one form, fixed when it is built: keyed by
 tuples, or packed with its codec.  No function changes a sum it is given.
@@ -128,7 +130,8 @@ class _Codec:
     removes the fields' offsets, so that the pairing is ``lift + sum(cv *
     (p >> shift & mask))`` over the pairs.  ``height`` is the root's.  The
     operators, the dominant-weight walk, Freudenthal's strings, G2's
-    translate and `fold` and `orbit` read their steps from it."""
+    translate and `fold`, `straighten` and `orbit` read their steps from
+    it."""
 
     __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "top", "roots", "_steps",
                  "_children")
@@ -182,6 +185,26 @@ class _Codec:
             q -= ((q >> s & mask) - offset) * step
             neg = top & ~q
         return q
+
+    def straighten(self, q: int) -> tuple:
+        """`fold` that also counts: (the packed dominant weight of q's
+        orbit, the number of reflections taken, the height they raised q
+        by).  A reflection at a label n < 0 adds -n alpha_i, so the weight
+        rises by -n.  `polysum`'s straightening route folds x + rho with
+        it for the sign and the depth of D_{w0} e^x.  Exact where `fold`
+        is.  `fold` keeps its own loop: Freudenthal's strings call it at
+        each string weight, and the counts would cost them about 7 %."""
+        top, mask, offset, steps = self.top, self.mask, self.offset, self._steps
+        flips = raised = 0
+        neg = top & ~q
+        while neg:
+            s, step = steps[neg.bit_length() - 1]
+            n = (q >> s & mask) - offset
+            q -= n * step
+            flips += 1
+            raised -= n
+            neg = top & ~q
+        return q, flips, raised
 
     def orbit(self, *dominant: int) -> list:
         """Each point of the Weyl orbits of distinct packed dominant weights

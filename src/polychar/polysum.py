@@ -10,7 +10,9 @@ Four independent routes live here:
 * numeric evaluation of the vertex-cone rational expression and of the Weyl
   character quotient at generic points,
 * a Freudenthal-recursion character builder, plus the expansion of a
-  character into polytope sums over dominant weights.
+  character into polytope sums over dominant weights, read off Brion's
+  formula where its numerator is short and peeled from Freudenthal's
+  multiplicities elsewhere (docs/expand.md).
 """
 
 import math
@@ -34,6 +36,10 @@ _CROSS_CHECK_TOL = 1e-9
 # its points go in chunks of this many over the lattice sum's size, which
 # bounds the one-entry tables they fill
 _TABLE_BUDGET = 2**16
+# `polytope_expansion` straightens where the product of (1 - e^{-beta}) over
+# the non-simple positive roots has at most this many terms per positive
+# root (docs/expand.md): rank <= 3 and A4; D4 (122 terms) and up peel
+_STRAIGHTEN_TERMS_PER_ROOT = 5
 DEFAULT_SEED = 20240914
 
 
@@ -89,6 +95,17 @@ def _packed_orbit_size(rs: RootSystem, codec, p: int) -> int:
     return _orbit_size(rs, tuple([p >> s & mask != offset for s in codec.shifts]))
 
 
+def _check_lower_bound(rs: RootSystem, lam) -> None:
+    """Refuse the checked dominant lam with PolytopeSizeError when a cheap
+    lower bound on its polytope's point count passes the cap: the polytope
+    holds lam's orbit and, for each positive root beta, the <lam, beta^vee>
+    + 1 points of the beta-string from lam to s_beta(lam), longest for the
+    highest coroot.  `_walk_below` runs it before its walk, and
+    `polytope_expansion` before either route."""
+    longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
+    _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
+
+
 def _walk_below(rs: RootSystem, lam) -> tuple:
     """(codec, packed, depths): lam's codec, ``formal._codec_for(rs,
     (lam,))``, the dominant weights of lam's root-lattice coset lying under
@@ -106,10 +123,8 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
 
     The orbits of these weights are disjoint and cover lam's polytope, so
     their sizes add up to its point count.  Before the walk, a cheap lower
-    bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
-    and, for each positive root beta, the <lam, beta^vee> + 1 points of the
-    beta-string from lam to s_beta(lam), longest for the highest coroot.
-    The walk counts in its own loop and refuses as soon as its running
+    bound refuses lam with PolytopeSizeError (`_check_lower_bound`).  The
+    walk counts in its own loop and refuses as soon as its running
     count passes the cap, so the refusal comes at the same weight, with the
     same count, on every run.  No orbit is larger than |W|, so the first k
     weights hold at most |W| k points: up to weight number
@@ -119,8 +134,7 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     added before the weight is expanded.
     """
     lam = check_weight(rs, lam, dominant=True)
-    longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
-    _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
+    _check_lower_bound(rs, lam)
     codec = _codec_for(rs, (lam,))
     top = codec.top
     roots = [(d, h) for d, _fields, _lift, h in codec.roots.values()]
@@ -568,9 +582,10 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
 def _check_support_size(rs: RootSystem, weights, what) -> None:
     """Refuse ``what``, the polytopes of the dominant ``weights`` together,
     with PolytopeSizeError when they hold more lattice points than the cap:
-    `char` and `bsum --method demazure` size their lam, `verify` its grid,
-    before any sum is built.  ``what`` is text, or a dominant weight, as in
-    `_check_point_count`, which writes the refusal.  A module has no more
+    `char`, `bsum --method demazure` and `expand`'s straightening route
+    size their lam, `verify` its grid, before any sum is built.  ``what``
+    is text, or a dominant weight, as in `_check_point_count`, which
+    writes the refusal.  A module has no more
     distinct weights than its dimension, so dimensions adding up to at most
     the cap pass at once (read lazily, up to the first weight past it).
     Otherwise each lam's polytope is walked (`_walk_below`, which refuses
@@ -593,10 +608,90 @@ def _check_support_size(rs: RootSystem, weights, what) -> None:
         _check_point_count(what, points)
 
 
-def polytope_expansion(rs: RootSystem, lam) -> dict:
-    """Integer coefficients expanding the irreducible character as a
-    combination of polytope lattice sums over dominant weights below lam,
-    keyed by dominant weight; only nonzero ones are kept.
+@lru_cache(maxsize=None)
+def _brion_numerator(rs: RootSystem) -> tuple | None:
+    """The terms of g = prod (1 - e^{-beta}) over the non-simple positive
+    roots beta other than its constant term 1, as (weight, height of
+    -weight, coefficient) triples, or None when g has more than
+    ``_STRAIGHTEN_TERMS_PER_ROOT`` terms per positive root, constant term
+    included.  The factors are multiplied in root order, on root
+    coordinates, and the product is abandoned as soon as a partial one
+    passes that bound, so g is never expanded past it.  Kept per algebra
+    (docs/expand.md)."""
+    bound = _STRAIGHTEN_TERMS_PER_ROOT * len(rs.positive_roots)
+    g = {(0,) * rs.rank: 1}
+    for root in rs.positive_roots[rs.rank:]:
+        beta = root.root_coords
+        _accumulate(g, {tuple(map(sub, coords, beta)): c for coords, c in g.items()}, 0, -1)
+        if len(g) > bound:
+            return None
+    del g[(0,) * rs.rank]
+    # the weight of a term with root coordinates c: sum_j c_j alpha_j
+    return tuple((tuple([sum(map(mul, row, coords)) for row in rs.cartan]), -sum(coords), c)
+                 for coords, c in g.items())
+
+
+def _straightened_expansion(rs: RootSystem, lam, terms) -> dict:
+    """`polytope_expansion` by straightening (docs/expand.md): B_k is
+    sum_nu g_nu chi~_{k + nu}, where chi~_x = D_{w0} e^x is the sign of w
+    times chi_{w(x + rho) - rho} for the w that makes x + rho dominant, or
+    0 when x + rho is singular.  So from the residual {lam: 1}, taken from
+    lam downward, each dominant k with a nonzero residual c gets c_k = c
+    and passes -g_nu c to the straightened k + nu of each term of g.
+
+    The residual is kept in buckets by depth, the height of lam - k, on
+    packed ints of lam + rho's codec.  A term moves k by its packed step:
+    when k + nu is dominant that is one addition and one AND, and only a
+    term that leaves the dominant chamber folds k + nu + rho
+    (`formal._Codec.straighten`), which raises its depth by -n per
+    reflection at a label n and gives the sign by the parity of the
+    reflections.  k + nu + rho lies in conv W(k + rho), off its vertices,
+    so every term lands strictly deeper than k, which is asserted term by
+    term; the codec's fields hold that hull, and so every fold.
+    ``terms`` is `_brion_numerator`'s."""
+    codec = _codec_for(rs, (tuple([x + 1 for x in lam]),))
+    top, rho, straighten = codec.top, codec.delta(rs.weyl_vector), codec.straighten
+    steps = [(codec.delta(nu), height, c) for nu, height, c in terms]
+    buckets = {0: {codec.pack(lam): 1}}
+    coeffs = {}
+    # packed k + nu off the chamber -> (its straightened weight, that
+    # weight's depth, the sign), or () when k + nu + rho is singular
+    folds = {}
+    depth = 0
+    while buckets:
+        for p, c in buckets.pop(depth, {}).items():
+            if not c:
+                continue
+            coeffs[p] = c
+            for step, height, g_nu in steps:
+                q = p + step
+                if q & top == top:
+                    deeper = depth + height
+                else:
+                    fold = folds.get(q)
+                    if fold is None:
+                        x, flips, raised = straighten(q + rho)
+                        x -= rho
+                        fold = folds[q] = (x, depth + height - raised, 1 - (flips & 1) * 2) \
+                            if x & top == top else ()
+                    if not fold:
+                        continue
+                    q, deeper, sign = fold
+                    g_nu *= sign
+                # a term left at k's depth would never be taken
+                assert deeper > depth, "a straightened term must lie below k"
+                bucket = buckets.get(deeper)
+                if bucket is None:
+                    bucket = buckets[deeper] = {}
+                bucket[q] = bucket.get(q, 0) - g_nu * c
+        depth += 1
+    keys = sorted(coeffs)
+    return dict(zip(codec.unpack_all(keys), map(coeffs.__getitem__, keys)))
+
+
+def _freudenthal_peel(rs: RootSystem, lam) -> dict:
+    """`polytope_expansion` by peeling Freudenthal's multiplicities, keyed
+    by dominant weight in the walk's order.
 
     Every dominant weight under a dominant weight lies inside its polytope,
     so peeling from lam downward determines each coefficient: the weight's
@@ -624,6 +719,32 @@ def polytope_expansion(rs: RootSystem, lam) -> dict:
             coeffs[mu] = value
             fixed.append((gap, value))
     return coeffs
+
+
+def polytope_expansion(rs: RootSystem, lam) -> dict:
+    """Integer coefficients expanding the irreducible character as a
+    combination of polytope lattice sums over dominant weights below lam,
+    keyed by dominant weight in lexicographic order; only nonzero ones are
+    kept.
+
+    Two routes give the same dict, chosen by their per-weight work: where
+    `_brion_numerator`'s product g has at most ``_STRAIGHTEN_TERMS_PER_ROOT``
+    terms per positive root (every algebra of rank at most 3, and A4), the
+    coefficients are read off Brion's formula by straightening
+    (`_straightened_expansion`), |g| steps per dominant weight; elsewhere
+    Freudenthal's multiplicities are peeled (`_freudenthal_peel`), whose
+    strings cost about |Phi+| steps per dominant weight.  The cheap lower
+    bound (`_check_lower_bound`) refuses lam before either route; the
+    straightening route then sizes lam as `char` does
+    (`_check_support_size`), and the peel by its walk, so a refusal names
+    the same count on both."""
+    lam = check_weight(rs, lam, dominant=True)
+    _check_lower_bound(rs, lam)
+    terms = _brion_numerator(rs)
+    if terms is None:
+        return dict(sorted(_freudenthal_peel(rs, lam).items()))
+    _check_support_size(rs, (lam,), lam)
+    return _straightened_expansion(rs, lam, terms)
 
 
 def sample_generic_sigmas(rs: RootSystem, count: int, seed: int = DEFAULT_SEED) -> list:

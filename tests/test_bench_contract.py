@@ -86,8 +86,12 @@ def test_traced_bsum_both_reaches_the_operator_layers(capsys):
 
 def test_traced_char_and_expand_reach_their_layers(capsys):
     # the layers the char-expand workload reads.  char takes w0's word from
-    # weyl.dominant_representative and builds no Weyl table; Freudenthal
-    # folds its string weights on packed ints, so expand adds no call there
+    # weyl.dominant_representative and builds no Weyl table.  expand A2
+    # straightens Brion's formula, and expand D4, past the straightening
+    # bound, still peels Freudenthal's multiplicities, so every name the
+    # tracer binds for expand stays reachable; Freudenthal folds its
+    # string weights on packed ints, so expand adds no call to
+    # weyl.dominant_representative
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     undo = tracing.install(tracer)
@@ -95,15 +99,16 @@ def test_traced_char_and_expand_reach_their_layers(capsys):
         codes = [polychar.cli.run(["char", "A2", "2", "1"])]
         char_calls = tracer.counts["weyl.dominant_representative.calls"]
         codes.append(polychar.cli.run(["expand", "A2", "2", "1"]))
+        straightened = {name for _sid, _parent, name, *_rest in tracer.spans}
+        codes.append(polychar.cli.run(["expand", "D4", "1", "0", "0", "0"]))
     finally:
         tracing.restore(undo)
-    assert codes == [0, 0]
-    assert capsys.readouterr().out.count("\n") == 2
+    assert codes == [0, 0, 0]
+    assert capsys.readouterr().out.count("\n") == 3
+    assert {"demazure.character_demazure", "demazure.op", "polysum.expansion"} <= straightened
+    assert not {"polysum.freudenthal", "polysum.dominant_below"} & straightened
     spans = {name for _sid, _parent, name, *_rest in tracer.spans}
-    assert {
-        "demazure.character_demazure", "demazure.op",
-        "polysum.freudenthal", "polysum.dominant_below", "polysum.expansion",
-    } <= spans
+    assert {"polysum.freudenthal", "polysum.dominant_below"} <= spans
     assert "weyl.weyl_group" not in spans
     assert char_calls > 0
     assert tracer.counts["weyl.dominant_representative.calls"] == char_calls

@@ -94,8 +94,8 @@ _PINNED = {
     "char C3 3 3 1": _CORES,
     "bsum B2 6 5 --method demazure": _CORES,
     "bsum G2 6 5 --method demazure": _CORES,
-    "expand C3 3 3 1": "Freudenthal's tables are keyed by packed ints; their order must not "
-                       "reach expand's output",
+    "expand C3 3 3 1": "the straightening route keys its depth buckets by packed ints; their "
+                       "order must not reach expand's output",
     "expand C3 3 3 1 --table": "the order of expand's coefficient dict must not reach its table",
     "bsum G2 3 2 --method both": "the oracle's sum is filled in orbit-walk order, which must not "
                                  "reach the output",
@@ -106,8 +106,8 @@ _PINNED = {
     "char A4 1 1 1 1": _NO_WEYL_TABLE,
     "char D8 1 0 1 0 0 0 0 0": _NO_WEYL_TABLE,
     # codec-width edges
-    "expand A2 64 63": "Freudenthal packs in 2-byte fields: the hull fits 1 byte, the step past "
-                       "it does not",
+    "expand A2 64 63": "lam's hull fits 1-byte fields and the step past it does not; expand "
+                       "now packs lam + rho, in 2-byte fields from A2 (62, 62) on",
     "bsum A1 127 --method both": "the oracle's fields are 2 bytes wide",
     "bsum C3 63 0 0 --method oracle": "the oracle's fields are 2 bytes wide",
     "bsum C3 62 0 0 --method oracle": "1-byte fields, whose orbits reach label 124; in place of "
@@ -121,7 +121,8 @@ _PINNED = {
                                            "ones up to A1 125, the two-byte ones from A1 126 on, "
                                            "in one process",
     # fold-order edges
-    "expand G2 21 21": "33 % of Freudenthal's fold lookups repeat one string weight",
+    "expand G2 21 21": "the straightening route folds k + nu + rho near every wall and reuses "
+                       "each fold it memoised",
     "expand D4 2 2 2 2": "26 % of Freudenthal's fold lookups repeat one string weight",
     # tables that switch algebras, and eval's samples and chunks
     "eval": "the defaults check A2, G2 and A3 in one process: the one-entry tables switch "

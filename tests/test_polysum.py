@@ -308,13 +308,16 @@ def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
         polytope_sum_oracle(a1, (10**9,))
 
 
-@pytest.mark.parametrize("entry", [dominant_weight_multiplicities, polytope_expansion])
-def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
-    # Freudenthal, and so expand, runs the oracle's preflight
-    def unreachable(rs, lam):
+@pytest.mark.parametrize("entry,walk", [
+    (dominant_weight_multiplicities, "_codec_for"), (polytope_expansion, "_walk_below"),
+], ids=["dominant_weight_multiplicities", "polytope_expansion"])
+def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry, walk):
+    # Freudenthal runs the oracle's preflight inside the walk, before its
+    # codec; expand runs it before either route, so before any walk
+    def unreachable(*args):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, "_codec_for", unreachable)
+    monkeypatch.setattr(polysum, walk, unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 weights of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -322,8 +325,12 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
     with pytest.raises(PolytopeSizeError, match=message):
         entry(a1, (10,))
     monkeypatch.setattr(polysum, "_POINT_CAP", 11)
-    with pytest.raises(AssertionError, match="the walk was entered"):
-        entry(a1, (10,))
+    if entry is polytope_expansion:
+        # A1 straightens, and its dimension, 11, passes the budget unwalked
+        assert entry(a1, (10,)) == {(10,): 1}
+    else:
+        with pytest.raises(AssertionError, match="the walk was entered"):
+            entry(a1, (10,))
     # the orbit bound: A3 (1, 1, 1) has 24 vertices and strings of 4 points
     monkeypatch.setattr(polysum, "_POINT_CAP", 23)
     message = r"^the polytope of \[1, 1, 1\] has at least 24 points; cap is 23$"
@@ -1399,6 +1406,19 @@ def test_packed_fold_matches_dominant_representative_at_codec_edges(name, lam):
     assert any(dom not in mult for dom in folded.values())  # the last weights
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3"])
+def test_straighten_counts_the_reflections_of_dominant_representative(name):
+    # the fold the straightening route reads its sign and depth from: the
+    # reflections dominant_representative takes, and the height they add
+    rs = build_root_system(name)
+    codec = _codec_for(rs, ((3,) * rs.rank,))
+    for mu in product(range(-3, 4), repeat=rs.rank):
+        dom, word = dominant_representative(rs, mu)
+        q, flips, raised = codec.straighten(codec.pack(mu))
+        rise = sum(rs.root_coords_of_weight(tuple(x - y for x, y in zip(dom, mu))))
+        assert (codec.unpack(q), flips, raised) == (dom, len(word), rise), mu
+
+
 @pytest.mark.parametrize("name,labels", [
     ("A4", range(2)), ("B4", range(2)), ("C4", range(2)), ("D4", range(2)),
     ("D4", (2,)), ("A5", range(2)), ("D5", range(2)),
@@ -1434,13 +1454,103 @@ def _tuple_peel(rs, lam, mult):
 def test_expansion_matches_tuple_peel(name, lams):
     # D4 [0..2]^4 has negative coefficients (D4 (0, 0, 2, 2) first); C3
     # (10, 10, 11) has 2,036 coefficients
+    # the dict's order is the documented one, sorted by weight, on both routes
     rs = build_root_system(name)
     negative = 0
     for lam in lams:
         expected = _tuple_peel(rs, lam, dominant_weight_multiplicities(rs, lam))
-        assert list(polytope_expansion(rs, lam).items()) == list(expected.items()), lam
+        assert list(polytope_expansion(rs, lam).items()) == sorted(expected.items()), lam
         negative += min(expected.values()) < 0
     assert (negative > 0) == (name == "D4")
+
+
+# the algebras whose product g straightens, each with a grid whose walls
+# (zero labels) give singular weights
+_STRAIGHTENED = {
+    "A1": 11, "A2": 7, "B2": 6, "C2": 6, "G2": 5,
+    "A3": 4, "B3": 3, "C3": 3, "D3": 3, "A4": 2,
+}
+_ALL_ALGEBRAS = ([f"A{r}" for r in range(1, 9)] + [f"{f}{r}" for f in "BC" for r in range(2, 9)]
+                 + [f"D{r}" for r in range(3, 9)] + ["G2"])
+
+
+def test_straightening_rule_picks_rank_at_most_3_and_a4():
+    picked = {name for name in _ALL_ALGEBRAS
+              if polysum._brion_numerator(build_root_system(name)) is not None}
+    assert picked == set(_STRAIGHTENED)
+
+
+@pytest.mark.parametrize("name", sorted(_STRAIGHTENED))
+def test_straightening_matches_tuple_peel(name):
+    # Brion's straightening against the root-coordinate peel of
+    # Freudenthal's multiplicities: values and order, singular lam included
+    rs = build_root_system(name)
+    terms = polysum._brion_numerator(rs)
+    for lam in product(range(_STRAIGHTENED[name]), repeat=rs.rank):
+        expected = _tuple_peel(rs, lam, dominant_weight_multiplicities(rs, lam))
+        got = polysum._straightened_expansion(rs, lam, terms)
+        assert list(got.items()) == sorted(expected.items()), lam
+
+
+@pytest.fixture
+def straightening_bound(monkeypatch):
+    """Set the straightening bound, with `_brion_numerator`'s cache cleared
+    before and after, so no product built under a patched bound is kept."""
+    def patch(bound):
+        monkeypatch.setattr(polysum, "_STRAIGHTEN_TERMS_PER_ROOT", bound)
+        polysum._brion_numerator.cache_clear()
+
+    yield patch
+    polysum._brion_numerator.cache_clear()
+
+
+@pytest.mark.parametrize("name,lams", [
+    ("G2", list(product(range(4), repeat=2))),  # |g| = 12 = 2 |Phi+|
+    ("D4", list(product(range(2), repeat=4)) + [(0, 0, 2, 2)]),  # |g| = 122, 10.2 |Phi+|
+])
+def test_routes_agree_on_each_side_of_the_bound(monkeypatch, straightening_bound, name, lams):
+    # at the smallest bound that takes g the route straightens, one below
+    # it peels, and both give one dict in one key order
+    rs = build_root_system(name)
+    per_root = {"G2": 2, "D4": 11}[name]
+    routes = []
+    for wrapped in ("_straightened_expansion", "_freudenthal_peel"):
+        original = getattr(polysum, wrapped)
+
+        def spy(*args, _name=wrapped, _original=original):
+            routes.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(polysum, wrapped, spy)
+    sides = []
+    for bound in (per_root, per_root - 1):
+        straightening_bound(bound)
+        routes.clear()
+        sides.append([polytope_expansion(rs, lam) for lam in lams])
+        taken = "_straightened_expansion" if bound == per_root else "_freudenthal_peel"
+        assert routes == [taken] * len(lams)
+    assert sides[0] == sides[1]
+    assert [list(d) for d in sides[0]] == [list(d) for d in sides[1]]  # one key order
+    assert (min(min(d.values()) for d in sides[0]) < 0) == (name == "D4")
+
+
+def test_product_is_never_expanded_past_the_bound(monkeypatch):
+    # B8 has 56 non-simple roots; the product is abandoned at the first
+    # partial product past 5 |Phi+| = 320 terms, after a few factors
+    b8 = build_root_system("B8")
+    bound = polysum._STRAIGHTEN_TERMS_PER_ROOT * len(b8.positive_roots)
+    sizes = []
+    original = polysum._accumulate
+
+    def spy(acc, terms, shift, sign):
+        original(acc, terms, shift, sign)
+        sizes.append(len(acc))
+
+    monkeypatch.setattr(polysum, "_accumulate", spy)
+    assert polysum._brion_numerator.__wrapped__(b8) is None
+    assert max(sizes) > bound
+    assert all(size <= bound for size in sizes[:-1])
+    assert len(sizes) < len(b8.positive_roots) - b8.rank
 
 
 def test_expansion_a2(a2):
