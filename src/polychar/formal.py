@@ -33,9 +33,9 @@ support point mu, plus the largest label of a positive root, both found once
 per root system.  So no operator's arithmetic ever carries between fields,
 and every W-image of a weight one root step past the hull, w mu + w beta,
 still reads back: `polysum`'s dominant-weight walk and Freudenthal strings
-form such weights, and read them with ``top`` (dominance) and ``fold`` (the
-dominant representative).  `polysum`'s straightening route packs by the
-codec of lam + rho, and every weight it folds (``straighten``) lies in
+form such weights, and read them with ``top`` (dominance) and
+``straighten`` (the dominant representative).  `polysum`'s straightening
+route packs by the codec of lam + rho, and every weight it folds lies in
 conv(W(lam + rho)) (docs/expand.md).
 
 A sum holds its terms in one form, fixed when it is built: keyed by
@@ -130,8 +130,7 @@ class _Codec:
     removes the fields' offsets, so that the pairing is ``lift + sum(cv *
     (p >> shift & mask))`` over the pairs.  ``height`` is the root's.  The
     operators, the dominant-weight walk, Freudenthal's strings, G2's
-    translate and `fold`, `straighten` and `orbit` read their steps from
-    it."""
+    translate, `straighten` and `orbit` read their steps from it."""
 
     __slots__ = ("rs", "nbytes", "shifts", "mask", "offset", "top", "roots", "_steps",
                  "_children")
@@ -166,34 +165,23 @@ class _Codec:
     def pack(self, weight) -> int:
         return self.top + self.delta(weight)
 
-    def fold(self, q: int) -> int:
+    def straighten(self, q: int) -> tuple:
         """The packed dominant weight of the Weyl orbit of a packed weight
-        q: `weyl.dominant_representative` on packed ints.
+        q, `weyl.dominant_representative` on packed ints, with what the
+        fold took: (that weight, the number of reflections, the height
+        they raised q by).  The one packed loop that folds a weight into
+        the dominant chamber.
 
         A step reflects at the first negative label, as that function does.
         The negative labels are the fields whose top bit is clear, so the
         highest bit of ``top & ~q`` names the first of them, and s_i sends q
         to ``q - n * step_i``, with n the label and step_i the packed
-        difference of alpha_i.  Every weight met is a Weyl image of q, so
-        the fold is exact when q's whole orbit lies in the fields: for q in
-        the hull the codec was sized for, or one root step past it (module
-        docstring)."""
-        top, mask, offset, steps = self.top, self.mask, self.offset, self._steps
-        neg = top & ~q
-        while neg:
-            s, step = steps[neg.bit_length() - 1]
-            q -= ((q >> s & mask) - offset) * step
-            neg = top & ~q
-        return q
-
-    def straighten(self, q: int) -> tuple:
-        """`fold` that also counts: (the packed dominant weight of q's
-        orbit, the number of reflections taken, the height they raised q
-        by).  A reflection at a label n < 0 adds -n alpha_i, so the weight
-        rises by -n.  `polysum`'s straightening route folds x + rho with
-        it for the sign and the depth of D_{w0} e^x.  Exact where `fold`
-        is.  `fold` keeps its own loop: Freudenthal's strings call it at
-        each string weight, and the counts would cost them about 7 %."""
+        difference of alpha_i; the weight rises by -n.  Every weight met is
+        a Weyl image of q, so the fold is exact when q's whole orbit lies in
+        the fields: for q in the hull the codec was sized for, or one root
+        step past it (module docstring).  Freudenthal's strings and
+        `weyl.orbit` read the weight alone; `polysum`'s straightening route
+        folds x + rho for the sign and the depth of D_{w0} e^x."""
         top, mask, offset, steps = self.top, self.mask, self.offset, self._steps
         flips = raised = 0
         neg = top & ~q
@@ -209,10 +197,11 @@ class _Codec:
     def orbit(self, *dominant: int) -> list:
         """Each point of the Weyl orbits of distinct packed dominant weights
         once, packed: reverse search (Avis and Fukuda, 1996) on the forest
-        in which a weight's parent is its image under `fold`'s one step, the
-        reflection at its first negative label, and the dominant weights
-        are the roots.  Distinct dominant weights have disjoint orbits, so
-        one walk from all of them meets each point once.
+        in which a weight's parent is its image under one step of
+        `straighten`, the reflection at its first negative label, and the
+        dominant weights are the roots.  Distinct dominant weights have
+        disjoint orbits, so one walk from all of them meets each point
+        once.
 
         A child of q is s_i q = q - n * step_i for a field i whose label n
         is positive.  Off the diagonal the Cartan entries are <= 0, so s_i

@@ -488,17 +488,18 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
     strings as one object, so a step up a string is one addition of the
     root's step, read from the codec's root table.  A non-dominant string
     weight nu is folded at each visit to its dominant representative on
-    packed ints (`formal._Codec.fold`), whose multiplicity the packed table
-    gives, 0 outside the module; a string ends at its first 0, one root
-    past the module's hull.  The fold is exact because a string weight is
-    mu' + beta with mu' in conv(W . lam) and beta a root, and the codec's
-    fields hold every Weyl image of such a weight.  dom(nu) >= nu > mu, so
-    dom(nu), if it is a weight of the module, was tabulated before mu.
+    packed ints (`formal._Codec.straighten`, the weight alone), whose
+    multiplicity the packed table gives, 0 outside the module; a string
+    ends at its first 0, one root past the module's hull.  The fold is
+    exact because a string weight is mu' + beta with mu' in conv(W . lam)
+    and beta a root, and the codec's fields hold every Weyl image of such a
+    weight.  dom(nu) >= nu > mu, so dom(nu), if it is a weight of the
+    module, was tabulated before mu.
     """
     lam = check_weight(rs, lam, dominant=True)
     doms = dominant_weights_below(rs, lam)
     codec = _codec_for(rs, (lam,))
-    pack, top, fold = codec.pack, codec.top, codec.fold
+    pack, top, straighten = codec.pack, codec.top, codec.straighten
     rho = rs.weyl_vector
     lam_rho = tuple(l + d for l, d in zip(lam, rho))
     norm = rs.inner_scaled(lam_rho, lam_rho)
@@ -524,7 +525,7 @@ def dominant_weight_multiplicities(rs: RootSystem, lam) -> dict:
                     if m_nu:
                         tail += m_nu * a + tails[nu][j]
                     break
-                m_nu = mult.get(fold(nu), 0)
+                m_nu = mult.get(straighten(nu)[0], 0)
                 if not m_nu:
                     break
                 tail += m_nu * a

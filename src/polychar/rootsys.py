@@ -1,4 +1,5 @@
-"""Cartan data and root systems for the simple Lie algebra families A-D and G2.
+"""Cartan data and root systems for the simple Lie algebra families of
+`_FAMILIES`, the one table of the supported families: A-D and G2.
 
 Weights are plain tuples of Dynkin labels (integer coordinates with respect
 to the fundamental weights).  Each root additionally carries its coordinates
@@ -30,8 +31,24 @@ from ._frozen import Frozen
 Weight = tuple[int, ...]
 
 _RANK_CAP = 8
-# each supported family and its lowest rank, in the order errors list them
-_LOWEST_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "G": 2}
+
+
+def _chain(r: int) -> list:
+    """The bonds (i, i + 1) of a chain of r simple roots."""
+    return [(i, i + 1) for i in range(r - 1)]
+
+
+# each supported family, in the order errors list them: its lowest rank, its
+# highest rank, and at rank r its Dynkin diagram, as the bonds (pairs of
+# joined simple roots) and the squared simple-root lengths in units of the
+# shortest root
+_FAMILIES = {
+    "A": (1, _RANK_CAP, _chain, lambda r: (1,) * r),
+    "B": (2, _RANK_CAP, _chain, lambda r: (2,) * (r - 1) + (1,)),
+    "C": (2, _RANK_CAP, _chain, lambda r: (1,) * (r - 1) + (2,)),
+    "D": (3, _RANK_CAP, lambda r: _chain(r - 1) + [(r - 3, r - 1)], lambda r: (1,) * r),
+    "G": (2, 2, _chain, lambda r: (3, 1)),
+}
 
 
 class AlgebraId(Frozen):
@@ -40,18 +57,19 @@ class AlgebraId(Frozen):
     __slots__ = _fields = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        if family not in _LOWEST_RANK:
+        if family not in _FAMILIES:
             raise ValueError(
-                f"unsupported family {family!r}: expected one of {', '.join(_LOWEST_RANK)}"
+                f"unsupported family {family!r}: expected one of {', '.join(_FAMILIES)}"
             )
         if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
             raise ValueError(f"rank must be a positive integer, got {rank!r}")
         if rank > _RANK_CAP:
             raise ValueError(f"rank {rank} exceeds the desk-scale cap of {_RANK_CAP}")
-        if family == "G" and rank != 2:
-            raise ValueError("the G family only exists at rank 2")
-        if rank < _LOWEST_RANK[family]:
-            raise ValueError(f"family {family} starts at rank {_LOWEST_RANK[family]}")
+        lowest, highest, *_ = _FAMILIES[family]
+        if lowest == highest != rank:
+            raise ValueError(f"the {family} family only exists at rank {lowest}")
+        if rank < lowest:
+            raise ValueError(f"family {family} starts at rank {lowest}")
         super().__init__(family, rank)
 
     @classmethod
@@ -273,23 +291,6 @@ def _det_and_adjugate(matrix):
     return prev, tuple(tuple(row[n:]) for row in rows)
 
 
-def _dynkin(aid: AlgebraId) -> tuple[list, tuple[int, ...]]:
-    """The Dynkin diagram of ``aid``: its bonds, the pairs of joined simple
-    roots, and the squared simple-root lengths in units of the shortest root.
-    The bonds form the chain (i, i + 1), except that D_r branches at r - 3."""
-    r = aid.rank
-    bonds = [(i, i + 1) for i in range(r - 1)]
-    if aid.family == "D":
-        bonds[-1] = (r - 3, r - 1)
-    if aid.family == "B":
-        return bonds, (2,) * (r - 1) + (1,)
-    if aid.family == "C":
-        return bonds, (1,) * (r - 1) + (2,)
-    if aid.family == "G":
-        return bonds, (3, 1)
-    return bonds, (1,) * r
-
-
 def _positive_roots(cartan) -> dict:
     """Simple-root coordinates -> coroot labels of every positive root, sorted
     by height, then by coordinates descending.  Closure under simple
@@ -340,7 +341,8 @@ def _build(aid: AlgebraId) -> RootSystem:
     """The root system of ``aid``.  Positive roots and their coroots come
     from one closure under simple reflections, and the Cartan determinant
     and adjugate from one fraction-free elimination.  The Cartan matrix follows
-    from the Dynkin bonds and the squared lengths l_i: across a bond (i, j),
+    from the family's row of `_FAMILIES`, its Dynkin bonds and squared
+    lengths l_i at the rank: across a bond (i, j),
     cartan[i][j] = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i) is -l_j / l_i
     when alpha_j is the longer root and -1 otherwise, so l_i cartan[i][j]
     is symmetric by construction.  The quadratic form solves G * cartan =
@@ -349,10 +351,11 @@ def _build(aid: AlgebraId) -> RootSystem:
     those numerators and that denominator by their gcd gives
     ``gram_scaled`` and ``form_scale``.
     """
-    bonds, lengths = _dynkin(aid)
     r = aid.rank
+    *_, bonds_at, lengths_at = _FAMILIES[aid.family]
+    lengths = lengths_at(r)
     rows = [[2 * (i == j) for j in range(r)] for i in range(r)]
-    for i, j in bonds:
+    for i, j in bonds_at(r):
         rows[i][j] = -max(1, lengths[j] // lengths[i])
         rows[j][i] = -max(1, lengths[i] // lengths[j])
     cartan = tuple(map(tuple, rows))

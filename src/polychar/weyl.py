@@ -41,7 +41,7 @@ def orbit(rs: RootSystem, weight) -> frozenset:
     every Weyl image of the weight (`formal._codec_for`)."""
     lam = check_weight(rs, weight)
     codec = _codec_for(rs, (lam,))
-    return frozenset(codec.unpack_all(codec.orbit(codec.fold(codec.pack(lam)))))
+    return frozenset(codec.unpack_all(codec.orbit(codec.straighten(codec.pack(lam))[0])))
 
 
 def orbit_size(rs: RootSystem, lam) -> int:

@@ -108,6 +108,8 @@ _PINNED = {
     # codec-width edges
     "expand A2 64 63": "lam's hull fits 1-byte fields and the step past it does not; expand "
                        "now packs lam + rho, in 2-byte fields from A2 (62, 62) on",
+    "expand A2 62 61": "the last A2 weight whose lam + rho expand packs in 1-byte fields",
+    "expand A2 62 62": "the first A2 weight whose lam + rho expand packs in 2-byte fields",
     "bsum A1 127 --method both": "the oracle's fields are 2 bytes wide",
     "bsum C3 63 0 0 --method oracle": "the oracle's fields are 2 bytes wide",
     "bsum C3 62 0 0 --method oracle": "1-byte fields, whose orbits reach label 124; in place of "
@@ -143,6 +145,8 @@ _PINNED = {
     "bsum G2 300 300 --method demazure": "refused by the point cap on the operator route",
     "verify --algebra G2 --max-label 40": "refused by the point budget's sweep total",
     "eval --algebra A4 --lam 1 0 0 1": "the Weyl group's rank cap (exit 2)",
+    "char G1 1": "the single-rank rule of a family's row is checked before its lowest rank",
+    "char G9 1 1 1 1 1 1 1 1 1": "the desk-scale cap is checked before the single-rank rule",
     "eval --algebra A1 --lam 1 --sigma-count 10001": "the cap on eval's points (exit 2)",
     "eval --algebra C3 --lam 0 0 0 --seed 10": "a known failure: its two evaluations disagree "
                                                "(exit 1)",

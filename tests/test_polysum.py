@@ -1385,13 +1385,12 @@ def test_packed_loops_match_tuple_references_at_codec_edges(monkeypatch, name, l
 @_CODEC_EDGES
 def test_packed_fold_matches_dominant_representative_at_codec_edges(name, lam):
     # every weight of every string, its last one (multiplicity 0, one root
-    # past the hull) included, folds on packed ints to the packed
+    # past the hull) included, straightens on packed ints to the packed
     # dominant_representative
     rs = build_root_system(name)
     doms = _reference_rows(rs, lam, dominant_weights_below(rs, lam))
     mult = _tuple_multiplicities(rs, lam, doms)
     codec = _codec_for(rs, (lam,))
-    fold = codec.fold
     folded = {}
     for mu in doms:
         for root in rs.positive_roots:
@@ -1400,7 +1399,7 @@ def test_packed_fold_matches_dominant_representative_at_codec_edges(name, lam):
                 nu = tuple(x + y for x, y in zip(nu, root.weight_coords))
                 if nu not in folded:
                     folded[nu] = dominant_representative(rs, nu)[0]
-                    assert codec.unpack(fold(codec.pack(nu))) == folded[nu], nu
+                    assert codec.unpack(codec.straighten(codec.pack(nu))[0]) == folded[nu], nu
                 if folded[nu] not in mult:
                     break
     assert any(dom not in mult for dom in folded.values())  # the last weights

@@ -43,19 +43,53 @@ _PARSE_ERRORS = {
     "G3": "the G family only exists at rank 2",
     "G1": "the G family only exists at rank 2",
     "A9": "exceeds the desk-scale cap of 8",
+    # the cap is checked before the single-rank rule, on G as on D
+    "G9": "exceeds the desk-scale cap of 8",
+    "D9": "exceeds the desk-scale cap of 8",
     "A0": "rank must be a positive integer",
 }
 
 
 @pytest.mark.parametrize(
     "bad",
-    ["E6", "F4", "B1", "C1", "D2", "G3", "G1", "A9", "A0", "H2", "A", "2", "", "A-1",
-     "A\u0662", "A\u00b2"],
+    ["E6", "F4", "B1", "C1", "D2", "G3", "G1", "A9", "G9", "D9", "A0", "H2", "A", "2", "",
+     "A-1", "A\u0662", "A\u00b2"],
 )
 def test_parse_rejects(bad):
     # non-ASCII digits (Arabic-Indic two, superscript two) are not a rank
     with pytest.raises(ValueError, match=_PARSE_ERRORS.get(bad, "cannot parse")):
         AlgebraId.parse(bad)
+
+
+# the whole text of each refusal next to a row of the family table
+_EDGE_REFUSALS = {
+    "A0": "rank must be a positive integer, got 0",
+    "B1": "family B starts at rank 2",
+    "C1": "family C starts at rank 2",
+    "D2": "family D starts at rank 3",
+    "G1": "the G family only exists at rank 2",
+    "G3": "the G family only exists at rank 2",
+}
+
+
+def test_family_table_admits_the_supported_names_and_refuses_past_each_row():
+    # the names the table admits are the hand list, and each row's
+    # refusals, one rank below its lowest and, below the cap, one above
+    # its highest, keep their words
+    rows = rootsys._FAMILIES
+    admitted = [f"{family}{r}" for family, (lowest, highest, *_) in rows.items()
+                for r in range(lowest, highest + 1)]
+    assert admitted == _SUPPORTED
+    edges = []
+    for family, (lowest, highest, *_) in rows.items():
+        edges.append(f"{family}{lowest - 1}")
+        if highest < rootsys._RANK_CAP:
+            edges.append(f"{family}{highest + 1}")
+    assert edges == list(_EDGE_REFUSALS)
+    for name in edges:
+        with pytest.raises(ValueError) as info:
+            AlgebraId.parse(name)
+        assert str(info.value) == _EDGE_REFUSALS[name], name
 
 
 def test_cartan_matrices_rank2_and_a3(a2, b2, g2, a3):

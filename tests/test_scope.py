@@ -1,20 +1,21 @@
 """The scope matrix: every subcommand on every supported algebra.
 
-Each of the 29 algebras (A1-A8, B2-B8, C2-C8, D3-D8 and G2) meets each of
-eight subcommand forms at lam = omega_1 + omega_r (omega_1 at rank 1),
-sent in-process through `cli.run`.  140 cells run.  The other 92 exit 2,
-by structure, not by cost: the operator routes (`bsum --method demazure`,
-`bsum --method both` and `verify`) on the 24 algebras without an operator
-formula, and `eval`, whose evaluators enumerate the Weyl group, at rank 4
-and up.  A change that lifts a refusal flips its cells here.
+Each of the 29 algebras that the family table `rootsys._FAMILIES` admits
+meets each of eight subcommand forms at lam = omega_1 + omega_r (omega_1 at
+rank 1), sent in-process through `cli.run`.  140 cells run.  The other 92
+exit 2, by structure, not by cost: the operator routes (`bsum --method
+demazure`, `bsum --method both` and `verify`) on the 24 algebras without an
+operator formula, and `eval`, whose evaluators enumerate the Weyl group, at
+rank 4 and up.  A change that lifts a refusal flips its cells here.
 """
 
 import pytest
 
 from polychar.cli import run
+from polychar.rootsys import _FAMILIES
 
-_ALGEBRAS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
-             + [f"C{r}" for r in range(2, 9)] + [f"D{r}" for r in range(3, 9)] + ["G2"])
+_ALGEBRAS = [f"{family}{r}" for family, (lowest, highest, *_) in _FAMILIES.items()
+             for r in range(lowest, highest + 1)]
 _WITH_FORMULA = {"A1", "A2", "B2", "G2", "A3"}
 _NO_FORMULA = "no operator polytope-sum formula for"
 _WEYL_CAP = "full Weyl-group enumeration is capped"
