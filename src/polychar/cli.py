@@ -42,7 +42,7 @@ from .polysum import (
     CrossCheckError,
     GenericityError,
     PolytopeSizeError,
-    _check_support_size,
+    _check_polytope_size,
     _formula,
     formula_against_oracle,
     numeric_formula_check,
@@ -103,7 +103,7 @@ def _sum_result(s: FormalSum) -> tuple:
 def _cmd_char(args) -> tuple:
     rs = build_root_system(args.algebra)
     lam = check_weight(rs, args.labels, dominant=True)
-    _check_support_size(rs, (lam,), lam)
+    _check_polytope_size(rs, lam)
     return _sum_result(character_demazure(rs, lam))
 
 
@@ -114,7 +114,7 @@ def _cmd_bsum(args) -> tuple:
     if args.method == "demazure":
         _formula(rs)  # without a formula, refused before the size guard
         lam = check_weight(rs, args.labels, dominant=True)
-        _check_support_size(rs, (lam,), lam)
+        _check_polytope_size(rs, lam)
         return _sum_result(polytope_sum_demazure(rs, lam))
     formula, oracle, diff = formula_against_oracle(rs, args.labels)
     match = diff.is_zero()

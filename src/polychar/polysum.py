@@ -17,7 +17,7 @@ Four independent routes live here:
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, islice, tee
+from itertools import accumulate, chain, islice
 from operator import mul, sub
 
 from ._frozen import Frozen
@@ -90,20 +90,9 @@ def _packed_orbit_size(rs: RootSystem, codec, p: int) -> int:
     """|W| / |W_mu| for the dominant weight mu packed as ``p`` by ``codec``:
     `_orbit_size` at mu's zero pattern, read from its packed fields (a label
     is 0 when its field holds the offset).  The one reader of a packed
-    weight's orbit size: the walk's count and the budget's both read it."""
+    weight's orbit size: the walk's count and `verify`'s total both read it."""
     mask, offset = codec.mask, codec.offset
     return _orbit_size(rs, tuple([p >> s & mask != offset for s in codec.shifts]))
-
-
-def _check_lower_bound(rs: RootSystem, lam) -> None:
-    """Refuse the checked dominant lam with PolytopeSizeError when a cheap
-    lower bound on its polytope's point count passes the cap: the polytope
-    holds lam's orbit and, for each positive root beta, the <lam, beta^vee>
-    + 1 points of the beta-string from lam to s_beta(lam), longest for the
-    highest coroot.  `_walk_below` runs it before its walk, and
-    `polytope_expansion` before either route."""
-    longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
-    _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
 
 
 def _walk_below(rs: RootSystem, lam) -> tuple:
@@ -122,9 +111,12 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     hold.  Each root's step and height come from the codec's root table.
 
     The orbits of these weights are disjoint and cover lam's polytope, so
-    their sizes add up to its point count.  Before the walk, a cheap lower
-    bound refuses lam with PolytopeSizeError (`_check_lower_bound`).  The
-    walk counts in its own loop and refuses as soon as its running
+    their sizes add up to its point count.  Before the codec, a cheap lower
+    bound refuses lam with PolytopeSizeError: the polytope holds lam's orbit
+    and, for each positive root beta, the <lam, beta^vee> + 1 points of the
+    beta-string from lam to s_beta(lam), longest for the highest coroot.
+    This walk is the only code that applies that bound.  Then the walk
+    counts in its own loop and refuses as soon as its running
     count passes the cap, so the refusal comes at the same weight, with the
     same count, on every run.  No orbit is larger than |W|, so the first k
     weights hold at most |W| k points: up to weight number
@@ -134,7 +126,8 @@ def _walk_below(rs: RootSystem, lam) -> tuple:
     added before the weight is expanded.
     """
     lam = check_weight(rs, lam, dominant=True)
-    _check_lower_bound(rs, lam)
+    longest_string = 1 + sum(map(mul, lam, rs.highest_coroot))
+    _check_point_count(lam, max(_orbit_size(rs, tuple([x > 0 for x in lam])), longest_string))
     codec = _codec_for(rs, (lam,))
     top = codec.top
     roots = [(d, h) for d, _fields, _lift, h in codec.roots.values()]
@@ -166,8 +159,8 @@ def dominant_weights_below(rs: RootSystem, lam) -> list:
     sort as their tuples do, so sorting by (depth, packed) gives the order
     of (depth, weight), and the sorted weights are decoded in one pass
     (`formal._Codec.unpack_all`).  Freudenthal reads the walk here, in
-    this order; the oracle and the point budget read it packed, from
-    `_walk_below` itself."""
+    this order; the oracle, the size gate and `verify`'s total read it
+    packed, from `_walk_below` itself."""
     codec, packed, depths = _walk_below(rs, lam)
     return codec.unpack_all([p for _depth, p in sorted(zip(depths, packed))])
 
@@ -580,33 +573,16 @@ def weyl_dimension(rs: RootSystem, lam) -> int:
     return value
 
 
-def _check_support_size(rs: RootSystem, weights, what) -> None:
-    """Refuse ``what``, the polytopes of the dominant ``weights`` together,
-    with PolytopeSizeError when they hold more lattice points than the cap:
-    `char`, `bsum --method demazure` and `expand`'s straightening route
-    size their lam, `verify` its grid, before any sum is built.  ``what``
-    is text, or a dominant weight, as in `_check_point_count`, which
-    writes the refusal.  A module has no more
-    distinct weights than its dimension, so dimensions adding up to at most
-    the cap pass at once (read lazily, up to the first weight past it).
-    Otherwise each lam's polytope is walked (`_walk_below`, which refuses
-    lam's own polytope past the cap).  One lam is then done: its count is
-    its walk's.  Of two or more, each polytope is counted on the walk's
-    packed weights, by the walk's reader of orbit sizes,
-    `_packed_orbit_size`, and the counts are added in order, refused past
-    the cap."""
-    ahead, weights = tee(weights)
-    if all(dims <= _POINT_CAP for dims in accumulate(weyl_dimension(rs, lam) for lam in ahead)):
-        return
-    walks = (_walk_below(rs, lam) for lam in weights)
-    first = next(walks)
-    second = next(walks, None)
-    if second is None:
-        return
-    points = 0
-    for codec, packed, _depths in chain((first, second), walks):
-        points += sum([_packed_orbit_size(rs, codec, p) for p in packed])
-        _check_point_count(what, points)
+def _check_polytope_size(rs: RootSystem, lam) -> None:
+    """Refuse the checked dominant lam with PolytopeSizeError when its
+    polytope holds more lattice points than the cap: `char`, `bsum --method
+    demazure` and `expand`'s straightening route size lam here before any
+    sum is built.  A module has no more distinct weights than its
+    dimension, so a dimension within the cap passes at once; otherwise
+    lam's polytope is walked (`_walk_below`), which refuses it past the
+    cap by its lower bound or its exact count."""
+    if weyl_dimension(rs, lam) > _POINT_CAP:
+        _walk_below(rs, lam)
 
 
 @lru_cache(maxsize=None)
@@ -734,17 +710,15 @@ def polytope_expansion(rs: RootSystem, lam) -> dict:
     coefficients are read off Brion's formula by straightening
     (`_straightened_expansion`), |g| steps per dominant weight; elsewhere
     Freudenthal's multiplicities are peeled (`_freudenthal_peel`), whose
-    strings cost about |Phi+| steps per dominant weight.  The cheap lower
-    bound (`_check_lower_bound`) refuses lam before either route; the
-    straightening route then sizes lam as `char` does
-    (`_check_support_size`), and the peel by its walk, so a refusal names
-    the same count on both."""
+    strings cost about |Phi+| steps per dominant weight.  Neither route
+    does work before lam is sized: the straightening route sizes lam as
+    `char` does (`_check_polytope_size`), and the peel by Freudenthal's
+    walk (`_walk_below`), so a refusal names the same count on both."""
     lam = check_weight(rs, lam, dominant=True)
-    _check_lower_bound(rs, lam)
     terms = _brion_numerator(rs)
     if terms is None:
         return dict(sorted(_freudenthal_peel(rs, lam).items()))
-    _check_support_size(rs, (lam,), lam)
+    _check_polytope_size(rs, lam)
     return _straightened_expansion(rs, lam, terms)
 
 
@@ -779,8 +753,13 @@ def formula_against_oracle(rs: RootSystem, lam) -> tuple:
 def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
     """Sweep every dominant weight with labels in [0..max_label], comparing
     the operator formula against the enumerator exactly: one JSON record
-    per weight, as `verify` prints it.  `_check_support_size` sizes the
-    whole grid first, so an oversized sweep is refused before any sum."""
+    per weight, as `verify` prints it.  The whole grid is sized first, so
+    an oversized sweep is refused before any sum.  Weyl dimensions adding
+    up to at most the cap pass at once (read lazily, up to the first
+    weight past it).  Otherwise each lam's polytope is walked
+    (`_walk_below`, which refuses lam's own polytope past the cap), counted
+    on the walk's packed weights (`_packed_orbit_size`) and added to a
+    running total, refused past the cap."""
     if max_label < 0:
         raise ValueError("max_label must be nonnegative")
     name = _formula(rs)[0]
@@ -791,7 +770,12 @@ def verify_polytope_formula(rs: RootSystem, max_label: int) -> list:
         # product holds its ranges as tuples, and the budget may stop early
         return (tuple([i // n**k % n for k in range(rs.rank)[::-1]]) for i in range(n**rs.rank))
 
-    _check_support_size(rs, grid(), f"the sweep of {rs.name} up to {max_label}")
+    if any(dims > _POINT_CAP for dims in accumulate(weyl_dimension(rs, lam) for lam in grid())):
+        what, points = f"the sweep of {rs.name} up to {max_label}", 0
+        for lam in grid():
+            codec, packed, _depths = _walk_below(rs, lam)
+            points += sum([_packed_orbit_size(rs, codec, p) for p in packed])
+            _check_point_count(what, points)
     reports = []
     for lam in grid():  # the budget passed: at most the cap
         _formula_sum, oracle, diff = formula_against_oracle(rs, lam)

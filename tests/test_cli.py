@@ -397,6 +397,22 @@ def test_expand_point_cap_boundary(capsys, monkeypatch):
     assert captured.err == (
         "error: the polytope of [1, 0, 0, 1] has at least 21 points; cap is 20\n"
     )
+    # D4 (1, 1, 1, 1) peels, sized by Freudenthal's walk alone: 601 points,
+    # |W| = 192 vertices.  From a cap of 192 the walk's running count
+    # decides (192 + 32 at its second weight); below it the lower bound does
+    argv = ["expand", "D4", "1", "1", "1", "1"]
+    monkeypatch.setattr(polysum, "_POINT_CAP", 601)
+    code, out = _capture(capsys, argv)
+    assert code == 0
+    assert len(json.loads(out)) == 14
+    for cap, points in [(600, 601), (192, 224), (191, 192)]:
+        monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the polytope of [1, 1, 1, 1] has at least {points} points; cap is {cap}\n"
+        )
 
 
 def test_expand_d4_has_a_negative_coefficient(capsys):

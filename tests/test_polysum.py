@@ -13,7 +13,7 @@ import contextlib
 import math
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, chain, product
 from operator import mul
 from types import SimpleNamespace
@@ -308,16 +308,17 @@ def test_oracle_lower_bound_refuses_before_the_walk(monkeypatch):
         polytope_sum_oracle(a1, (10**9,))
 
 
-@pytest.mark.parametrize("entry,walk", [
-    (dominant_weight_multiplicities, "_codec_for"), (polytope_expansion, "_walk_below"),
-], ids=["dominant_weight_multiplicities", "polytope_expansion"])
-def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry, walk):
+@pytest.mark.parametrize("entry", [dominant_weight_multiplicities, polytope_expansion],
+                         ids=["dominant_weight_multiplicities", "polytope_expansion"])
+def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry):
     # Freudenthal runs the oracle's preflight inside the walk, before its
-    # codec; expand runs it before either route, so before any walk
+    # codec; expand runs none of its own, and on either route the walk's
+    # refuses before any codec is built
     def unreachable(*args):
         raise AssertionError("the walk was entered")
 
-    monkeypatch.setattr(polysum, walk, unreachable)
+    codec_for = polysum._codec_for
+    monkeypatch.setattr(polysum, "_codec_for", unreachable)
     a1, a3 = build_root_system("A1"), build_root_system("A3")
     # the string bound: A1 (10) has the 11 weights of its alpha-string
     monkeypatch.setattr(polysum, "_POINT_CAP", 10)
@@ -326,8 +327,15 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry, wal
         entry(a1, (10,))
     monkeypatch.setattr(polysum, "_POINT_CAP", 11)
     if entry is polytope_expansion:
-        # A1 straightens, and its dimension, 11, passes the budget unwalked
-        assert entry(a1, (10,)) == {(10,): 1}
+        # A1 straightens, and its dimension, 11, passes the size gate unwalked
+        walked = []
+        walk = polysum._walk_below
+        with monkeypatch.context() as spied:
+            spied.setattr(polysum, "_codec_for", codec_for)
+            spied.setattr(polysum, "_walk_below",
+                          lambda rs, lam: walked.append(lam) or walk(rs, lam))
+            assert entry(a1, (10,)) == {(10,): 1}
+        assert walked == []
     else:
         with pytest.raises(AssertionError, match="the walk was entered"):
             entry(a1, (10,))
@@ -347,6 +355,26 @@ def test_freudenthal_lower_bound_refuses_before_the_walk(monkeypatch, entry, wal
     )
     with pytest.raises(PolytopeSizeError, match=message):
         entry(build_root_system("B8"), (1,) * 8)
+
+
+@pytest.mark.parametrize("name,lam,cap,bounds", [
+    ("A3", (4, 0, 4), 825, 0), ("A3", (4, 0, 4), 824, 1), ("D4", (1, 0, 1, 1), 10**6, 1),
+], ids=["A3-within-the-dimension", "A3-straightens", "D4-peels"])
+def test_expand_runs_the_lower_bound_at_most_once(monkeypatch, name, lam, cap, bounds):
+    # the lower bound reads lam's zero pattern once, and a walk reads no
+    # other weight's size while |W| times its weights stays within the cap.
+    # A3 (4, 0, 4) straightens: its dimension, 825, passes a cap of 825
+    # unwalked, and at 824 it is walked once, its 23 weights times |W| = 24
+    # within the cap.  D4 (1, 0, 1, 1) peels, through Freudenthal's walk
+    rs = build_root_system(name)
+    expected = polytope_expansion(rs, lam)
+    reads = []
+    size = polysum._orbit_size
+    monkeypatch.setattr(polysum, "_orbit_size",
+                        lambda rs, support: reads.append(support) or size(rs, support))
+    monkeypatch.setattr(polysum, "_POINT_CAP", cap)
+    assert polytope_expansion(rs, lam) == expected
+    assert reads.count(tuple(x > 0 for x in lam)) == bounds
 
 
 @pytest.mark.parametrize("entry", [dominant_weights_below, dominant_weight_multiplicities])
@@ -429,11 +457,12 @@ def test_walk_reads_no_orbit_size_under_the_cap(monkeypatch, lam):
 
 
 def _tuple_budget_refusal(rs, weights, what, cap):
-    """Reference for `_check_support_size` at a cap: its refusal text, or
-    None.  The dimensions first; then, lam by lam, the walk's refusal of
+    """Reference for the size gates at a cap, `_check_polytope_size` on one
+    weight and `verify_polytope_formula`'s on its grid: the refusal text,
+    or None.  The dimensions first; then, lam by lam, the walk's refusal of
     lam's own polytope (the lower bound, else the running count at the
     first weight past the cap, which the bound |W| k never passes) and the
-    budget's total, each recounted on weight tuples, with closure orbits."""
+    grid's total, each recounted on weight tuples, with closure orbits."""
     if sum(weyl_dimension(rs, lam) for lam in weights) <= cap:
         return None
     name = what if isinstance(what, str) else f"the polytope of {list(what)}"
@@ -457,23 +486,29 @@ def _tuple_budget_refusal(rs, weights, what, cap):
     ("G2", list(product(range(3), repeat=2)), "the sweep of G2 up to 2"),
 ], ids=["A2-1-1", "G2-2-1", "B3-1-0-1", "A2-grid-2", "G2-grid-2"])
 def test_budget_counts_the_walk_exactly_at_every_cap(monkeypatch, name, weights, what):
-    # every cap from 1 to one past the weights' point total: the budget's
-    # exact phase (the dimensions add up past the total, so they pass no
-    # cap below it) must refuse, or pass, as the tuple recount does.  A2's
-    # and G2's two one-zero patterns have equal orbit sizes, B3's do not
+    # every cap from 1 to one past the weights' point total: the size
+    # gate's exact phase (the dimensions add up past the total, so they
+    # pass no cap below it) must refuse, or pass, as the tuple recount
+    # does.  One weight goes through `_check_polytope_size`, a grid through
+    # `verify` at max label 2.  A2's and G2's two one-zero patterns have
+    # equal orbit sizes, B3's do not
     rs = build_root_system(name)
     total = sum(len(orbit) for lam in weights for orbit in _tuple_walk_orbits(rs, lam))
     assert sum(weyl_dimension(rs, lam) for lam in weights) > total
+    if isinstance(what, str):
+        gate = partial(verify_polytope_formula, rs, 2)
+    else:
+        gate = partial(polysum._check_polytope_size, rs, what)
     refused = 0
     for cap in range(1, total + 2):
         monkeypatch.setattr(polysum, "_POINT_CAP", cap)
         expected = _tuple_budget_refusal(rs, weights, what, cap)
         if expected is None:
-            polysum._check_support_size(rs, iter(weights), what)
+            gate()
             continue
         refused += 1
         with pytest.raises(PolytopeSizeError) as refusal:
-            polysum._check_support_size(rs, iter(weights), what)
+            gate()
         assert str(refusal.value) == expected, cap
     assert refused == total - 1  # every cap below the total
 
@@ -499,7 +534,7 @@ def test_one_weight_budget_reads_only_its_walks_sizes(monkeypatch, name, lam):
     for cap in range(1, total + 1):
         monkeypatch.setattr(polysum, "_POINT_CAP", cap)
         walk = reads_of(lambda: polysum._walk_below(rs, lam))
-        assert reads_of(lambda: polysum._check_support_size(rs, (lam,), lam)) == walk, cap
+        assert reads_of(lambda: polysum._check_polytope_size(rs, lam)) == walk, cap
 
 
 @pytest.mark.parametrize("n,nbytes", [(125, 1), (126, 2), (32765, 2), (32766, 4)])
@@ -1284,9 +1319,9 @@ def test_broken_products_name_their_fraction(a1, monkeypatch):
 )
 def test_verify_budget_walks_no_weight_under_the_cap(monkeypatch, name, max_label, dims):
     # the verify-sweep workload's grids: their dimensions add up far under
-    # the cap, so the sweep's budget makes no walk, and each lam is walked
-    # once, by its oracle.  The spy sits on the packed walk, which both the
-    # budget and the oracle call directly
+    # the cap, so the sweep's size gate makes no walk, and each lam is
+    # walked once, by its oracle.  The spy sits on the packed walk, which
+    # both the size gate and the oracle call directly
     rs = build_root_system(name)
     grid = list(product(range(max_label + 1), repeat=rs.rank))
     assert sum(weyl_dimension(rs, lam) for lam in grid) == dims
@@ -1294,8 +1329,6 @@ def test_verify_budget_walks_no_weight_under_the_cap(monkeypatch, name, max_labe
     walk = polysum._walk_below
     monkeypatch.setattr(polysum, "_walk_below",
                         lambda rs, lam: walked.append(lam) or walk(rs, lam))
-    polysum._check_support_size(rs, grid, "the grid")
-    assert walked == []
     assert len(verify_polytope_formula(rs, max_label)) == len(grid)
     assert walked == grid
 
